@@ -12,7 +12,6 @@ from repro.analysis.checker import (
     check_distillation,
     check_ir,
     check_jit,
-    check_memory,
     check_program,
     predicted_squash_reasons,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "check_distillation",
     "check_ir",
     "check_jit",
-    "check_memory",
     "check_program",
     "predicted_squash_reasons",
     "DominatorTree",

@@ -97,9 +97,6 @@ CHECKS: Dict[str, str] = {
     "JIT004": "every promoted superblock link re-derives: link targets are "
               "compiled leaders inside the fused trace, and followed "
               "branches continue at their taken target",
-    # -- memory-backend checks ------------------------------------------------
-    "MEM001": "the flat paged memory backend and the dict backend observe "
-              "identical ISA-visible state on a bounded differential run",
     # -- runtime event-stream checks ------------------------------------------
     "RT001": "tasks are judged strictly in fork order and committed tids "
              "strictly increase",
@@ -925,8 +922,7 @@ def check_decoded(
 # ---------------------------------------------------------------------------
 
 
-def _fuzz_states(program: Program, entry: int, variant: int,
-                 backend: str = "dict"):
+def _fuzz_states(program: Program, entry: int, variant: int):
     """Deterministic machine states for the JIT003 differential.
 
     Three register-file shapes per region entry: boot-like zeros, small
@@ -936,7 +932,7 @@ def _fuzz_states(program: Program, entry: int, variant: int,
     """
     from repro.machine.state import ArchState, wrap64
 
-    state = ArchState(pc=entry, mem=dict(program.memory), backend=backend)
+    state = ArchState(pc=entry, mem=program.memory)
     if variant == 1:
         for reg in range(1, NUM_REGS):
             state.write_reg(reg, (reg * 3 + entry) % 64)
@@ -959,13 +955,13 @@ def check_jit(program: Program, subject: Optional[str] = None) -> CheckReport:
     per-variant sources must equal what :meth:`JitProgram.trace`/
     :meth:`JitProgram.generate_sources` produce today, which also guards
     the persistent code cache against schema drift), a state-level
-    differential (JIT003 — every region, in both its dict and flat
-    memory flavors, executed on fuzzed register files, must leave
-    exactly the machine state the decoded per-step engine reaches after
-    the same number of steps), and superblock-link validation (JIT004 —
-    promotion is forced along every compiled-region-to-compiled-region
-    exit edge and the fused traces must re-derive, keep their link
-    targets at traced leaders, and pass the same differential).
+    differential (JIT003 — every region, executed on fuzzed register
+    files, must leave exactly the machine state the decoded per-step
+    engine reaches after the same number of steps), and superblock-link
+    validation (JIT004 — promotion is forced along every
+    compiled-region-to-compiled-region exit edge and the fused traces
+    must re-derive, keep their link targets at traced leaders, and pass
+    the same differential).
     """
     from repro.machine.decoded import decode
     from repro.machine.jit import (
@@ -1041,18 +1037,18 @@ def check_jit(program: Program, subject: Optional[str] = None) -> CheckReport:
             )
 
     # JIT003: region execution == decoded per-step execution, state for
-    # state, on fuzzed register files — for both the dict and the flat
-    # memory flavor of every region's full-protocol function.
+    # state, on fuzzed register files, for every region's full-protocol
+    # function.
     decoded = decode(program)
     steppers = decoded.steppers
 
-    def differential(region, fn, backend: str, label: str) -> None:
+    def differential(region, label: str) -> None:
         budget = 3 * region.linear_len + 2
         for variant in range(3):
-            fuzzed = _fuzz_states(program, region.entry, variant, backend)
+            fuzzed = _fuzz_states(program, region.entry, variant)
             reference = _fuzz_states(program, region.entry, variant)
             try:
-                steps, _loads, _arrivals, status = fn(
+                steps, _loads, _arrivals, status = region.full(
                     fuzzed, 0, 0, budget, None, 0, None, 0
                 )
             except Exception as exc:  # noqa: BLE001 - report, never raise
@@ -1074,8 +1070,7 @@ def check_jit(program: Program, subject: Optional[str] = None) -> CheckReport:
                     f"after {steps} steps (fuzz variant {variant})",
                     pc=region.entry,
                 )
-            if fuzzed.regs != reference.regs or fuzzed.pc != reference.pc \
-                    or dict(fuzzed.mem.items()) != dict(reference.mem.items()):
+            if fuzzed != reference:
                 _finding(
                     report, "JIT003", Severity.ERROR,
                     f"{label} state diverges from the decoded engine after "
@@ -1085,8 +1080,7 @@ def check_jit(program: Program, subject: Optional[str] = None) -> CheckReport:
                 break
 
     for region in regions:
-        differential(region, region.full, "dict", "dict-flavor")
-        differential(region, region.full_flat, "flat", "flat-flavor")
+        differential(region, "compiled")
 
     # JIT004: promoted superblock links re-derive.  Force promotion on a
     # private instance (link threshold 1) along every static exit edge
@@ -1140,76 +1134,7 @@ def check_jit(program: Program, subject: Optional[str] = None) -> CheckReport:
                     f"followed branch at pc {branch_pc} does not continue "
                     f"at its taken target {instr.target}", pc=entry,
                 )
-        differential(region, region.full, "dict", "fused dict-flavor")
-        differential(region, region.full_flat, "flat", "fused flat-flavor")
-    return report
-
-
-def check_memory(
-    program: Program,
-    subject: Optional[str] = None,
-    max_steps: int = 50_000,
-) -> CheckReport:
-    """MEM001: flat/dict memory-backend image equivalence.
-
-    Runs ``program`` through the decoded engine once per backend —
-    canonical sparse dict, flat paged, and the lock-step ``check``
-    wrapper — and requires identical run outcomes and ISA-visible final
-    state.  This is the static-check twin of ``REPRO_MEM=check``: the
-    lock-step wrapper catches per-operation divergence at the access
-    site, while this check gates whole-image equivalence into ``repro
-    lint``.
-    """
-    from repro.errors import StepLimitExceeded
-    from repro.machine.decoded import decode
-    from repro.machine.flatmem import MemoryCheckError, as_dict
-    from repro.machine.state import ArchState
-
-    report = CheckReport(subject=subject or f"{program.name}: memory")
-    decoded = decode(program)
-    outcomes = {}
-    states = {}
-    for backend in ("dict", "flat"):
-        state = ArchState.initial(program, backend=backend)
-        try:
-            outcomes[backend] = decoded.run(state, max_steps)
-        except StepLimitExceeded:
-            outcomes[backend] = ("step-limit", max_steps)
-        states[backend] = state
-    if outcomes["dict"] != outcomes["flat"]:
-        _finding(
-            report, "MEM001", Severity.ERROR,
-            f"run outcome diverges across backends: dict={outcomes['dict']} "
-            f"flat={outcomes['flat']}",
-        )
-    elif states["dict"] != states["flat"]:
-        _finding(
-            report, "MEM001", Severity.ERROR,
-            "final state diverges across backends: "
-            f"{states['dict'].diff(states['flat'])[:3]}",
-        )
-    elif as_dict(states["flat"].mem) != as_dict(states["dict"].mem):
-        _finding(
-            report, "MEM001", Severity.ERROR,
-            "flat image does not round-trip to the canonical sparse dict",
-        )
-    check_state = ArchState.initial(program, backend="check")
-    try:
-        decoded.run(check_state, max_steps)
-    except StepLimitExceeded:
-        pass
-    except MemoryCheckError as error:
-        _finding(
-            report, "MEM001", Severity.ERROR,
-            f"lock-step backend diverged mid-run: {error}",
-        )
-    try:
-        check_state.mem.verify_image()
-    except MemoryCheckError as error:
-        _finding(
-            report, "MEM001", Severity.ERROR,
-            f"lock-step backend image divergence after the run: {error}",
-        )
+        differential(region, "fused")
     return report
 
 

@@ -84,29 +84,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--show-asm", action="store_true",
         help="print the distilled program listing",
     )
-    distill.add_argument(
-        "--task-size", type=int, default=None,
-        help="target dynamic instructions per task",
-    )
+    _add_task_size_arg(distill)
 
     run = sub.add_parser("run", help="run a workload under MSSP")
     _add_workload_args(run)
-    run.add_argument("--slaves", type=int, default=8)
+    run.add_argument("--slaves", type=_at_least(1), default=8)
+    _add_task_size_arg(run)
     run.add_argument(
-        "--task-size", type=int, default=None,
-        help="target dynamic instructions per task",
-    )
-    run.add_argument(
-        "--runtime",
-        choices=("eager", "thread", "process", "parallel", "sim"),
+        "--runtime", choices=("eager", "thread", "process", "sim"),
         default="eager",
         help="slave-execution backend: eager in-process tasks, a thread "
              "pool, a process pool of slave workers, or simulated slaves "
-             "on a virtual clock ('parallel' is a deprecated alias of "
-             "'process'; all backends are bit-identical)",
+             "on a virtual clock (all backends are bit-identical)",
     )
     run.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_at_least(1), default=None,
         help="slave workers for the thread/process runtimes "
              "(default: MsspConfig.num_slaves)",
     )
@@ -115,14 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution tier for master/slaves/recovery (default: the "
              "REPRO_EXEC environment variable, then decoded); all tiers "
              "are bit-identical",
-    )
-    run.add_argument(
-        "--mem", choices=("dict", "flat", "check"), default=None,
-        dest="mem_backend",
-        help="architected-memory backend: sparse dict, flat paged "
-             "arrays, or both in lockstep (differential check); "
-             "default: the REPRO_MEM environment variable, then dict; "
-             "all backends are bit-identical",
     )
     run.add_argument(
         "--adaptive", action="store_true",
@@ -149,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         "timeline", help="render an ASCII execution timeline"
     )
     _add_workload_args(timeline)
-    timeline.add_argument("--slaves", type=int, default=8)
+    timeline.add_argument("--slaves", type=_at_least(1), default=8)
     timeline.add_argument("--width", type=int, default=96)
     timeline.add_argument(
         "--cycles", type=float, default=2500.0,
@@ -170,10 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="lint every registered workload",
     )
     lint.add_argument("--size", type=int, default=None)
-    lint.add_argument(
-        "--task-size", type=int, default=None,
-        help="target dynamic instructions per task",
-    )
+    _add_task_size_arg(lint)
     lint.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output format (json shares its finding schema with "
@@ -193,10 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="analyze every registered workload",
     )
     analyze.add_argument("--size", type=int, default=None)
-    analyze.add_argument(
-        "--task-size", type=int, default=None,
-        help="target dynamic instructions per task",
-    )
+    _add_task_size_arg(analyze)
     analyze.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output format (json shares its finding schema with "
@@ -241,11 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop the persistent artifact cache before running",
     )
     bench.add_argument(
-        "--runtime", choices=("eager", "thread", "process", "parallel"),
+        "--runtime", choices=("eager", "thread", "process"),
         default="eager",
         help="also measure a pipelined MSSP runtime's wall-clock speedup "
-             "per workload (-j sets the slave worker count; 'parallel' "
-             "is a deprecated alias of 'process')",
+             "per workload (-j sets the slave worker count)",
     )
     bench.add_argument(
         "--serve", action="store_true",
@@ -276,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(JSONL requests on stdin, JSONL responses on stdout)",
     )
     serve.add_argument(
-        "--workers", type=int, default=2,
+        "--workers", type=_at_least(1), default=2,
         help="server worker fleet size (default: 2)",
     )
     serve.add_argument(
@@ -302,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="workloads to pre-distill and pre-JIT at startup",
     )
     serve.add_argument(
-        "--runtime", choices=("eager", "thread", "process", "parallel"),
+        "--runtime", choices=("eager", "thread", "process"),
         default="thread",
         help="slave-execution backend for served episodes "
              "(default: thread)",
@@ -332,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="slave-execution backend for the captured run",
     )
     trace.add_argument(
-        "--slaves", type=int, default=None,
+        "--slaves", type=_at_least(1), default=None,
         help="slave workers for the captured run "
              "(default: MsspConfig.num_slaves)",
     )
@@ -396,6 +373,32 @@ def _add_workload_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--size", type=int, default=None)
 
 
+def _add_task_size_arg(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--task-size", type=_at_least(2), default=None,
+        help="target dynamic instructions per task (at least 2)",
+    )
+
+
+def _at_least(low: int):
+    """An argparse ``type``: an int no smaller than ``low``.
+
+    Out-of-range values end as a usage error (exit 2) at parse time
+    instead of a config-validation traceback later.
+    """
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 def _distill_config(args) -> Optional[DistillConfig]:
     task_size = getattr(args, "task_size", None)
     if task_size is None:
@@ -454,7 +457,6 @@ def cmd_run(args) -> int:
     if (
         args.runtime != "eager"
         or args.exec_tier is not None
-        or args.mem_backend is not None
         or args.adaptive
         or args.predictors is not None
         or args.redistill_threshold is not None
@@ -462,8 +464,7 @@ def cmd_run(args) -> int:
         from repro.config import MsspConfig
 
         mssp_config = MsspConfig(
-            runtime=args.runtime, exec_tier=args.exec_tier,
-            mem_backend=args.mem_backend,
+            runtime=args.runtime, exec_tier=args.exec_tier
         )
         if args.adaptive:
             mssp_config = mssp_config.with_adaptation()
@@ -487,8 +488,6 @@ def cmd_run(args) -> int:
               f"({mssp_config.num_slaves} slave workers)")
         if mssp_config.exec_tier is not None:
             print(f"  exec tier:               {mssp_config.exec_tier}")
-        if mssp_config.mem_backend is not None:
-            print(f"  memory backend:          {mssp_config.mem_backend}")
     print(f"  sequential instructions: {row.seq_instrs}")
     print(f"  distillation ratio:      {prepared.distillation_ratio:.2f}")
     print(f"  tasks committed/squashed: "
@@ -559,7 +558,6 @@ def _lint_workload(name, args, config):
         check_decoded,
         check_distillation,
         check_jit,
-        check_memory,
         check_program,
         check_runtime_execution,
         check_safety_report,
@@ -584,8 +582,6 @@ def _lint_workload(name, args, config):
     if not gate(check_decoded(instance.program, subject=name)):
         return reports, None
     if not gate(check_jit(instance.program, subject=f"{name}: jit")):
-        return reports, None
-    if not gate(check_memory(instance.program, subject=f"{name}: memory")):
         return reports, None
     if not gate(check_dataflow(instance.program, subject=name)):
         return reports, None
@@ -1073,8 +1069,6 @@ def cmd_bench(args) -> int:
           f"{micro['decoded_instrs_per_sec']:>12,.0f} instrs/sec")
     print(f"  superblock jit:           "
           f"{micro['jit_instrs_per_sec']:>12,.0f} instrs/sec")
-    print(f"  jit on flat memory:       "
-          f"{micro['flat_instrs_per_sec']:>12,.0f} instrs/sec")
     print(f"  decoded vs reference:     {micro['speedup']:>12.2f}x")
     print(f"  jit vs decoded:           {micro['jit_speedup']:>12.2f}x")
     print(f"  master jit vs decoded:    {micro['master_jit_speedup']:>12.2f}x"

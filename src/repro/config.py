@@ -96,9 +96,9 @@ class MsspConfig:
     executes every task inline in commit order (the functional reference
     model); ``"thread"`` pipelines the master ahead of ``num_slaves``
     in-process worker threads; ``"process"`` pipelines it ahead of
-    ``num_slaves`` forked worker processes.  ``"parallel"`` is a
-    deprecated alias of ``"process"``, and ``None`` defers to the
-    ``REPRO_RUNTIME`` environment variable (default eager), mirroring
+    ``num_slaves`` forked worker processes; ``"sim"`` prices slave work
+    on a virtual clock.  ``None`` defers to the ``REPRO_RUNTIME``
+    environment variable (default eager), mirroring
     ``exec_tier``/``REPRO_EXEC``.  All backends produce bit-identical
     :class:`~repro.mssp.engine.MsspResult`\\ s; see
     :mod:`repro.mssp.runtime`.
@@ -149,13 +149,6 @@ class MsspConfig:
     #: defers to the ``REPRO_EXEC`` environment variable (default:
     #: decoded).  All tiers are bit-identical; see docs/performance.md.
     exec_tier: Optional[str] = None
-    #: Architected-memory backend: ``"dict"`` (sparse dict reference),
-    #: ``"flat"`` (paged ``array('q')`` store), or ``"check"`` (both in
-    #: lockstep, raising on any divergence — the differential oracle).
-    #: ``None`` defers to the ``REPRO_MEM`` environment variable
-    #: (default: dict).  All backends are bit-identical; see
-    #: docs/performance.md.
-    mem_backend: Optional[str] = None
     #: Workers (threads or processes) backing the pipelined runtimes'
     #: slave pool.
     num_slaves: int = 4
@@ -217,20 +210,13 @@ class MsspConfig:
             raise ValueError(
                 "checkpoint_mode must be 'cumulative' or 'delta'"
             )
-        if self.runtime not in (
-            None, "eager", "thread", "process", "parallel", "sim"
-        ):
+        if self.runtime not in (None, "eager", "thread", "process", "sim"):
             raise ValueError(
-                "runtime must be None, 'eager', 'thread', 'process', "
-                "'sim' or 'parallel' (deprecated alias of 'process')"
+                "runtime must be None, 'eager', 'thread', 'process' or 'sim'"
             )
         if self.exec_tier not in (None, "oracle", "decoded", "jit"):
             raise ValueError(
                 "exec_tier must be None, 'oracle', 'decoded' or 'jit'"
-            )
-        if self.mem_backend not in (None, "dict", "flat", "check"):
-            raise ValueError(
-                "mem_backend must be None, 'dict', 'flat' or 'check'"
             )
         if self.static_safety not in ("off", "skip", "check"):
             raise ValueError(

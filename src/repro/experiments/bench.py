@@ -154,15 +154,14 @@ def microbenchmark(
     scale: float = 1.0,
     repeats: int = 3,
 ) -> Dict[str, float]:
-    """Instructions/second across every execution tier and memory backend.
+    """Instructions/second across every execution tier.
 
-    Five timed stages on one workload: the seed's reference ``execute``
-    loop, the pre-decoded engine, the superblock JIT on the dict
-    backend, the JIT on the flat paged backend
-    (``flat_instrs_per_sec``), and the *master-side* JIT — the distilled
-    program standalone under ``tier="jit"`` vs ``tier="decoded"``
-    (``master_jit_speedup``, with ``master_jit_coverage`` the fraction
-    of distilled instructions retired inside generated code).  Also
+    Four timed stages on one workload: the seed's reference ``execute``
+    loop, the pre-decoded engine, the superblock JIT, and the
+    *master-side* JIT — the distilled program standalone under
+    ``tier="jit"`` vs ``tier="decoded"`` (``master_jit_speedup``, with
+    ``master_jit_coverage`` the fraction of distilled instructions
+    retired inside generated code).  Also
     records the arch JIT's linking counters so the CI bench smoke can
     assert superblock linking actually engaged.
     """
@@ -171,15 +170,14 @@ def microbenchmark(
     ).program
     decoded = decode(program)  # decode cost paid up front, like real runs
     jit = jit_for(program)
-    # One warmup run per backend crosses the hotness thresholds and
-    # compiles the loop regions (including link promotions), so the
-    # timed runs measure the steady state (real runs amortize
-    # compilation the same way — and persist it).
+    # One warmup run crosses the hotness thresholds and compiles the
+    # loop regions (including link promotions), so the timed runs
+    # measure the steady state (real runs amortize compilation the same
+    # way — and persist it).
     jit.run(ArchState.initial(program), DEFAULT_STEP_LIMIT)
-    jit.run(ArchState.initial(program, backend="flat"), DEFAULT_STEP_LIMIT)
 
-    def time_once(runner, backend: str = "dict") -> Tuple[int, float]:
-        state = ArchState.initial(program, backend=backend)
+    def time_once(runner) -> Tuple[int, float]:
+        state = ArchState.initial(program)
         start = time.perf_counter()
         steps = runner(state)
         return steps, time.perf_counter() - start
@@ -187,7 +185,6 @@ def microbenchmark(
     legacy_best = float("inf")
     decoded_best = float("inf")
     jit_best = float("inf")
-    flat_best = float("inf")
     steps = 0
     for _ in range(max(1, repeats)):
         steps, elapsed = time_once(
@@ -202,21 +199,15 @@ def microbenchmark(
             lambda s: jit.run(s, DEFAULT_STEP_LIMIT)[0]
         )
         jit_best = min(jit_best, elapsed)
-        steps, elapsed = time_once(
-            lambda s: jit.run(s, DEFAULT_STEP_LIMIT)[0], backend="flat"
-        )
-        flat_best = min(flat_best, elapsed)
     legacy_ips = steps / legacy_best if legacy_best > 0 else float("inf")
     decoded_ips = steps / decoded_best if decoded_best > 0 else float("inf")
     jit_ips = steps / jit_best if jit_best > 0 else float("inf")
-    flat_ips = steps / flat_best if flat_best > 0 else float("inf")
     result: Dict[str, object] = {
         "workload": workload,
         "dynamic_instrs": steps,
         "legacy_instrs_per_sec": legacy_ips,
         "decoded_instrs_per_sec": decoded_ips,
         "jit_instrs_per_sec": jit_ips,
-        "flat_instrs_per_sec": flat_ips,
         "speedup": decoded_ips / legacy_ips if legacy_ips else float("inf"),
         "jit_speedup": jit_ips / decoded_ips if decoded_ips else float("inf"),
         "jit_link_transits": jit.stats["link_transits"],
@@ -294,8 +285,7 @@ def measure_parallel_runtime(
     """Wall-clock eager vs pipelined runtime on one prepared workload.
 
     ``runtime`` selects which pipelined executor backend is measured
-    ("thread" or "process"; "parallel" is the deprecated alias of
-    "process").  Times ``repeats`` fresh runs of each engine on the same
+    ("thread" or "process").  Times ``repeats`` fresh runs of each engine on the same
     program and distillation (best-of, so the pipelined number reflects
     the steady state with a warm worker pool rather than one-time spawn
     cost, which is reported separately as
@@ -403,8 +393,8 @@ def run_bench(
 ) -> Dict[str, object]:
     """The full benchmark: microbenchmark + E-suite sweep; JSON-ready.
 
-    Any pipelined ``runtime`` ("thread", "process", or the deprecated
-    alias "parallel") adds a wall-clock stage per workload: eager vs
+    Any pipelined ``runtime`` ("thread" or "process") adds a wall-clock
+    stage per workload: eager vs
     that executor backend with ``jobs`` slave workers, bit-identity
     checked.  In that mode the suite rows themselves run serially —
     ``jobs`` provisions slave workers, and fanning workloads out over a
@@ -430,7 +420,6 @@ def run_bench(
                 )
             )
     suite_wall = time.perf_counter() - suite_start
-    from repro.machine.flatmem import resolve_mem_backend
     from repro.machine.jit import resolve_exec_tier
 
     return {
@@ -438,10 +427,9 @@ def run_bench(
         "scale": scale,
         "jobs": jobs,
         "runtime": runtime,
-        # Environment-resolved execution knobs the suite rows ran under
-        # (the microbenchmark stages measure all tiers/backends
-        # explicitly regardless).
-        "mem_backend": resolve_mem_backend(None),
+        # Environment-resolved execution tier the suite rows ran under
+        # (the microbenchmark stages measure every tier explicitly
+        # regardless).
         "exec_tier": resolve_exec_tier(None),
         "cpu_count": os.cpu_count(),
         "microbenchmark": micro,
@@ -529,16 +517,6 @@ def check_baseline(
             f"jit-vs-decoded speedup regressed: "
             f"{micro.get('jit_speedup', 0.0):.2f}x < required {min_jit:.2f}x"
         )
-    flat_floor = baseline.get("flat_instrs_per_sec")
-    if flat_floor is not None:
-        allowed = flat_floor * (1.0 - tolerance)
-        actual = micro.get("flat_instrs_per_sec", 0.0)
-        if actual < allowed:
-            problems.append(
-                f"flat-backend jit throughput regressed: "
-                f"{actual:,.0f} instrs/sec < {allowed:,.0f} "
-                f"(baseline {flat_floor:,.0f} - {tolerance:.0%})"
-            )
     min_master = baseline.get("min_master_jit_speedup")
     if min_master is not None and (
         micro.get("master_jit_speedup", 0.0) < min_master
@@ -578,8 +556,7 @@ def write_baseline(summary: Dict[str, object], path: str) -> None:
             f"pre-decoded engine "
             f"~{micro['decoded_instrs_per_sec'] / 1e6:.2f}M instrs/sec, "
             f"jit ~{micro['jit_instrs_per_sec'] / 1e6:.2f}M instrs/sec "
-            f"({micro['jit_speedup']:.2f}x decoded), flat-backend jit "
-            f"~{micro['flat_instrs_per_sec'] / 1e6:.2f}M instrs/sec, "
+            f"({micro['jit_speedup']:.2f}x decoded), "
             f"master jit {micro['master_jit_speedup']:.2f}x its decoded "
             f"loop at {micro['master_jit_coverage']:.0%} coverage."
         ),
@@ -587,7 +564,6 @@ def write_baseline(summary: Dict[str, object], path: str) -> None:
         "min_speedup": 2.0,
         "jit_instrs_per_sec": floor(micro["jit_instrs_per_sec"]),
         "min_jit_speedup": 2.0,
-        "flat_instrs_per_sec": floor(micro["flat_instrs_per_sec"]),
         "min_master_jit_speedup": 1.5,
     }
     Path(path).write_text(

@@ -39,9 +39,9 @@ from typing import Any, Callable, Optional, Tuple
 #: 2: MsspCounters grew the ``dispatch`` field (runtime-core refactor).
 #: 3: PcMap grew per-instruction ``provenance``; MsspCounters grew
 #:    ``static_verify_skips`` (speculation-safety prover).
-#: 4: ArchState memory may pickle as a ``PagedMemory`` (flat backend);
-#:    MsspConfig grew ``mem_backend``; bench summaries grew the
-#:    flat/master-jit microbenchmark stages.
+#: 4: ArchState memory may pickle as a paged store; MsspConfig grew a
+#:    memory-store knob; bench summaries grew the paged-store and
+#:    master-jit microbenchmark stages.
 #: 5: MsspCounters grew ``predictor_hits``/``predictor_misses``/
 #:    ``redistillations``; PreparedWorkload grew ``distill_config``;
 #:    MsspConfig grew the predictor/redistillation knobs; bench suite
@@ -51,7 +51,10 @@ from typing import Any, Callable, Optional, Tuple
 #:    arrivals, warm-vs-cold throughput, shared-cache hit rates); suite
 #:    rows grew ``adaptive_cache_hit`` and top-level ``cache_hits`` is
 #:    now derived from the per-row flags.
-CACHE_SCHEMA = 6
+#: 7: one architected-memory store: ArchState memory always pickles as
+#:    a dict; MsspConfig lost the memory-store knob; bench summaries
+#:    lost the paged-store stage and the memory-store key.
+CACHE_SCHEMA = 7
 
 _ENV_VAR = "REPRO_BENCH_CACHE"
 

@@ -26,13 +26,9 @@ What the generated code looks like
   the localized modes (their operand reads are unobservable too).
 * **Fall-through pcs are constant-folded**: inside a region the pc is
   not materialized at all; only exits store ``state.pc``.
-* **Memory ops are inlined** per backend: the ``arch`` mode compiles two
-  flavors of every region — one against the canonical sparse dict
-  (bound ``get``/``__setitem__``/``pop``), one against
-  :class:`~repro.machine.flatmem.PagedMemory` with the page-table lookup
-  and slot indexing emitted inline (``pages.get(a >> PAGE_BITS)`` plus
-  an ``array`` subscript; zero stores simply write zero).  Dispatchers
-  pick the flavor for the state's actual backend.
+* **Memory ops are inlined**: the ``arch`` mode binds the canonical
+  sparse dict's ``get``/``__setitem__``/``pop`` once at region entry,
+  and a zero store pops its cell (zero cells are absent).
 * **Asserted branches are guards**: the trace follows each conditional
   branch's fall-through; the taken direction exits the region with the
   step/load deltas flushed and the pc set.  A branch or jump back to the
@@ -61,10 +57,10 @@ Codegen modes
 -------------
 
 * ``arch`` — register localization + inlined memory, sound only for
-  :class:`~repro.machine.state.ArchState`.  Compiled in four variants:
-  ``full``/``full_flat`` (the 8-argument protocol below, dict/paged
-  memory) and ``plain``/``plain_flat`` (a stripped sequential variant
-  with no arrival/stop machinery for :meth:`JitProgram.run`).
+  :class:`~repro.machine.state.ArchState`.  Compiled in two variants:
+  ``full`` (the 8-argument protocol below) and ``plain`` (a stripped
+  sequential variant with no arrival/stop machinery for
+  :meth:`JitProgram.run`).
 * ``view`` — exact per-access ``read_reg``/``write_reg``/``load``/
   ``store`` calls in decoded order, sound for any ``MachineStateLike``
   including the MSSP recording views; recorded live-ins/live-outs are
@@ -102,12 +98,12 @@ construction plus guards:
 Region function protocols
 -------------------------
 
-``full``/``full_flat`` (and ``view`` mode's single function)::
+``full`` (and ``view`` mode's single function)::
 
     fn(state, steps, loads, budget, end_pc, arrivals, stops, min_steps)
         -> (steps, loads, arrivals, status)
 
-``plain``/``plain_flat`` (sequential run, no arrival/stop machinery)::
+``plain`` (sequential run, no arrival/stop machinery)::
 
     fn(state, steps, budget) -> (steps, status)
 
@@ -149,7 +145,6 @@ from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import Program
 from repro.isa.registers import RA, ZERO
 from repro.machine.decoded import DecodedProgram, decode
-from repro.machine.flatmem import PAGE_BITS, PAGE_MASK, PagedMemory
 from repro.machine.semantics import _div_trunc, _mod_trunc
 from repro.machine.state import MachineStateLike, wrap64
 
@@ -190,7 +185,8 @@ EXIT_STOP = 3
 #: into every persistent-cache key, so stale generated code can never be
 #: executed against a newer runtime.  2: inlined wrap checks, per-backend
 #: memory flavors, plain variants, superblock linking, master mode.
-JIT_SCHEMA = 2
+#: 3: one memory flavor (``arch`` regions compile ``full`` and ``plain``).
+JIT_SCHEMA = 3
 
 #: Arrivals at a block leader before its region is compiled.
 DEFAULT_THRESHOLD = 16
@@ -224,7 +220,7 @@ _BIAS = 1 << 63
 
 #: Codegen variants per mode (see the module docstring).
 _VARIANTS = {
-    "arch": ("full", "full_flat", "plain", "plain_flat"),
+    "arch": ("full", "plain"),
     "view": ("full",),
     "master": ("master",),
 }
@@ -323,7 +319,7 @@ class Region:
     __slots__ = (
         "entry", "pcs", "taken", "links", "linear_len", "mode",
         "sources", "exit_targets", "guard_fallthroughs", "backedges",
-        "full", "full_flat", "plain", "plain_flat", "master",
+        "full", "plain", "master",
     )
 
     def __init__(
@@ -355,9 +351,7 @@ class Region:
         #: variant name -> generated source text.
         self.sources = sources
         self.full = fns.get("full")
-        self.full_flat = fns.get("full_flat")
         self.plain = fns.get("plain")
-        self.plain_flat = fns.get("plain_flat")
         self.master = fns.get("master")
         #: Static exit targets eligible for link promotion: taken targets
         #: of non-followed branches that leave the trace (and are not the
@@ -386,12 +380,6 @@ class Region:
         """The canonical variant's source (legacy accessor)."""
         key = "master" if self.mode == "master" else "full"
         return self.sources[key]
-
-    def select(self, flat: bool):
-        """The full-protocol function for the given memory backend."""
-        if self.mode == "arch" and flat:
-            return self.full_flat
-        return self.fn
 
 
 class _Emitter:
@@ -874,8 +862,7 @@ class JitProgram:
         mode = self.mode
         localized_regs = mode in ("arch", "master")
         master = variant == "master"
-        plain = variant.startswith("plain")
-        flat = variant.endswith("_flat")
+        plain = variant == "plain"
         checks = not plain and not master  # arrival/stop leader checks
         code = self.program.code
         linear_len = len(pcs)
@@ -933,19 +920,13 @@ class JitProgram:
             for reg in localized:
                 out.emit(1, f"r{reg} = _regs[{reg}]")
         if mode == "arch":
-            if flat:
-                if has_loads or has_stores:
-                    out.emit(1, "_pget = state.mem.pages.get")
-                if has_stores:
-                    out.emit(1, "_mpage = state.mem.page_for_store")
-            else:
-                if has_loads or has_stores:
-                    out.emit(1, "_mem = state.mem")
-                if has_loads:
-                    out.emit(1, "_mget = _mem.get")
-                if has_stores:
-                    out.emit(1, "_mset = _mem.__setitem__")
-                    out.emit(1, "_mpop = _mem.pop")
+            if has_loads or has_stores:
+                out.emit(1, "_mem = state.mem")
+            if has_loads:
+                out.emit(1, "_mget = _mem.get")
+            if has_stores:
+                out.emit(1, "_mset = _mem.__setitem__")
+                out.emit(1, "_mpop = _mem.pop")
         elif mode == "view":
             out.emit(1, "_read = state.read_reg")
             out.emit(1, "_write = state.write_reg")
@@ -1140,13 +1121,6 @@ class JitProgram:
                         f"r{rd} = _dirty[{addr}] if {addr} in _dirty "
                         f"else _bget({addr}, 0)",
                     )
-                elif flat:
-                    out.emit(indent, f"_pg = _pget({addr} >> {PAGE_BITS})")
-                    out.emit(
-                        indent,
-                        f"r{rd} = _pg[{addr} & {PAGE_MASK}] "
-                        "if _pg is not None else 0",
-                    )
                 else:
                     out.emit(indent, f"r{rd} = _mget({addr}, 0)")
                 return 1
@@ -1159,13 +1133,6 @@ class JitProgram:
                     # The master's dirty overlay keeps explicit zeros.
                     out.emit(indent, f"_dirty[{addr}] = {value}")
                     out.emit(indent, f"_delta[{addr}] = {value}")
-                elif flat:
-                    # Zero stores write zero: a zero slot is canonically
-                    # an absent cell, no pop bookkeeping needed.
-                    out.emit(indent, f"_pg = _pget({addr} >> {PAGE_BITS})")
-                    out.emit(indent, "if _pg is None:")
-                    out.emit(indent + 1, f"_pg = _mpage({addr})")
-                    out.emit(indent, f"_pg[{addr} & {PAGE_MASK}] = {value}")
                 else:
                     out.emit(indent, f"if {value}:")
                     out.emit(indent + 1, f"_mset({addr}, {value})")
@@ -1295,7 +1262,6 @@ class JitProgram:
         chain_halts = decoded.chain_halts
         size = self.size
         arch = self.mode == "arch"
-        flat = arch and isinstance(getattr(state, "mem", None), PagedMemory)
         steps = 0
         while True:
             pc = state.pc
@@ -1304,8 +1270,7 @@ class JitProgram:
             region = self.region_for(pc)
             if region is not None and steps + region.linear_len < max_steps:
                 if arch:
-                    fn = region.plain_flat if flat else region.plain
-                    steps, status = fn(state, steps, max_steps)
+                    steps, status = region.plain(state, steps, max_steps)
                 else:
                     steps, _loads, _arrivals, status = region.fn(
                         state, steps, 0, max_steps, None, 0, None, 0

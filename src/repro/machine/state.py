@@ -8,13 +8,9 @@ it is simply the machine's state.
 
 Memory is sparse, with unmapped addresses reading as zero, which matches
 how the workloads are laid out (zero-initialized ``.space`` regions never
-materialize).  Two interchangeable backings implement that surface: the
-canonical sparse ``{word address: value}`` dict, and the paged
-``array('q')`` store in :mod:`repro.machine.flatmem` (selected by
-``REPRO_MEM={dict,flat,check}``; ``check`` runs both differentially).
-Zero cells are absent from the dict and zero-valued in pages — the two
-forms are canonically equal, and cross-backend ``==`` compares
-ISA-visible contents.
+materialize).  It is a ``{word address: value}`` dict in *canonical
+sparse form*: zero cells are absent, so dict equality is ISA-visible
+equality.
 
 The :class:`MemoryView` protocol documents the access interface the
 interpreter core uses; the MSSP master and slave wrap it with overlay/
@@ -28,7 +24,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Tuple
 
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGS, ZERO
-from repro.machine.flatmem import make_memory, resolve_mem_backend
 
 _MASK64 = (1 << 64) - 1
 
@@ -67,7 +62,6 @@ class ArchState:
         regs: Optional[Iterable[int]] = None,
         mem: Optional[Mapping[int, int]] = None,
         pc: int = 0,
-        backend: Optional[str] = None,
     ):
         regs_list = (
             [wrap64(v) for v in regs] if regs is not None else [0] * NUM_REGS
@@ -75,15 +69,15 @@ class ArchState:
         self.regs: List[int] = regs_list
         if len(self.regs) != NUM_REGS:
             raise ValueError(f"expected {NUM_REGS} registers")
-        self.mem = make_memory(resolve_mem_backend(backend), mem)
+        self.mem: Dict[int, int] = (
+            {a: v for a, v in mem.items() if v} if mem else {}
+        )
         self.pc = pc
 
     @classmethod
-    def initial(
-        cls, program: Program, backend: Optional[str] = None
-    ) -> "ArchState":
+    def initial(cls, program: Program) -> "ArchState":
         """The boot state for ``program``: zero registers, its data image."""
-        return cls(mem=program.memory, pc=program.entry, backend=backend)
+        return cls(mem=program.memory, pc=program.entry)
 
     # -- MachineStateLike ------------------------------------------------------
 
@@ -113,8 +107,7 @@ class ArchState:
 
         Checkpoint/snapshot hot path: bypasses ``__init__`` (whose
         generic constructors re-validate) and duplicates the slots with
-        the backend's own ``copy`` — ``dict.copy`` for the sparse dict,
-        page-level array copies (O(touched pages)) for the flat backend.
+        ``list.copy``/``dict.copy``.
         """
         clone = ArchState.__new__(ArchState)
         clone.regs = self.regs.copy()
@@ -189,14 +182,8 @@ class ArchState:
     def load_cells(self, addresses: Iterable[int]) -> Dict[int, int]:
         """Batched memory read: ``{address: value}`` for many cells.
 
-        Dispatches to the backend's bulk path when it has one (the flat
-        paged store reads page runs with one page lookup each); the dict
-        backend falls back to per-cell ``get``.  Used by the Redistiller
-        to re-validate value-specialization sites against architected
-        memory without paying per-cell dispatch overhead.
+        Used by the Redistiller to re-validate value-specialization
+        sites against architected memory.
         """
-        bulk = getattr(self.mem, "get_many", None)
-        if bulk is not None:
-            return bulk(addresses)
         get = self.mem.get
         return {a: get(a, 0) for a in addresses}

@@ -9,7 +9,6 @@ equals sequential execution of the original program.
 
 from repro.mssp.engine import MsspEngine, MsspResult, create_engine, run_mssp
 from repro.mssp.master import Master, MasterEvent, MasterEventKind
-from repro.mssp.parallel import ParallelMsspEngine
 from repro.mssp.regions import DeviceAccess, ProtectedRegions
 from repro.mssp.runtime import (
     EventBus,
@@ -37,7 +36,6 @@ from repro.mssp.verify import VerifyOutcome, commit_task, squash_task, verify_ta
 __all__ = [
     "MsspEngine",
     "MsspResult",
-    "ParallelMsspEngine",
     "DispatchStats",
     "TraceRecorder",
     "create_engine",

@@ -58,7 +58,6 @@ from repro.distill.pc_map import PcMap
 from repro.errors import InvalidPcError, MsspError, StepLimitExceeded
 from repro.isa.program import Program
 from repro.machine.decoded import decode
-from repro.machine.flatmem import PagedMemory, resolve_mem_backend
 from repro.machine.interpreter import run_to_halt
 from repro.machine.jit import EXIT_HALT, EXIT_STOP, jit_for, resolve_exec_tier
 from repro.machine.state import ArchState
@@ -153,10 +152,6 @@ class MsspEngine:
         #: Execution tier for master, slaves and recovery (config beats
         #: the ``REPRO_EXEC`` environment variable; default decoded).
         self.exec_tier = resolve_exec_tier(self.config.exec_tier)
-        #: Architected-memory backend (config beats the ``REPRO_MEM``
-        #: environment variable; default dict).  Bit-identical results
-        #: across backends; ``check`` runs dict and flat in lockstep.
-        self.mem_backend = resolve_mem_backend(self.config.mem_backend)
         self._decoded_original = decode(
             original, oracle=self.exec_tier == "oracle"
         )
@@ -178,7 +173,7 @@ class MsspEngine:
         self._versions = CellVersions()
         #: Resolved executor backend name: eager, thread or process
         #: (config beats the ``REPRO_RUNTIME`` environment variable;
-        #: default eager; ``"parallel"`` is a deprecated process alias).
+        #: default eager).
         self.runtime = resolve_runtime(self.config.runtime)
         #: The engine's one time source.  Wall time by default; the
         #: ``sim`` backend defaults to a :class:`VirtualClock` the
@@ -232,7 +227,7 @@ class MsspEngine:
 
     def run(self) -> MsspResult:
         """Execute the program under MSSP to completion."""
-        arch = ArchState.initial(self.original, backend=self.mem_backend)
+        arch = ArchState.initial(self.original)
         self._versions = CellVersions()
         # Fresh adaptive state per run, so repeated runs of one engine
         # are identical: a new predictor bank, a reset redistiller, and
@@ -614,7 +609,6 @@ class MsspEngine:
         halted = False
         budget = self.config.max_total_instrs - counters.total_instrs
         jp = self._jit_recover
-        flat = isinstance(arch.mem, PagedMemory)
         # Superblocks may run only while every bound stays unreachable
         # within one region body; the per-step loop below handles the
         # boundaries (anchor stops and budget raises fire at exactly the
@@ -627,7 +621,7 @@ class MsspEngine:
             if jp is not None:
                 region = jp.region_for(pc)
                 if region is not None and steps + region.linear_len < cap:
-                    steps, loads, _arrivals, status = region.select(flat)(
+                    steps, loads, _arrivals, status = region.full(
                         arch, steps, loads, cap, None, 0,
                         anchors, min_instrs,
                     )
@@ -712,8 +706,7 @@ def create_engine(
     or sim.
 
     Every runtime is the same :class:`MsspEngine` over a different
-    executor backend (``"parallel"`` is a deprecated alias of
-    ``"process"``).  Pipelined backends hold worker threads/processes:
+    executor backend.  Pipelined backends hold worker threads/processes:
     close the engine when done — ``with create_engine(...) as engine:``
     — or rely on garbage collection's finalizers as a backstop.
     """

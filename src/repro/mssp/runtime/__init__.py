@@ -3,10 +3,9 @@
 One episode state machine (:class:`~repro.mssp.runtime.pipeline.TaskPipeline`),
 pluggable slave-execution backends
 (:mod:`~repro.mssp.runtime.executors`: inline / thread / process), and a
-structured event seam (:mod:`~repro.mssp.runtime.events`).  Both public
-engines (:class:`repro.mssp.engine.MsspEngine` and the deprecated
-:class:`repro.mssp.parallel.ParallelMsspEngine` shell) are thin layers
-over this package.
+structured event seam (:mod:`~repro.mssp.runtime.events`).
+:class:`repro.mssp.engine.MsspEngine` is a thin layer over this
+package.
 """
 
 from repro.mssp.runtime.events import (

@@ -30,11 +30,9 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 import weakref
 from typing import Callable, Dict, List, Optional
 
-from repro.machine.flatmem import as_dict
 from repro.machine.state import ArchState
 from repro.mssp.runtime.events import EventBus, PoolDegraded
 from repro.mssp.runtime.procpool import (
@@ -58,42 +56,23 @@ __all__ = [
     "RUNTIME_CHOICES",
 ]
 
-#: Runtime names :func:`resolve_runtime` accepts ("parallel" is the
-#: deprecated spelling of "process", kept for config/CLI back-compat;
-#: "sim" runs slaves on the discrete-event simulator's virtual clock).
-RUNTIME_CHOICES = ("eager", "thread", "process", "parallel", "sim")
-
-# One DeprecationWarning per process for runtime="parallel", however
-# many engines resolve it.
-_PARALLEL_WARNED = False
+#: Runtime names :func:`resolve_runtime` accepts ("sim" runs slaves on
+#: the discrete-event simulator's virtual clock).
+RUNTIME_CHOICES = ("eager", "thread", "process", "sim")
 
 
 def resolve_runtime(setting: Optional[str]) -> str:
     """Resolve a config/CLI runtime setting to a backend name.
 
     ``None`` defers to the ``REPRO_RUNTIME`` environment variable
-    (default eager), mirroring how ``exec_tier``/``REPRO_EXEC`` resolve;
-    the deprecated alias ``"parallel"`` maps to ``"process"`` with a
-    one-time :class:`DeprecationWarning`.
+    (default eager), mirroring how ``exec_tier``/``REPRO_EXEC`` resolve.
     """
     if setting is None:
         setting = os.environ.get("REPRO_RUNTIME") or "eager"
-    if setting == "parallel":
-        global _PARALLEL_WARNED
-        if not _PARALLEL_WARNED:
-            _PARALLEL_WARNED = True
-            warnings.warn(
-                "runtime='parallel' is deprecated; use runtime='process' "
-                "(the documented name for the forked-worker backend)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        setting = "process"
-    if setting not in ("eager", "thread", "process", "sim"):
+    if setting not in RUNTIME_CHOICES:
         raise ValueError(
             f"unknown runtime {setting!r}: "
-            "expected 'eager', 'thread', 'process' or 'sim' "
-            "(or the deprecated alias 'parallel')"
+            "expected 'eager', 'thread', 'process' or 'sim'"
         )
     return setting
 
@@ -228,8 +207,7 @@ class ThreadExecutor(SlaveExecutor):
     def begin_episode(self, arch: ArchState) -> None:
         # Freeze the episode-start image: committing tasks mutate
         # arch.mem on the main thread while chunks read concurrently.
-        # (as_dict snapshots the flat backend page-wise, not cell-wise.)
-        self._base = as_dict(arch.mem)
+        self._base = dict(arch.mem)
 
     def submit_chunk(self, batch) -> Optional[ChunkHandle]:
         pool = self._ensure_pool()
@@ -352,7 +330,7 @@ class ProcessExecutor(SlaveExecutor):
         """Memory changed since boot (value 0 encodes a deleted cell)."""
         boot = self._boot_mem
         delta: Dict[int, int] = {}
-        current = as_dict(arch.mem)
+        current = arch.mem
         for address, value in current.items():
             if boot.get(address, 0) != value:
                 delta[address] = value
@@ -414,9 +392,7 @@ def create_executor(core, events: EventBus) -> SlaveExecutor:
     if runtime == "thread":
         return ThreadExecutor(core, events)
     if runtime == "process":
-        return ProcessExecutor(
-            core, events, external=getattr(core, "_external_pool", None)
-        )
+        return ProcessExecutor(core, events)
     if runtime == "sim":
         # Deferred import: repro.sim depends on this module.
         from repro.sim.executor import SimExecutor

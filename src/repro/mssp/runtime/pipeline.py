@@ -21,8 +21,8 @@ Accounting follows consume order, never production order: each master
 event's instruction count folds into the counters when its task is
 judged, so events past the first squash — which the eager engine never
 produces — are never counted.  That, plus the staleness check, is the
-bit-identity argument (see :mod:`repro.mssp.parallel` for the long
-form).
+bit-identity argument (see :meth:`TaskPipeline._result_valid` for the
+staleness half).
 
 Everything observable is announced on the engine's
 :class:`~repro.mssp.runtime.events.EventBus` as it happens.

@@ -36,37 +36,13 @@ the value the slave read, so the compare is a proof, not a check.
 Skipped cells still count in ``VerifyOutcome.checked`` — the outcome
 (and therefore every record and counter) is bit-identical with and
 without the fast path, which the differential suites assert.
-
-Batched verify (flat memory backend)
-------------------------------------
-
-When architected memory is the flat paged backend
-(:class:`~repro.machine.flatmem.PagedMemory`), the per-cell compare loop
-is replaced by a *batched* pass: memory live-ins are grouped into
-contiguous address runs and each run is compared with one
-``memoryview`` slice equality per overlapped page (a C memcmp via
-:meth:`~repro.machine.flatmem.PagedMemory.equal_run`) instead of one
-Python dict probe per cell.  :class:`CellVersions` additionally keeps
-*page-level* stamps (address ``>> PAGE_BITS``) next to the exact
-per-address ones: a whole page provably untouched since the task's
-``base_version`` lets the batched pass skip entire run segments without
-any per-address stamp lookups.  Page stamps are strictly conservative —
-they can only *miss* a skip the per-address stamp would allow, never
-claim one it would not — and the batched pass decides only the
-*all-match* case: on the first non-matching run it abandons batching
-and re-runs the exact legacy per-cell loop, so mismatch counts,
-first-mismatch attribution, and every outcome field stay bit-identical
-with the dict backend.  (Only ``CellVersions.skipped`` — explicitly a
-diagnostic, not a counter — may differ between backends.)
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
-from repro.machine.flatmem import PAGE_BITS, PAGE_MASK, PAGE_SIZE, PagedMemory
 from repro.machine.state import ArchState
 from repro.mssp.task import SquashReason, Task, TaskStatus
 
@@ -84,17 +60,12 @@ class CellVersions:
     the counters must stay bit-identical across runtimes.
     """
 
-    __slots__ = ("seq", "floor", "_stamps", "_page_stamps", "skipped")
+    __slots__ = ("seq", "floor", "_stamps", "skipped")
 
     def __init__(self) -> None:
         self.seq = 0
         self.floor = 0
         self._stamps: Dict[int, int] = {}
-        #: page index (address >> PAGE_BITS) -> last write event touching
-        #: the page.  A coarse upper bound over ``_stamps`` that lets the
-        #: batched verify pass prove whole run segments unchanged with
-        #: one lookup.
-        self._page_stamps: Dict[int, int] = {}
         self.skipped = 0
 
     def stamp_commit(self, addresses: Iterable[int]) -> None:
@@ -102,34 +73,18 @@ class CellVersions:
         self.seq += 1
         seq = self.seq
         stamps = self._stamps
-        pages = self._page_stamps
         for address in addresses:
             stamps[address] = seq
-            pages[address >> PAGE_BITS] = seq
 
     def invalidate_all(self) -> None:
         """Record a write event of unknown extent (recovery)."""
         self.seq += 1
         self.floor = self.seq
         self._stamps.clear()
-        self._page_stamps.clear()
 
     def changed_since(self, address: int, base: int) -> bool:
         """Might ``address`` have been written after event ``base``?"""
         stamp = self._stamps.get(address, 0)
-        if stamp < self.floor:
-            stamp = self.floor
-        return stamp > base
-
-    def page_changed_since(self, page: int, base: int) -> bool:
-        """Might *any* cell of ``page`` have been written after ``base``?
-
-        Conservative page-granular companion to :meth:`changed_since`:
-        ``False`` proves every address in the page unchanged; ``True``
-        says nothing (some other cell in the page may have been the one
-        written).
-        """
-        stamp = self._page_stamps.get(page, 0)
         if stamp < self.floor:
             stamp = self.floor
         return stamp > base
@@ -158,60 +113,6 @@ class VerifyOutcome:
     #: an analysis soundness bug the engine escalates to a hard
     #: :class:`~repro.errors.CheckFailure`.
     proven_mismatch: bool = False
-
-
-def _batched_mem_live_ins_match(
-    live_mem: Dict[int, int],
-    mem: PagedMemory,
-    versions: Optional[CellVersions],
-    base: Optional[int],
-    ckpt_mem: Dict[int, int],
-) -> bool:
-    """Do *all* memory live-ins match flat architected memory?
-
-    Groups the live-in addresses into maximal contiguous runs and
-    compares each run with one ``memoryview`` slice equality per
-    overlapped page.  Run segments whose whole page is provably
-    unchanged since ``base`` (and that the checkpoint overlay does not
-    cover) skip even that.  Decides only the all-match case: returns
-    ``False`` on the first non-matching run *without* touching
-    ``versions.skipped``, leaving exact mismatch accounting to the
-    legacy per-cell loop.
-    """
-    addresses = sorted(live_mem)
-    n = len(addresses)
-    skipped = 0
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and addresses[j + 1] == addresses[j] + 1:
-            j += 1
-        position, stop = addresses[i], addresses[j] + 1
-        while position < stop:
-            take = min(PAGE_SIZE - (position & PAGE_MASK), stop - position)
-            proven = (
-                base is not None
-                and not versions.page_changed_since(position >> PAGE_BITS, base)
-            )
-            if proven and ckpt_mem:
-                proven = all(
-                    address not in ckpt_mem
-                    for address in range(position, position + take)
-                )
-            if proven:
-                skipped += take
-            else:
-                run = array(
-                    "q",
-                    (live_mem[a] for a in range(position, position + take)),
-                )
-                if not mem.equal_run(position, run):
-                    return False
-            position += take
-        i = j + 1
-    if versions is not None and skipped:
-        versions.skipped += skipped
-    return True
 
 
 def verify_task(
@@ -291,41 +192,26 @@ def verify_task(
                 )
     base = task.base_version if versions is not None else None
     ckpt_mem = task.checkpoint.mem
-    live_mem = task.live_in_mem
-    mem = getattr(arch, "mem", None)
-    if (
-        live_mem
-        and isinstance(mem, PagedMemory)
-        and _batched_mem_live_ins_match(
-            live_mem, mem, versions, base, ckpt_mem
-        )
-    ):
-        # Batched fast path (flat backend): every memory live-in proved
-        # equal by run/page compares — identical outcome to the loop
-        # below, which handles the remaining cases (dict backend, or a
-        # mismatch demanding exact first-failure attribution).
-        checked += len(live_mem)
-    else:
-        for address, value in live_mem.items():
-            checked += 1
-            if (
-                base is not None
-                and address not in ckpt_mem
-                and not versions.changed_since(address, base)
-            ):
-                # The cell was read through to architected state and has
-                # not been written since the task's view was current: it
-                # still holds ``value``, so the compare cannot fail.
-                versions.skipped += 1
-                continue
-            if arch.load(address) != value:
-                mismatched += 1
-                if reason is SquashReason.NONE:
-                    reason = SquashReason.MEMORY_LIVE_IN
-                    detail = (
-                        f"mem[{address}]: predicted {value}, "
-                        f"architected {arch.load(address)}"
-                    )
+    for address, value in task.live_in_mem.items():
+        checked += 1
+        if (
+            base is not None
+            and address not in ckpt_mem
+            and not versions.changed_since(address, base)
+        ):
+            # The cell was read through to architected state and has
+            # not been written since the task's view was current: it
+            # still holds ``value``, so the compare cannot fail.
+            versions.skipped += 1
+            continue
+        if arch.load(address) != value:
+            mismatched += 1
+            if reason is SquashReason.NONE:
+                reason = SquashReason.MEMORY_LIVE_IN
+                detail = (
+                    f"mem[{address}]: predicted {value}, "
+                    f"architected {arch.load(address)}"
+                )
     return VerifyOutcome(
         ok=mismatched == 0, reason=reason, checked=checked,
         mismatched=mismatched, detail=detail,

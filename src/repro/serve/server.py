@@ -51,7 +51,6 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 from repro.config import DistillConfig, MsspConfig, ServeConfig
 from repro.errors import MsspError
 from repro.experiments import cache as artifact_cache
-from repro.machine.flatmem import as_dict
 from repro.mssp.runtime.events import (
     EpisodeAccepted,
     EpisodeCompleted,
@@ -75,15 +74,14 @@ __all__ = [
 def state_digest(state) -> str:
     """Content digest of an architected state (identity over the wire).
 
-    Canonical over pc, registers, and the sparse view of memory, so the
-    digest is backend-independent (dict and flat states of one machine
-    digest identically) — the cheap way for an external client to check
-    two served results are bit-identical.
+    Canonical over pc, registers, and the sparse view of memory — the
+    cheap way for an external client to check two served results are
+    bit-identical.
     """
     hasher = hashlib.sha256()
     hasher.update(f"pc:{state.pc};".encode())
     hasher.update(("regs:" + ",".join(map(str, state.regs)) + ";").encode())
-    memory = as_dict(state.mem)
+    memory = state.mem
     for address in sorted(memory):
         value = memory[address]
         if value:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.machine.flatmem import as_dict
 from repro.machine.state import ArchState
 from repro.mssp.runtime.events import EventBus
 from repro.mssp.runtime.executors import ChunkHandle, SlaveExecutor
@@ -58,7 +57,7 @@ class SimExecutor(SlaveExecutor):
         return self.core.config.num_slaves
 
     def begin_episode(self, arch: ArchState) -> None:
-        self._base = as_dict(arch.mem)
+        self._base = dict(arch.mem)
         if len(self._free) != self.workers:
             self._free = [0.0] * self.workers
 

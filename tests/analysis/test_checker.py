@@ -620,45 +620,6 @@ class TestCheckJit:
         assert "JIT004" in error_ids(report)
 
 
-# -- memory backends --------------------------------------------------------
-
-
-class TestCheckMemory:
-    def test_clean_program_has_no_errors(self, rich_program):
-        from repro.analysis.checker import check_memory
-
-        report = check_memory(rich_program)
-        assert report.ok
-        assert not report.findings
-
-    def test_skewed_flat_loads_are_mem001(self, rich_program, monkeypatch):
-        """Seeded paging bug: flat-backend loads return value + 1."""
-        from repro.analysis.checker import check_memory
-        from repro.machine import flatmem
-
-        original_get = flatmem.PagedMemory.get
-
-        def skewed_get(self, address, default=0):
-            value = original_get(self, address, default)
-            return value + 1 if isinstance(value, int) and value else value
-
-        monkeypatch.setattr(flatmem.PagedMemory, "get", skewed_get)
-        report = check_memory(rich_program)
-        assert "MEM001" in error_ids(report)
-
-    def test_lost_flat_stores_are_mem001(self, rich_program, monkeypatch):
-        """Seeded paging bug: the flat backend silently drops stores."""
-        from repro.analysis.checker import check_memory
-        from repro.machine import flatmem
-
-        def lossy_set(self, address, value):
-            pass
-
-        monkeypatch.setattr(flatmem.PagedMemory, "__setitem__", lossy_set)
-        report = check_memory(rich_program)
-        assert "MEM001" in error_ids(report)
-
-
 # -- layer 6: runtime event streams -----------------------------------------
 
 

@@ -104,13 +104,13 @@ class TestEvaluate:
 
     def test_parallel_runtime_matches_eager(self, small_compress):
         eager = evaluate(small_compress)
-        parallel = evaluate(
+        process = evaluate(
             small_compress,
-            mssp_config=MsspConfig(runtime="parallel", num_slaves=2),
+            mssp_config=MsspConfig(runtime="process", num_slaves=2),
         )
-        assert parallel.mssp.records == eager.mssp.records
-        assert parallel.mssp.counters == eager.mssp.counters
-        assert parallel.speedup == pytest.approx(eager.speedup)
+        assert process.mssp.records == eager.mssp.records
+        assert process.mssp.counters == eager.mssp.counters
+        assert process.speedup == pytest.approx(eager.speedup)
 
 
 def _double(x):

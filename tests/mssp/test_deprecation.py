@@ -1,49 +1,12 @@
-"""The 'parallel' runtime deprecation path: warnings + routing."""
-
-import warnings
-
-import pytest
+"""Runtime names that stay valid now the 'parallel' alias is retired."""
 
 from repro.config import MsspConfig
-from repro.mssp.runtime import executors
 from repro.mssp.runtime.executors import resolve_runtime
 
 
 class TestResolveRuntime:
-    def test_parallel_warns_once_and_maps_to_process(self, monkeypatch):
-        monkeypatch.setattr(executors, "_PARALLEL_WARNED", False)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            assert resolve_runtime("parallel") == "process"
-        # The second resolution stays silent (once per process).
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_runtime("parallel") == "process"
-
     def test_sim_is_a_first_class_runtime(self):
         assert resolve_runtime("sim") == "sim"
 
     def test_config_accepts_sim(self):
         assert MsspConfig(runtime="sim").runtime == "sim"
-
-
-class TestParallelEngineShim:
-    def test_constructor_warns_and_pins_process(self):
-        from repro.distill import Distiller
-        from repro.isa.asm import assemble
-        from repro.mssp.parallel import ParallelMsspEngine
-        from repro.profiling import profile_program
-
-        source = """
-        main:   li r1, 40
-        loop:   addi r1, r1, -1
-                add r2, r2, r1
-                bne r1, zero, loop
-                halt
-        """
-        program = assemble(source)
-        distillation = Distiller().distill(
-            program, profile_program(program)
-        )
-        with pytest.warns(DeprecationWarning, match="ParallelMsspEngine"):
-            engine = ParallelMsspEngine(program, distillation)
-        assert engine.runtime == "process"

@@ -23,7 +23,7 @@ from repro.isa.asm import assemble
 from repro.machine.decoded import decode
 from repro.machine.jit import block_leaders
 from repro.machine.state import ArchState
-from repro.mssp import MsspEngine, ParallelMsspEngine
+from repro.mssp import MsspEngine, create_engine
 from repro.mssp.faults import corrupt_live_in
 from repro.mssp.slave import execute_task
 from repro.mssp.task import Checkpoint, Task
@@ -129,26 +129,25 @@ class TestEagerTierProperty:
 
 
 PARALLEL_JIT_CONFIG = MsspConfig(
-    runtime="parallel", num_slaves=2, parallel_chunk_tasks=4,
+    runtime="process", num_slaves=2, parallel_chunk_tasks=4,
     max_inflight_tasks=16, exec_tier="jit",
 )
 
 
-def run_parallel_differential(program, distillation, config,
-                              parallel_cls=ParallelMsspEngine,
-                              eager_cls=MsspEngine, fault_tid=None):
-    """Parallel-with-tier vs eager-decoded: the strongest cross check
+def run_parallel_differential(program, distillation, config, fault_tid=None):
+    """Process-with-tier vs eager-decoded: the strongest cross check
     (different runtime *and* different stepper must agree).  With
     ``fault_tid``, both engines get the same event-seam live-in
     sabotage subscribed (see :func:`repro.mssp.faults.corrupt_live_in`)."""
-    reference_engine = eager_cls(
+    reference_engine = create_engine(
         program, distillation,
         dataclasses.replace(config, runtime="eager", exec_tier=None),
     )
     if fault_tid is not None:
         reference_engine.events.subscribe(corrupt_live_in(fault_tid))
     reference = reference_engine.run()
-    engine = parallel_cls(program, distillation, config)
+    engine = create_engine(program, distillation, config)
+    assert engine.runtime == "process"
     if fault_tid is not None:
         engine.events.subscribe(corrupt_live_in(fault_tid))
     try:

@@ -1,14 +1,14 @@
-"""Differential tests: the parallel runtime against the eager reference.
+"""Differential tests: the process runtime against the eager reference.
 
-The tentpole guarantee of :mod:`repro.mssp.parallel` is that pipelining
-the master ahead of a process pool of slaves is *unobservable*: for any
-program, any distillation (however corrupted), and any configuration,
-:class:`ParallelMsspEngine` produces a bit-identical
-:class:`~repro.mssp.engine.MsspResult` — same task records, counters,
-device trace, and final architected state.  These tests enforce that
-over every workload, over hypothesis-generated programs, under fault
-injection (mid-flight squashes), and under pool failure (the degradation
-paths must degrade to the eager result, not to a different one).
+The guarantee of ``runtime="process"`` is that pipelining the master
+ahead of a process pool of slaves is *unobservable*: for any program,
+any distillation (however corrupted), and any configuration, the engine
+produces a bit-identical :class:`~repro.mssp.engine.MsspResult` — same
+task records, counters, device trace, and final architected state.
+These tests enforce that over every workload, over hypothesis-generated
+programs, under fault injection (mid-flight squashes), and under pool
+failure (the degradation paths must degrade to the eager result, not to
+a different one).
 """
 
 import dataclasses
@@ -22,15 +22,18 @@ from repro.config import DistillConfig, MsspConfig
 from repro.distill import Distiller
 from repro.experiments.harness import prepare
 from repro.isa.asm import assemble
-from repro.mssp import MsspEngine, ParallelMsspEngine
-from repro.mssp import parallel as parallel_mod
+from repro.mssp import DispatchStats, MsspEngine, create_engine
 from repro.mssp.faults import (
     corrupt_distilled,
     corrupt_live_in,
     random_garbage_master,
 )
-from repro.mssp.parallel import _ChainMemory, _execute_chunk, _WORKER_BASES
 from repro.mssp.runtime.executors import ProcessExecutor
+from repro.mssp.runtime.procpool import (
+    _WORKER_BASES,
+    _ChainMemory,
+    _episode_base,
+)
 from repro.profiling import profile_program
 from repro.workloads import get_workload, workload_names
 
@@ -41,7 +44,7 @@ pytestmark = pytest.mark.parallel
 #: Small chunks + a narrow window keep many chunk boundaries (the
 #: interesting coordination points) even at test-sized workloads.
 PARALLEL_CONFIG = MsspConfig(
-    runtime="parallel", num_slaves=2, parallel_chunk_tasks=4,
+    runtime="process", num_slaves=2, parallel_chunk_tasks=4,
     max_inflight_tasks=16,
 )
 
@@ -74,16 +77,34 @@ def assert_identical(eager, parallel):
     assert parallel.final_state.diff(eager.final_state) == []
 
 
+class _ExternalPoolEngine(MsspEngine):
+    """The process runtime on an externally owned pool: the program
+    ships with every chunk, nothing is preloaded, and the engine never
+    shuts the pool down."""
+
+    def __init__(self, *args, pool, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pool = pool
+
+    def _make_executor(self):
+        return ProcessExecutor(self, self.events, external=self.pool)
+
+
 def run_differential(program, distillation, config, executor=None,
-                     parallel_cls=ParallelMsspEngine, eager_cls=MsspEngine,
                      fault_tid=None):
-    eager_engine = eager_cls(
+    eager_engine = create_engine(
         program, distillation, dataclasses.replace(config, runtime="eager")
     )
     if fault_tid is not None:
         eager_engine.events.subscribe(corrupt_live_in(fault_tid))
     eager_result = eager_engine.run()
-    engine = parallel_cls(program, distillation, config, executor=executor)
+    if executor is None:
+        engine = create_engine(program, distillation, config)
+    else:
+        engine = _ExternalPoolEngine(
+            program, distillation, config, pool=executor
+        )
+    assert engine.runtime == "process"
     if fault_tid is not None:
         engine.events.subscribe(corrupt_live_in(fault_tid))
     try:
@@ -109,9 +130,8 @@ class TestWorkloadDifferential:
 
 @pytest.fixture(scope="module")
 def shared_pool():
-    """One executor shared by many engines (the ``executor=`` contract:
-    the program ships with each chunk, nothing is preloaded, and the
-    engine must never shut the pool down)."""
+    """One executor shared by many engines (see
+    :class:`_ExternalPoolEngine`)."""
     pool = ProcessPoolExecutor(max_workers=2)
     yield pool
     pool.shutdown(wait=False, cancel_futures=True)
@@ -249,7 +269,7 @@ class TestPoolFailureFallback:
         _, _, stats = run_differential(
             ready.instance.program, ready.distillation, PARALLEL_CONFIG
         )
-        assert stats.summary() == parallel_mod.DispatchStats().summary()
+        assert stats.summary() == DispatchStats().summary()
 
 
 class _CapturingExecutor(ProcessExecutor):
@@ -267,15 +287,13 @@ class _CapturingExecutor(ProcessExecutor):
         return super().submit_chunk(batch)
 
 
-class _CapturingEngine(ParallelMsspEngine):
+class _CapturingEngine(MsspEngine):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.captured = []
 
     def _make_executor(self):
-        executor = _CapturingExecutor(
-            self, self.events, external=self._external_executor
-        )
+        executor = _CapturingExecutor(self, self.events)
         executor.captured = self.captured  # shared accumulator
         return executor
 
@@ -323,7 +341,7 @@ class TestWireEncoding:
             a for a, v in program.memory.items() if v != 0
         )
         _WORKER_BASES.clear()
-        base = parallel_mod._episode_base(
+        base = _episode_base(
             ("test", 0), {boot_address: 0, 1 << 30: 17}, program
         )
         try:

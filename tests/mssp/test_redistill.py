@@ -128,9 +128,8 @@ class TestHotSwapUnderInFlightTasks:
         assert other.mssp == eager.mssp
         assert other.counters.redistillations >= 1
 
-    @pytest.mark.parametrize("mem", ("dict", "flat"))
     @pytest.mark.parametrize("tier", ("decoded", "jit"))
-    def test_identical_across_mem_and_tier(self, mem, tier):
+    def test_identical_across_tiers(self, tier):
         prepared = prepare(
             get_workload("mispredict"), size=SMALL_SIZES["mispredict"]
         )
@@ -140,8 +139,7 @@ class TestHotSwapUnderInFlightTasks:
         row = evaluate(
             prepared,
             mssp_config=dataclasses.replace(
-                MsspConfig().with_adaptation(),
-                mem_backend=mem, exec_tier=tier,
+                MsspConfig().with_adaptation(), exec_tier=tier
             ),
         )
         assert row.mssp == reference.mssp

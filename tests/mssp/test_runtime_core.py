@@ -248,9 +248,10 @@ class TestRuntimeResolution:
         assert resolve_runtime("eager") == "eager"
         assert resolve_runtime("thread") == "thread"
         assert resolve_runtime("process") == "process"
-        assert resolve_runtime("parallel") == "process"  # deprecated alias
-        with pytest.raises(ValueError):
-            resolve_runtime("warp")
+        assert resolve_runtime("sim") == "sim"
+        for unknown in ("warp", "parallel"):
+            with pytest.raises(ValueError):
+                resolve_runtime(unknown)
 
     def test_env_selects_backend_when_config_defers(self, monkeypatch):
         ready = prepared("fib_memo")

@@ -175,124 +175,34 @@ class TestCellVersions:
         assert versions.skipped == 0
 
 
-class TestBatchedVerify:
-    """Flat-backend batched verify vs the dict-backend per-cell loop.
-
-    The batched pass (contiguous-run memoryview compares + page-stamp
-    skips) must produce bit-identical outcomes; only the diagnostic
-    ``CellVersions.skipped`` may differ.
-    """
+class TestMemoryLiveIns:
+    """Memory live-ins over a larger image: a contiguous run of cells
+    plus scattered ones."""
 
     MEM = {a: a * 3 + 1 for a in range(100, 140)}  # one contiguous run
     MEM.update({5000: 9, 5002: 11, -64: 4})  # plus scattered cells
 
-    def both_outcomes(self, task_factory, versions_factory=lambda: None):
-        outs = []
-        for backend in ("dict", "flat"):
-            arch = ArchState(pc=5, mem=dict(self.MEM), backend=backend)
-            outs.append(
-                verify_task(task_factory(), arch, versions=versions_factory())
-            )
-        return outs
+    def outcome(self, live):
+        arch = ArchState(pc=5, mem=self.MEM)
+        return verify_task(completed_task(live_in_mem=live), arch)
 
-    def test_clean_task_identical_across_backends(self):
-        live = dict(self.MEM)
-        dict_out, flat_out = self.both_outcomes(
-            lambda: completed_task(live_in_mem=dict(live), n_instrs=4)
-        )
-        assert dict_out == flat_out
-        assert flat_out.ok
-        assert flat_out.checked == 1 + len(live)
+    def test_clean_task_checks_every_cell(self):
+        outcome = self.outcome(dict(self.MEM))
+        assert outcome.ok
+        assert outcome.checked == 1 + len(self.MEM)
 
-    def test_mismatch_attribution_identical_across_backends(self):
+    def test_first_mismatch_attribution(self):
         live = dict(self.MEM)
         live[120] += 1  # poison one cell mid-run
         live[5002] += 1
-        dict_out, flat_out = self.both_outcomes(
-            lambda: completed_task(live_in_mem=dict(live))
-        )
-        assert dict_out == flat_out
-        assert not flat_out.ok
-        assert flat_out.reason is SquashReason.MEMORY_LIVE_IN
-        assert flat_out.mismatched == 2
-        assert "mem[120]" in flat_out.detail  # dict-order first failure
-
-    def test_zero_cells_and_absent_pages_match(self):
-        live = {4242: 0, 4243: 0, 4244: 0}
-        dict_out, flat_out = self.both_outcomes(
-            lambda: completed_task(live_in_mem=dict(live))
-        )
-        assert dict_out == flat_out
-        assert flat_out.ok
-
-    def test_run_crossing_a_page_boundary(self):
-        span = {a: 7 for a in range(510, 516)}  # crosses page 0 -> 1
-        arch = ArchState(pc=5, mem=dict(span), backend="flat")
-        outcome = verify_task(
-            completed_task(live_in_mem=dict(span)), arch
-        )
-        assert outcome.ok
-        assert outcome.checked == 1 + len(span)
-        bad = dict(span)
-        bad[512] = 8
-        outcome = verify_task(
-            completed_task(live_in_mem=bad),
-            ArchState(pc=5, mem=dict(span), backend="flat"),
-        )
-        assert not outcome.ok
-        assert "mem[512]" in outcome.detail
-
-    def test_page_stamp_skip_proves_whole_runs(self):
-        versions = CellVersions()
-        base = versions.seq
-        arch = ArchState(pc=5, mem=dict(self.MEM), backend="flat")
-        outcome = verify_task(
-            completed_task(live_in_mem=dict(self.MEM), base_version=base),
-            arch, versions=versions,
-        )
-        assert outcome.ok
-        assert versions.skipped == len(self.MEM)
-
-    def test_page_stamp_is_conservative_not_wrong(self):
-        """Stamping *any* cell of a page forces the value compare for
-        the whole page — which still passes when values match, and
-        still fails identically when they do not."""
-        versions = CellVersions()
-        base = versions.seq
-        versions.stamp_commit([110])  # same page as the 100..139 run
-        arch = ArchState(pc=5, mem=dict(self.MEM), backend="flat")
-        outcome = verify_task(
-            completed_task(live_in_mem=dict(self.MEM), base_version=base),
-            arch, versions=versions,
-        )
-        assert outcome.ok
-        # The scattered cells on other pages still skip; the stamped
-        # page's run had to be compared.
-        assert 0 < versions.skipped < len(self.MEM)
-
-    def test_overlay_covered_run_is_compared_not_skipped(self):
-        versions = CellVersions()
-        base = versions.seq
-        arch = ArchState(pc=5, backend="flat")  # arch reads 0 everywhere
-        task = completed_task(
-            checkpoint=Checkpoint(regs=tuple([0] * NUM_REGS), mem={100: 7}),
-            live_in_mem={100: 7},  # slave read the overlay, arch has 0
-            base_version=base,
-        )
-        outcome = verify_task(task, arch, versions=versions)
+        outcome = self.outcome(live)
         assert not outcome.ok
         assert outcome.reason is SquashReason.MEMORY_LIVE_IN
-        assert versions.skipped == 0
+        assert outcome.mismatched == 2
+        assert "mem[120]" in outcome.detail  # dict-order first failure
 
-    def test_page_level_stamps_survive_invalidate_all(self):
-        versions = CellVersions()
-        versions.stamp_commit([100])
-        base = versions.seq
-        versions.invalidate_all()
-        assert versions.page_changed_since(0, base)
-        assert versions.page_changed_since(12345, base)
-        fresh = versions.seq
-        assert not versions.page_changed_since(0, fresh)
+    def test_zero_cells_match_absent_memory(self):
+        assert self.outcome({4242: 0, 4243: 0, 4244: 0}).ok
 
 
 class TestCommitAndSquash:

@@ -36,6 +36,30 @@ class TestParser:
         args = build_parser().parse_args(argv)
         assert args.command == argv[0]
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "compress", "--task-size", "1"], "--task-size"),
+            (["distill", "compress", "--task-size", "1"], "--task-size"),
+            (["lint", "compress", "--task-size", "1"], "--task-size"),
+            (["run", "compress", "--slaves", "0"], "--slaves"),
+            (["timeline", "compress", "--slaves", "0"], "--slaves"),
+            (["run", "compress", "--runtime", "thread", "--workers", "0"],
+             "--workers"),
+            (["run", "compress", "--runtime", "parallel"], "--runtime"),
+        ],
+    )
+    def test_out_of_range_values_are_usage_errors(self, argv, flag, capsys):
+        """Rejected at parse time: exit 2 with one usage line, never a
+        config-validation traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and err.count("usage:") == 1
+        assert f"error: argument {flag}: " in err
+        assert "Traceback" not in err
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -71,6 +71,7 @@ class TestMsspConfig:
             {"checkpoint_mode": "bogus"},
             {"runtime": "warp"},
             {"runtime": "inline"},
+            {"runtime": "parallel"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -81,7 +82,7 @@ class TestMsspConfig:
         assert MsspConfig(checkpoint_mode="delta").checkpoint_mode == "delta"
 
     def test_runtime_choices_accepted(self):
-        for runtime in (None, "eager", "thread", "process", "parallel"):
+        for runtime in (None, "eager", "thread", "process", "sim"):
             assert MsspConfig(runtime=runtime).runtime == runtime
 
     def test_protected_regions_stored(self):
