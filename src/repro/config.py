@@ -11,7 +11,7 @@ plus several slower slaves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.errors import DistillError, TimingError
 
@@ -294,6 +294,24 @@ class ServeConfig:
 
 
 @dataclass(frozen=True)
+class SlaveFailure:
+    """One slave outage: ``slot`` is down for ``[at, at + downtime)``.
+
+    Execution in progress on the slot pauses across the outage and
+    resumes where it left off (restart-with-checkpoint); work dispatched
+    during the outage waits for the restart.
+    """
+
+    slot: int
+    at: float
+    downtime: float
+
+    @property
+    def end(self) -> float:
+        return self.at + self.downtime
+
+
+@dataclass(frozen=True)
 class TimingConfig:
     """Parameters of the task-level timing model.
 
@@ -301,7 +319,10 @@ class TimingConfig:
     retires instructions at a fixed CPI, and the MSSP-specific overheads
     are flat latencies.  ``master_cpi`` defaults below ``slave_cpi``
     because the paper's master is the wide complex core while slaves are
-    simple cores.
+    simple cores.  The same fields price the ``sim`` runtime's virtual
+    time (:meth:`master_time`, :meth:`slave_time`,
+    :meth:`transfer_time`), and :meth:`calibrate` rescales them into the
+    measured seconds domain.
     """
 
     n_slaves: int = 8
@@ -327,6 +348,14 @@ class TimingConfig:
     squash_penalty: float = 60.0
     #: Seeding a processor from architected state after squash (cycles).
     restart_latency: float = 30.0
+    #: Concurrent checkpoint transfers the master-to-slave link carries
+    #: (0 = unlimited); a bounded link queues transfers in fork order.
+    link_channels: int = 0
+    #: Relative execution speed per slave slot (missing slots run at
+    #: 1.0; 0.5 = half speed).
+    slave_speeds: Tuple[float, ...] = ()
+    #: Mid-episode slave outages.
+    failures: Tuple[SlaveFailure, ...] = ()
 
     def __post_init__(self) -> None:
         if self.n_slaves < 1:
@@ -342,6 +371,33 @@ class TimingConfig:
                 raise TimingError(f"{name} must be non-negative")
         if self.max_inflight is not None and self.max_inflight < 1:
             raise TimingError("max_inflight must be positive (or None)")
+        if self.link_channels < 0:
+            raise TimingError("link_channels must be >= 0 (0 = unlimited)")
+        if any(speed <= 0 for speed in self.slave_speeds):
+            raise TimingError("slave speeds must be positive")
+        if any(
+            f.slot < 0 or f.slot >= self.n_slaves or f.at < 0
+            or f.downtime < 0
+            for f in self.failures
+        ):
+            raise TimingError(
+                "failures need a slot in range and non-negative times"
+            )
+
+    def master_time(self, n_instrs: int, n_loads: int = 0) -> float:
+        """Master-side cost of distilling/forking one task."""
+        return n_instrs * self.master_cpi + n_loads * self.load_penalty
+
+    def slave_time(self, n_instrs: int, n_loads: int = 0) -> float:
+        """Slave-side cost of executing one task's original code."""
+        return n_instrs * self.slave_cpi + n_loads * self.load_penalty
+
+    def transfer_time(self, checkpoint_words: int) -> float:
+        """Cost of shipping one fork checkpoint to a slave."""
+        return (
+            self.spawn_latency
+            + checkpoint_words * self.checkpoint_word_latency
+        )
 
     def scaled_latencies(self, factor: float) -> "TimingConfig":
         """A copy with all interconnect latencies scaled by ``factor``."""
@@ -354,6 +410,48 @@ class TimingConfig:
             squash_penalty=self.squash_penalty * factor,
             restart_latency=self.restart_latency * factor,
             checkpoint_word_latency=self.checkpoint_word_latency * factor,
+        )
+
+    @classmethod
+    def calibrate(
+        cls, events: Iterable, base: Optional["TimingConfig"] = None
+    ) -> "TimingConfig":
+        """Fit the pricing from measured per-task costs on a stamped trace.
+
+        ``task_executed`` events carry the measured wall-seconds the
+        chunk worker spent executing each task (``cost``) alongside the
+        task's dynamic instruction count.  The ratio gives a measured
+        seconds-per-instruction slave rate; every rate and latency of
+        ``base`` (default: ``TimingConfig()``) is scaled by the same
+        factor, so the whole model lands in the seconds domain with its
+        internal ratios preserved.
+
+        Raises ``ValueError`` when the trace carries no measurable
+        execution costs (e.g. every cost rounded to zero).
+        """
+        base = base or cls()
+        total_seconds = 0.0
+        total_instrs = 0
+        for event in events:
+            if getattr(event, "kind", None) != "task_executed":
+                continue
+            cost = float(getattr(event, "cost", 0.0) or 0.0)
+            task = getattr(event, "task", None)
+            n_instrs = int(getattr(task, "n_instrs", 0) or 0)
+            if cost > 0.0 and n_instrs > 0:
+                total_seconds += cost
+                total_instrs += n_instrs
+        if total_instrs <= 0 or total_seconds <= 0.0:
+            raise ValueError(
+                "trace carries no measured task execution costs; "
+                "capture it with an instrumented runtime"
+            )
+        factor = total_seconds / total_instrs / base.slave_cpi
+        return replace(
+            base.scaled_latencies(factor),
+            master_cpi=base.master_cpi * factor,
+            slave_cpi=base.slave_cpi * factor,
+            load_penalty=base.load_penalty * factor,
         )
 
 

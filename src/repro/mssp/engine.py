@@ -122,7 +122,6 @@ class MsspEngine:
         config: Optional[MsspConfig] = None,
         safety_report=None,
         clock=None,
-        cost_model=None,
     ):
         if isinstance(distillation, DistillationResult):
             distilled, pc_map = distillation.distilled, distillation.pc_map
@@ -178,16 +177,12 @@ class MsspEngine:
         #: The engine's one time source.  Wall time by default; the
         #: ``sim`` backend defaults to a :class:`VirtualClock` the
         #: executor advances as it prices simulated work.  Injected
-        #: clocks win, so tests and the cluster simulator can drive
-        #: time themselves.
+        #: clocks win, so tests can drive time themselves.
         if clock is None:
             from repro.timing.clock import VirtualClock, WallClock
 
             clock = VirtualClock() if self.runtime == "sim" else WallClock()
         self.clock = clock
-        #: Cost model pricing simulated work (``sim`` runtime only;
-        #: ``None`` means the SimExecutor's default pricing).
-        self.cost_model = cost_model
         #: Structured runtime-event seam.  Subscribe any callable to
         #: observe forks, dispatches, judgements, squashes, recoveries,
         #: jit deopts and pool degradations as they happen.  Every event
@@ -700,7 +695,6 @@ def create_engine(
     distillation: Union[DistillationResult, tuple],
     config: Optional[MsspConfig] = None,
     clock=None,
-    cost_model=None,
 ) -> MsspEngine:
     """Build an engine for ``config.runtime``: eager, thread, process
     or sim.
@@ -710,10 +704,7 @@ def create_engine(
     close the engine when done — ``with create_engine(...) as engine:``
     — or rely on garbage collection's finalizers as a backstop.
     """
-    return MsspEngine(
-        original, distillation, config=config,
-        clock=clock, cost_model=cost_model,
-    )
+    return MsspEngine(original, distillation, config=config, clock=clock)
 
 
 def run_mssp(

@@ -126,9 +126,9 @@ class Task:
     protected_access: bool = False
     #: Measured wall-seconds the executing substrate spent running this
     #: task (thread/process worker or local fallback).  Crosses the
-    #: executor wire so the :class:`~repro.timing.clock.CostModel` can be
-    #: calibrated from real runs; never judged, so it cannot perturb
-    #: bit-identity.
+    #: executor wire so :meth:`~repro.config.TimingConfig.calibrate` can
+    #: fit the timing model to real runs; never judged, so it cannot
+    #: perturb bit-identity.
     exec_seconds: float = 0.0
     #: :class:`~repro.mssp.verify.CellVersions` sequence number at which
     #: this task's view of architected memory is known to have been

@@ -1,17 +1,11 @@
-"""Discrete-event cluster simulation for MSSP at scales this host can't run.
+"""Trace-driven simulation of MSSP at scales this host can't run.
 
-The package replays *captured* EventBus traces (real runs, real measured
-task costs) under simulated cluster configurations — 8/16/64 slaves,
-interconnect latency and checkpoint-transfer contention, heterogeneous
-slave speeds, mid-episode slave failure/restart:
+The package runs and replays *captured* EventBus traces (real runs,
+real measured task costs) under simulated cluster configurations — 8/16/
+64 slaves, checkpoint-transfer contention, heterogeneous slave speeds,
+mid-episode slave failure/restart — all timed by the one timing model,
+:class:`~repro.timing.simulator.MsspTimingSimulator`:
 
-* :mod:`repro.sim.core` — a minimal process-style discrete-event engine
-  (event heap, generator actors, resources).
-* :mod:`repro.sim.cluster` — the MSSP cluster model: a master actor
-  dispatching trace records to slave actors through an interconnect,
-  with an in-order verify unit; cross-validated against the analytic
-  :class:`~repro.timing.simulator.MsspTimingSimulator` at matching
-  parameters.
 * :mod:`repro.sim.executor` — the ``sim`` runtime backend: the real
   :class:`~repro.mssp.runtime.pipeline.TaskPipeline` drives simulated
   slaves on a :class:`~repro.timing.clock.VirtualClock`, bit-identical
@@ -23,31 +17,11 @@ slave speeds, mid-episode slave failure/restart:
   to ``BENCH_summary.json`` as the ``sim_bench`` section.
 """
 
-from repro.sim.cluster import ClusterConfig, ClusterSim, SlaveFailure
-from repro.sim.core import (
-    Acquire,
-    Hold,
-    Process,
-    Resource,
-    SimEvent,
-    Simulator,
-    Wait,
-)
 from repro.sim.executor import SimExecutor
 from repro.sim.tracefile import export_events, import_events
 
 __all__ = [
-    "Acquire",
-    "ClusterConfig",
-    "ClusterSim",
-    "Hold",
-    "Process",
-    "Resource",
-    "SimEvent",
     "SimExecutor",
-    "Simulator",
-    "SlaveFailure",
-    "Wait",
     "export_events",
     "import_events",
 ]

@@ -6,13 +6,12 @@ Workflow (one call to :func:`run_sim_bench`):
    subscribed — the captured, clock-stamped trace;
 2. run the identical workload on the ``sim`` runtime and check the
    functional result is bit-identical to the real engine's;
-3. replay the captured trace through the discrete-event cluster at each
-   requested slave count, cross-checking every point against the
-   analytic :class:`~repro.timing.simulator.MsspTimingSimulator` at
-   matching parameters;
-4. replay scenario configurations no analytic model covers: transfer
-   contention on a bounded interconnect, heterogeneous slave speeds,
-   and a mid-episode slave failure/restart.
+3. time the captured trace with
+   :class:`~repro.timing.simulator.MsspTimingSimulator` at each
+   requested slave count;
+4. time it again under three cluster scenarios: transfer contention on
+   a bounded link, heterogeneous slave speeds, and a mid-episode slave
+   failure/restart.
 
 The returned dict is the ``sim_bench`` section of
 ``BENCH_summary.json``.
@@ -26,6 +25,7 @@ from typing import List, Optional, Sequence
 from repro.config import (
     SEQUENTIAL_BASELINE,
     MsspConfig,
+    SlaveFailure,
     TimingConfig,
 )
 from repro.mssp.engine import create_engine
@@ -36,20 +36,8 @@ from repro.timing.simulator import (
     baseline_cycles,
     records_from_events,
 )
-from repro.sim.cluster import ClusterConfig, ClusterSim, SlaveFailure
 
-__all__ = ["run_sim_bench", "AGREEMENT_TOLERANCE"]
-
-#: Maximum relative disagreement tolerated between the discrete-event
-#: replay and the analytic simulator at matching parameters.  The two
-#: implement the same recurrence, so observed disagreement is float
-#: noise; the tolerance is slack for accumulation order.
-AGREEMENT_TOLERANCE = 1e-6
-
-
-def _relative_gap(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b), 1.0)
-    return abs(a - b) / scale
+__all__ = ["run_sim_bench"]
 
 
 def _identical(eager, sim) -> bool:
@@ -100,29 +88,22 @@ def run_sim_bench(
     total_instrs = eager_result.counters.total_instrs
     reference = baseline_cycles(total_instrs, SEQUENTIAL_BASELINE)
 
-    # 3. Slave-count sweep, analytic cross-check at every point.
+    def timed(timing: TimingConfig):
+        """The trace's breakdown under ``timing`` and its speedup."""
+        breakdown = MsspTimingSimulator(timing).simulate_records(records)
+        cycles = breakdown.total_cycles
+        return breakdown, (reference / cycles if cycles > 0 else 0.0)
+
+    # 3. Slave-count sweep.
     sweep: List[dict] = []
     for n_slaves in slave_counts:
-        timing = TimingConfig(n_slaves=n_slaves)
-        analytic = MsspTimingSimulator(timing).simulate_records(records)
-        replayed = ClusterSim(ClusterConfig.from_timing(timing)).replay(
-            records
-        )
-        gap = _relative_gap(
-            replayed.total_cycles, analytic.total_cycles
-        )
+        breakdown, speedup = timed(TimingConfig(n_slaves=n_slaves))
         sweep.append({
             "n_slaves": n_slaves,
-            "sim_cycles": replayed.total_cycles,
-            "analytic_cycles": analytic.total_cycles,
-            "agreement_gap": gap,
-            "agrees": gap <= AGREEMENT_TOLERANCE,
-            "speedup": (
-                reference / replayed.total_cycles
-                if replayed.total_cycles > 0 else 0.0
-            ),
-            "master_stall_cycles": replayed.master_stall_cycles,
-            "commit_bound_tasks": replayed.commit_bound_tasks,
+            "sim_cycles": breakdown.total_cycles,
+            "speedup": speedup,
+            "master_stall_cycles": breakdown.master_stall_cycles,
+            "commit_bound_tasks": breakdown.commit_bound_tasks,
         })
 
     section = {
@@ -132,41 +113,34 @@ def run_sim_bench(
         "total_instrs": total_instrs,
         "baseline_cycles": reference,
         "bit_identical": bit_identical,
-        "agreement_tolerance": AGREEMENT_TOLERANCE,
         "sweep": sweep,
     }
 
-    # 4. Cluster scenarios beyond the analytic model's reach.
+    # 4. Cluster scenarios at the middle slave count.
     if scenarios:
-        mid = slave_counts[len(slave_counts) // 2]
+        ideal = sweep[len(slave_counts) // 2]
+        mid = ideal["n_slaves"]
+        horizon = ideal["sim_cycles"]
         timing = TimingConfig(n_slaves=mid)
-        plain = ClusterSim(ClusterConfig.from_timing(timing)).replay(
-            records
-        )
-        horizon = plain.total_cycles
 
         def scenario(name: str, **overrides) -> dict:
-            cluster = ClusterConfig.from_timing(timing, **overrides)
-            replayed = ClusterSim(cluster).replay(records)
+            breakdown, speedup = timed(replace(timing, **overrides))
             return {
                 "scenario": name,
                 "n_slaves": mid,
-                "sim_cycles": replayed.total_cycles,
+                "sim_cycles": breakdown.total_cycles,
                 "slowdown_vs_ideal": (
-                    replayed.total_cycles / horizon
-                    if horizon > 0 else 0.0
+                    breakdown.total_cycles / horizon if horizon > 0 else 0.0
                 ),
-                "speedup": (
-                    reference / replayed.total_cycles
-                    if replayed.total_cycles > 0 else 0.0
-                ),
+                "speedup": speedup,
             }
 
         section["scenarios"] = [
+            # Every transfer takes 50 extra cycles on a single channel.
             scenario(
                 "contended-link",
+                spawn_latency=timing.spawn_latency + 50.0,
                 link_channels=1,
-                interconnect_latency=50.0,
             ),
             scenario(
                 "heterogeneous-slaves",

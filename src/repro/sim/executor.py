@@ -10,26 +10,26 @@ run's :class:`~repro.mssp.engine.MsspResult` bit-identical to the eager
 engine's (an acceptance test).
 
 Time is where it differs: instead of measuring wall seconds, it *prices*
-each chunk with the engine's :class:`~repro.timing.clock.CostModel`
-(dispatch + checkpoint transfer, then per-task execution) onto
-per-slot virtual free times, and advances the engine's
+each chunk with the default :class:`~repro.config.TimingConfig`
+(checkpoint transfer, then per-task execution) onto per-slot virtual
+free times, and advances the engine's
 :class:`~repro.timing.clock.VirtualClock` to each chunk's completion
 when the pipeline consumes its handle.  Every event the engine emits is
 therefore stamped with simulated time — the stream the SIM001 lint
-check audits and the cluster replay consumes.
+check audits.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.config import TimingConfig
 from repro.machine.state import ArchState
 from repro.mssp.runtime.events import EventBus
 from repro.mssp.runtime.executors import ChunkHandle, SlaveExecutor
 from repro.mssp.runtime.procpool import _ChainMemory
 from repro.mssp.slave import execute_task
 from repro.mssp.task import Task, wire_result
-from repro.timing.clock import CostModel
 
 __all__ = ["SimExecutor"]
 
@@ -45,9 +45,7 @@ class SimExecutor(SlaveExecutor):
         # The engine's clock travels on the bus; a VirtualClock when the
         # engine was built for the sim runtime.
         self.clock = events.clock
-        self.cost: CostModel = (
-            getattr(core, "cost_model", None) or CostModel()
-        )
+        self.timing = TimingConfig()
         self._base: Dict[int, int] = {}
         #: Virtual time at which each simulated slave frees up.
         self._free: List[float] = [0.0] * self.workers
@@ -63,7 +61,7 @@ class SimExecutor(SlaveExecutor):
 
     def submit_chunk(self, batch) -> Optional[ChunkHandle]:
         core = self.core
-        cost = self.cost
+        timing = self.timing
         clock = self.clock
         chain = _ChainMemory(self._base)
         # Dispatch to the earliest-free simulated slave.
@@ -77,13 +75,13 @@ class SimExecutor(SlaveExecutor):
                 checkpoint=task.checkpoint, end_pc=task.end_pc,
                 end_arrivals=task.end_arrivals,
             )
-            t += cost.transfer_time(len(task.checkpoint))
+            t += timing.transfer_time(len(task.checkpoint))
             execute_task(
                 core.original, shadow, chain,
                 core.config.max_task_instrs,
                 regions=core.regions, tier=core.exec_tier,
             )
-            priced = cost.slave_time(shadow.n_instrs, shadow.n_loads)
+            priced = timing.slave_time(shadow.n_instrs, shadow.n_loads)
             shadow.exec_seconds = priced
             t += priced
             results.append(wire_result(shadow))

@@ -3,12 +3,12 @@
 One event per line: ``{"kind", "at", "actor", ...constructor fields}``.
 Trace records (committed/squashed/failure/recovery payloads) round-trip
 as real :mod:`repro.mssp.trace` dataclasses, so an imported stream feeds
-:func:`~repro.timing.simulator.records_from_events`, the analytic
-simulator, and the cluster replay exactly like a live ``EventLog``.
+:func:`~repro.timing.simulator.records_from_events` and the timing
+model exactly like a live ``EventLog``.
 Task objects on ``task_executed`` events are exported as a sketch of
 their measurable fields (tid, instruction/load counts, measured
 execution seconds) — enough for
-:meth:`~repro.timing.clock.CostModel.calibrate` — not the full
+:meth:`~repro.config.TimingConfig.calibrate` — not the full
 live-in/live-out payload, which can be arbitrarily large and is already
 summarized by the task's trace record.
 """
@@ -142,7 +142,11 @@ def export_events(
 
 
 def import_events(source: Union[str, IO[str]]) -> List[RuntimeEvent]:
-    """Read a JSONL trace back into stamped events."""
+    """Read a JSONL trace back into stamped events.
+
+    Malformed input raises ``ValueError`` naming its line:
+    ``trace line N: ...``.
+    """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
             return import_events(handle)
@@ -153,9 +157,14 @@ def import_events(source: Union[str, IO[str]]) -> List[RuntimeEvent]:
             continue
         try:
             data = json.loads(line)
+            if not isinstance(data, dict):
+                raise ValueError("an event must be a JSON object")
+            events.append(event_from_dict(data))
         except json.JSONDecodeError as exc:
             raise ValueError(
-                f"trace line {line_no} is not valid JSON: {exc}"
+                f"trace line {line_no}: not valid JSON: {exc}"
             ) from None
-        events.append(event_from_dict(data))
+        except (TypeError, ValueError) as exc:
+            # TypeError: the event's constructor rejected its fields.
+            raise ValueError(f"trace line {line_no}: {exc}") from None
     return events

@@ -3,7 +3,7 @@
 # clock has no repro-internal imports; it must load first so that
 # repro.mssp modules (imported transitively by simulator below) can
 # resolve repro.timing.clock without re-entering this package.
-from repro.timing.clock import Clock, CostModel, VirtualClock, WallClock
+from repro.timing.clock import Clock, VirtualClock, WallClock
 from repro.timing.simulator import (
     MsspTimingSimulator,
     ScheduleEntry,
@@ -17,7 +17,6 @@ from repro.timing.timeline import render_timeline, utilization
 
 __all__ = [
     "Clock",
-    "CostModel",
     "VirtualClock",
     "WallClock",
     "MsspTimingSimulator",

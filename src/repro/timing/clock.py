@@ -1,40 +1,26 @@
-"""The virtual-clock / cost-model seam.
+"""The virtual-clock seam.
 
 Every layer that needs to tell time does it through a :class:`Clock`:
 
 * :class:`WallClock` — real time (``time.perf_counter``), used by the
   live runtime and the serve scheduler.
 * :class:`VirtualClock` — a settable simulated clock, advanced by the
-  discrete-event engine in :mod:`repro.sim` and by the ``sim`` runtime
-  backend.
+  ``sim`` runtime backend as it prices simulated work.
 
-A :class:`CostModel` prices the abstract operations of the MSSP
-protocol (master distillation work, slave task execution, checkpoint
-transfer, verify/commit, squash, recovery restart).  Two constructors
-matter:
-
-* :meth:`CostModel.from_timing` maps a :class:`repro.config.TimingConfig`
-  onto the model, so the analytic simulator and the discrete-event
-  replay price work identically (the agreement between the two is an
-  acceptance test).
-* :meth:`CostModel.calibrate` fits the slave-execution rate from
-  *measured* per-task costs stamped onto ``task_executed`` /
-  ``result_adopted`` events by the real executors, then scales the
-  remaining latencies into the measured domain.  This grounds simulated
-  time in real runs instead of guessed constants.
+Pricing itself lives on :class:`repro.config.TimingConfig`
+(``master_time`` / ``slave_time`` / ``transfer_time``, and
+``calibrate`` to fit it from measured per-task costs).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 __all__ = [
     "Clock",
     "WallClock",
     "VirtualClock",
-    "CostModel",
 ]
 
 
@@ -61,8 +47,8 @@ class WallClock:
 class VirtualClock:
     """A simulated clock.
 
-    Time only moves when something advances it — the discrete-event
-    engine popping its heap, or the ``sim`` executor pricing a chunk.
+    Time only moves when something advances it — the ``sim`` executor
+    pricing a chunk, or a test driving time by hand.
     ``advance_to`` never moves backwards, so stamped event streams stay
     monotonic by construction.
     """
@@ -88,113 +74,3 @@ class VirtualClock:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VirtualClock(now={self._now!r})"
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Prices the abstract operations of one MSSP episode.
-
-    Units are whatever the constructor used — cycles for
-    :meth:`from_timing` (matching ``TimingConfig``), seconds for
-    :meth:`calibrate` (matching measured wall time).  All consumers are
-    unit-agnostic; only ratios and sums matter.
-    """
-
-    master_instr: float = 0.5     # master cycles per distilled instruction
-    slave_instr: float = 1.0      # slave cycles per original instruction
-    load: float = 0.0             # extra penalty per load (either side)
-    dispatch: float = 30.0        # fork/spawn latency per task
-    checkpoint_word: float = 0.0  # transfer cost per checkpoint word
-    verify: float = 10.0          # in-order verify/commit occupancy
-    squash: float = 60.0          # squash + master-state repair penalty
-    restart: float = 30.0        # non-speculative recovery restart latency
-
-    def master_time(self, n_instrs: int, n_loads: int = 0) -> float:
-        """Master-side cost of distilling/forking one task."""
-        return n_instrs * self.master_instr + n_loads * self.load
-
-    def slave_time(self, n_instrs: int, n_loads: int = 0) -> float:
-        """Slave-side cost of executing one task's original code."""
-        return n_instrs * self.slave_instr + n_loads * self.load
-
-    def transfer_time(self, checkpoint_words: int) -> float:
-        """Cost of shipping one fork checkpoint to a slave."""
-        return self.dispatch + checkpoint_words * self.checkpoint_word
-
-    def recovery_time(self, n_instrs: int, n_loads: int = 0) -> float:
-        """Cost of the master's non-speculative recovery run."""
-        return self.restart + n_instrs * self.slave_instr + n_loads * self.load
-
-    def scaled(self, factor: float) -> "CostModel":
-        """Uniformly scale every latency (unit conversion)."""
-        return replace(
-            self,
-            master_instr=self.master_instr * factor,
-            slave_instr=self.slave_instr * factor,
-            load=self.load * factor,
-            dispatch=self.dispatch * factor,
-            checkpoint_word=self.checkpoint_word * factor,
-            verify=self.verify * factor,
-            squash=self.squash * factor,
-            restart=self.restart * factor,
-        )
-
-    @classmethod
-    def from_timing(cls, config) -> "CostModel":
-        """Build the model from a :class:`repro.config.TimingConfig`.
-
-        The mapping is exact: an event replay priced with this model
-        must agree with ``MsspTimingSimulator``'s analytic recurrence.
-        """
-        return cls(
-            master_instr=config.master_cpi,
-            slave_instr=config.slave_cpi,
-            load=config.load_penalty,
-            dispatch=config.spawn_latency,
-            checkpoint_word=config.checkpoint_word_latency,
-            verify=config.commit_latency,
-            squash=config.squash_penalty,
-            restart=config.restart_latency,
-        )
-
-    @classmethod
-    def calibrate(
-        cls,
-        events: Iterable,
-        base: Optional["CostModel"] = None,
-    ) -> "CostModel":
-        """Fit the model from measured per-task costs on a stamped trace.
-
-        ``task_executed`` events carry the measured wall-seconds the
-        chunk worker spent executing each task (``cost``) alongside the
-        task's dynamic instruction count.  The ratio gives a measured
-        seconds-per-instruction slave rate; the remaining latencies of
-        ``base`` (default: the cycle-domain default model) are scaled by
-        the same factor so the whole model lands in the seconds domain
-        with its internal ratios preserved.
-
-        Raises ``ValueError`` when the trace carries no measurable
-        execution costs (e.g. it was captured before satellite
-        instrumentation, or every cost rounded to zero).
-        """
-        base = base or cls()
-        total_seconds = 0.0
-        total_instrs = 0
-        for event in events:
-            if getattr(event, "kind", None) != "task_executed":
-                continue
-            cost = float(getattr(event, "cost", 0.0) or 0.0)
-            task = getattr(event, "task", None)
-            n_instrs = int(getattr(task, "n_instrs", 0) or 0)
-            if cost > 0.0 and n_instrs > 0:
-                total_seconds += cost
-                total_instrs += n_instrs
-        if total_instrs <= 0 or total_seconds <= 0.0:
-            raise ValueError(
-                "trace carries no measured task execution costs; "
-                "capture it with an instrumented runtime"
-            )
-        measured_rate = total_seconds / total_instrs  # seconds / instr
-        if base.slave_instr <= 0:
-            raise ValueError("base model has a non-positive slave rate")
-        return base.scaled(measured_rate / base.slave_instr)

@@ -1,20 +1,19 @@
 """Task-level timing model of the MSSP chip multiprocessor.
 
-Replays the functional engine's trace — either an :class:`MsspResult`
-or, since the virtual-clock refactor, a *stamped event stream* straight
-off the EventBus (:meth:`MsspTimingSimulator.simulate_events`) — onto a
-resource model (which decides *how long it took*).  All pricing goes
-through one :class:`~repro.timing.clock.CostModel`
-(:meth:`CostModel.from_timing`), the same model the discrete-event
-cluster replay in :mod:`repro.sim` uses; the two agreeing at matching
-parameters is an acceptance test.
+Replays the functional engine's trace — an :class:`MsspResult`, or a
+captured event stream reduced by :func:`records_from_events` — onto a
+resource model (which decides *how long it took*).  It is the one
+timing model: every price comes from the :class:`TimingConfig` that
+configures it.
 
 The resource model:
 
 * the **master** retires distilled instructions at ``master_cpi`` and
   stalls when no slave is free to receive the next checkpoint;
-* each **slave** receives a checkpoint ``spawn_latency`` after its fork,
-  retires original instructions at ``slave_cpi``, and cannot complete
+* each **slave** receives a checkpoint ``transfer_time`` after its fork
+  — queued in fork order when ``link_channels`` bounds the link —
+  retires original instructions at ``slave_cpi`` divided by its slot's
+  speed, pauses across any outage on its slot, and cannot complete
   before its closing fork (its end pc is defined by the next fork);
 * the **verify/commit unit** processes completed tasks in order, one per
   ``commit_latency``;
@@ -22,6 +21,10 @@ The resource model:
   recovery episode runs serially on one slave (``restart_latency`` to
   seed it plus its instructions), and the next speculative episode's
   master resumes when recovery completes.
+
+Every queue is FIFO and every arrival comes in trace order, so one
+pass over the records is the whole simulation.  A task goes to the
+earliest-free slave, the lowest slot index on a tie.
 
 Fidelity note (repro band 2/5): this is deliberately a latency/through-
 put model, not a pipeline simulator.  It preserves the quantities the
@@ -32,10 +35,11 @@ slave count, task size and interconnect latency — and its invariants
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.config import BaselineConfig, TimingConfig
+from repro.config import BaselineConfig, SlaveFailure, TimingConfig
 from repro.errors import TimingError
 from repro.mssp.engine import MsspResult
 from repro.mssp.trace import (
@@ -45,7 +49,6 @@ from repro.mssp.trace import (
     TraceRecord,
     TraceRecorder,
 )
-from repro.timing.clock import CostModel
 
 
 def records_from_events(events: Iterable) -> List[TraceRecord]:
@@ -122,17 +125,14 @@ class TimingBreakdown:
 
 
 class MsspTimingSimulator:
-    """Analytic replay of an MSSP trace onto the machine resources.
-
-    All work is priced through one :class:`CostModel` derived from the
-    :class:`TimingConfig` — the exact model the discrete-event cluster
-    replay (:class:`repro.sim.cluster.ClusterSim`) uses, so the two
-    simulators can be cross-validated at matching parameters.
-    """
+    """One-pass replay of an MSSP trace onto the machine resources."""
 
     def __init__(self, config: Optional[TimingConfig] = None):
         self.config = config or TimingConfig()
-        self.cost = CostModel.from_timing(self.config)
+        #: Each failed slot's outages, in start order.
+        self._outages: Dict[int, List[SlaveFailure]] = {}
+        for failure in sorted(self.config.failures, key=lambda f: f.at):
+            self._outages.setdefault(failure.slot, []).append(failure)
 
     def simulate(
         self, result: MsspResult, schedule: bool = False
@@ -144,27 +144,19 @@ class MsspTimingSimulator:
         """
         return self.simulate_records(result.records, schedule=schedule)
 
-    def simulate_events(
-        self, events: Iterable, schedule: bool = False
-    ) -> TimingBreakdown:
-        """Cycle accounting of a captured (stamped) event stream.
-
-        The stream — a live ``EventLog`` or one imported from JSONL —
-        is reduced to its trace records with :func:`records_from_events`
-        and replayed exactly like an :class:`MsspResult`, so the timing
-        layer consumes the EventBus seam directly.
-        """
-        return self.simulate_records(
-            records_from_events(events), schedule=schedule
-        )
-
     def simulate_records(
         self, records: Sequence[TraceRecord], schedule: bool = False
     ) -> TimingBreakdown:
         cfg = self.config
-        cost = self.cost
         breakdown = TimingBreakdown()
         slaves: List[float] = [0.0] * cfg.n_slaves
+        speeds = cfg.slave_speeds
+        outages = self._outages
+        # Free times of the link's channels, as a min-heap (FIFO
+        # k-server); None when the link is unlimited.
+        links: Optional[List[float]] = (
+            [0.0] * cfg.link_channels if cfg.link_channels else None
+        )
         master_clock = 0.0
         last_commit = 0.0
         finish = 0.0
@@ -185,19 +177,27 @@ class MsspTimingSimulator:
                         spawn_ready, commit_history[-cfg.max_inflight]
                     )
                 breakdown.master_stall_cycles += spawn_ready - master_clock
-                close = spawn_ready + cost.master_time(
+                close = spawn_ready + cfg.master_time(
                     record.master_instrs, record.master_loads
                 )
-                transfer = cost.transfer_time(record.checkpoint_words)
-                slave_start = spawn_ready + transfer
-                slave_done = slave_start + cost.slave_time(
-                    record.n_instrs, record.n_loads
-                )
+                transfer = cfg.transfer_time(record.checkpoint_words)
+                if links is None:
+                    slave_start = spawn_ready + transfer
+                else:
+                    slave_start = max(spawn_ready, links[0]) + transfer
+                    heapq.heapreplace(links, slave_start)
+                work = cfg.slave_time(record.n_instrs, record.n_loads)
+                if slot < len(speeds):
+                    work /= speeds[slot]
+                if slot in outages:
+                    slave_done = self._outage_done(slot, slave_start, work)
+                else:
+                    slave_done = slave_start + work
                 completion = max(slave_done, close)
                 slaves[slot] = completion
                 master_clock = close
                 verify_start = max(completion, last_commit)
-                commit_done = verify_start + cost.verify
+                commit_done = verify_start + cfg.commit_latency
                 last_commit = commit_done
                 if cfg.max_inflight is not None:
                     commit_history.append(commit_done)
@@ -220,26 +220,26 @@ class MsspTimingSimulator:
                 else:
                     breakdown.squashed_tasks += 1
                     breakdown.wasted_slave_cycles += slave_done - slave_start
-                    squash_done = commit_done + cost.squash
-                    breakdown.squash_overhead_cycles += cost.squash
+                    squash_done = commit_done + cfg.squash_penalty
+                    breakdown.squash_overhead_cycles += cfg.squash_penalty
                     master_clock = squash_done
                     last_commit = squash_done
                     slaves = [min(s, squash_done) for s in slaves]
                     commit_history.clear()  # squash drains the buffer
                     finish = max(finish, squash_done)
             elif isinstance(record, MasterFailureRecord):
-                wasted = cost.master_time(record.master_instrs)
-                fail_time = master_clock + wasted + cost.squash
-                breakdown.squash_overhead_cycles += cost.squash
+                wasted = cfg.master_time(record.master_instrs)
+                fail_time = master_clock + wasted + cfg.squash_penalty
+                breakdown.squash_overhead_cycles += cfg.squash_penalty
                 master_clock = fail_time
                 last_commit = max(last_commit, fail_time)
                 slaves = [min(s, fail_time) for s in slaves]
                 commit_history.clear()
                 finish = max(finish, fail_time)
             elif isinstance(record, RecoveryRecord):
-                start = max(master_clock, last_commit) + cost.restart
-                breakdown.squash_overhead_cycles += cost.restart
-                work = cost.slave_time(record.n_instrs, record.n_loads)
+                start = max(master_clock, last_commit) + cfg.restart_latency
+                breakdown.squash_overhead_cycles += cfg.restart_latency
+                work = cfg.slave_time(record.n_instrs, record.n_loads)
                 done = start + work
                 breakdown.recovery_cycles += work
                 if schedule:
@@ -260,6 +260,23 @@ class MsspTimingSimulator:
 
         breakdown.total_cycles = finish
         return breakdown
+
+    def _outage_done(self, slot: int, start: float, work: float) -> float:
+        """Completion time of ``work`` starting at ``start`` on ``slot``,
+        paused across every configured outage window on that slot."""
+        t = start
+        remaining = work
+        for failure in self._outages.get(slot, ()):
+            if failure.end <= t:
+                continue
+            if failure.at <= t:
+                t = failure.end
+            elif failure.at < t + remaining:
+                remaining -= failure.at - t
+                t = failure.end
+            else:
+                break
+        return t + remaining
 
     @staticmethod
     def _classify(

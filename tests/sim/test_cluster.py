@@ -1,39 +1,16 @@
-"""Tests for the discrete-event cluster replay (agreement + scenarios)."""
+"""Cluster scenarios of the timing model: link contention, slave speeds
+and outages, as ``repro sim`` replays them.
+
+The cycle counts pinned here were recorded from the discrete-event
+cluster replay this model replaced, on the same records and knobs.
+"""
 
 import pytest
 
-from repro.config import DistillConfig, TimingConfig
-from repro.distill import Distiller
-from repro.isa.asm import assemble
-from repro.mssp import MsspEngine
-from repro.mssp.trace import RecoveryRecord, TaskAttemptRecord
-from repro.profiling import profile_program
-from repro.sim.cluster import ClusterConfig, ClusterSim, SlaveFailure
-from repro.timing.clock import CostModel
+from repro.config import SlaveFailure, TimingConfig
+from repro.errors import TimingError
+from repro.mssp.trace import TaskAttemptRecord
 from repro.timing.simulator import MsspTimingSimulator
-
-SOURCE = """
-main:   li r1, 120
-loop:   addi r1, r1, -1
-        add r2, r2, r1
-        lw r3, 500(zero)
-        add r2, r2, r3
-        bne r1, zero, loop
-        sw r2, 0x900(zero)
-        halt
-        .data 500
-        .word 3
-"""
-
-
-@pytest.fixture(scope="module")
-def records():
-    program = assemble(SOURCE)
-    profile = profile_program(program)
-    distillation = Distiller(DistillConfig(target_task_size=25)).distill(
-        program, profile
-    )
-    return MsspEngine(program, distillation).run().records
 
 
 def synthetic_records(n_tasks=12, n_instrs=100, checkpoint_words=4):
@@ -47,109 +24,66 @@ def synthetic_records(n_tasks=12, n_instrs=100, checkpoint_words=4):
     ]
 
 
-class TestAnalyticAgreement:
-    @pytest.mark.parametrize("n_slaves", [1, 2, 4, 8])
-    def test_matches_analytic_recurrence(self, records, n_slaves):
-        timing = TimingConfig(n_slaves=n_slaves)
-        analytic = MsspTimingSimulator(timing).simulate_records(records)
-        replayed = ClusterSim(ClusterConfig.from_timing(timing)).replay(
-            records
-        )
-        assert replayed.total_cycles == pytest.approx(
-            analytic.total_cycles, rel=1e-9
-        )
-        assert replayed.committed_tasks == analytic.committed_tasks
-        assert replayed.squashed_tasks == analytic.squashed_tasks
-        assert replayed.master_stall_cycles == pytest.approx(
-            analytic.master_stall_cycles, rel=1e-9, abs=1e-9
-        )
-
-    def test_matches_analytic_with_inflight_bound(self, records):
-        timing = TimingConfig(n_slaves=4, max_inflight=2)
-        analytic = MsspTimingSimulator(timing).simulate_records(records)
-        replayed = ClusterSim(ClusterConfig.from_timing(timing)).replay(
-            records
-        )
-        assert replayed.total_cycles == pytest.approx(
-            analytic.total_cycles, rel=1e-9
-        )
-
-    def test_schedule_matches_analytic(self, records):
-        timing = TimingConfig(n_slaves=4)
-        analytic = MsspTimingSimulator(timing).simulate_records(
-            records, schedule=True
-        )
-        replayed = ClusterSim(ClusterConfig.from_timing(timing)).replay(
-            records, schedule=True
-        )
-        assert len(replayed.schedule) == len(analytic.schedule)
-        for ours, theirs in zip(replayed.schedule, analytic.schedule):
-            assert ours.kind == theirs.kind
-            assert ours.slot == theirs.slot
-            assert ours.start == pytest.approx(theirs.start, rel=1e-9)
-            assert ours.done == pytest.approx(theirs.done, rel=1e-9)
-            assert ours.commit == pytest.approx(theirs.commit, rel=1e-9)
-
-    def test_recovery_records_accounted(self):
-        records = synthetic_records(4) + [
-            RecoveryRecord(n_instrs=50, halted=False, resumed_at=10)
-        ]
-        timing = TimingConfig(n_slaves=2)
-        analytic = MsspTimingSimulator(timing).simulate_records(records)
-        replayed = ClusterSim(ClusterConfig.from_timing(timing)).replay(
-            records
-        )
-        assert replayed.recovery_cycles > 0
-        assert replayed.total_cycles == pytest.approx(
-            analytic.total_cycles, rel=1e-9
-        )
+def replay(records, **knobs):
+    return MsspTimingSimulator(TimingConfig(**knobs)).simulate_records(
+        records
+    )
 
 
 class TestScenarios:
     def test_contended_link_slows_the_run(self):
         records = synthetic_records(16, checkpoint_words=8)
-        cost = CostModel(checkpoint_word=5.0)
-        ideal = ClusterSim(
-            ClusterConfig(n_slaves=8, cost=cost)
-        ).replay(records)
-        contended = ClusterSim(
-            ClusterConfig(n_slaves=8, cost=cost, link_channels=1,
-                          interconnect_latency=50.0)
-        ).replay(records)
-        assert contended.total_cycles > ideal.total_cycles
+        ideal = replay(records, n_slaves=8, checkpoint_word_latency=5.0)
+        # 50 cycles of extra latency on every transfer, one channel.
+        contended = replay(
+            records, n_slaves=8, checkpoint_word_latency=5.0,
+            spawn_latency=80.0, link_channels=1,
+        )
+        assert ideal.total_cycles == pytest.approx(420.0, rel=1e-9)
+        assert contended.total_cycles == pytest.approx(2030.0, rel=1e-9)
+        assert contended.master_stall_cycles == pytest.approx(
+            910.0, rel=1e-9
+        )
 
     def test_heterogeneous_slaves_slow_the_run(self):
         records = synthetic_records(16)
-        even = ClusterSim(ClusterConfig(n_slaves=4)).replay(records)
-        uneven = ClusterSim(
-            ClusterConfig(n_slaves=4, slave_speeds=(0.25, 0.25, 0.25, 0.25))
-        ).replay(records)
-        assert uneven.total_cycles > even.total_cycles
+        even = replay(records, n_slaves=4)
+        uneven = replay(
+            records, n_slaves=4, slave_speeds=(0.25, 0.25, 0.25, 0.25)
+        )
+        assert even.total_cycles == pytest.approx(560.0, rel=1e-9)
+        assert uneven.total_cycles == pytest.approx(1760.0, rel=1e-9)
+        assert uneven.master_stall_cycles == pytest.approx(
+            1170.0, rel=1e-9
+        )
 
     def test_slave_failure_delays_completion(self):
         records = synthetic_records(8)
-        plain = ClusterSim(ClusterConfig(n_slaves=1)).replay(records)
-        failed = ClusterSim(ClusterConfig(
-            n_slaves=1,
+        plain = replay(records, n_slaves=1)
+        failed = replay(
+            records, n_slaves=1,
             failures=(SlaveFailure(slot=0, at=plain.total_cycles / 4,
                                    downtime=plain.total_cycles),),
-        )).replay(records)
-        assert failed.total_cycles >= (
-            plain.total_cycles + plain.total_cycles / 2
+        )
+        assert plain.total_cycles == pytest.approx(1050.0, rel=1e-9)
+        assert failed.total_cycles == pytest.approx(2072.5, rel=1e-9)
+        assert failed.master_stall_cycles == pytest.approx(
+            1862.5, rel=1e-9
         )
 
     def test_failure_after_the_run_is_free(self):
         records = synthetic_records(8)
-        plain = ClusterSim(ClusterConfig(n_slaves=2)).replay(records)
-        late = ClusterSim(ClusterConfig(
-            n_slaves=2,
+        plain = replay(records, n_slaves=2)
+        late = replay(
+            records, n_slaves=2,
             failures=(SlaveFailure(slot=0, at=plain.total_cycles + 1.0,
                                    downtime=1000.0),),
-        )).replay(records)
+        )
+        assert plain.total_cycles == pytest.approx(540.0, rel=1e-9)
         assert late.total_cycles == pytest.approx(plain.total_cycles)
 
     def test_outage_pauses_and_resumes_work(self):
-        sim = ClusterSim(ClusterConfig(
+        sim = MsspTimingSimulator(TimingConfig(
             n_slaves=1,
             failures=(SlaveFailure(slot=0, at=10.0, downtime=5.0),),
         ))
@@ -160,30 +94,44 @@ class TestScenarios:
         # Work on an unaffected slot is untouched.
         assert sim._outage_done(1, 8.0, 4.0) == 12.0
 
+    def test_outage_walk_takes_outages_in_start_order(self):
+        sim = MsspTimingSimulator(TimingConfig(
+            n_slaves=1,
+            failures=(
+                SlaveFailure(slot=0, at=20.0, downtime=5.0),
+                SlaveFailure(slot=0, at=10.0, downtime=5.0),
+            ),
+        ))
+        # 4 cycles before the first outage, 5 between, 1 after.
+        assert sim._outage_done(0, 6.0, 10.0) == 26.0
+        # Work that finishes before an outage never meets it.
+        assert sim._outage_done(0, 0.0, 10.0) == 10.0
+
 
 class TestConfigValidation:
     def test_rejects_nonpositive_slaves(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(n_slaves=0)
+        with pytest.raises(TimingError):
+            TimingConfig(n_slaves=0)
 
     def test_rejects_negative_link_channels(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(link_channels=-1)
+        with pytest.raises(TimingError):
+            TimingConfig(link_channels=-1)
 
     def test_rejects_nonpositive_speeds(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(slave_speeds=(1.0, 0.0))
+        with pytest.raises(TimingError):
+            TimingConfig(slave_speeds=(1.0, 0.0))
 
     def test_rejects_failure_outside_cluster(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(
+        with pytest.raises(TimingError):
+            TimingConfig(
                 n_slaves=2,
                 failures=(SlaveFailure(slot=5, at=0.0, downtime=1.0),),
             )
 
-    def test_from_timing_matches_cost_model(self):
-        timing = TimingConfig(n_slaves=3)
-        cluster = ClusterConfig.from_timing(timing)
-        assert cluster.n_slaves == 3
-        assert cluster.cost == CostModel.from_timing(timing)
-        assert cluster.max_inflight == timing.max_inflight
+    @pytest.mark.parametrize("at, downtime", [(-1.0, 1.0), (0.0, -1.0)])
+    def test_rejects_negative_failure_times(self, at, downtime):
+        with pytest.raises(TimingError):
+            TimingConfig(
+                n_slaves=2,
+                failures=(SlaveFailure(slot=0, at=at, downtime=downtime),),
+            )

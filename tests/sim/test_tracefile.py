@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.config import DistillConfig, MsspConfig
+from repro.config import DistillConfig, MsspConfig, TimingConfig
 from repro.distill import Distiller
 from repro.isa.asm import assemble
 from repro.mssp.engine import create_engine
@@ -19,7 +19,6 @@ from repro.sim.tracefile import (
     export_events,
     import_events,
 )
-from repro.timing.clock import CostModel
 from repro.timing.simulator import records_from_events
 
 SOURCE = """
@@ -77,8 +76,8 @@ class TestRoundTrip:
         export_events(captured, buffer)
         buffer.seek(0)
         rebuilt = import_events(buffer)
-        cost = CostModel.calibrate(rebuilt)
-        assert cost.slave_instr > 0.0
+        timing = TimingConfig.calibrate(rebuilt)
+        assert timing.slave_cpi > 0.0
 
     def test_tasks_export_as_sketches(self, captured):
         buffer = io.StringIO()
@@ -119,6 +118,31 @@ class TestEventCodec:
                              '"start_pc": 0, "end_pc": null}\nnot json\n')
         with pytest.raises(ValueError, match="line 2"):
             import_events(source)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"kind": "nosuch"}', "unknown event kind 'nosuch'"),
+            ('{"kind": "task_forked", "tid": 0, "start_pc": 0, '
+             '"end_pc": null, "wormhole": 9}', "unknown fields"),
+            ('{"kind": "task_forked"}', "missing 3 required"),
+            ('[1, 2]', "must be a JSON object"),
+            ('not json', "not valid JSON"),
+        ],
+    )
+    def test_every_line_error_names_its_line(self, line, message):
+        good = ('{"kind": "task_forked", "tid": 0, "start_pc": 0, '
+                '"end_pc": null}')
+        source = io.StringIO(f"{good}\n\n{line}\n")
+        with pytest.raises(ValueError) as error:
+            import_events(source)
+        text = str(error.value)
+        assert text.startswith("trace line 3: ")
+        assert message in text
+
+    def test_missing_file_raises_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            import_events(str(tmp_path / "missing.jsonl"))
 
     def test_blank_lines_skipped(self, captured):
         buffer = io.StringIO()

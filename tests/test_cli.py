@@ -162,3 +162,60 @@ class TestCommands:
         assert "master" in out
         assert "slave 0" in out
         assert "legend" in out
+
+    def test_trace_export_and_import(self, tmp_path, capsys):
+        path = str(tmp_path / "trace.jsonl")
+        assert main(
+            ["trace", "compress", "--size", "200", "--export", path]
+        ) == 0
+        assert f"to {path}" in capsys.readouterr().out
+        assert main(["trace", "--import", path]) == 0
+        assert "imported" in capsys.readouterr().out
+
+    def test_sim(self, capsys):
+        assert main(
+            ["sim", "compress", "--size", "300", "--slaves", "2,4"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "bit-identical to eager: yes" in out
+        assert "slave-count sweep" in out
+        for scenario in (
+            "contended-link", "heterogeneous-slaves", "slave-failure"
+        ):
+            assert scenario in out
+
+
+class TestTraceInputErrors:
+    """Bad ``repro trace`` input ends in one ``trace:`` line, exit 2."""
+
+    def assert_usage_error(self, argv, capsys, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("trace: ")
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        return captured
+
+    def test_missing_import_file(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.jsonl")
+        self.assert_usage_error(
+            ["trace", "--import", path], capsys, "missing.jsonl"
+        )
+
+    def test_unknown_event_kind(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"kind": "nosuch"}\n')
+        self.assert_usage_error(
+            ["trace", "--import", str(path)], capsys,
+            "trace line 1: unknown event kind 'nosuch'",
+        )
+
+    def test_export_into_missing_directory(self, tmp_path, capsys):
+        path = str(tmp_path / "absent" / "trace.jsonl")
+        captured = self.assert_usage_error(
+            ["trace", "compress", "--size", "200", "--export", path],
+            capsys, "absent",
+        )
+        # The bad path is caught before the capture runs.
+        assert "captured" not in captured.out

@@ -13,6 +13,7 @@ from repro.config import (
     TimingConfig,
 )
 from repro.errors import DistillError, TimingError
+from repro.mssp.runtime.events import ResultAdopted, TaskExecuted, TaskForked
 
 
 class TestDistillConfig:
@@ -134,6 +135,59 @@ class TestTimingConfig:
         free = TimingConfig().scaled_latencies(0.0)
         assert free.spawn_latency == 0.0
         assert free.commit_latency == 0.0
+
+
+class TestTimingPricing:
+    def test_master_cheaper_than_slave(self):
+        timing = TimingConfig()
+        assert timing.master_time(100) < timing.slave_time(100)
+
+    def test_loads_priced_on_both_sides(self):
+        timing = TimingConfig(load_penalty=2.0)
+        assert timing.master_time(10, 3) == 10 * 0.5 + 6.0
+        assert timing.slave_time(10, 3) == 10 * 1.0 + 6.0
+
+    def test_transfer_scales_with_checkpoint(self):
+        timing = TimingConfig(checkpoint_word_latency=2.0, spawn_latency=10.0)
+        assert timing.transfer_time(0) == 10.0
+        assert timing.transfer_time(5) == 20.0
+
+    def test_calibrate_fits_measured_rate(self):
+        events = [
+            TaskExecuted(task=_FakeTask(1000), cost=2e-3),
+            TaskExecuted(task=_FakeTask(1000), cost=2e-3),
+        ]
+        timing = TimingConfig.calibrate(events)
+        assert timing.slave_cpi == pytest.approx(2e-6)
+        # The whole model scales together: ratios are preserved.
+        base = TimingConfig()
+        for name in ("master_cpi", "commit_latency", "squash_penalty",
+                     "spawn_latency", "restart_latency"):
+            assert getattr(timing, name) / timing.slave_cpi == pytest.approx(
+                getattr(base, name) / base.slave_cpi
+            )
+        assert timing.n_slaves == base.n_slaves
+
+    def test_calibrate_ignores_other_kinds(self):
+        events = [
+            TaskForked(tid=0, start_pc=0, end_pc=None),
+            ResultAdopted(tid=0, cost=5e-3),
+            TaskExecuted(task=_FakeTask(500), cost=1e-3),
+        ]
+        timing = TimingConfig.calibrate(events)
+        assert timing.slave_cpi == pytest.approx(2e-6)
+
+    def test_calibrate_rejects_unmeasured_trace(self):
+        with pytest.raises(ValueError):
+            TimingConfig.calibrate(
+                [TaskForked(tid=0, start_pc=0, end_pc=None)]
+            )
+
+
+class _FakeTask:
+    def __init__(self, n_instrs):
+        self.n_instrs = n_instrs
+        self.n_loads = 0
 
 
 class TestBaselines:

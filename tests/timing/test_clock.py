@@ -1,17 +1,11 @@
-"""Tests for the clock seam: Clock protocol, VirtualClock, CostModel."""
+"""Tests for the clock seam: Clock protocol, VirtualClock, event stamps."""
 
 import time
 
 import pytest
 
-from repro.config import TimingConfig
-from repro.mssp.runtime.events import (
-    EventBus,
-    ResultAdopted,
-    TaskExecuted,
-    TaskForked,
-)
-from repro.timing.clock import Clock, CostModel, VirtualClock, WallClock
+from repro.mssp.runtime.events import EventBus, TaskForked
+from repro.timing.clock import Clock, VirtualClock, WallClock
 
 
 class TestClocks:
@@ -43,64 +37,6 @@ class TestClocks:
     def test_both_satisfy_protocol(self):
         assert isinstance(WallClock(), Clock)
         assert isinstance(VirtualClock(), Clock)
-
-
-class TestCostModel:
-    def test_master_cheaper_than_slave(self):
-        cost = CostModel()
-        assert cost.master_time(100) < cost.slave_time(100)
-
-    def test_transfer_scales_with_checkpoint(self):
-        cost = CostModel(checkpoint_word=2.0, dispatch=10.0)
-        assert cost.transfer_time(0) == 10.0
-        assert cost.transfer_time(5) == 20.0
-
-    def test_scaled_multiplies_every_rate(self):
-        cost = CostModel().scaled(2.0)
-        base = CostModel()
-        assert cost.slave_instr == 2 * base.slave_instr
-        assert cost.verify == 2 * base.verify
-        assert cost.squash == 2 * base.squash
-
-    def test_from_timing_matches_config(self):
-        timing = TimingConfig()
-        cost = CostModel.from_timing(timing)
-        assert cost.master_instr == timing.master_cpi
-        assert cost.slave_instr == timing.slave_cpi
-        assert cost.verify == timing.commit_latency
-        assert cost.squash == timing.squash_penalty
-
-    def test_calibrate_fits_measured_rate(self):
-        events = [
-            TaskExecuted(task=_FakeTask(1000), cost=2e-3),
-            TaskExecuted(task=_FakeTask(1000), cost=2e-3),
-        ]
-        cost = CostModel.calibrate(events)
-        assert cost.slave_instr == pytest.approx(2e-6)
-        # The whole model scales together: ratios are preserved.
-        base = CostModel()
-        assert cost.verify / cost.slave_instr == pytest.approx(
-            base.verify / base.slave_instr
-        )
-
-    def test_calibrate_ignores_other_kinds(self):
-        events = [
-            TaskForked(tid=0, start_pc=0, end_pc=None),
-            ResultAdopted(tid=0, cost=5e-3),
-            TaskExecuted(task=_FakeTask(500), cost=1e-3),
-        ]
-        cost = CostModel.calibrate(events)
-        assert cost.slave_instr == pytest.approx(2e-6)
-
-    def test_calibrate_rejects_unmeasured_trace(self):
-        with pytest.raises(ValueError):
-            CostModel.calibrate([TaskForked(tid=0, start_pc=0, end_pc=None)])
-
-
-class _FakeTask:
-    def __init__(self, n_instrs):
-        self.n_instrs = n_instrs
-        self.n_loads = 0
 
 
 class TestEventStamping:

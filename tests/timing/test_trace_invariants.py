@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from repro.config import TimingConfig
+from repro.config import SlaveFailure, TimingConfig
 from repro.experiments import evaluate, prepare
 from repro.timing import simulate_mssp
 from repro.workloads import get_workload
@@ -102,3 +102,42 @@ class TestAccounting:
         second = simulate_mssp(result, TimingConfig())
         assert first.total_cycles == second.total_cycles
         assert first.summary() == second.summary()
+
+
+class TestClusterKnobs:
+    """Link channels, slave speeds and outages that cannot bind change
+    nothing."""
+
+    @pytest.mark.parametrize("name", ["compress", "hashlookup"])
+    @pytest.mark.parametrize("channels", [4, 7])
+    def test_enough_link_channels_equal_unlimited(self, runs, name, channels):
+        result = runs[name]
+        base = TimingConfig(n_slaves=4, checkpoint_word_latency=0.5)
+        bounded = dataclasses.replace(base, link_channels=channels)
+        assert (
+            simulate_mssp(result, bounded).summary()
+            == simulate_mssp(result, base).summary()
+        )
+
+    @pytest.mark.parametrize("name", ["compress", "hashlookup"])
+    def test_outage_after_the_run_changes_nothing(self, runs, name):
+        result = runs[name]
+        base = TimingConfig(n_slaves=4)
+        plain = simulate_mssp(result, base)
+        late = dataclasses.replace(base, failures=tuple(
+            SlaveFailure(slot=slot, at=plain.total_cycles, downtime=1e6)
+            for slot in range(base.n_slaves)
+        ))
+        assert simulate_mssp(result, late).summary() == plain.summary()
+
+    @pytest.mark.parametrize("name", ["compress", "hashlookup"])
+    def test_unit_speeds_equal_no_speeds(self, runs, name):
+        result = runs[name]
+        base = TimingConfig()
+        unit = dataclasses.replace(
+            base, slave_speeds=(1.0,) * base.n_slaves
+        )
+        plain = simulate_mssp(result, base, schedule=True)
+        timed = simulate_mssp(result, unit, schedule=True)
+        assert timed.summary() == plain.summary()
+        assert timed.schedule == plain.schedule
