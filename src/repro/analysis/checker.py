@@ -118,11 +118,9 @@ CHECKS: Dict[str, str] = {
              "anchor in the original program",
     "DF005": "no statically PROVEN live-in register mismatches at runtime "
              "(differential check-mode run)",
-    # -- clock / simulation checks --------------------------------------------
+    # -- clock checks ---------------------------------------------------------
     "SIM001": "every emitted runtime event carries a clock stamp and, per "
               "emitting actor, stamps never decrease across the stream",
-    "SIM002": "the simulated ('sim') runtime's functional result is "
-              "bit-identical to the eager engine's on the same episode",
 }
 
 
@@ -1145,8 +1143,8 @@ def _check_stamps(report: CheckReport, events) -> None:
 
     The :class:`~repro.mssp.runtime.events.EventBus` stamps every event
     it publishes with ``clock.now()`` under a lock, so within one
-    emitting actor the stream's stamps must never run backwards —
-    whether the clock is wall time or the sim runtime's virtual clock.
+    emitting actor the stream's stamps must never run backwards,
+    whichever clock the engine or server was handed.
     Hand-built (never-emitted) events all read t=0 and pass trivially.
     """
     last_at: Dict[str, float] = {}
@@ -1435,60 +1433,6 @@ def check_server_execution(
         for handle in handles:
             handle.result()
     return check_server_events(log.events, subject=subject)
-
-
-def check_sim_execution(
-    program, distillation, subject: str = "sim"
-) -> CheckReport:
-    """Run the episode on the ``sim`` runtime; lint SIM001 and SIM002.
-
-    Two checks, end to end through the one clock seam:
-
-    * the eager reference run and the virtual-clock ``sim`` run must
-      produce bit-identical functional results (**SIM002**) — simulated
-      time may never perturb architected state;
-    * both runs' event streams must carry nondecreasing per-actor clock
-      stamps (**SIM001**) — wall stamps on the eager stream, virtual
-      stamps on the sim stream.
-    """
-    from repro.config import MsspConfig
-    from repro.mssp.engine import create_engine
-    from repro.mssp.runtime.events import EventLog
-
-    report = CheckReport(subject=subject)
-    eager_log = EventLog()
-    with create_engine(
-        program, distillation, MsspConfig(runtime="eager")
-    ) as engine:
-        engine.events.subscribe(eager_log)
-        eager = engine.run()
-    sim_log = EventLog()
-    with create_engine(
-        program, distillation, MsspConfig(runtime="sim")
-    ) as engine:
-        engine.events.subscribe(sim_log)
-        sim = engine.run()
-
-    _check_stamps(report, eager_log.events)
-    _check_stamps(report, sim_log.events)
-
-    if sim.counters != eager.counters or sim.records != eager.records:
-        _finding(
-            report, "SIM002", Severity.ERROR,
-            "the sim runtime's counters or trace records diverge from "
-            "the eager engine's",
-        )
-    if (
-        sim.halted != eager.halted
-        or sim.final_state.pc != eager.final_state.pc
-        or sim.final_state.diff(eager.final_state) != []
-    ):
-        _finding(
-            report, "SIM002", Severity.ERROR,
-            "the sim runtime's final architected state diverges from "
-            "the eager engine's",
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------

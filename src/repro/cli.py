@@ -46,8 +46,7 @@ Subcommands
     the calibrated execution-cost rate).
 ``sim``
     Trace-driven cluster simulation: capture one workload's event
-    stream, check the ``sim`` runtime reproduces it bit for bit, time
-    it with the timing model at several slave counts
+    stream, time it with the timing model at several slave counts
     (``--slaves 8,16,64``) and under contention / heterogeneity /
     failure scenarios, and merge the sweep into a summary JSON
     (``--output BENCH_summary.json``) as its ``sim_bench`` section.
@@ -60,7 +59,8 @@ import dataclasses
 import sys
 from typing import List, Optional
 
-from repro.config import DistillConfig, TimingConfig
+from repro.config import RUNTIME_CHOICES, DistillConfig, TimingConfig
+from repro.machine.jit import EXEC_TIERS
 from repro.stats import Table, geomean
 from repro.workloads import RESULT_BASE, WORKLOADS, get_workload
 
@@ -90,11 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--slaves", type=_at_least(1), default=8)
     _add_task_size_arg(run)
     run.add_argument(
-        "--runtime", choices=("eager", "thread", "process", "sim"),
-        default="eager",
+        "--runtime", choices=RUNTIME_CHOICES, default="eager",
         help="slave-execution backend: eager in-process tasks, a thread "
-             "pool, a process pool of slave workers, or simulated slaves "
-             "on a virtual clock (all backends are bit-identical)",
+             "pool, or a process pool of slave workers (all backends are "
+             "bit-identical)",
     )
     run.add_argument(
         "--workers", type=_at_least(1), default=None,
@@ -102,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: MsspConfig.num_slaves)",
     )
     run.add_argument(
-        "--exec-tier", choices=("oracle", "decoded", "jit"), default=None,
+        "--exec-tier", choices=EXEC_TIERS, default=None,
         help="execution tier for master/slaves/recovery (default: the "
              "REPRO_EXEC environment variable, then decoded); all tiers "
              "are bit-identical",
@@ -218,8 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop the persistent artifact cache before running",
     )
     bench.add_argument(
-        "--runtime", choices=("eager", "thread", "process"),
-        default="eager",
+        "--runtime", choices=RUNTIME_CHOICES, default="eager",
         help="also measure a pipelined MSSP runtime's wall-clock speedup "
              "per workload (-j sets the slave worker count)",
     )
@@ -278,13 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="workloads to pre-distill and pre-JIT at startup",
     )
     serve.add_argument(
-        "--runtime", choices=("eager", "thread", "process"),
-        default="thread",
+        "--runtime", choices=RUNTIME_CHOICES, default="thread",
         help="slave-execution backend for served episodes "
              "(default: thread)",
     )
     serve.add_argument(
-        "--exec-tier", choices=("oracle", "decoded", "jit"), default=None,
+        "--exec-tier", choices=EXEC_TIERS, default=None,
         help="execution tier for served episodes (default: REPRO_EXEC, "
              "then decoded)",
     )
@@ -303,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("--size", type=int, default=None)
     trace.add_argument(
-        "--runtime", choices=("eager", "thread", "process", "sim"),
-        default="eager",
+        "--runtime", choices=RUNTIME_CHOICES, default="eager",
         help="slave-execution backend for the captured run",
     )
     trace.add_argument(
@@ -326,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser(
         "sim",
         help="trace-driven cluster simulation: capture a workload's "
-             "event stream, check the sim runtime reproduces it, and "
-             "time it at several slave counts and cluster scenarios",
+             "event stream and time it at several slave counts and "
+             "cluster scenarios",
     )
     sim.add_argument(
         "workload", nargs="?", choices=sorted(WORKLOADS),
@@ -345,8 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument(
         "--output", default=None, metavar="PATH",
-        help="merge the sweep as the 'sim_bench' section of this "
-             "summary JSON (e.g. BENCH_summary.json)",
+        help="write the sweep as the 'sim_bench' section of this "
+             "summary JSON (e.g. BENCH_summary.json), keeping its other "
+             "sections",
     )
 
     report = sub.add_parser(
@@ -444,6 +441,7 @@ def cmd_distill(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from repro.config import MsspConfig
     from repro.experiments import evaluate, prepare
 
     prepared = prepare(
@@ -451,47 +449,36 @@ def cmd_run(args) -> int:
         distill_config=_distill_config(args),
     )
     timing = dataclasses.replace(TimingConfig(), n_slaves=args.slaves)
-    mssp_config = None
-    if (
-        args.runtime != "eager"
-        or args.exec_tier is not None
-        or args.adaptive
-        or args.predictors is not None
-        or args.redistill_threshold is not None
-    ):
-        from repro.config import MsspConfig
-
-        mssp_config = MsspConfig(
-            runtime=args.runtime, exec_tier=args.exec_tier
+    # Built from the flags every time: an explicit runtime beats
+    # REPRO_RUNTIME, which only a None config field defers to.
+    mssp_config = MsspConfig(runtime=args.runtime, exec_tier=args.exec_tier)
+    if args.adaptive:
+        mssp_config = mssp_config.with_adaptation()
+    if args.predictors is not None:
+        mssp_config = dataclasses.replace(
+            mssp_config, predictors=args.predictors
         )
-        if args.adaptive:
-            mssp_config = mssp_config.with_adaptation()
-        if args.predictors is not None:
-            mssp_config = dataclasses.replace(
-                mssp_config, predictors=args.predictors
-            )
-        if args.redistill_threshold is not None:
-            mssp_config = dataclasses.replace(
-                mssp_config, redistill_threshold=args.redistill_threshold
-            )
-        if args.workers is not None:
-            mssp_config = dataclasses.replace(
-                mssp_config, num_slaves=args.workers
-            )
+    if args.redistill_threshold is not None:
+        mssp_config = dataclasses.replace(
+            mssp_config, redistill_threshold=args.redistill_threshold
+        )
+    if args.workers is not None:
+        mssp_config = dataclasses.replace(
+            mssp_config, num_slaves=args.workers
+        )
     row = evaluate(prepared, mssp_config=mssp_config, timing_config=timing)
     counters = row.counters
     print(f"{row.name}: equivalent to SEQ (checked)")
-    if mssp_config is not None:
-        print(f"  runtime:                 {mssp_config.runtime} "
-              f"({mssp_config.num_slaves} slave workers)")
-        if mssp_config.exec_tier is not None:
-            print(f"  exec tier:               {mssp_config.exec_tier}")
+    print(f"  runtime:                 {mssp_config.runtime} "
+          f"({mssp_config.num_slaves} slave workers)")
+    if mssp_config.exec_tier is not None:
+        print(f"  exec tier:               {mssp_config.exec_tier}")
     print(f"  sequential instructions: {row.seq_instrs}")
     print(f"  distillation ratio:      {prepared.distillation_ratio:.2f}")
     print(f"  tasks committed/squashed: "
           f"{counters.tasks_committed}/{counters.tasks_squashed}")
     print(f"  live-in accuracy:        {counters.live_in_accuracy:.3f}")
-    if mssp_config is not None and (
+    if (
         mssp_config.predictors != "off"
         or mssp_config.redistill_threshold is not None
     ):
@@ -561,7 +548,6 @@ def _lint_workload(name, args, config):
         check_safety_report,
         check_safety_runtime,
         check_server_execution,
-        check_sim_execution,
     )
     from repro.analysis.specsafe import prove_safety
     from repro.distill.distiller import Distiller
@@ -619,10 +605,6 @@ def _lint_workload(name, args, config):
     if not gate(check_runtime_execution(
         instance.program, distillation, subject=f"{name}: runtime",
         profile=profile,
-    )):
-        return reports, None
-    if not gate(check_sim_execution(
-        instance.program, distillation, subject=f"{name}: sim",
     )):
         return reports, None
     gate(check_server_execution(
@@ -972,7 +954,6 @@ def cmd_serve(args) -> int:
 def _bench_serve(args, scale: float) -> int:
     from repro.config import MsspConfig, ServeConfig
     from repro.experiments.bench import write_summary
-    from repro.experiments import cache as artifact_cache
     from repro.serve.bench import (
         DEFAULT_RATES,
         DEFAULT_SERVE_WORKLOADS,
@@ -1023,10 +1004,7 @@ def _bench_serve(args, scale: float) -> int:
             row["max_queue_depth"],
         )
     print(table.render())
-    write_summary(
-        {"schema": artifact_cache.CACHE_SCHEMA, "serve_bench": serve},
-        args.output,
-    )
+    write_summary(serve, args.output, section="serve_bench")
     print(f"wrote {args.output}")
     return 0
 
@@ -1225,9 +1203,6 @@ def _trace(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    import json
-    import os
-
     from repro.sim.bench import run_sim_bench
 
     try:
@@ -1241,20 +1216,18 @@ def cmd_sim(args) -> int:
         print("sim: --slaves needs positive slave counts", file=sys.stderr)
         return 2
 
-    section = run_sim_bench(
+    sim_bench = run_sim_bench(
         workload=args.workload, slave_counts=slave_counts,
         size=args.size, scenarios=not args.no_scenarios,
     )
-    print(f"cluster simulation ({section['workload']}: "
-          f"{section['tasks_replayed']} tasks, "
-          f"{section['total_instrs']} sequential instrs)")
-    print(f"  functional result bit-identical to eager: "
-          f"{'yes' if section['bit_identical'] else 'NO'}")
+    print(f"cluster simulation ({sim_bench['workload']}: "
+          f"{sim_bench['tasks_replayed']} tasks, "
+          f"{sim_bench['total_instrs']} sequential instrs)")
     table = Table(
         ["slaves", "sim cycles", "speedup", "stall", "commit-bound"],
         title="slave-count sweep",
     )
-    for row in section["sweep"]:
+    for row in sim_bench["sweep"]:
         table.add_row(
             row["n_slaves"], f"{row['sim_cycles']:.1f}",
             f"{row['speedup']:.2f}x",
@@ -1262,12 +1235,12 @@ def cmd_sim(args) -> int:
             row["commit_bound_tasks"],
         )
     print(table.render())
-    if section.get("scenarios"):
+    if sim_bench.get("scenarios"):
         stable = Table(
             ["scenario", "slaves", "sim cycles", "vs ideal", "speedup"],
             title="cluster scenarios",
         )
-        for row in section["scenarios"]:
+        for row in sim_bench["scenarios"]:
             stable.add_row(
                 row["scenario"], row["n_slaves"],
                 f"{row['sim_cycles']:.1f}",
@@ -1276,21 +1249,10 @@ def cmd_sim(args) -> int:
             )
         print(stable.render())
     if args.output is not None:
-        from repro.experiments import cache as artifact_cache
         from repro.experiments.bench import write_summary
 
-        if os.path.exists(args.output):
-            with open(args.output, "r", encoding="utf-8") as handle:
-                summary = json.load(handle)
-        else:
-            summary = {"schema": artifact_cache.CACHE_SCHEMA}
-        summary["sim_bench"] = section
-        write_summary(summary, args.output)
+        write_summary(sim_bench, args.output, section="sim_bench")
         print(f"wrote {args.output}")
-    if not section["bit_identical"]:
-        print("sim: the sim runtime diverged functionally from eager",
-              file=sys.stderr)
-        return 1
     return 0
 
 

@@ -15,6 +15,10 @@ from typing import Iterable, Optional, Tuple
 
 from repro.errors import DistillError, TimingError
 
+#: Slave-execution backends ``MsspConfig.runtime`` names; see
+#: :class:`MsspConfig`.
+RUNTIME_CHOICES = ("eager", "thread", "process")
+
 
 @dataclass(frozen=True)
 class DistillConfig:
@@ -96,9 +100,8 @@ class MsspConfig:
     executes every task inline in commit order (the functional reference
     model); ``"thread"`` pipelines the master ahead of ``num_slaves``
     in-process worker threads; ``"process"`` pipelines it ahead of
-    ``num_slaves`` forked worker processes; ``"sim"`` prices slave work
-    on a virtual clock.  ``None`` defers to the ``REPRO_RUNTIME``
-    environment variable (default eager), mirroring
+    ``num_slaves`` forked worker processes.  ``None`` defers to the
+    ``REPRO_RUNTIME`` environment variable (default eager), mirroring
     ``exec_tier``/``REPRO_EXEC``.  All backends produce bit-identical
     :class:`~repro.mssp.engine.MsspResult`\\ s; see
     :mod:`repro.mssp.runtime`.
@@ -210,9 +213,9 @@ class MsspConfig:
             raise ValueError(
                 "checkpoint_mode must be 'cumulative' or 'delta'"
             )
-        if self.runtime not in (None, "eager", "thread", "process", "sim"):
+        if self.runtime is not None and self.runtime not in RUNTIME_CHOICES:
             raise ValueError(
-                "runtime must be None, 'eager', 'thread', 'process' or 'sim'"
+                f"runtime must be None or one of {RUNTIME_CHOICES}"
             )
         if self.exec_tier not in (None, "oracle", "decoded", "jit"):
             raise ValueError(
@@ -319,10 +322,9 @@ class TimingConfig:
     retires instructions at a fixed CPI, and the MSSP-specific overheads
     are flat latencies.  ``master_cpi`` defaults below ``slave_cpi``
     because the paper's master is the wide complex core while slaves are
-    simple cores.  The same fields price the ``sim`` runtime's virtual
-    time (:meth:`master_time`, :meth:`slave_time`,
-    :meth:`transfer_time`), and :meth:`calibrate` rescales them into the
-    measured seconds domain.
+    simple cores.  :meth:`master_time`, :meth:`slave_time` and
+    :meth:`transfer_time` are the prices the timing model charges, and
+    :meth:`calibrate` rescales them into the measured seconds domain.
     """
 
     n_slaves: int = 8

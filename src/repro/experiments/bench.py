@@ -1,6 +1,8 @@
 """``repro bench``: the perf-measurement loop for the reproduction.
 
-Two stages, both emitted into a machine-readable ``BENCH_summary.json``:
+Two stages, both emitted into a machine-readable ``BENCH_summary.json``
+(:func:`write_summary`, which keeps the file's ``sim_bench`` and
+``serve_bench`` sections):
 
 1. **Interpreter microbenchmark** — one workload run twice from boot to
    halt: once through the seed's per-step
@@ -452,18 +454,46 @@ def suite_cache_hits(rows: List[Dict[str, object]], flag: str = "cache_hit") -> 
     return sum(1 for row in rows if row.get(flag))
 
 
-def write_summary(summary: Dict[str, object], path: str) -> None:
-    rows = summary.get("suite")
-    if isinstance(rows, list):
-        # Re-derive the aggregate flags from the rows at write time so a
-        # caller that filtered or merged rows cannot emit a summary whose
-        # top-level counts contradict its own table.
-        summary = dict(summary)
-        summary["cache_hits"] = suite_cache_hits(rows)
-        summary["adaptive_cache_hits"] = suite_cache_hits(
-            rows, "adaptive_cache_hit"
-        )
-    Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+#: Sections of the summary JSON that their own commands write:
+#: ``repro sim --output`` and ``repro bench --serve``.
+OWN_SECTIONS = ("sim_bench", "serve_bench")
+
+
+def write_summary(
+    summary: Dict[str, object], path: str, section: Optional[str] = None
+) -> None:
+    """Write the summary JSON at ``path``, keeping what others wrote.
+
+    Without ``section``, ``summary`` is ``repro bench``'s summary: it
+    replaces everything in the file except the :data:`OWN_SECTIONS`.
+    With ``section`` (one of them), ``summary`` is that section alone
+    and replaces only that key.  A missing or unreadable file starts
+    empty.
+    """
+    target = Path(path)
+    try:
+        existing = json.loads(target.read_text())
+    except (OSError, ValueError):
+        existing = {}
+    if not isinstance(existing, dict):
+        existing = {}
+    if section is not None:
+        merged = dict(existing)
+        merged.setdefault("schema", artifact_cache.CACHE_SCHEMA)
+        merged[section] = summary
+    else:
+        merged = {key: existing[key] for key in OWN_SECTIONS if key in existing}
+        merged.update(summary)
+        rows = summary.get("suite")
+        if isinstance(rows, list):
+            # Re-derive the aggregate flags from the rows at write time
+            # so a caller that filtered or merged rows cannot emit a
+            # summary whose top-level counts contradict its own table.
+            merged["cache_hits"] = suite_cache_hits(rows)
+            merged["adaptive_cache_hits"] = suite_cache_hits(
+                rows, "adaptive_cache_hit"
+            )
+    target.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
 
 
 def check_baseline(

@@ -190,12 +190,10 @@ JIT_SCHEMA = 3
 
 #: Arrivals at a block leader before its region is compiled.
 DEFAULT_THRESHOLD = 16
-_THRESHOLD_ENV = "REPRO_JIT_THRESHOLD"
 
 #: Consecutive same-target region-to-region transits before the exit is
 #: promoted into a fused trace (superblock direct linking).
 DEFAULT_LINK_THRESHOLD = 8
-_LINK_THRESHOLD_ENV = "REPRO_JIT_LINK_THRESHOLD"
 
 #: Link health: a fused link survives while its internal back-edge hits
 #: outnumber inverted-guard misses this-many-to-one; below that the link
@@ -415,10 +413,10 @@ class JitProgram:
         self,
         program: Program,
         mode: str = "arch",
-        threshold: Optional[int] = None,
+        threshold: int = DEFAULT_THRESHOLD,
         persist: bool = True,
         arrival_pcs: Optional[Mapping[int, int]] = None,
-        link_threshold: Optional[int] = None,
+        link_threshold: int = DEFAULT_LINK_THRESHOLD,
     ):
         if mode not in _VARIANTS:
             raise ValueError(f"unknown jit codegen mode {mode!r}")
@@ -433,16 +431,7 @@ class JitProgram:
         self.leaders = block_leaders(program)
         #: pc -> original anchor, baked into master-mode codegen.
         self.arrival_pcs: Dict[int, int] = arrival_pcs or {}
-        if threshold is None:
-            threshold = int(
-                os.environ.get(_THRESHOLD_ENV, "") or DEFAULT_THRESHOLD
-            )
         self.threshold = max(1, threshold)
-        if link_threshold is None:
-            link_threshold = int(
-                os.environ.get(_LINK_THRESHOLD_ENV, "")
-                or DEFAULT_LINK_THRESHOLD
-            )
         self.link_threshold = max(1, link_threshold)
         #: entry pc -> Region for every compiled superblock.
         self.compiled: Dict[int, Region] = {}
@@ -1292,7 +1281,7 @@ class JitProgram:
 def jit_for(
     program: Program,
     mode: str = "arch",
-    threshold: Optional[int] = None,
+    threshold: int = DEFAULT_THRESHOLD,
     arrival_pcs: Optional[Mapping[int, int]] = None,
 ) -> JitProgram:
     """The (cached) :class:`JitProgram` of ``program`` for ``mode``.

@@ -174,20 +174,14 @@ class MsspEngine:
         #: (config beats the ``REPRO_RUNTIME`` environment variable;
         #: default eager).
         self.runtime = resolve_runtime(self.config.runtime)
-        #: The engine's one time source.  Wall time by default; the
-        #: ``sim`` backend defaults to a :class:`VirtualClock` the
-        #: executor advances as it prices simulated work.  Injected
-        #: clocks win, so tests can drive time themselves.
-        if clock is None:
-            from repro.timing.clock import VirtualClock, WallClock
-
-            clock = VirtualClock() if self.runtime == "sim" else WallClock()
-        self.clock = clock
         #: Structured runtime-event seam.  Subscribe any callable to
         #: observe forks, dispatches, judgements, squashes, recoveries,
         #: jit deopts and pool degradations as they happen.  Every event
         #: it emits is stamped with ``self.clock.now()``.
-        self.events = EventBus(clock=self.clock)
+        self.events = EventBus(clock=clock)
+        #: The engine's one time source: wall time unless a clock is
+        #: injected (tests drive time themselves).
+        self.clock = self.events.clock
         #: Routing statistics of the most recent run (the same object as
         #: that run's ``result.counters.dispatch``).
         self.dispatch_stats = DispatchStats()
@@ -696,8 +690,7 @@ def create_engine(
     config: Optional[MsspConfig] = None,
     clock=None,
 ) -> MsspEngine:
-    """Build an engine for ``config.runtime``: eager, thread, process
-    or sim.
+    """Build an engine for ``config.runtime``: eager, thread or process.
 
     Every runtime is the same :class:`MsspEngine` over a different
     executor backend.  Pipelined backends hold worker threads/processes:

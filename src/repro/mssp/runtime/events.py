@@ -267,10 +267,8 @@ class EventBus:
     The bus is also the single place events acquire *time*: every
     emitted event is stamped with ``clock.now()`` (``at``) and, when the
     event doesn't already carry one, the bus's ``actor`` label.  The
-    clock defaults to a :class:`~repro.timing.clock.WallClock`; engines
-    running the ``sim`` backend inject a ``VirtualClock`` instead, so
-    the same pipeline emits wall time or simulated time through one
-    seam.
+    clock defaults to a :class:`~repro.timing.clock.WallClock`; tests
+    inject a ``VirtualClock`` to drive time by hand.
     """
 
     __slots__ = ("_subscribers", "clock", "actor", "_lock")

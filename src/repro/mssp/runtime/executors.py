@@ -29,10 +29,10 @@ from the next episode on the pipeline treats it as inline.
 from __future__ import annotations
 
 import os
-import time
 import weakref
 from typing import Callable, Dict, List, Optional
 
+from repro.config import RUNTIME_CHOICES
 from repro.machine.state import ArchState
 from repro.mssp.runtime.events import EventBus, PoolDegraded
 from repro.mssp.runtime.procpool import (
@@ -40,10 +40,10 @@ from repro.mssp.runtime.procpool import (
     _ChainMemory,
     _PipePool,
     _execute_chunk,
+    _execute_tasks,
     program_wire_digest,
 )
-from repro.mssp.slave import execute_task
-from repro.mssp.task import Task, wire_result
+from repro.mssp.task import Task
 
 __all__ = [
     "SlaveExecutor",
@@ -56,11 +56,6 @@ __all__ = [
     "RUNTIME_CHOICES",
 ]
 
-#: Runtime names :func:`resolve_runtime` accepts ("sim" runs slaves on
-#: the discrete-event simulator's virtual clock).
-RUNTIME_CHOICES = ("eager", "thread", "process", "sim")
-
-
 def resolve_runtime(setting: Optional[str]) -> str:
     """Resolve a config/CLI runtime setting to a backend name.
 
@@ -71,8 +66,7 @@ def resolve_runtime(setting: Optional[str]) -> str:
         setting = os.environ.get("REPRO_RUNTIME") or "eager"
     if setting not in RUNTIME_CHOICES:
         raise ValueError(
-            f"unknown runtime {setting!r}: "
-            "expected 'eager', 'thread', 'process' or 'sim'"
+            f"unknown runtime {setting!r}: expected one of {RUNTIME_CHOICES}"
         )
     return setting
 
@@ -219,33 +213,21 @@ class ThreadExecutor(SlaveExecutor):
              entry.task.end_arrivals, entry.task.checkpoint)
             for entry in batch
         ]
-        chain = _ChainMemory(self._base)
-        program = core.original
-        max_instrs = core.config.max_task_instrs
-        regions = core.regions
-        tier = core.exec_tier
-
-        def run() -> List[tuple]:
-            results: List[tuple] = []
-            for tid, start_pc, end_pc, end_arrivals, checkpoint in specs:
-                shadow = Task(
-                    tid=tid, start_pc=start_pc, checkpoint=checkpoint,
-                    end_pc=end_pc, end_arrivals=end_arrivals,
-                )
-                t0 = time.perf_counter()
-                execute_task(
-                    program, shadow, chain, max_instrs,
-                    regions=regions, tier=tier,
-                )
-                shadow.exec_seconds = time.perf_counter() - t0
-                results.append(wire_result(shadow))
-                if shadow.faulted or shadow.overrun or shadow.protected_access:
-                    break
-                chain.apply(shadow.live_out_mem)
-            return results
-
+        # Shadow tasks, built on the worker thread as the loop reaches
+        # them.
+        shadows = (
+            Task(
+                tid=tid, start_pc=start_pc, checkpoint=checkpoint,
+                end_pc=end_pc, end_arrivals=end_arrivals,
+            )
+            for tid, start_pc, end_pc, end_arrivals, checkpoint in specs
+        )
         try:
-            future = pool.submit(run)
+            future = pool.submit(
+                _execute_tasks, core.original, shadows,
+                _ChainMemory(self._base), core.config.max_task_instrs,
+                core.regions, core.exec_tier,
+            )
         except Exception:
             self.mark_broken("thread pool rejected a submission")
             return None
@@ -393,9 +375,4 @@ def create_executor(core, events: EventBus) -> SlaveExecutor:
         return ThreadExecutor(core, events)
     if runtime == "process":
         return ProcessExecutor(core, events)
-    if runtime == "sim":
-        # Deferred import: repro.sim depends on this module.
-        from repro.sim.executor import SimExecutor
-
-        return SimExecutor(core, events)
     return InlineExecutor(core, events)

@@ -21,7 +21,7 @@ import hashlib
 import itertools
 import pickle
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.isa.program import Program
 from repro.machine.decoded import decode
@@ -35,7 +35,9 @@ __all__ = [
     "_PipePool",
     "_episode_base",
     "_execute_chunk",
+    "_execute_tasks",
     "_pipe_worker",
+    "_wire_tasks",
     "_worker_init",
     "_WORKER_BASES",
     "_WORKER_PROGRAMS",
@@ -246,42 +248,27 @@ def _episode_base(
     return base
 
 
-def _execute_chunk(payload: tuple) -> List[tuple]:
-    """Execute one chunk of consecutive tasks; the pool worker entry.
+def _execute_tasks(
+    program: Program,
+    tasks: Iterable[Task],
+    chain: _ChainMemory,
+    max_task_instrs: int,
+    regions: Optional[ProtectedRegions],
+    tier: str,
+) -> List[tuple]:
+    """The slave chunk loop, shared by the thread and process backends.
 
-    ``payload`` is built by
-    :meth:`repro.mssp.runtime.executors.ProcessExecutor._encode_chunk`.
-    Returns one result tuple per executed task.  Execution stops early
-    when a task faults/overruns/aborts on a protected access: in-order
-    verification squashes such a task unconditionally, ending the
-    episode, so its successors can never be consumed (and if the abort
-    was itself an artifact of stale reads, the missing results simply
-    fall back to local re-execution).
+    Executes ``tasks`` in order against ``chain``, stamps each task's
+    measured ``exec_seconds``, and returns one wire result per executed
+    task.  A task that faults, overruns or aborts on a protected access
+    ends the chunk: in-order verification squashes it unconditionally,
+    ending the episode, so its successors can never be consumed (and if
+    the abort was itself an artifact of stale reads, the missing results
+    simply fall back to local re-execution).  Otherwise its live-outs
+    join the chain for the next task.
     """
-    (digest, shipped_program, regions_ranges, max_task_instrs,
-     base_key, base_delta, wire_tasks, tier) = payload
-    program = _WORKER_PROGRAMS.get(digest)
-    if program is None:
-        if shipped_program is None:  # pragma: no cover - defensive
-            raise RuntimeError("worker received no program for digest")
-        program = shipped_program
-        _WORKER_PROGRAMS[digest] = program
-    regions = ProtectedRegions.from_config(regions_ranges)
-    chain = _ChainMemory(_episode_base(base_key, base_delta, program))
     results: List[tuple] = []
-    prev_mem: Optional[Dict[int, int]] = None
-    for (tid, start_pc, end_pc, end_arrivals, regs,
-         mem_full, mem_delta) in wire_tasks:
-        if mem_full is not None:
-            ckpt_mem = mem_full
-        else:  # cumulative chain: mem_k == mem_{k-1} | delta_k
-            ckpt_mem = {**prev_mem, **mem_delta}
-        prev_mem = ckpt_mem
-        task = Task(
-            tid=tid, start_pc=start_pc,
-            checkpoint=Checkpoint(regs=regs, mem=ckpt_mem),
-            end_pc=end_pc, end_arrivals=end_arrivals,
-        )
+    for task in tasks:
         t0 = time.perf_counter()
         execute_task(
             program, task, chain, max_task_instrs, regions=regions, tier=tier
@@ -292,3 +279,43 @@ def _execute_chunk(payload: tuple) -> List[tuple]:
             break
         chain.apply(task.live_out_mem)
     return results
+
+
+def _wire_tasks(wire_tasks) -> Iterator[Task]:
+    """Rebuild a chunk's tasks from the wire, one at a time."""
+    prev_mem: Optional[Dict[int, int]] = None
+    for (tid, start_pc, end_pc, end_arrivals, regs,
+         mem_full, mem_delta) in wire_tasks:
+        if mem_full is not None:
+            ckpt_mem = mem_full
+        else:  # cumulative chain: mem_k == mem_{k-1} | delta_k
+            ckpt_mem = {**prev_mem, **mem_delta}
+        prev_mem = ckpt_mem
+        yield Task(
+            tid=tid, start_pc=start_pc,
+            checkpoint=Checkpoint(regs=regs, mem=ckpt_mem),
+            end_pc=end_pc, end_arrivals=end_arrivals,
+        )
+
+
+def _execute_chunk(payload: tuple) -> List[tuple]:
+    """Execute one wire-encoded chunk of tasks; the pool worker entry.
+
+    ``payload`` is built by
+    :meth:`repro.mssp.runtime.executors.ProcessExecutor._encode_chunk`.
+    Returns one result tuple per executed task (see
+    :func:`_execute_tasks`).
+    """
+    (digest, shipped_program, regions_ranges, max_task_instrs,
+     base_key, base_delta, wire_tasks, tier) = payload
+    program = _WORKER_PROGRAMS.get(digest)
+    if program is None:
+        if shipped_program is None:  # pragma: no cover - defensive
+            raise RuntimeError("worker received no program for digest")
+        program = shipped_program
+        _WORKER_PROGRAMS[digest] = program
+    return _execute_tasks(
+        program, _wire_tasks(wire_tasks),
+        _ChainMemory(_episode_base(base_key, base_delta, program)),
+        max_task_instrs, ProtectedRegions.from_config(regions_ranges), tier,
+    )

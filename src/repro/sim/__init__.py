@@ -1,15 +1,11 @@
 """Trace-driven simulation of MSSP at scales this host can't run.
 
-The package runs and replays *captured* EventBus traces (real runs,
+The package replays *captured* EventBus traces (real runs,
 real measured task costs) under simulated cluster configurations — 8/16/
 64 slaves, checkpoint-transfer contention, heterogeneous slave speeds,
 mid-episode slave failure/restart — all timed by the one timing model,
 :class:`~repro.timing.simulator.MsspTimingSimulator`:
 
-* :mod:`repro.sim.executor` — the ``sim`` runtime backend: the real
-  :class:`~repro.mssp.runtime.pipeline.TaskPipeline` drives simulated
-  slaves on a :class:`~repro.timing.clock.VirtualClock`, bit-identical
-  to the eager engine.
 * :mod:`repro.sim.tracefile` — JSONL export/import of captured
   ``EventLog`` streams (``repro trace``).
 * :mod:`repro.sim.bench` — the ``repro sim`` sweep: speedup curves over
@@ -17,11 +13,9 @@ mid-episode slave failure/restart — all timed by the one timing model,
   to ``BENCH_summary.json`` as the ``sim_bench`` section.
 """
 
-from repro.sim.executor import SimExecutor
 from repro.sim.tracefile import export_events, import_events
 
 __all__ = [
-    "SimExecutor",
     "export_events",
     "import_events",
 ]

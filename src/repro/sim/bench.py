@@ -4,12 +4,10 @@ Workflow (one call to :func:`run_sim_bench`):
 
 1. run the workload on the real (eager) engine with an ``EventLog``
    subscribed — the captured, clock-stamped trace;
-2. run the identical workload on the ``sim`` runtime and check the
-   functional result is bit-identical to the real engine's;
-3. time the captured trace with
+2. time the captured trace with
    :class:`~repro.timing.simulator.MsspTimingSimulator` at each
    requested slave count;
-4. time it again under three cluster scenarios: transfer contention on
+3. time it again under three cluster scenarios: transfer contention on
    a bounded link, heterogeneous slave speeds, and a mid-episode slave
    failure/restart.
 
@@ -40,16 +38,6 @@ from repro.timing.simulator import (
 __all__ = ["run_sim_bench"]
 
 
-def _identical(eager, sim) -> bool:
-    return (
-        sim.counters == eager.counters
-        and sim.halted == eager.halted
-        and sim.records == eager.records
-        and sim.final_state.pc == eager.final_state.pc
-        and sim.final_state.diff(eager.final_state) == []
-    )
-
-
 def run_sim_bench(
     workload: str = "compress",
     slave_counts: Sequence[int] = (8, 16, 64),
@@ -57,29 +45,20 @@ def run_sim_bench(
     mssp_config: Optional[MsspConfig] = None,
     scenarios: bool = True,
 ) -> dict:
-    """Capture, validate, and sweep one workload; the ``sim_bench`` row."""
+    """Capture and sweep one workload; the ``sim_bench`` row."""
     from repro.experiments import prepare
     from repro.workloads import get_workload
 
     prepared = prepare(get_workload(workload), size=size)
-    base_config = mssp_config or MsspConfig()
 
     # 1. Real run, trace captured off the EventBus.
     log = EventLog()
-    eager_config = replace(base_config, runtime="eager")
+    eager_config = replace(mssp_config or MsspConfig(), runtime="eager")
     with create_engine(
         prepared.instance.program, prepared.distillation, eager_config
     ) as engine:
         engine.events.subscribe(log)
         eager_result = engine.run()
-
-    # 2. Functional bit-identity of the simulated runtime.
-    sim_config = replace(base_config, runtime="sim")
-    with create_engine(
-        prepared.instance.program, prepared.distillation, sim_config
-    ) as engine:
-        sim_result = engine.run()
-    bit_identical = _identical(eager_result, sim_result)
 
     records = records_from_events(log.events)
     task_records = [
@@ -94,7 +73,7 @@ def run_sim_bench(
         cycles = breakdown.total_cycles
         return breakdown, (reference / cycles if cycles > 0 else 0.0)
 
-    # 3. Slave-count sweep.
+    # 2. Slave-count sweep.
     sweep: List[dict] = []
     for n_slaves in slave_counts:
         breakdown, speedup = timed(TimingConfig(n_slaves=n_slaves))
@@ -112,11 +91,10 @@ def run_sim_bench(
         "records_replayed": len(records),
         "total_instrs": total_instrs,
         "baseline_cycles": reference,
-        "bit_identical": bit_identical,
         "sweep": sweep,
     }
 
-    # 4. Cluster scenarios at the middle slave count.
+    # 3. Cluster scenarios at the middle slave count.
     if scenarios:
         ideal = sweep[len(slave_counts) // 2]
         mid = ideal["n_slaves"]

@@ -1,11 +1,11 @@
-"""The virtual-clock seam.
+"""The clock seam.
 
 Every layer that needs to tell time does it through a :class:`Clock`:
 
 * :class:`WallClock` — real time (``time.perf_counter``), used by the
-  live runtime and the serve scheduler.
-* :class:`VirtualClock` — a settable simulated clock, advanced by the
-  ``sim`` runtime backend as it prices simulated work.
+  runtime and the serve scheduler.
+* :class:`VirtualClock` — a settable clock that only moves when advanced;
+  tests inject it to drive time by hand.
 
 Pricing itself lives on :class:`repro.config.TimingConfig`
 (``master_time`` / ``slave_time`` / ``transfer_time``, and
@@ -45,12 +45,11 @@ class WallClock:
 
 
 class VirtualClock:
-    """A simulated clock.
+    """A settable clock, the seam's test double.
 
-    Time only moves when something advances it — the ``sim`` executor
-    pricing a chunk, or a test driving time by hand.
-    ``advance_to`` never moves backwards, so stamped event streams stay
-    monotonic by construction.
+    Time only moves when something advances it.  ``advance_to`` never
+    moves backwards, so stamped event streams stay monotonic by
+    construction.
     """
 
     __slots__ = ("_now",)

@@ -1,5 +1,6 @@
 """The persistent benchmark cache and the ``repro bench`` machinery."""
 
+import itertools
 import json
 import pickle
 
@@ -162,6 +163,11 @@ class TestCliBench:
         from repro.cli import main
 
         out = tmp_path / "BENCH_summary.json"
+        # A stale summary: the bench rewrites everything except the
+        # sections other commands own.
+        out.write_text(json.dumps(
+            {"schema": 4, "mem_backend": "flat", "sim_bench": {"sweep": []}}
+        ))
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps(
             {"decoded_instrs_per_sec": 1, "min_speedup": 0.0}
@@ -174,6 +180,9 @@ class TestCliBench:
         assert main(argv) == 0
         summary = json.loads(out.read_text())
         assert summary["suite"][0]["cache_hit"] is False
+        assert summary["schema"] == cache.CACHE_SCHEMA
+        assert "mem_backend" not in summary
+        assert summary["sim_bench"] == {"sweep": []}
         captured = capsys.readouterr().out
         assert "instrs/sec" in captured
 
@@ -195,3 +204,60 @@ class TestCliBench:
             "--output", str(tmp_path / "s.json"),
             "--baseline", str(baseline),
         ]) == 1
+
+
+class TestWriteSummary:
+    """``repro bench``, ``bench --serve`` and ``sim --output`` share one
+    summary file; each rewrites only what it owns."""
+
+    BENCH = {
+        "schema": cache.CACHE_SCHEMA,
+        "microbenchmark": {"speedup": 3.0},
+        "suite": [
+            {"workload": "crc", "cache_hit": True,
+             "adaptive_cache_hit": False},
+        ],
+    }
+    SECTIONS = {
+        "sim_bench": {"sweep": [{"n_slaves": 8}]},
+        "serve_bench": {"open_loop": []},
+    }
+
+    def write(self, writer, path):
+        if writer == "bench":
+            bench.write_summary(dict(self.BENCH), path)
+        else:
+            bench.write_summary(self.SECTIONS[writer], path, section=writer)
+
+    @pytest.mark.parametrize(
+        "order",
+        list(itertools.permutations(("bench", "sim_bench", "serve_bench"))),
+    )
+    def test_every_section_survives_any_order(self, tmp_path, order):
+        path = tmp_path / "BENCH_summary.json"
+        for writer in order:
+            self.write(writer, str(path))
+        written = json.loads(path.read_text())
+        assert written["schema"] == cache.CACHE_SCHEMA
+        assert written["microbenchmark"] == self.BENCH["microbenchmark"]
+        assert written["suite"] == self.BENCH["suite"]
+        assert written["cache_hits"] == 1
+        for name, section in self.SECTIONS.items():
+            assert written[name] == section
+
+    def test_section_write_keeps_every_other_key(self, tmp_path):
+        path = tmp_path / "BENCH_summary.json"
+        stale = {"schema": 4, "mem_backend": "flat", "suite": []}
+        path.write_text(json.dumps(stale))
+        self.write("sim_bench", str(path))
+        written = json.loads(path.read_text())
+        assert written == dict(stale, sim_bench=self.SECTIONS["sim_bench"])
+
+    def test_unreadable_file_starts_empty(self, tmp_path):
+        path = tmp_path / "BENCH_summary.json"
+        path.write_text("{not json")
+        self.write("serve_bench", str(path))
+        assert json.loads(path.read_text()) == {
+            "schema": cache.CACHE_SCHEMA,
+            "serve_bench": self.SECTIONS["serve_bench"],
+        }

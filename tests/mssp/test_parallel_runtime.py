@@ -33,6 +33,7 @@ from repro.mssp.runtime.procpool import (
     _WORKER_BASES,
     _ChainMemory,
     _episode_base,
+    _wire_tasks,
 )
 from repro.profiling import profile_program
 from repro.workloads import get_workload, workload_names
@@ -301,8 +302,8 @@ class _CapturingEngine(MsspEngine):
 class TestWireEncoding:
     def test_delta_encoding_reconstructs_every_checkpoint(self):
         """``mem_k == mem_{k-1} | delta_k``: the worker-side reconstruction
-        in :func:`_execute_chunk` must recover exactly the checkpoint
-        memory the eager engine would have used."""
+        (:func:`_wire_tasks`) must recover exactly the checkpoint memory
+        the eager engine would have used."""
         ready = prepared("compress")
         engine = _CapturingEngine(
             ready.instance.program, ready.distillation, PARALLEL_CONFIG
@@ -313,16 +314,9 @@ class TestWireEncoding:
         saw_delta = False
         for payload, checkpoint_mems in engine.captured:
             wire_tasks = payload[6]
-            previous = None
-            for wire, expected in zip(wire_tasks, checkpoint_mems):
-                _, _, _, _, _, mem_full, mem_delta = wire
-                if mem_full is not None:
-                    reconstructed = dict(mem_full)
-                else:
-                    saw_delta = True
-                    reconstructed = {**previous, **mem_delta}
-                assert reconstructed == expected
-                previous = reconstructed
+            saw_delta |= any(wire[5] is None for wire in wire_tasks)
+            rebuilt = [task.checkpoint.mem for task in _wire_tasks(wire_tasks)]
+            assert rebuilt == checkpoint_mems
         assert saw_delta, "no chunk exercised the delta encoding"
 
     def test_chain_memory_zero_values(self):

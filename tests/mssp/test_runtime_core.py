@@ -24,9 +24,12 @@ from hypothesis import given, settings
 from repro.config import DistillConfig, MsspConfig
 from repro.distill import Distiller
 from repro.experiments.harness import prepare
+from repro.isa.asm import assemble
+from repro.isa.registers import NUM_REGS
 from repro.mssp import MsspEngine
 from repro.mssp.engine import create_engine, run_mssp
 from repro.mssp.faults import corrupt_live_in
+from repro.mssp.regions import ProtectedRegions
 from repro.mssp.runtime.events import EventLog
 from repro.mssp.runtime.executors import (
     InlineExecutor,
@@ -34,6 +37,8 @@ from repro.mssp.runtime.executors import (
     ThreadExecutor,
     resolve_runtime,
 )
+from repro.mssp.runtime.procpool import _ChainMemory, _execute_tasks
+from repro.mssp.task import Checkpoint, Task, TaskStatus
 from repro.mssp.trace import TraceRecorder
 from repro.profiling import profile_program
 from repro.workloads import get_workload, workload_names
@@ -248,8 +253,7 @@ class TestRuntimeResolution:
         assert resolve_runtime("eager") == "eager"
         assert resolve_runtime("thread") == "thread"
         assert resolve_runtime("process") == "process"
-        assert resolve_runtime("sim") == "sim"
-        for unknown in ("warp", "parallel"):
+        for unknown in ("warp", "parallel", "sim"):
             with pytest.raises(ValueError):
                 resolve_runtime(unknown)
 
@@ -292,6 +296,71 @@ class TestRuntimeResolution:
             dataclasses.replace(THREAD_CONFIG, runtime=None),
         )
         assert_identical(reference, candidate)
+
+
+class TestChunkLoop:
+    """The one slave chunk loop the thread and process backends share."""
+
+    PROGRAM = assemble("""
+    main:   lw r1, 100(zero)
+            addi r1, r1, 1
+            sw r1, 100(zero)
+            lw r2, 100(zero)
+            addi r2, r2, 1
+            sw r2, 100(zero)
+            lw r3, 200(zero)
+            halt
+    """)
+    #: Address 200 is a device: a slave touching it aborts the task.
+    REGIONS = ProtectedRegions.from_config(((200, 201),))
+
+    @staticmethod
+    def task(tid, start_pc, end_pc):
+        checkpoint = Checkpoint(regs=(0,) * NUM_REGS, mem={})
+        return Task(
+            tid=tid, start_pc=start_pc, checkpoint=checkpoint, end_pc=end_pc,
+        )
+
+    def run_chunk(self, tasks):
+        return _execute_tasks(
+            self.PROGRAM, iter(tasks), _ChainMemory({100: 5}),
+            4, self.REGIONS, "decoded",
+        )
+
+    def test_chains_live_outs_and_times_every_task(self):
+        tasks = [self.task(0, 0, 3), self.task(1, 3, 6), self.task(2, 0, 3)]
+        results = self.run_chunk(tasks)
+        assert len(results) == 3
+        # Each task reads the cell its predecessor in the chunk wrote.
+        assert [t.live_in_mem for t in tasks] == [
+            {100: 5}, {100: 6}, {100: 7},
+        ]
+        assert [t.live_out_mem for t in tasks] == [
+            {100: 6}, {100: 7}, {100: 8},
+        ]
+        assert all(t.exec_seconds > 0.0 for t in tasks)
+
+    @pytest.mark.parametrize(
+        "start_pc, end_pc, flag",
+        [
+            (99, None, "faulted"),          # pc outside the program
+            (0, 6, "overrun"),              # 6 steps past the 4-step cap
+            (6, None, "protected_access"),  # loads the device cell
+        ],
+    )
+    def test_stops_after_the_first_failed_task(self, start_pc, end_pc, flag):
+        tasks = [
+            self.task(0, 0, 3), self.task(1, start_pc, end_pc),
+            self.task(2, 3, 6),
+        ]
+        results = self.run_chunk(tasks)
+        assert len(results) == 2
+        assert getattr(tasks[1], flag)
+        assert tasks[1].exec_seconds > 0.0
+        # The successor never ran: in-order verify squashes the failed
+        # task, so nothing after it in the chunk can be consumed.
+        assert tasks[2].status is TaskStatus.OPEN
+        assert tasks[2].n_instrs == 0
 
 
 def _settle(done, timeout=5.0):

@@ -47,6 +47,8 @@ class TestParser:
             (["run", "compress", "--runtime", "thread", "--workers", "0"],
              "--workers"),
             (["run", "compress", "--runtime", "parallel"], "--runtime"),
+            (["run", "compress", "--runtime", "sim"], "--runtime"),
+            (["trace", "compress", "--runtime", "sim"], "--runtime"),
         ],
     )
     def test_out_of_range_values_are_usage_errors(self, argv, flag, capsys):
@@ -93,6 +95,31 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "equivalent to SEQ" in out
         assert "speedup" in out
+
+    def test_run_runtime_flag_beats_the_environment(
+        self, monkeypatch, capsys
+    ):
+        """An explicit ``--runtime eager`` is immune to REPRO_RUNTIME,
+        and ``--workers`` always reaches the engine."""
+        from repro.experiments import harness
+
+        built = []
+        create_engine = harness.create_engine
+
+        def recording(*args, **kwargs):
+            built.append(create_engine(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "create_engine", recording)
+        monkeypatch.setenv("REPRO_RUNTIME", "thread")
+        assert main([
+            "run", "crc", "--size", "6", "--runtime", "eager",
+            "--workers", "3",
+        ]) == 0
+        assert [engine.runtime for engine in built] == ["eager"]
+        assert built[0].config.num_slaves == 3
+        out = capsys.readouterr().out
+        assert "runtime:                 eager (3 slave workers)" in out
 
     def test_run_with_task_size(self, capsys):
         assert main(
@@ -177,12 +204,32 @@ class TestCommands:
             ["sim", "compress", "--size", "300", "--slaves", "2,4"]
         ) == 0
         out = capsys.readouterr().out
-        assert "bit-identical to eager: yes" in out
         assert "slave-count sweep" in out
         for scenario in (
             "contended-link", "heterogeneous-slaves", "slave-failure"
         ):
             assert scenario in out
+
+    def test_sim_output_rewrites_only_its_section(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "BENCH_summary.json"
+        kept = {
+            "schema": 4,
+            "microbenchmark": {"speedup": 3.0},
+            "serve_bench": {"open_loop": []},
+        }
+        path.write_text(json.dumps(kept))
+        assert main([
+            "sim", "compress", "--size", "300", "--slaves", "2",
+            "--no-scenarios", "--output", str(path),
+        ]) == 0
+        assert f"wrote {path}" in capsys.readouterr().out
+        written = json.loads(path.read_text())
+        sim_bench = written.pop("sim_bench")
+        assert written == kept
+        assert "bit_identical" not in sim_bench
+        assert [row["n_slaves"] for row in sim_bench["sweep"]] == [2]
 
 
 class TestTraceInputErrors:

@@ -73,6 +73,7 @@ class TestMsspConfig:
             {"runtime": "warp"},
             {"runtime": "inline"},
             {"runtime": "parallel"},
+            {"runtime": "sim"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -83,7 +84,7 @@ class TestMsspConfig:
         assert MsspConfig(checkpoint_mode="delta").checkpoint_mode == "delta"
 
     def test_runtime_choices_accepted(self):
-        for runtime in (None, "eager", "thread", "process", "sim"):
+        for runtime in (None, "eager", "thread", "process"):
             assert MsspConfig(runtime=runtime).runtime == runtime
 
     def test_protected_regions_stored(self):

@@ -4,8 +4,36 @@ import time
 
 import pytest
 
+from repro.config import DistillConfig, MsspConfig
+from repro.distill import Distiller
+from repro.isa.asm import assemble
+from repro.mssp.engine import create_engine
 from repro.mssp.runtime.events import EventBus, TaskForked
+from repro.profiling import profile_program
 from repro.timing.clock import Clock, VirtualClock, WallClock
+
+SOURCE = """
+main:   li r1, 150
+loop:   addi r1, r1, -1
+        add r2, r2, r1
+        lw r3, 500(zero)
+        add r2, r2, r3
+        bne r1, zero, loop
+        sw r2, 0x900(zero)
+        halt
+        .data 500
+        .word 3
+"""
+
+
+@pytest.fixture(scope="module")
+def prepared():
+    program = assemble(SOURCE)
+    profile = profile_program(program)
+    distillation = Distiller(DistillConfig(target_task_size=25)).distill(
+        program, profile
+    )
+    return program, distillation
 
 
 class TestClocks:
@@ -75,3 +103,25 @@ class TestEventStamping:
             bus.emit(TaskForked(tid=tid, start_pc=0, end_pc=None))
         stamps = [event.at for event in seen]
         assert stamps == sorted(stamps)
+
+
+class TestEngineClock:
+    def test_eager_engine_gets_a_wall_clock(self, prepared):
+        program, distillation = prepared
+        with create_engine(
+            program, distillation, MsspConfig(runtime="eager")
+        ) as engine:
+            engine.run()
+        assert isinstance(engine.clock, WallClock)
+
+    def test_injected_clock_stamps_every_event(self, prepared):
+        program, distillation = prepared
+        clock = VirtualClock(start=42.0)
+        with create_engine(
+            program, distillation, MsspConfig(runtime="eager"), clock=clock
+        ) as engine:
+            assert engine.clock is clock
+            seen = []
+            engine.events.subscribe(seen.append)
+            engine.run()
+        assert seen and all(event.at == 42.0 for event in seen)
