@@ -320,7 +320,7 @@ def measure_parallel_runtime(
             start = time.perf_counter()
             result_parallel = pipelined.run()
             walls_parallel.append(time.perf_counter() - start)
-        dispatch = pipelined.dispatch_stats.summary()
+    dispatch = result_parallel.counters.dispatch.summary()
 
     identical = (
         result_eager.records == result_parallel.records

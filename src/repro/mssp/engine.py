@@ -39,9 +39,9 @@ it, so arbitrary master misbehaviour degrades performance, never
 correctness or termination.
 
 Everything observable along the way is announced on the engine's
-:class:`~repro.mssp.runtime.events.EventBus`;
-:attr:`MsspResult.records` is itself rebuilt from those events by a
-:class:`~repro.mssp.trace.TraceRecorder` subscription.
+:class:`~repro.mssp.runtime.events.EventBus`; :attr:`MsspResult.records`
+and :attr:`MsspResult.counters` are both folded from those events by
+one :class:`~repro.mssp.trace.TraceRecorder` subscription.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from repro.mssp.runtime.executors import create_executor, resolve_runtime
 from repro.mssp.runtime.pipeline import TaskPipeline
 from repro.mssp.task import SquashReason, Task
 from repro.mssp.trace import (
-    DispatchStats,
     MasterFailureRecord,
     MsspCounters,
     RecoveryRecord,
@@ -182,9 +181,8 @@ class MsspEngine:
         #: The engine's one time source: wall time unless a clock is
         #: injected (tests drive time themselves).
         self.clock = self.events.clock
-        #: Routing statistics of the most recent run (the same object as
-        #: that run's ``result.counters.dispatch``).
-        self.dispatch_stats = DispatchStats()
+        #: The current run's fold of its events; the step budget reads it.
+        self._recorder = TraceRecorder()
         self._executor = None
         #: Static speculation-safety report driving the verify register
         #: fast path (``config.static_safety``).  Computed here unless
@@ -231,8 +229,6 @@ class MsspEngine:
             ):
                 self._install_distillation(self._initial_distillation)
         master = self._build_master()
-        counters = MsspCounters()
-        self.dispatch_stats = counters.dispatch
         device_trace: List[DeviceAccess] = []
         recent_outcomes: deque = deque(maxlen=self.config.throttle_window)
         next_tid = 0
@@ -243,7 +239,7 @@ class MsspEngine:
             executor = self._executor = self._make_executor()
         executor.begin_run()
         pipeline = TaskPipeline(self, executor, self.events)
-        recorder = TraceRecorder()
+        recorder = self._recorder = TraceRecorder()
         unsubscribe = self.events.subscribe(recorder)
         try:
             while not halted:
@@ -257,7 +253,6 @@ class MsspEngine:
                         region, misses, result, delta = swap
                         self._install_distillation(result)
                         master = self._build_master()
-                        counters.redistillations += 1
                         self.events.emit(Redistilled(
                             region=region,
                             misses=misses,
@@ -272,18 +267,17 @@ class MsspEngine:
                     # fork whose target never got a map entry).
                     # Sequential execution to the next anchor is always
                     # a safe fallback.
-                    recovery = self._recover(arch, counters, device_trace)
+                    recovery = self._recover(arch, device_trace)
                     halted = recovery.halted
                     continue
                 master.restart(arch, self.pc_map.resume_pc(arch.pc))
-                counters.restarts += 1
                 if self.predictor is not None:
                     # Freeze this episode's override snapshot: training
                     # continues at every judge, but what forks see is
                     # fixed here, identically for every backend.
                     self.predictor.begin_episode()
                 halted, next_tid = pipeline.run_episode(
-                    arch, master, counters, recent_outcomes, next_tid
+                    arch, master, recent_outcomes, next_tid
                 )
                 if halted:
                     break
@@ -300,10 +294,9 @@ class MsspEngine:
                     failures = sum(1 for ok in recent_outcomes if not ok)
                     if failures / len(recent_outcomes) >= threshold:
                         min_instrs = self.config.throttle_chunk
-                        counters.throttle_episodes += 1
                         recent_outcomes.clear()
                 recovery = self._recover(
-                    arch, counters, device_trace, min_instrs=min_instrs
+                    arch, device_trace, min_instrs=min_instrs
                 )
                 if recovery.halted:
                     halted = True
@@ -312,7 +305,7 @@ class MsspEngine:
 
         return MsspResult(
             final_state=arch, halted=True, records=recorder.records,
-            counters=counters, device_trace=device_trace,
+            counters=recorder.counters, device_trace=device_trace,
         )
 
     def run_and_check(self) -> MsspResult:
@@ -461,35 +454,24 @@ class MsspEngine:
         """
         return create_executor(self, self.events)
 
-    def _record_master_failure(
-        self,
-        task: Task,
-        event: MasterEvent,
-        counters: MsspCounters,
-    ) -> None:
-        """Account a terminal TRAP/TIMEOUT: the open task is undelimited."""
-        counters.master_failures += 1
+    def _record_master_failure(self, task: Task, event: MasterEvent) -> None:
+        """Announce a terminal TRAP/TIMEOUT: the open task is undelimited."""
         record = MasterFailureRecord(
-            kind=event.kind.value, master_instrs=event.instrs
+            kind=event.kind.value, master_instrs=event.instrs,
+            exact=task.exact,
         )
         squash_task(task, SquashReason.MASTER_TIMEOUT)
         self._assert_predicted(SquashReason.MASTER_TIMEOUT, None)
-        counters.tasks_squashed += 1
-        counters.note_squash_reason(SquashReason.MASTER_TIMEOUT.value)
         self.events.emit(MasterFailed(tid=task.tid, record=record))
 
     def _judge_task(
-        self,
-        task: Task,
-        event: MasterEvent,
-        arch: ArchState,
-        counters: MsspCounters,
+        self, task: Task, event: MasterEvent, arch: ArchState
     ) -> tuple:
         """Verify + (maybe) commit one already-executed task.
 
         This is the in-order verify/commit stage every backend shares:
-        it is the only code that writes architected state, announces
-        task records, or bumps task counters, so any execution strategy
+        it is the only code that writes architected state or announces
+        task records (which the counters fold), so any execution strategy
         that feeds it identical task objects in identical order produces
         an identical :class:`MsspResult`.  Returns
         ``(committed, machine_halted)``.
@@ -498,9 +480,6 @@ class MsspEngine:
             task, arch, versions=self._versions,
             safety_mode=self.config.static_safety,
         )
-        counters.live_ins_checked += outcome.checked
-        counters.live_ins_mismatched += outcome.mismatched
-        counters.static_verify_skips += outcome.static_skips
         if outcome.proven_mismatch:
             # ``check`` mode found a statically PROVEN register whose
             # prediction was wrong: the safety analysis is unsound for
@@ -510,8 +489,7 @@ class MsspEngine:
                 f"statically PROVEN live-in mismatched at anchor "
                 f"{task.start_pc}: {outcome.detail}"
             )
-        if task.exact:
-            counters.exact_tasks += 1
+        hits = misses = 0
         bank = self.predictor
         if (
             bank is not None
@@ -524,8 +502,6 @@ class MsspEngine:
             # same order, so training — and therefore every later
             # override — is bit-identical across runtimes.
             hits, misses = bank.observe_task(task, arch)
-            counters.predictor_hits += hits
-            counters.predictor_misses += misses
         record = TaskAttemptRecord(
             tid=task.tid,
             start_pc=task.start_pc,
@@ -543,19 +519,17 @@ class MsspEngine:
             final=task.final,
             halted=task.halted,
             checkpoint_words=len(task.checkpoint),
+            static_skips=outcome.static_skips,
+            predictor_hits=hits,
+            predictor_misses=misses,
         )
         if outcome.ok:
             commit_task(task, arch)
             self._versions.stamp_commit(task.live_out_mem)
-            counters.tasks_committed += 1
-            counters.committed_instrs += task.n_instrs
             self.events.emit(TaskCommitted(tid=task.tid, record=record))
             return True, task.halted
         squash_task(task, outcome.reason)
         self._assert_predicted(outcome.reason, outcome.origin_pc)
-        counters.tasks_squashed += 1
-        counters.squashed_instrs += task.n_instrs
-        counters.note_squash_reason(outcome.reason.value)
         mismatched_regs: tuple = ()
         if task.start_pc == arch.pc:
             # Redistillation evidence: which register live-ins actually
@@ -575,7 +549,6 @@ class MsspEngine:
     def _recover(
         self,
         arch: ArchState,
-        counters: MsspCounters,
         device_trace: List[DeviceAccess],
         min_instrs: int = 0,
     ) -> RecoveryRecord:
@@ -595,8 +568,10 @@ class MsspEngine:
         size = decoded.size
         steps = 0
         loads = 0
+        accesses = 0
         halted = False
-        budget = self.config.max_total_instrs - counters.total_instrs
+        total = self._recorder.counters.total_instrs
+        budget = self.config.max_total_instrs - total
         jp = self._jit_recover
         # Superblocks may run only while every bound stays unreachable
         # within one region body; the per-step loop below handles the
@@ -638,7 +613,7 @@ class MsspEngine:
                         value=effect.mem_value, is_store=effect.is_store,
                     )
                 )
-                counters.device_accesses += 1
+                accesses += 1
             if steps >= min_instrs and arch.pc in anchors:
                 break
             if steps >= budget:
@@ -650,12 +625,11 @@ class MsspEngine:
         # Recovery wrote architected cells without itemizing them:
         # invalidate every version stamp at once.
         self._versions.invalidate_all()
-        counters.recovery_instrs += steps
-        counters.recovery_episodes += 1
         record = RecoveryRecord(
             n_instrs=steps, halted=halted,
             resumed_at=None if halted else arch.pc,
-            n_loads=loads,
+            n_loads=loads, throttled=min_instrs > 0,
+            device_accesses=accesses,
         )
         self.events.emit(RecoveryRun(record=record))
         return record
@@ -679,8 +653,9 @@ class MsspEngine:
             f"pass statistics only license {sorted(allowed)}"
         )
 
-    def _check_budget(self, counters: MsspCounters) -> None:
-        if counters.total_instrs > self.config.max_total_instrs:
+    def _check_budget(self) -> None:
+        total = self._recorder.counters.total_instrs
+        if total > self.config.max_total_instrs:
             raise StepLimitExceeded(self.config.max_total_instrs)
 
 

@@ -2,12 +2,13 @@
 
 Every observable step of the task pipeline — forks, dispatches,
 adoptions, judgements, recoveries, degradations — is announced as one
-frozen :class:`RuntimeEvent` on the engine's :class:`EventBus`.  Trace
-recording (:class:`repro.mssp.trace.TraceRecorder`), fault injection
+frozen :class:`RuntimeEvent` on the engine's :class:`EventBus`.  The
+one fold of a run's records and counters
+(:class:`repro.mssp.trace.TraceRecorder`), fault injection
 (:func:`repro.mssp.faults.corrupt_live_in`), the runtime lint checks
 (``RT001``/``RT002`` in :mod:`repro.analysis.checker`), and tests all
-consume this one surface by subscription instead of each growing its own
-hook into the engine.
+consume this one surface by subscription instead of each growing its
+own hook into the engine.
 
 Events carry *references* (records, tasks), not copies: a
 ``task_executed`` subscriber that mutates ``event.task`` changes what
@@ -103,6 +104,9 @@ class TaskExecuted(RuntimeEvent):
     task: object
     adopted: bool = False
     cost: float = 0.0  # measured wall-seconds spent executing the task
+    #: Why a pipelined task ran locally: ``"stale"`` (its worker result
+    #: read a changed cell) or ``"missing"``; empty otherwise.
+    reexecuted: str = ""
 
 
 @dataclass(frozen=True)
@@ -246,6 +250,8 @@ class EpisodeCompleted(RuntimeEvent):
     request_id: int
     worker: int
     ok: bool = True
+    #: The response says the episode ran folded into a service batch.
+    batched: bool = False
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,16 @@ and runs it against any :class:`SlaveExecutor` backend:
   unjudged successor, exactly as the eager engine discards them by
   never producing them.
 
-Accounting follows consume order, never production order: each master
-event's instruction count folds into the counters when its task is
-judged, so events past the first squash — which the eager engine never
-produces — are never counted.  That, plus the staleness check, is the
-bit-identity argument (see :meth:`TaskPipeline._result_valid` for the
-staleness half).
-
 Everything observable is announced on the engine's
-:class:`~repro.mssp.runtime.events.EventBus` as it happens.
+:class:`~repro.mssp.runtime.events.EventBus` as it happens; the
+pipeline counts nothing, the engine's
+:class:`~repro.mssp.trace.TraceRecorder` folds the counters.  That fold
+follows consume order: a master event's instruction count arrives on
+the record its task is judged (or fails) with, so events past the first
+squash — which the eager engine never produces — are never counted.
+That, plus the staleness check, is the bit-identity argument (see
+:meth:`TaskPipeline._result_valid`).  Only the backend-dependent
+``discarded`` follows production: forked tasks no verdict followed.
 """
 
 from __future__ import annotations
@@ -110,7 +111,6 @@ class TaskPipeline:
         self,
         arch: ArchState,
         master: Master,
-        counters,
         recent_outcomes: deque,
         next_tid: int,
     ) -> tuple:
@@ -146,7 +146,6 @@ class TaskPipeline:
         # that image at every later judge point in the episode (the
         # verify fast path's precondition for adopted results).
         episode_version = core._versions.seq
-        stats = core.dispatch_stats
 
         #: Produced, not yet judged — episode order; head judged first.
         pending: Deque[_Pending] = deque()
@@ -240,56 +239,53 @@ class TaskPipeline:
                 ):
                     batch = to_dispatch[:chunk_size]
                     del to_dispatch[:chunk_size]
-                    self._dispatch(batch, inflight, stats)
+                    self._dispatch(batch, inflight)
 
                 # 3. Verify/commit the next task in episode order.
                 entry = pending.popleft()
-                counters.master_instrs += entry.event.instrs
                 task = entry.task
                 if entry.failure:
-                    core._record_master_failure(task, entry.event, counters)
+                    core._record_master_failure(task, entry.event)
                     recent_outcomes.append(False)
                     return False, task.tid + 1
                 result = self._await_result(task.tid, inflight, results)
                 adopted = False
+                reexecuted = ""
                 if result is not None:
                     task.base_version = episode_version
                     if self._result_valid(task, result, arch):
                         adopt_wire_result(task, result)
                         adopted = True
-                        stats.adopted += 1
                         events.emit(
                             ResultAdopted(
                                 tid=task.tid, cost=task.exec_seconds
                             )
                         )
                     else:
-                        stats.stale += 1
+                        reexecuted = "stale"
+                elif pipelined:
+                    reexecuted = "missing"
                 if not adopted:
-                    if pipelined:
-                        if result is None:
-                            stats.missing += 1
-                        stats.reexecuted += 1
                     self._execute_locally(task, arch)
                 events.emit(
                     TaskExecuted(
-                        task=task, adopted=adopted, cost=task.exec_seconds
+                        task=task, adopted=adopted, cost=task.exec_seconds,
+                        reexecuted=reexecuted,
                     )
                 )
                 committed, slave_halted = core._judge_task(
-                    task, entry.event, arch, counters
+                    task, entry.event, arch
                 )
                 recent_outcomes.append(committed)
                 if not committed:
                     return False, task.tid + 1
                 if slave_halted:
                     return True, next_tid
-                core._check_budget(counters)
+                core._check_budget()
         finally:
             # Episode over: every produced-but-unjudged successor is
             # discarded, exactly as the eager engine discards it by
             # never producing it.
-            stats.discarded += len(pending) + len(to_dispatch)
             for chunk in inflight:
                 chunk.handle.cancel()
             if pipelined:
@@ -298,17 +294,12 @@ class TaskPipeline:
     # -- stages -------------------------------------------------------------------
 
     def _dispatch(
-        self,
-        batch: List[_Pending],
-        inflight: Deque[_Chunk],
-        stats,
+        self, batch: List[_Pending], inflight: Deque[_Chunk]
     ) -> None:
         handle = self.executor.submit_chunk(batch)
         if handle is None:
             return  # undispatched tasks re-execute locally when judged
         inflight.append(_Chunk(last_tid=batch[-1].task.tid, handle=handle))
-        stats.chunks += 1
-        stats.dispatched += len(batch)
         self.events.emit(ChunkDispatched(
             executor=self.executor.name,
             first_tid=batch[0].task.tid,

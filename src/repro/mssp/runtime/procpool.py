@@ -64,6 +64,12 @@ _WORKER_BASE_LIMIT = 4
 
 _RUN_TOKENS = itertools.count()
 
+#: Unanswered chunks a pipe-pool worker may hold before ``submit`` reads
+#: its oldest reply.  An episode keeps at most one chunk per worker in
+#: flight, so only replies to chunks a squash abandoned pile up; unread,
+#: they fill the socket both ways and parent and worker block each other.
+_MAX_UNANSWERED = 2
+
 
 def _worker_init(
     digest: bytes, program: Program, tier: str = "decoded"
@@ -86,15 +92,19 @@ def _worker_init(
 
 
 def _pipe_worker(
-    conn, digest: bytes, program: Program, tier: str = "decoded"
+    conn, digest: bytes, program: Program, tier: str = "decoded",
+    inherited=(),
 ) -> None:
     """Slave process main loop: execute chunks arriving on ``conn``.
 
     Messages are ``(chunk_id, payload)``; replies are
     ``(chunk_id, results)``.  ``None`` (or a closed pipe) shuts the
     worker down.  The chunk id is echoed so the engine can discard
-    replies to chunks it stopped caring about (episode squash).
-    """
+    replies to chunks it stopped caring about (episode squash).  With
+    the pool's ``inherited`` ends closed, the worker sees EOF or EPIPE
+    once the parent is gone."""
+    for end in inherited:
+        end.close()
     _worker_init(digest, program, tier)
     try:
         while True:
@@ -124,9 +134,10 @@ class _PipePool:
     while blocking), and there are no auxiliary threads at all.
 
     Chunks are assigned round-robin; each worker processes its pipe in
-    FIFO order, so consuming results in submission order per worker is a
-    plain ``recv`` loop.  Stale replies (chunks abandoned on episode
-    squash) are skipped by chunk id.
+    FIFO order.  ``submit`` first reads the replies already waiting (and
+    the oldest, at :data:`_MAX_UNANSWERED`), so no socket fills up.
+    Replies wait for :meth:`get` by chunk id; those of chunks abandoned
+    on episode squash are dropped by the next ``get``.
     """
 
     def __init__(
@@ -142,19 +153,22 @@ class _PipePool:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
             ctx = multiprocessing.get_context()
-        self._conns = []
+        pipes = [ctx.Pipe(duplex=True) for _ in range(num_workers)]
+        self._conns = [parent_conn for parent_conn, _ in pipes]
         self._procs = []
         self._next_worker = 0
         self._chunk_ids = itertools.count()
+        self._unanswered = [0] * num_workers
+        self._replies: Dict[int, List[tuple]] = {}
         self.num_workers = num_workers
-        for _ in range(num_workers):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
+        for _, child_conn in pipes:
+            # The fork hands the worker every end of every pool pipe.
+            inherited = [e for p in pipes for e in p if e is not child_conn]
             proc = ctx.Process(
                 target=_pipe_worker,
-                args=(child_conn, digest, program, tier),
+                args=(child_conn, digest, program, tier, inherited),
                 daemon=True,
             )
-            self._conns.append(parent_conn)
             self._procs.append((proc, child_conn))
 
     def start(self) -> None:
@@ -171,19 +185,31 @@ class _PipePool:
         """Ship one chunk; returns an opaque ticket for :meth:`get`."""
         worker = self._next_worker
         self._next_worker = (worker + 1) % self.num_workers
+        conn = self._conns[worker]
+        while self._unanswered[worker] and (
+            self._unanswered[worker] >= _MAX_UNANSWERED or conn.poll()
+        ):
+            self._read(worker)
         chunk_id = next(self._chunk_ids)
-        self._conns[worker].send((chunk_id, payload))
+        conn.send((chunk_id, payload))
+        self._unanswered[worker] += 1
         return (worker, chunk_id)
 
     def get(self, ticket) -> List[tuple]:
         """Block for one chunk's results, discarding stale replies."""
         worker, chunk_id = ticket
-        conn = self._conns[worker]
-        while True:
-            got_id, results = conn.recv()
-            if got_id == chunk_id:
-                return results
-            # else: a reply for an episode-squashed chunk; drop it.
+        while chunk_id not in self._replies:
+            self._read(worker)
+        # Chunks are consumed in submission order: an older reply still
+        # here belongs to a chunk an episode squash abandoned.
+        for stale in [c for c in self._replies if c < chunk_id]:
+            del self._replies[stale]
+        return self._replies.pop(chunk_id)
+
+    def _read(self, worker: int) -> None:
+        got_id, results = self._conns[worker].recv()
+        self._unanswered[worker] -= 1
+        self._replies[got_id] = results
 
     def shutdown(self, wait: bool = False, cancel_futures: bool = False):
         for conn in self._conns:

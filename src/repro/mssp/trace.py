@@ -5,19 +5,22 @@ squash, how long each is); the timing model replays these records to
 decide *how long it takes*.  In-order commit makes the functional outcome
 timing-independent, which is what licenses this separation.
 
-Records are not appended by the engine directly: the runtime core
-announces every judgement/failure/recovery on its event bus
-(:mod:`repro.mssp.runtime.events`), and :class:`TraceRecorder` — one
-subscriber among possibly many — rebuilds the record stream from those
-events.  Anything reconstructable from the event stream is therefore
-reconstructable outside the engine too, which the event-seam tests pin
-down byte for byte.
+Neither records nor counters are kept by the engine directly: the
+runtime core announces every fork, dispatch, judgement, failure and
+recovery on its event bus (:mod:`repro.mssp.runtime.events`), and
+:class:`TraceRecorder` — one subscriber among possibly many — folds
+those events into the record stream *and* the run's counters.  Anything
+the engine reports is therefore reconstructable outside the engine too,
+from a live subscription or an imported trace, which the event-seam
+tests pin down byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Union
+
+from repro.mssp.task import SquashReason
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,11 @@ class TaskAttemptRecord:
     #: Words in the checkpoint shipped for this task (register file +
     #: master-dirty memory); drives the timing model's bandwidth cost.
     checkpoint_words: int = 0
+    #: Register live-in compares the static safety prover covered.
+    static_skips: int = 0
+    #: Predictor-overridden live-in cells that matched / missed at judge.
+    predictor_hits: int = 0
+    predictor_misses: int = 0
 
     @property
     def outcome(self) -> str:
@@ -67,6 +75,10 @@ class RecoveryRecord:
     resumed_at: Optional[int]
     #: Memory loads among ``n_instrs``.
     n_loads: int = 0
+    #: A dual-mode throttle's ``throttle_chunk`` minimum was in force.
+    throttled: bool = False
+    #: Non-speculative accesses to protected (I/O) regions.
+    device_accesses: int = 0
 
 
 @dataclass(frozen=True)
@@ -75,34 +87,11 @@ class MasterFailureRecord:
 
     kind: str
     master_instrs: int
+    #: The master failed before the episode's first fork.
+    exact: bool = False
 
 
 TraceRecord = Union[TaskAttemptRecord, RecoveryRecord, MasterFailureRecord]
-
-
-class TraceRecorder:
-    """Event-bus subscriber that rebuilds the trace-record stream.
-
-    Subscribed by the engine for the duration of a run; the ``records``
-    list it accumulates *is* :attr:`MsspResult.records`.  Any other
-    subscriber sees exactly the same events, so an independently
-    subscribed recorder reconstructs the identical stream.
-    """
-
-    __slots__ = ("records",)
-
-    #: Event kinds that carry a trace record, in the order the runtime
-    #: emits them (judgement order, with recoveries interleaved).
-    RECORD_KINDS = frozenset(
-        ("task_committed", "task_squashed", "master_failure", "recovery")
-    )
-
-    def __init__(self) -> None:
-        self.records: List[TraceRecord] = []
-
-    def __call__(self, event) -> None:
-        if event.kind in self.RECORD_KINDS:
-            self.records.append(event.record)
 
 
 @dataclass
@@ -127,20 +116,13 @@ class DispatchStats:
     #: pool, or never dispatched) — re-executed locally.
     missing: int = 0
     reexecuted: int = 0
-    #: Produced-but-never-judged tasks thrown away when an episode ended
-    #: early (the squash/cancel path).
+    #: Tasks announced by ``task_forked`` but never judged: successors an
+    #: episode-ending squash, failure or halt threw away.  A TRAP/TIMEOUT
+    #: task left behind a squash was never forked, so it is not counted.
     discarded: int = 0
 
     def summary(self) -> Dict[str, int]:
-        return {
-            "chunks": self.chunks,
-            "dispatched": self.dispatched,
-            "adopted": self.adopted,
-            "stale": self.stale,
-            "missing": self.missing,
-            "reexecuted": self.reexecuted,
-            "discarded": self.discarded,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -186,9 +168,6 @@ class MsspCounters:
     dispatch: DispatchStats = field(
         default_factory=DispatchStats, compare=False, repr=False
     )
-
-    def note_squash_reason(self, reason: str) -> None:
-        self.squash_reasons[reason] = self.squash_reasons.get(reason, 0) + 1
 
     @property
     def total_instrs(self) -> int:
@@ -243,3 +222,79 @@ class MsspCounters:
         for key, value in self.dispatch.summary().items():
             out[key] = float(value)
         return out
+
+
+class TraceRecorder:
+    """The one fold of a run's events into its records and counters.
+
+    The engine subscribes one per run: its ``records`` and ``counters``
+    (dispatch included) *are* the :class:`MsspResult`'s, so any other
+    recorder, live or fed an imported trace, reconstructs both.
+    """
+
+    __slots__ = ("records", "counters")
+
+    def __init__(self) -> None:
+        self.records: List[TraceRecord] = []
+        self.counters = MsspCounters()
+
+    def __call__(self, event) -> None:
+        kind = event.kind
+        counters = self.counters
+        dispatch = counters.dispatch
+        reasons = counters.squash_reasons
+        if kind == "task_forked":
+            dispatch.discarded += 1  # until judged
+        elif kind == "task_committed" or kind == "task_squashed":
+            record = event.record
+            self.records.append(record)
+            dispatch.discarded -= 1
+            counters.master_instrs += record.master_instrs
+            counters.live_ins_checked += record.live_ins_checked
+            counters.live_ins_mismatched += record.live_ins_mismatched
+            counters.static_verify_skips += record.static_skips
+            counters.predictor_hits += record.predictor_hits
+            counters.predictor_misses += record.predictor_misses
+            if record.exact:  # each master restart opens one exact task
+                counters.exact_tasks += 1
+                counters.restarts += 1
+            if record.committed:
+                counters.tasks_committed += 1
+                counters.committed_instrs += record.n_instrs
+            else:
+                counters.tasks_squashed += 1
+                counters.squashed_instrs += record.n_instrs
+                reason = record.squash_reason
+                reasons[reason] = reasons.get(reason, 0) + 1
+        elif kind == "task_executed":
+            if event.reexecuted:
+                dispatch.reexecuted += 1
+                if event.reexecuted == "stale":
+                    dispatch.stale += 1
+                else:
+                    dispatch.missing += 1
+        elif kind == "chunk_dispatched":
+            dispatch.chunks += 1
+            dispatch.dispatched += event.n_tasks
+        elif kind == "result_adopted":
+            dispatch.adopted += 1
+        elif kind == "recovery":
+            record = event.record
+            self.records.append(record)
+            counters.recovery_instrs += record.n_instrs
+            counters.recovery_episodes += 1
+            counters.device_accesses += record.device_accesses
+            if record.throttled:
+                counters.throttle_episodes += 1
+        elif kind == "master_failure":
+            record = event.record
+            self.records.append(record)
+            counters.master_instrs += record.master_instrs
+            counters.master_failures += 1
+            counters.tasks_squashed += 1
+            reason = SquashReason.MASTER_TIMEOUT.value
+            reasons[reason] = reasons.get(reason, 0) + 1
+            if record.exact:
+                counters.restarts += 1
+        elif kind == "redistilled":
+            counters.redistillations += 1

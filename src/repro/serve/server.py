@@ -36,7 +36,7 @@ process backends.
 Everything observable is announced on the server's
 :class:`~repro.mssp.runtime.events.EventBus` (``episode_accepted`` /
 ``episode_dispatched`` / ``episode_completed`` / ``episode_shed``), the
-stream the RT004 lint check audits.
+stream the RT004 lint check audits and :class:`ServerStats` folds.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import hashlib
 import itertools
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.config import DistillConfig, MsspConfig, ServeConfig
@@ -196,7 +196,12 @@ class EpisodeHandle:
 
 @dataclass
 class ServerStats:
-    """Cumulative serving statistics (admission, batching, queue)."""
+    """Cumulative serving statistics, folded from the server's bus.
+
+    ``batched`` counts completed requests whose response says so.
+    ``warmup_episodes`` (warmups emit no episode events) and the queue
+    gauges are set directly.
+    """
 
     accepted: int = 0
     completed: int = 0
@@ -207,17 +212,22 @@ class ServerStats:
     queue_depth: int = 0
     max_queue_depth: int = 0
 
+    def __call__(self, event) -> None:
+        kind = event.kind
+        if kind == "episode_accepted":
+            self.accepted += 1
+        elif kind == "episode_completed":
+            if event.ok:
+                self.completed += 1
+            else:
+                self.errors += 1
+            if event.batched:
+                self.batched += 1
+        elif kind == "episode_shed":
+            self.shed += 1
+
     def summary(self) -> Dict[str, int]:
-        return {
-            "accepted": self.accepted,
-            "completed": self.completed,
-            "errors": self.errors,
-            "shed": self.shed,
-            "batched": self.batched,
-            "warmup_episodes": self.warmup_episodes,
-            "queue_depth": self.queue_depth,
-            "max_queue_depth": self.max_queue_depth,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -261,6 +271,7 @@ class EpisodeServer:
         self.warm = WarmCache()
         self.engines = EnginePool()
         self.stats = ServerStats()
+        self.events.subscribe(self.stats)
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         self._rid = itertools.count()
@@ -342,7 +353,6 @@ class EpisodeServer:
         with self._lock:
             if self._closed:
                 raise MsspError("episode server already closed")
-            self.stats.accepted += 1
             self.events.emit(EpisodeAccepted(
                 request_id=handle.request_id,
                 digest=request.digest or f"workload:{request.workload}",
@@ -494,11 +504,9 @@ class EpisodeServer:
                     keep.append(entry)
             keep.extend(pending)
             self._assigned[worker] = keep
-            self.stats.batched += len(claimed)
         return claimed
 
     def _shed_locked(self, entry: _Pending, why: str) -> None:
-        self.stats.shed += 1
         self.events.emit(EpisodeShed(
             request_id=entry.handle.request_id, why=why
         ))
@@ -626,7 +634,6 @@ class EpisodeServer:
             for entry in reversed(entries):
                 entry.batched = False
                 self._assigned[worker].appendleft(entry)
-            self.stats.batched -= len(entries)
             self._work.notify_all()
 
     def _finish(
@@ -634,13 +641,9 @@ class EpisodeServer:
     ) -> None:
         with self._lock:
             self._loads[worker].discard(entry.handle.request_id)
-            if response.status == "ok":
-                self.stats.completed += 1
-            else:
-                self.stats.errors += 1
             self.events.emit(EpisodeCompleted(
                 request_id=entry.handle.request_id, worker=worker,
-                ok=response.status == "ok",
+                ok=response.ok, batched=response.batched,
             ))
             self._refill(worker)
         entry.handle._resolve(response)

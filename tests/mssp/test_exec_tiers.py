@@ -155,7 +155,7 @@ def run_parallel_differential(program, distillation, config, fault_tid=None):
     finally:
         engine.close()
     assert_identical(reference, candidate)
-    return engine.dispatch_stats
+    return candidate.counters.dispatch
 
 
 @pytest.mark.parallel

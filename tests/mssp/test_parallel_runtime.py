@@ -113,7 +113,7 @@ def run_differential(program, distillation, config, executor=None,
     finally:
         engine.close()
     assert_identical(eager_result, parallel_result)
-    return eager_result, parallel_result, engine.dispatch_stats
+    return eager_result, parallel_result, parallel_result.counters.dispatch
 
 
 class TestWorkloadDifferential:

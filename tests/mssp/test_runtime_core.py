@@ -86,7 +86,7 @@ def run_backend(program, distillation, config, fault_tid=None):
         if fault_tid is not None:
             engine.events.subscribe(corrupt_live_in(fault_tid))
         result = engine.run()
-        return result, engine.dispatch_stats
+        return result, result.counters.dispatch
 
 
 class TestThreadDifferential:
@@ -198,7 +198,7 @@ class TestPoolDegradation:
             log = EventLog()
             engine.events.subscribe(log)
             candidate = engine.run()
-            stats = engine.dispatch_stats
+        stats = candidate.counters.dispatch
         assert_identical(reference, candidate)
         assert stats.dispatched == 0
         assert stats.missing > 0 and stats.reexecuted == stats.missing
@@ -215,9 +215,9 @@ class TestEventSeam:
         ],
     )
     def test_records_rebuilt_from_subscription(self, config):
-        """Satellite: an independently subscribed TraceRecorder must
-        reconstruct ``MsspResult.records`` exactly — the records *are*
-        a fold over the event stream, under every backend."""
+        """An independently subscribed TraceRecorder must reconstruct
+        ``MsspResult.records`` and ``MsspResult.counters`` exactly —
+        both *are* a fold over the event stream, under every backend."""
         ready = prepared("fib_memo")
         with create_engine(
             ready.instance.program, ready.distillation, config
@@ -228,6 +228,8 @@ class TestEventSeam:
             engine.events.subscribe(log)
             result = engine.run()
         assert recorder.records == result.records
+        assert recorder.counters == result.counters
+        assert recorder.counters.dispatch == result.counters.dispatch
         # Every judged task announced task_executed exactly once before
         # its verdict, on the pipelined backends too.
         executed = [e for e in log.events if e.kind == "task_executed"]

@@ -68,6 +68,26 @@ class TestRuntimeMatrix:
                     )
 
 
+@pytest.mark.parallel
+class TestProcessAtDefaultSize:
+    """Default sizes are the ones that fill a pool socket: the 1/8
+    sizes above never abandon enough replies to block a pipe."""
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_process_bit_identical_at_default_size(self, name):
+        ready = prepare(get_workload(name))
+        program, distillation = ready.instance.program, ready.distillation
+        reference = create_engine(
+            program, distillation, MsspConfig(runtime="eager")
+        ).run()
+        for workers in (2, 4):
+            config = MsspConfig(runtime="process", num_slaves=workers)
+            with create_engine(program, distillation, config) as engine:
+                candidate = engine.run()
+            assert_identical(reference, candidate)
+            assert candidate.counters.dispatch.adopted > 0
+
+
 class TestForcedSquash:
     def test_forced_squash_under_master_jit(self, monkeypatch):
         """Squash + recovery write architected state through the

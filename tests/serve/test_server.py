@@ -403,6 +403,48 @@ class TestFaultPaths:
             assert_identical(fresh, response.result)
 
 
+    def test_requeued_batch_entries_are_not_counted_batched(
+        self, cache_root, monkeypatch
+    ):
+        """The engine raises on the first claimed batch entry, so the
+        rest of the batch goes back to the worker's queue.
+        ``stats.batched`` counts exactly the responses that say
+        ``batched``."""
+        from repro.mssp.engine import MsspEngine
+
+        real_run = MsspEngine.run
+        calls = {"n": 0}
+
+        def flaky(self):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise RuntimeError("engine died on a batched episode (test)")
+            return real_run(self)
+
+        monkeypatch.setattr(MsspEngine, "run", flaky)
+        config = MsspConfig(runtime="eager")
+        server = EpisodeServer(
+            ServeConfig(workers=1, worker_capacity=4, max_batch=4)
+        )
+        gate, _ = gate_engine_acquire(server)
+        with server:
+            handles = [
+                server.submit(EpisodeRequest(
+                    workload="crc", size=SMALL, config=config,
+                ))
+                for _ in range(4)
+            ]
+            gate.set()
+            responses = [handle.result(60) for handle in handles]
+        # Turn 1: #0 direct, #1-#3 claimed; #1 raises, #2-#3 requeue.
+        # Turn 2 (fresh engine): #2 direct, #3 claimed.
+        assert [r.status for r in responses] == ["ok", "error", "ok", "ok"]
+        assert [r.batched for r in responses] == [False, False, False, True]
+        assert server.stats.batched == sum(r.batched for r in responses)
+        stats = server.stats
+        assert (stats.accepted, stats.completed, stats.errors) == (4, 3, 1)
+
+
 class TestEngineReuse:
     def test_engine_pool_reuses_one_engine_serially(self, cache_root):
         """Repeated same-key requests reuse one pooled engine (the
