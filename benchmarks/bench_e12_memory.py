@@ -18,9 +18,9 @@ import dataclasses
 
 from repro.config import DistillConfig, SEQUENTIAL_BASELINE, TimingConfig
 from repro.stats import Table, geomean
-from repro.timing import baseline_cycles
+from repro.timing import speedup
 
-from benchmarks.common import bench_size, report, run_once, timed_row
+from benchmarks.common import bench_size, functional_run, report, run_once
 
 SUBJECTS = ("crc", "compress", "pointer_chase", "fib_memo")
 LOAD_PENALTIES = (0.0, 1.0, 3.0)
@@ -29,13 +29,14 @@ SWEEP_SCALE = 0.5
 NO_VSPEC = DistillConfig().without_pass("value_spec")
 
 
-def _speedup(row, penalty: float) -> float:
-    baseline = dataclasses.replace(
-        SEQUENTIAL_BASELINE, load_penalty=penalty
+def _speedup(name, size, penalty, distill_config=None) -> float:
+    """MSSP speedup with ``penalty`` cycles per load on both machines."""
+    _, result = functional_run(name, size, distill_config)
+    return speedup(
+        result,
+        dataclasses.replace(TimingConfig(), load_penalty=penalty),
+        dataclasses.replace(SEQUENTIAL_BASELINE, load_penalty=penalty),
     )
-    return baseline_cycles(
-        row.seq_instrs, baseline, row.seq_loads
-    ) / row.breakdown.total_cycles
 
 
 def run_e12():
@@ -49,21 +50,10 @@ def run_e12():
     ablated_series = []
     for name in SUBJECTS:
         size = bench_size(name, scale=SWEEP_SCALE)
-        speedups = []
-        for penalty in LOAD_PENALTIES:
-            timing = dataclasses.replace(
-                TimingConfig(), load_penalty=penalty
-            )
-            row = timed_row(name, timing_config=timing, size=size)
-            speedups.append(_speedup(row, penalty))
-            full_series[penalty].append(speedups[-1])
-        worst = dataclasses.replace(
-            TimingConfig(), load_penalty=LOAD_PENALTIES[-1]
-        )
-        ablated_row = timed_row(
-            name, timing_config=worst, size=size, distill_config=NO_VSPEC
-        )
-        ablated = _speedup(ablated_row, LOAD_PENALTIES[-1])
+        speedups = [_speedup(name, size, p) for p in LOAD_PENALTIES]
+        for penalty, value in zip(LOAD_PENALTIES, speedups):
+            full_series[penalty].append(value)
+        ablated = _speedup(name, size, LOAD_PENALTIES[-1], NO_VSPEC)
         ablated_series.append(ablated)
         table.add_row(name, *speedups, ablated)
     table.add_row(

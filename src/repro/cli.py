@@ -28,12 +28,13 @@ Subcommands
     from a differential check-mode run, and the statically skipped
     verify-compare count.  Exits nonzero if a PROVEN cell squashes.
 ``bench``
-    Performance measurement: interpreter microbenchmark (reference
-    ``execute`` loop vs the pre-decoded engine) plus the E-suite through
-    the persistent artifact cache; writes ``BENCH_summary.json`` and can
-    gate against a committed baseline.  ``--serve`` runs the serving
-    benchmark instead: warm-vs-cold throughput and open-loop Poisson
-    arrivals against the episode server.
+    Performance measurement in four stages: the serving benchmark
+    (warm-vs-cold throughput and open-loop Poisson arrivals against the
+    episode server), the interpreter microbenchmark (reference
+    ``execute`` loop vs the pre-decoded engine and the JIT), the
+    E-suite through the persistent artifact cache, and the cluster
+    sweep; writes the whole ``BENCH_summary.json`` and can gate against
+    a committed baseline.
 ``serve``
     Run the persistent multi-tenant episode server: JSONL requests on
     stdin (or ``--requests FILE``), JSONL responses on stdout, serving
@@ -46,10 +47,9 @@ Subcommands
     the calibrated execution-cost rate).
 ``sim``
     Trace-driven cluster simulation: capture one workload's event
-    stream, time it with the timing model at several slave counts
-    (``--slaves 8,16,64``) and under contention / heterogeneity /
-    failure scenarios, and merge the sweep into a summary JSON
-    (``--output BENCH_summary.json``) as its ``sim_bench`` section.
+    stream and print its timing at several slave counts (``--slaves
+    2,8,16,64``) and under contention / heterogeneity / failure
+    scenarios — the sweep ``repro bench`` records for ``compress``.
 """
 
 from __future__ import annotations
@@ -188,11 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--scale", type=float, default=None,
-        help="workload size scale factor (default: REPRO_BENCH_SCALE or 1.0)",
+        help="workload size scale factor (default: 1.0)",
     )
     bench.add_argument(
         "--workloads", nargs="*", default=None,
-        help="subset of workloads (default: all)",
+        help="subset of suite workloads (default: all)",
     )
     bench.add_argument(
         "-j", "--jobs", type=int, default=1,
@@ -218,30 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--runtime", choices=RUNTIME_CHOICES, default="eager",
-        help="also measure a pipelined MSSP runtime's wall-clock speedup "
-             "per workload (-j sets the slave worker count)",
-    )
-    bench.add_argument(
-        "--serve", action="store_true",
-        help="run the serving benchmark instead: warm-vs-cold throughput "
-             "plus open-loop Poisson arrivals against the episode server "
-             "(--workloads selects the mix; --runtime the engine backend)",
-    )
-    bench.add_argument(
-        "--serve-rates", default=None, metavar="R1[,R2...]",
-        help="open-loop arrival rates in episodes/sec (default: 2,8)",
-    )
-    bench.add_argument(
-        "--serve-requests", type=int, default=24, metavar="N",
-        help="requests per open-loop rate point (default: 24)",
-    )
-    bench.add_argument(
-        "--serve-workers", type=int, default=2, metavar="N",
-        help="server worker fleet size for --serve (default: 2)",
-    )
-    bench.add_argument(
-        "--serve-seed", type=int, default=0, metavar="SEED",
-        help="seed for the Poisson arrival schedules (default: 0)",
+        help="engine backend of the serving stage; a pipelined one also "
+             "measures its wall-clock speedup per suite workload "
+             "(-j sets the slave worker count)",
     )
 
     serve = sub.add_parser(
@@ -276,9 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="workloads to pre-distill and pre-JIT at startup",
     )
     serve.add_argument(
-        "--runtime", choices=RUNTIME_CHOICES, default="thread",
+        "--runtime", choices=RUNTIME_CHOICES, default="eager",
         help="slave-execution backend for served episodes "
-             "(default: thread)",
+             "(default: eager)",
     )
     serve.add_argument(
         "--exec-tier", choices=EXEC_TIERS, default=None,
@@ -332,18 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--size", type=int, default=None)
     sim.add_argument(
-        "--slaves", default="8,16,64", metavar="N1[,N2...]",
-        help="simulated slave counts to sweep (default: 8,16,64)",
-    )
-    sim.add_argument(
-        "--no-scenarios", action="store_true", dest="no_scenarios",
-        help="skip the contention/heterogeneity/failure scenarios",
-    )
-    sim.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="write the sweep as the 'sim_bench' section of this "
-             "summary JSON (e.g. BENCH_summary.json), keeping its other "
-             "sections",
+        "--slaves", default=None, metavar="N1[,N2...]",
+        help="simulated slave counts to sweep (default: 2,8,16,64, "
+             "as repro bench)",
     )
 
     report = sub.add_parser(
@@ -951,35 +921,13 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _bench_serve(args, scale: float) -> int:
-    from repro.config import MsspConfig, ServeConfig
-    from repro.experiments.bench import write_summary
-    from repro.serve.bench import (
-        DEFAULT_RATES,
-        DEFAULT_SERVE_WORKLOADS,
-        run_serve_bench,
-    )
-
-    workloads = (
-        tuple(args.workloads) if args.workloads else DEFAULT_SERVE_WORKLOADS
-    )
-    rates = (
-        tuple(float(r) for r in args.serve_rates.split(","))
-        if args.serve_rates else DEFAULT_RATES
-    )
-    serve = run_serve_bench(
-        workloads=workloads, rates=rates,
-        requests_per_rate=args.serve_requests, scale=scale,
-        seed=args.serve_seed,
-        serve_config=ServeConfig(workers=args.serve_workers),
-        mssp_config=MsspConfig(runtime=args.runtime),
-    )
+def _print_serve(serve) -> None:
     cold = serve["cold"]
     warm = serve["warm"]
     print(
-        f"serving benchmark ({', '.join(workloads)}; "
+        f"serving benchmark ({', '.join(serve['workloads'])}; "
         f"runtime {serve['runtime'] or 'default'}, "
-        f"{args.serve_workers} server workers):"
+        f"{serve['serve']['workers']} server workers):"
     )
     print(f"  cold (1 fresh pipeline/episode): "
           f"{cold['episodes_per_sec']:>10.2f} episodes/sec")
@@ -1004,14 +952,39 @@ def _bench_serve(args, scale: float) -> int:
             row["max_queue_depth"],
         )
     print(table.render())
-    write_summary(serve, args.output, section="serve_bench")
-    print(f"wrote {args.output}")
-    return 0
+
+
+def _print_sim(sim_bench) -> None:
+    print(f"cluster simulation ({sim_bench['workload']}: "
+          f"{sim_bench['tasks_replayed']} tasks, "
+          f"{sim_bench['total_instrs']} sequential instrs)")
+    table = Table(
+        ["slaves", "sim cycles", "speedup", "stall", "commit-bound"],
+        title="slave-count sweep",
+    )
+    for row in sim_bench["sweep"]:
+        table.add_row(
+            row["n_slaves"], f"{row['sim_cycles']:.1f}",
+            f"{row['speedup']:.2f}x",
+            f"{row['master_stall_cycles']:.0f}",
+            row["commit_bound_tasks"],
+        )
+    print(table.render())
+    stable = Table(
+        ["scenario", "slaves", "sim cycles", "vs ideal", "speedup"],
+        title="cluster scenarios",
+    )
+    for row in sim_bench["scenarios"]:
+        stable.add_row(
+            row["scenario"], row["n_slaves"],
+            f"{row['sim_cycles']:.1f}",
+            f"{row['slowdown_vs_ideal']:.2f}x",
+            f"{row['speedup']:.2f}x",
+        )
+    print(stable.render())
 
 
 def cmd_bench(args) -> int:
-    import os
-
     from repro.experiments import cache as artifact_cache
     from repro.experiments.bench import (
         check_baseline,
@@ -1025,15 +998,12 @@ def cmd_bench(args) -> int:
         print(f"cleared {removed} cached artifact(s)", file=sys.stderr)
     scale = args.scale
     if scale is None:
-        scale = 0.1 if args.quick else float(
-            os.environ.get("REPRO_BENCH_SCALE", "1.0")
-        )
-    if args.serve:
-        return _bench_serve(args, scale)
+        scale = 0.1 if args.quick else 1.0
     summary = run_bench(
         workloads=args.workloads, scale=scale, jobs=args.jobs,
         runtime=args.runtime,
     )
+    _print_serve(summary["serve_bench"])
     micro = summary["microbenchmark"]
     print(
         f"interpreter microbenchmark ({micro['workload']}, "
@@ -1095,6 +1065,7 @@ def cmd_bench(args) -> int:
         f"{summary['cache_hits']}/{len(summary['suite'])} cache hits "
         f"({summary['cache_dir']})"
     )
+    _print_sim(summary["sim_bench"])
     write_summary(summary, args.output)
     print(f"wrote {args.output}")
     if args.write_baseline is not None:
@@ -1108,26 +1079,6 @@ def cmd_bench(args) -> int:
             return 1
         print(f"bench: within baseline {args.baseline}")
     return 0
-
-
-def _capture_trace(args):
-    """Run a workload with an ``EventLog`` subscribed; the stamped events."""
-    from repro.config import MsspConfig
-    from repro.experiments import prepare
-    from repro.mssp.engine import create_engine
-    from repro.mssp.runtime.events import EventLog
-
-    prepared = prepare(get_workload(args.workload), size=args.size)
-    config = MsspConfig(runtime=args.runtime)
-    if args.slaves is not None:
-        config = dataclasses.replace(config, num_slaves=args.slaves)
-    log = EventLog()
-    with create_engine(
-        prepared.instance.program, prepared.distillation, config
-    ) as engine:
-        engine.events.subscribe(log)
-        engine.run()
-    return prepared, log.events
 
 
 def _trace_summary(events) -> dict:
@@ -1164,7 +1115,9 @@ def _trace(args) -> int:
     import contextlib
     import json
 
-    from repro.sim.tracefile import export_events, import_events
+    from repro.config import MsspConfig
+    from repro.experiments.bench import capture_trace
+    from repro.timing.tracefile import export_events, import_events
 
     if args.import_path is not None:
         events = import_events(args.import_path)
@@ -1189,7 +1142,10 @@ def _trace(args) -> int:
         open(args.export_path, "w", encoding="utf-8")
         if args.export_path is not None else contextlib.nullcontext()
     ) as out:
-        prepared, events = _capture_trace(args)
+        config = MsspConfig(runtime=args.runtime)
+        if args.slaves is not None:
+            config = dataclasses.replace(config, num_slaves=args.slaves)
+        prepared, _, events = capture_trace(args.workload, args.size, config)
         summary = _trace_summary(events)
         print(f"captured {summary['events']} event(s) from {prepared.name} "
               f"({args.runtime} runtime)")
@@ -1203,56 +1159,22 @@ def _trace(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    from repro.sim.bench import run_sim_bench
+    from repro.experiments.bench import SIM_SLAVE_COUNTS, run_sim_bench
 
-    try:
-        slave_counts = tuple(
-            int(part) for part in args.slaves.split(",") if part.strip()
-        )
-    except ValueError:
-        print(f"sim: bad --slaves value {args.slaves!r}", file=sys.stderr)
-        return 2
+    slave_counts = SIM_SLAVE_COUNTS
+    if args.slaves is not None:
+        try:
+            slave_counts = tuple(
+                int(part) for part in args.slaves.split(",") if part.strip()
+            )
+        except ValueError:
+            print(f"sim: bad --slaves value {args.slaves!r}",
+                  file=sys.stderr)
+            return 2
     if not slave_counts or any(n < 1 for n in slave_counts):
         print("sim: --slaves needs positive slave counts", file=sys.stderr)
         return 2
-
-    sim_bench = run_sim_bench(
-        workload=args.workload, slave_counts=slave_counts,
-        size=args.size, scenarios=not args.no_scenarios,
-    )
-    print(f"cluster simulation ({sim_bench['workload']}: "
-          f"{sim_bench['tasks_replayed']} tasks, "
-          f"{sim_bench['total_instrs']} sequential instrs)")
-    table = Table(
-        ["slaves", "sim cycles", "speedup", "stall", "commit-bound"],
-        title="slave-count sweep",
-    )
-    for row in sim_bench["sweep"]:
-        table.add_row(
-            row["n_slaves"], f"{row['sim_cycles']:.1f}",
-            f"{row['speedup']:.2f}x",
-            f"{row['master_stall_cycles']:.0f}",
-            row["commit_bound_tasks"],
-        )
-    print(table.render())
-    if sim_bench.get("scenarios"):
-        stable = Table(
-            ["scenario", "slaves", "sim cycles", "vs ideal", "speedup"],
-            title="cluster scenarios",
-        )
-        for row in sim_bench["scenarios"]:
-            stable.add_row(
-                row["scenario"], row["n_slaves"],
-                f"{row['sim_cycles']:.1f}",
-                f"{row['slowdown_vs_ideal']:.2f}x",
-                f"{row['speedup']:.2f}x",
-            )
-        print(stable.render())
-    if args.output is not None:
-        from repro.experiments.bench import write_summary
-
-        write_summary(sim_bench, args.output, section="sim_bench")
-        print(f"wrote {args.output}")
+    _print_sim(run_sim_bench(args.workload, slave_counts, args.size))
     return 0
 
 

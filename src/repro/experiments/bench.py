@@ -1,10 +1,16 @@
 """``repro bench``: the perf-measurement loop for the reproduction.
 
-Two stages, both emitted into a machine-readable ``BENCH_summary.json``
-(:func:`write_summary`, which keeps the file's ``sim_bench`` and
-``serve_bench`` sections):
+One command runs four stages in one process and writes their results
+whole into a machine-readable ``BENCH_summary.json``
+(:func:`run_bench`, :func:`write_summary`):
 
-1. **Interpreter microbenchmark** — one workload run twice from boot to
+1. **Serving** — :func:`repro.serve.bench.run_serve_bench` on the run's
+   runtime and scale: a cold one-pipeline-per-episode baseline, a warm
+   burst and open-loop Poisson arrivals against the episode server.  It
+   runs first, as a fresh process would: its cold baseline pays the
+   first-use costs the warm server never sees again.
+
+2. **Interpreter microbenchmark** — one workload run twice from boot to
    halt: once through the seed's per-step
    :func:`repro.machine.semantics.execute` dispatch loop (kept verbatim
    below as :func:`reference_execute_loop`, the perf baseline), once
@@ -13,7 +19,7 @@ Two stages, both emitted into a machine-readable ``BENCH_summary.json``
    number the CI smoke job gates on (>30% regression against
    ``benchmarks/baseline.json`` fails).
 
-2. **E-suite sweep** — the full workload pipeline (profile → distill →
+3. **E-suite sweep** — the full workload pipeline (profile → distill →
    MSSP functional run with equivalence check → timing replay) per
    workload, through the persistent artifact cache
    (:mod:`repro.experiments.cache`), recording per-workload wall time,
@@ -22,7 +28,14 @@ Two stages, both emitted into a machine-readable ``BENCH_summary.json``
    pool (:func:`repro.experiments.harness.parallel_map`); workers share
    the cache through the filesystem.
 
-The cached pipeline entry points (:func:`cached_prepare`,
+4. **Cluster sweep** — :func:`run_sim_bench`: one eager run of
+   ``compress`` at its default size, captured off the event bus
+   (:func:`capture_trace`), timed by the timing model at several slave
+   counts and under three cluster scenarios.  ``repro sim`` prints the
+   same sweep for any workload.
+
+The stages' settings are the module constants below, not flags.  The
+cached pipeline entry points (:func:`cached_prepare`,
 :func:`cached_functional_run`) are also what ``benchmarks/common.py``
 builds its per-process memo on, so pytest benchmark runs and the CLI
 share one on-disk artifact store.
@@ -32,10 +45,17 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import DistillConfig, MsspConfig, TimingConfig
+from repro.config import (
+    SEQUENTIAL_BASELINE,
+    DistillConfig,
+    MsspConfig,
+    SlaveFailure,
+    TimingConfig,
+)
 from repro.errors import InvalidPcError
 from repro.experiments import cache as artifact_cache
 from repro.experiments.harness import (
@@ -51,8 +71,16 @@ from repro.machine.decoded import decode
 from repro.machine.jit import jit_for
 from repro.machine.semantics import execute
 from repro.machine.state import ArchState
-from repro.mssp.engine import MsspResult
-from repro.timing import simulate_mssp
+from repro.mssp.engine import MsspResult, create_engine
+from repro.mssp.runtime.events import EventLog, RuntimeEvent
+from repro.mssp.trace import TaskAttemptRecord
+from repro.serve.bench import DEFAULT_RATES, run_serve_bench
+from repro.timing import (
+    MsspTimingSimulator,
+    baseline_cycles,
+    records_from_events,
+    simulate_mssp,
+)
 from repro.workloads import WORKLOADS, get_workload
 
 #: Workload driving the interpreter microbenchmark (branchy, load/store
@@ -62,6 +90,16 @@ MICRO_WORKLOAD = "compress"
 #: Regression tolerance for the baseline gate: fail when decoded
 #: instructions/second fall below ``(1 - tolerance) * baseline``.
 BASELINE_TOLERANCE = 0.30
+
+#: The serving stage's open-loop arrival rates (episodes/second) and
+#: requests per rate.  Its stream (compress, crc, branchy), its two
+#: server workers and seed 0 are :func:`run_serve_bench`'s defaults.
+SERVE_RATES = DEFAULT_RATES
+SERVE_REQUESTS = 24
+
+#: The cluster stage's simulated slave counts (the scenarios run at the
+#: middle one).
+SIM_SLAVE_COUNTS = (2, 8, 16, 64)
 
 
 def workload_size(name: str, scale: float = 1.0) -> int:
@@ -118,7 +156,7 @@ def cached_functional_run(
     return pair[0], pair[1], hit
 
 
-# -- stage 1: interpreter microbenchmark --------------------------------------
+# -- stage 2: interpreter microbenchmark --------------------------------------
 
 
 def reference_execute_loop(
@@ -274,7 +312,7 @@ def master_microbenchmark(
     }
 
 
-# -- stage 2: E-suite sweep ---------------------------------------------------
+# -- stage 3: E-suite sweep ---------------------------------------------------
 
 
 def measure_parallel_runtime(
@@ -386,6 +424,121 @@ def _bench_one(args: Tuple[str, float]) -> Dict[str, object]:
     }
 
 
+# -- stage 4: cluster sweep ---------------------------------------------------
+
+
+def capture_trace(
+    name: str,
+    size: Optional[int] = None,
+    config: Optional[MsspConfig] = None,
+) -> Tuple[PreparedWorkload, MsspResult, List[RuntimeEvent]]:
+    """Prepare ``name`` and run it once with an ``EventLog`` subscribed.
+
+    Returns the prepared workload, the run's result and its
+    clock-stamped event stream: what ``repro trace --export`` writes
+    and the cluster sweep times.
+    """
+    prepared = prepare(get_workload(name), size=size)
+    log = EventLog()
+    with create_engine(
+        prepared.instance.program, prepared.distillation,
+        config or MsspConfig(),
+    ) as engine:
+        engine.events.subscribe(log)
+        result = engine.run()
+    return prepared, result, log.events
+
+
+def run_sim_bench(
+    workload: str = "compress",
+    slave_counts: Sequence[int] = SIM_SLAVE_COUNTS,
+    size: Optional[int] = None,
+) -> Dict[str, object]:
+    """Time one workload's eager trace; the ``sim_bench`` section.
+
+    The trace is timed by the timing model at each slave count, then at
+    the middle count under three cluster scenarios: transfer contention
+    on a bounded link, heterogeneous slave speeds, and a mid-episode
+    slave failure/restart.
+    """
+    prepared, result, events = capture_trace(
+        workload, size, MsspConfig(runtime="eager")
+    )
+    records = records_from_events(events)
+    total_instrs = result.counters.total_instrs
+    reference = baseline_cycles(total_instrs, SEQUENTIAL_BASELINE)
+
+    def timed(timing: TimingConfig):
+        """The trace's breakdown under ``timing`` and its speedup."""
+        breakdown = MsspTimingSimulator(timing).simulate_records(records)
+        cycles = breakdown.total_cycles
+        return breakdown, (reference / cycles if cycles > 0 else 0.0)
+
+    sweep: List[Dict[str, object]] = []
+    for n_slaves in slave_counts:
+        breakdown, speedup = timed(TimingConfig(n_slaves=n_slaves))
+        sweep.append({
+            "n_slaves": n_slaves,
+            "sim_cycles": breakdown.total_cycles,
+            "speedup": speedup,
+            "master_stall_cycles": breakdown.master_stall_cycles,
+            "commit_bound_tasks": breakdown.commit_bound_tasks,
+        })
+
+    ideal = sweep[len(sweep) // 2]
+    mid = ideal["n_slaves"]
+    horizon = ideal["sim_cycles"]
+    timing = TimingConfig(n_slaves=mid)
+
+    def scenario(name: str, **overrides) -> Dict[str, object]:
+        breakdown, speedup = timed(replace(timing, **overrides))
+        return {
+            "scenario": name,
+            "n_slaves": mid,
+            "sim_cycles": breakdown.total_cycles,
+            "slowdown_vs_ideal": (
+                breakdown.total_cycles / horizon if horizon > 0 else 0.0
+            ),
+            "speedup": speedup,
+        }
+
+    return {
+        "workload": prepared.name,
+        "tasks_replayed": sum(
+            isinstance(r, TaskAttemptRecord) for r in records
+        ),
+        "records_replayed": len(records),
+        "total_instrs": total_instrs,
+        "baseline_cycles": reference,
+        "sweep": sweep,
+        "scenarios": [
+            # Every transfer takes 50 extra cycles on a single channel.
+            scenario(
+                "contended-link",
+                spawn_latency=timing.spawn_latency + 50.0,
+                link_channels=1,
+            ),
+            scenario(
+                "heterogeneous-slaves",
+                slave_speeds=tuple(
+                    1.0 if slot % 2 == 0 else 0.5 for slot in range(mid)
+                ),
+            ),
+            scenario(
+                "slave-failure",
+                failures=(
+                    SlaveFailure(
+                        slot=0, at=horizon * 0.25, downtime=horizon * 0.25,
+                    ),
+                ),
+            ),
+        ],
+    }
+
+
+# -- the command --------------------------------------------------------------
+
+
 def run_bench(
     workloads: Optional[List[str]] = None,
     scale: float = 1.0,
@@ -393,19 +546,24 @@ def run_bench(
     micro_repeats: int = 3,
     runtime: str = "eager",
 ) -> Dict[str, object]:
-    """The full benchmark: microbenchmark + E-suite sweep; JSON-ready.
+    """The four stages, in order; the whole summary, JSON-ready.
 
-    Any pipelined ``runtime`` ("thread" or "process") adds a wall-clock
-    stage per workload: eager vs
-    that executor backend with ``jobs`` slave workers, bit-identity
-    checked.  In that mode the suite rows themselves run serially —
-    ``jobs`` provisions slave workers, and fanning workloads out over a
-    second pool would have the two levels of parallelism fight over the
-    same cores.
+    ``runtime`` is the serving stage's engine backend.  A pipelined
+    ``runtime`` ("thread" or "process") also adds a wall-clock stage
+    per suite workload: eager vs that executor backend with ``jobs``
+    slave workers, bit-identity checked.  In that mode the suite rows
+    themselves run serially — ``jobs`` provisions slave workers, and
+    fanning workloads out over a second pool would have the two levels
+    of parallelism fight over the same cores.  ``workloads`` selects
+    suite rows only.
     """
     import os
 
     names = list(workloads) if workloads else list(WORKLOADS)
+    serve = run_serve_bench(
+        rates=SERVE_RATES, requests_per_rate=SERVE_REQUESTS, scale=scale,
+        mssp_config=MsspConfig(runtime=runtime),
+    )
     micro = microbenchmark(scale=scale, repeats=micro_repeats)
     suite_start = time.perf_counter()
     pipelined = runtime != "eager"
@@ -422,6 +580,7 @@ def run_bench(
                 )
             )
     suite_wall = time.perf_counter() - suite_start
+    sim = run_sim_bench()
     from repro.machine.jit import resolve_exec_tier
 
     return {
@@ -434,66 +593,24 @@ def run_bench(
         # regardless).
         "exec_tier": resolve_exec_tier(None),
         "cpu_count": os.cpu_count(),
+        "serve_bench": serve,
         "microbenchmark": micro,
         "suite": rows,
         "suite_wall_seconds": suite_wall,
-        "cache_hits": suite_cache_hits(rows),
-        "adaptive_cache_hits": suite_cache_hits(rows, "adaptive_cache_hit"),
+        "cache_hits": sum(1 for row in rows if row["cache_hit"]),
+        "adaptive_cache_hits": sum(
+            1 for row in rows if row["adaptive_cache_hit"]
+        ),
         "cache_dir": str(artifact_cache.cache_dir()),
+        "sim_bench": sim,
     }
 
 
-def suite_cache_hits(rows: List[Dict[str, object]], flag: str = "cache_hit") -> int:
-    """How many suite rows hit the persistent cache, from per-row flags.
-
-    The single source of truth for the top-level ``cache_hits`` /
-    ``adaptive_cache_hits`` aggregates: always derived from the rows, so
-    the summary can never disagree with its own table (a warm rerun
-    reports ``cache_hits == len(suite)``, not a stale 0).
-    """
-    return sum(1 for row in rows if row.get(flag))
-
-
-#: Sections of the summary JSON that their own commands write:
-#: ``repro sim --output`` and ``repro bench --serve``.
-OWN_SECTIONS = ("sim_bench", "serve_bench")
-
-
-def write_summary(
-    summary: Dict[str, object], path: str, section: Optional[str] = None
-) -> None:
-    """Write the summary JSON at ``path``, keeping what others wrote.
-
-    Without ``section``, ``summary`` is ``repro bench``'s summary: it
-    replaces everything in the file except the :data:`OWN_SECTIONS`.
-    With ``section`` (one of them), ``summary`` is that section alone
-    and replaces only that key.  A missing or unreadable file starts
-    empty.
-    """
-    target = Path(path)
-    try:
-        existing = json.loads(target.read_text())
-    except (OSError, ValueError):
-        existing = {}
-    if not isinstance(existing, dict):
-        existing = {}
-    if section is not None:
-        merged = dict(existing)
-        merged.setdefault("schema", artifact_cache.CACHE_SCHEMA)
-        merged[section] = summary
-    else:
-        merged = {key: existing[key] for key in OWN_SECTIONS if key in existing}
-        merged.update(summary)
-        rows = summary.get("suite")
-        if isinstance(rows, list):
-            # Re-derive the aggregate flags from the rows at write time
-            # so a caller that filtered or merged rows cannot emit a
-            # summary whose top-level counts contradict its own table.
-            merged["cache_hits"] = suite_cache_hits(rows)
-            merged["adaptive_cache_hits"] = suite_cache_hits(
-                rows, "adaptive_cache_hit"
-            )
-    target.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+def write_summary(summary: Dict[str, object], path: str) -> None:
+    """Write ``summary`` as the JSON file at ``path``, replacing it whole."""
+    Path(path).write_text(
+        json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    )
 
 
 def check_baseline(

@@ -110,6 +110,14 @@ class MsspResult:
     def recovery_records(self) -> List[RecoveryRecord]:
         return [r for r in self.records if isinstance(r, RecoveryRecord)]
 
+    @property
+    def total_loads(self) -> int:
+        """Loads that advanced architected state: committed tasks' plus
+        recovery's (the loads behind ``counters.total_instrs``)."""
+        return sum(
+            r.n_loads for r in self.task_records if r.committed
+        ) + sum(r.n_loads for r in self.recovery_records)
+
 
 class MsspEngine:
     """Functional simulator of one MSSP machine running one program."""

@@ -1,6 +1,6 @@
-"""``repro bench --serve``: throughput/latency bench for the server.
+"""Throughput/latency bench for the server: ``repro bench``'s first stage.
 
-Three stages over one mixed workload stream, emitted as the
+Three stages over one mixed workload stream, recorded as the
 ``serve_bench`` section of ``BENCH_summary.json``:
 
 1. **Cold baseline** — the pre-server serving model, measured honestly:

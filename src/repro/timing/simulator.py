@@ -315,7 +315,12 @@ def speedup(
     config: Optional[TimingConfig] = None,
     baseline: Optional[BaselineConfig] = None,
 ) -> float:
-    """MSSP speedup over a baseline core on the same program."""
+    """MSSP speedup over a baseline core on the same program.
+
+    The baseline runs the instructions and loads that advanced
+    architected state in this run, so a ``load_penalty`` is charged on
+    both sides.
+    """
     from repro.config import SEQUENTIAL_BASELINE
 
     baseline = baseline or SEQUENTIAL_BASELINE
@@ -323,5 +328,5 @@ def speedup(
     if breakdown.total_cycles <= 0:
         raise TimingError("timing produced non-positive cycle count")
     return baseline_cycles(
-        result.counters.total_instrs, baseline
+        result.counters.total_instrs, baseline, result.total_loads
     ) / breakdown.total_cycles

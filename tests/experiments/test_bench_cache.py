@@ -1,6 +1,5 @@
 """The persistent benchmark cache and the ``repro bench`` machinery."""
 
-import itertools
 import json
 import pickle
 
@@ -117,7 +116,9 @@ class TestCachedPipeline:
 
 
 class TestRunBench:
-    def test_summary_shape_and_baseline_gate(self, cache_root, tmp_path):
+    def test_summary_shape_and_baseline_gate(
+        self, cache_root, short_serve_stage, tmp_path
+    ):
         summary = bench.run_bench(
             workloads=["compress"], scale=0.02, jobs=1, micro_repeats=1
         )
@@ -158,13 +159,23 @@ class TestRunBench:
         assert problems and "not found" in problems[0]
 
 
+#: Every key ``repro bench`` writes, and nothing else.
+SUMMARY_KEYS = {
+    "schema", "scale", "jobs", "runtime", "exec_tier", "cpu_count",
+    "serve_bench", "microbenchmark", "suite", "suite_wall_seconds",
+    "cache_hits", "adaptive_cache_hits", "cache_dir", "sim_bench",
+}
+
+
 class TestCliBench:
-    def test_bench_command_smoke(self, cache_root, tmp_path, capsys):
+    def test_bench_command_smoke(
+        self, cache_root, short_serve_stage, tmp_path, capsys
+    ):
         from repro.cli import main
 
         out = tmp_path / "BENCH_summary.json"
-        # A stale summary: the bench rewrites everything except the
-        # sections other commands own.
+        # A stale summary: one run writes all four stages and keeps
+        # nothing an earlier run left in the file.
         out.write_text(json.dumps(
             {"schema": 4, "mem_backend": "flat", "sim_bench": {"sweep": []}}
         ))
@@ -179,19 +190,46 @@ class TestCliBench:
         ]
         assert main(argv) == 0
         summary = json.loads(out.read_text())
-        assert summary["suite"][0]["cache_hit"] is False
+        assert set(summary) == SUMMARY_KEYS
         assert summary["schema"] == cache.CACHE_SCHEMA
-        assert "mem_backend" not in summary
-        assert summary["sim_bench"] == {"sweep": []}
+        assert summary["suite"][0]["cache_hit"] is False
+        # --workloads selects suite rows only.
+        assert summary["serve_bench"]["workloads"] == [
+            "compress", "crc", "branchy"
+        ]
+        assert summary["serve_bench"]["open_loop"]
+        sim = summary["sim_bench"]
+        assert set(sim) == {
+            "workload", "tasks_replayed", "records_replayed",
+            "total_instrs", "baseline_cycles", "sweep", "scenarios",
+        }
+        assert sim["workload"] == "compress"
+        assert [
+            (row["n_slaves"], row["sim_cycles"]) for row in sim["sweep"]
+        ] == [(2, 45032.0), (8, 17580.0), (16, 17580.0), (64, 17580.0)]
+        assert [
+            (row["scenario"], row["n_slaves"], row["sim_cycles"])
+            for row in sim["scenarios"]
+        ] == [
+            ("contended-link", 16, 40225.0),
+            ("heterogeneous-slaves", 16, 17691.5),
+            ("slave-failure", 16, 17580.0),
+        ]
         captured = capsys.readouterr().out
-        assert "instrs/sec" in captured
+        for heading in (
+            "warm vs cold", "open-loop Poisson arrivals", "instrs/sec",
+            "E-suite", "slave-count sweep", "cluster scenarios",
+        ):
+            assert heading in captured
 
         # Second CLI invocation: everything expensive comes from disk.
         assert main(argv) == 0
         summary = json.loads(out.read_text())
         assert summary["suite"][0]["cache_hit"] is True
 
-    def test_bench_fails_on_regression(self, cache_root, tmp_path):
+    def test_bench_fails_on_regression(
+        self, cache_root, short_serve_stage, tmp_path
+    ):
         from repro.cli import main
 
         baseline = tmp_path / "baseline.json"
@@ -204,60 +242,3 @@ class TestCliBench:
             "--output", str(tmp_path / "s.json"),
             "--baseline", str(baseline),
         ]) == 1
-
-
-class TestWriteSummary:
-    """``repro bench``, ``bench --serve`` and ``sim --output`` share one
-    summary file; each rewrites only what it owns."""
-
-    BENCH = {
-        "schema": cache.CACHE_SCHEMA,
-        "microbenchmark": {"speedup": 3.0},
-        "suite": [
-            {"workload": "crc", "cache_hit": True,
-             "adaptive_cache_hit": False},
-        ],
-    }
-    SECTIONS = {
-        "sim_bench": {"sweep": [{"n_slaves": 8}]},
-        "serve_bench": {"open_loop": []},
-    }
-
-    def write(self, writer, path):
-        if writer == "bench":
-            bench.write_summary(dict(self.BENCH), path)
-        else:
-            bench.write_summary(self.SECTIONS[writer], path, section=writer)
-
-    @pytest.mark.parametrize(
-        "order",
-        list(itertools.permutations(("bench", "sim_bench", "serve_bench"))),
-    )
-    def test_every_section_survives_any_order(self, tmp_path, order):
-        path = tmp_path / "BENCH_summary.json"
-        for writer in order:
-            self.write(writer, str(path))
-        written = json.loads(path.read_text())
-        assert written["schema"] == cache.CACHE_SCHEMA
-        assert written["microbenchmark"] == self.BENCH["microbenchmark"]
-        assert written["suite"] == self.BENCH["suite"]
-        assert written["cache_hits"] == 1
-        for name, section in self.SECTIONS.items():
-            assert written[name] == section
-
-    def test_section_write_keeps_every_other_key(self, tmp_path):
-        path = tmp_path / "BENCH_summary.json"
-        stale = {"schema": 4, "mem_backend": "flat", "suite": []}
-        path.write_text(json.dumps(stale))
-        self.write("sim_bench", str(path))
-        written = json.loads(path.read_text())
-        assert written == dict(stale, sim_bench=self.SECTIONS["sim_bench"])
-
-    def test_unreadable_file_starts_empty(self, tmp_path):
-        path = tmp_path / "BENCH_summary.json"
-        path.write_text("{not json")
-        self.write("serve_bench", str(path))
-        assert json.loads(path.read_text()) == {
-            "schema": cache.CACHE_SCHEMA,
-            "serve_bench": self.SECTIONS["serve_bench"],
-        }

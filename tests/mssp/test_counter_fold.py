@@ -39,7 +39,7 @@ from repro.isa.asm import assemble
 from repro.mssp import TraceRecorder, create_engine
 from repro.mssp.runtime.events import EventLog
 from repro.profiling import profile_program
-from repro.sim.tracefile import export_events, import_events
+from repro.timing.tracefile import export_events, import_events
 from repro.workloads import get_workload, workload_names
 
 from tests.mssp.test_engine import LOOP_SOURCE

@@ -293,7 +293,9 @@ class TestServeSmoke:
 class TestBenchCacheAggregation:
     """Satellite: the suite's top-level cache flags derive from rows."""
 
-    def test_rerun_reports_suite_wide_hits(self, cache_root):
+    def test_rerun_reports_suite_wide_hits(
+        self, cache_root, short_serve_stage
+    ):
         from repro.experiments.bench import run_bench
 
         first = run_bench(workloads=["compress"], scale=0.02)
@@ -304,25 +306,6 @@ class TestBenchCacheAggregation:
         assert again["adaptive_cache_hits"] == 1
         assert again["suite"][0]["cache_hit"] is True
         assert again["suite"][0]["adaptive_cache_hit"] is True
-
-    def test_write_summary_rederives_from_rows(self, cache_root, tmp_path):
-        from repro.experiments.bench import write_summary
-
-        summary = {
-            "suite": [
-                {"workload": "a", "cache_hit": True,
-                 "adaptive_cache_hit": False},
-                {"workload": "b", "cache_hit": True,
-                 "adaptive_cache_hit": True},
-            ],
-            "cache_hits": 0,          # stale aggregate a caller kept
-            "adaptive_cache_hits": 7,
-        }
-        path = tmp_path / "BENCH_summary.json"
-        write_summary(summary, str(path))
-        written = json.loads(path.read_text())
-        assert written["cache_hits"] == 2
-        assert written["adaptive_cache_hits"] == 1
 
 
 class TestCliServe:
@@ -364,31 +347,3 @@ class TestCliServe:
             "--requests", "/dev/null",
         ]) == 2
         assert "unknown warmup" in capsys.readouterr().err
-
-    def test_bench_serve_writes_summary_section(
-        self, cache_root, tmp_path, capsys
-    ):
-        from repro.cli import main
-
-        out = tmp_path / "BENCH_summary.json"
-        # The serving benchmark rewrites its own section only.
-        kept = {
-            "schema": artifact_cache.CACHE_SCHEMA,
-            "microbenchmark": {"speedup": 3.0},
-            "sim_bench": {"sweep": []},
-        }
-        out.write_text(json.dumps(kept))
-        assert main([
-            "bench", "--serve", "--scale", "0.02",
-            "--workloads", "compress", "crc",
-            "--serve-rates", "60", "--serve-requests", "4",
-            "--output", str(out),
-        ]) == 0
-        summary = json.loads(out.read_text())
-        serve = summary.pop("serve_bench")
-        assert summary == kept
-        assert serve["workloads"] == ["compress", "crc"]
-        assert len(serve["open_loop"]) == 1
-        captured = capsys.readouterr().out
-        assert "warm vs cold" in captured
-        assert "open-loop Poisson arrivals" in captured

@@ -62,6 +62,31 @@ class TestParser:
         assert f"error: argument {flag}: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--serve"],
+            ["bench", "--serve-rates", "2,8"],
+            ["bench", "--serve-requests", "24"],
+            ["bench", "--serve-workers", "2"],
+            ["bench", "--serve-seed", "0"],
+            ["sim", "compress", "--output", "BENCH_summary.json"],
+            ["sim", "compress", "--no-scenarios"],
+        ],
+    )
+    def test_deleted_flags_are_usage_errors(self, argv, capsys):
+        """The serving and cluster sweeps are stages of ``repro bench``;
+        their settings are constants and only ``bench`` writes the
+        summary."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_serve_runtime_defaults_to_eager(self):
+        """As ``EpisodeServer()`` does."""
+        assert build_parser().parse_args(["serve"]).runtime == "eager"
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -209,27 +234,6 @@ class TestCommands:
             "contended-link", "heterogeneous-slaves", "slave-failure"
         ):
             assert scenario in out
-
-    def test_sim_output_rewrites_only_its_section(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "BENCH_summary.json"
-        kept = {
-            "schema": 4,
-            "microbenchmark": {"speedup": 3.0},
-            "serve_bench": {"open_loop": []},
-        }
-        path.write_text(json.dumps(kept))
-        assert main([
-            "sim", "compress", "--size", "300", "--slaves", "2",
-            "--no-scenarios", "--output", str(path),
-        ]) == 0
-        assert f"wrote {path}" in capsys.readouterr().out
-        written = json.loads(path.read_text())
-        sim_bench = written.pop("sim_bench")
-        assert written == kept
-        assert "bit_identical" not in sim_bench
-        assert [row["n_slaves"] for row in sim_bench["sweep"]] == [2]
 
 
 class TestTraceInputErrors:

@@ -15,8 +15,6 @@ from repro.config import DistillConfig, MsspConfig, SlaveFailure, TimingConfig
 from repro.distill import Distiller
 from repro.isa.asm import assemble
 from repro.mssp import MsspEngine
-from repro.mssp.engine import create_engine
-from repro.mssp.runtime.events import EventLog
 from repro.mssp.trace import (
     MasterFailureRecord,
     RecoveryRecord,
@@ -200,18 +198,12 @@ class TestRecordedParity:
 def compress_records():
     """The trace ``repro sim compress`` times: an eager run at the
     default size, captured off the event bus."""
-    from repro.experiments import prepare
-    from repro.workloads import get_workload
+    from repro.experiments.bench import capture_trace
 
-    prepared = prepare(get_workload("compress"))
-    log = EventLog()
-    with create_engine(
-        prepared.instance.program, prepared.distillation,
-        MsspConfig(runtime="eager"),
-    ) as engine:
-        engine.events.subscribe(log)
-        engine.run()
-    return records_from_events(log.events)
+    _, _, events = capture_trace(
+        "compress", config=MsspConfig(runtime="eager")
+    )
+    return records_from_events(events)
 
 
 class TestE20:

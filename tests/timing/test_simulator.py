@@ -184,3 +184,38 @@ class TestSpeedup:
     def test_empty_trace_raises(self):
         with pytest.raises(TimingError):
             speedup(make_result([]), FREE)
+
+    def test_total_loads_counts_what_advanced_state(self):
+        result = make_result([
+            task(0, n=10, master=2, n_loads=3),
+            task(1, n=10, master=2, committed=False, n_loads=5),
+            RecoveryRecord(
+                n_instrs=10, halted=True, resumed_at=None, n_loads=4
+            ),
+        ])
+        assert result.total_loads == 7
+
+    @pytest.mark.parametrize(
+        "name, size",
+        [("compress", 600), ("crc", 300), ("pointer_chase", 300),
+         ("mispredict", 1100)],
+    )
+    def test_load_penalty_charges_the_programs_loads(self, name, size):
+        """E12's formula over the sequential count oracle: a baseline
+        with a load penalty pays it on the program's own loads."""
+        from repro.experiments import prepare
+        from repro.machine.interpreter import count_instructions_and_loads
+        from repro.mssp.engine import run_mssp
+        from repro.workloads import get_workload
+
+        ready = prepare(get_workload(name), size=size)
+        result = run_mssp(ready.instance.program, ready.distillation)
+        seq_instrs, seq_loads = count_instructions_and_loads(
+            ready.instance.program
+        )
+        assert seq_loads > 0
+        baseline = BaselineConfig(load_penalty=3.0)
+        expected = baseline_cycles(
+            seq_instrs, baseline, seq_loads
+        ) / simulate_mssp(result).total_cycles
+        assert speedup(result, baseline=baseline) == expected

@@ -12,14 +12,14 @@ from repro.mssp.engine import create_engine
 from repro.mssp.runtime.events import EventLog
 from repro.mssp.trace import TaskAttemptRecord
 from repro.profiling import profile_program
-from repro.sim.tracefile import (
+from repro.timing.simulator import records_from_events
+from repro.timing.tracefile import (
     TaskSketch,
     event_from_dict,
     event_to_dict,
     export_events,
     import_events,
 )
-from repro.timing.simulator import records_from_events
 
 SOURCE = """
 main:   li r1, 90
