@@ -86,7 +86,7 @@ CHECKS: Dict[str, str] = {
     "DEC002": "every decoded closure's bound facts round-trip to its source "
               "instruction",
     "DEC003": "superstep chains stop exactly at block terminators, with "
-              "correct halt flags",
+              "correct halt flags and load counts",
     # -- superblock JIT checks ------------------------------------------------
     "JIT001": "jit compilation is cached per program object and per codegen "
               "mode, and regions start only at block leaders",
@@ -876,7 +876,9 @@ def check_decoded(
             )
 
     # DEC003: superstep chains mirror the text's terminator structure.
-    if len(decoded.chains) != size or len(decoded.chain_halts) != size:
+    if not len(decoded.chains) == len(decoded.chain_halts) == len(
+        decoded.chain_loads
+    ) == size:
         _finding(
             report, "DEC003", Severity.ERROR,
             f"chain tables cover {len(decoded.chains)} pcs but the text "
@@ -894,6 +896,15 @@ def check_decoded(
             halts = instr.op is Opcode.HALT
         expected_spans[pc] = end - pc
         expected_halts[pc] = halts
+        expected_loads = sum(
+            1 for other in program.code[pc:end] if other.is_load
+        )
+        if decoded.chain_loads[pc] != expected_loads:
+            _finding(
+                report, "DEC003", Severity.ERROR,
+                f"chain load count is {decoded.chain_loads[pc]} but the "
+                f"chain's span holds {expected_loads} lw", pc=pc,
+            )
     for pc in range(size):
         if len(decoded.chains[pc]) != expected_spans[pc]:
             _finding(

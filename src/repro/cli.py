@@ -33,8 +33,9 @@ Subcommands
     episode server), the interpreter microbenchmark (reference
     ``execute`` loop vs the pre-decoded engine and the JIT), the
     E-suite through the persistent artifact cache, and the cluster
-    sweep; writes the whole ``BENCH_summary.json`` and can gate against
-    a committed baseline.
+    sweep; writes the whole ``BENCH_summary.json`` (stamped with its
+    commit), appends a line to ``BENCH_history.jsonl`` beside it, and
+    can gate against a committed baseline.
 ``serve``
     Run the persistent multi-tenant episode server: JSONL requests on
     stdin (or ``--requests FILE``), JSONL responses on stdout, serving
@@ -987,6 +988,7 @@ def _print_sim(sim_bench) -> None:
 def cmd_bench(args) -> int:
     from repro.experiments import cache as artifact_cache
     from repro.experiments.bench import (
+        append_history,
         check_baseline,
         run_bench,
         write_baseline,
@@ -1067,7 +1069,8 @@ def cmd_bench(args) -> int:
     )
     _print_sim(summary["sim_bench"])
     write_summary(summary, args.output)
-    print(f"wrote {args.output}")
+    history = append_history(summary, args.output)
+    print(f"wrote {args.output}, appended a line to {history}")
     if args.write_baseline is not None:
         write_baseline(summary, args.write_baseline)
         print(f"wrote baseline {args.write_baseline}")

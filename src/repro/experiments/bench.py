@@ -34,6 +34,9 @@ whole into a machine-readable ``BENCH_summary.json``
    counts and under three cluster scenarios.  ``repro sim`` prints the
    same sweep for any workload.
 
+The summary is stamped with its commit, and each run appends a line to
+``BENCH_history.jsonl`` beside it (:func:`append_history`).
+
 The stages' settings are the module constants below, not flags.  The
 cached pipeline entry points (:func:`cached_prepare`,
 :func:`cached_functional_run`) are also what ``benchmarks/common.py``
@@ -585,6 +588,7 @@ def run_bench(
 
     return {
         "schema": artifact_cache.CACHE_SCHEMA,
+        "commit": current_commit(),
         "scale": scale,
         "jobs": jobs,
         "runtime": runtime,
@@ -606,11 +610,47 @@ def run_bench(
     }
 
 
+def current_commit() -> str:
+    """``git rev-parse --short HEAD`` of the source tree, or ``unknown``."""
+    import subprocess
+
+    try:
+        return subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], check=True,
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=10,
+        ).stdout.strip() or "unknown"
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+
+
 def write_summary(summary: Dict[str, object], path: str) -> None:
     """Write ``summary`` as the JSON file at ``path``, replacing it whole."""
     Path(path).write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
+
+
+def append_history(summary: Dict[str, object], path: str) -> Path:
+    """Append the run's headline numbers to ``BENCH_history.jsonl``
+    beside ``path``; returns the history file's path."""
+    from datetime import datetime, timezone
+
+    micro = summary["microbenchmark"]
+    line = {
+        "commit": summary["commit"],
+        "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "scale": summary["scale"],
+        "runtime": summary["runtime"],
+        "speedup_vs_cold": summary["serve_bench"]["speedup_vs_cold"],
+        "decoded_instrs_per_sec": micro["decoded_instrs_per_sec"],
+        "jit_instrs_per_sec": micro["jit_instrs_per_sec"],
+        "suite_wall_seconds": summary["suite_wall_seconds"],
+    }
+    history = Path(path).with_name("BENCH_history.jsonl")
+    with history.open("a") as handle:
+        handle.write(json.dumps(line, sort_keys=True) + "\n")
+    return history
 
 
 def check_baseline(

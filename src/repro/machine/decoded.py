@@ -32,11 +32,12 @@ code must not rely on that.
 
 On top of per-instruction closures, :class:`DecodedProgram` precomputes
 **basic-block supersteps**: for every pc, the straight-line run of
-closures from that pc to its block terminator.  The observer-free run
-loop executes whole chains without per-step pc bounds checks, falling
-back to exact per-step execution near the step-limit boundary so
-``StepLimitExceeded`` fires at precisely the same instruction count as
-the reference loop.
+closures from that pc to its block terminator, with its halt flag and
+load count.  The sequential :meth:`DecodedProgram.run`, the profiler,
+and the MSSP slave and master run whole chains, falling back to exact
+per-step execution wherever a step boundary could fall inside one — near
+the step budget, so ``StepLimitExceeded`` (or an overrun or timeout)
+fires at precisely the same instruction as the reference loop.
 
 Decoded programs are cached per :class:`~repro.isa.program.Program`
 *instance* (identity, not value): the decoding is attached to the
@@ -269,7 +270,7 @@ class DecodedProgram:
 
     __slots__ = (
         "program", "code", "size", "steppers", "chains", "chain_halts",
-        "meta", "oracle",
+        "chain_loads", "meta", "oracle",
     )
 
     def __init__(self, program: Program, oracle: bool = False):
@@ -292,35 +293,40 @@ class DecodedProgram:
             meta.append(_decode_meta(pc, instr))
         self.steppers: Tuple[Stepper, ...] = tuple(steppers)
         self.meta: Tuple[Tuple, ...] = tuple(meta)
-        self.chains, self.chain_halts = self._build_chains(quicks)
+        self._build_chains(quicks)
 
-    def _build_chains(
-        self, quicks: List[Stepper]
-    ) -> Tuple[Tuple[Tuple[Stepper, ...], ...], Tuple[bool, ...]]:
+    def _build_chains(self, quicks: List[Stepper]) -> None:
         """Per-pc straight-line closure runs ending at block terminators.
 
         ``chains[pc]`` executes pc through the first terminator at or
         after it (or the end of the text); ``chain_halts[pc]`` marks
-        chains whose terminator is ``halt``.  Entry at any pc is legal —
-        chains are suffixes, so branch targets into block middles get
-        their own (shorter) run.
+        chains whose terminator is ``halt``, and ``chain_loads[pc]``
+        counts the ``lw`` instructions in the chain.  Entry at any pc is
+        legal — chains are suffixes, so branch targets into block
+        middles get their own (shorter) run.
         """
         code = self.code
         size = self.size
         ends: List[int] = [0] * size  # pc -> index one past the terminator
         halts: List[bool] = [False] * size
+        loads: List[int] = [0] * size
         end = size
         halt = False
+        count = 0
         for pc in range(size - 1, -1, -1):
             if code[pc].is_terminator:
                 end = pc + 1
                 halt = code[pc].op is Opcode.HALT
+                count = 0
+            count += code[pc].op is Opcode.LW
             ends[pc] = end
             halts[pc] = halt
-        chains = tuple(
+            loads[pc] = count
+        self.chains: Tuple[Tuple[Stepper, ...], ...] = tuple(
             tuple(quicks[pc:ends[pc]]) for pc in range(size)
         )
-        return chains, tuple(halts)
+        self.chain_halts: Tuple[bool, ...] = tuple(halts)
+        self.chain_loads: Tuple[int, ...] = tuple(loads)
 
     # -- stepping -----------------------------------------------------------
 

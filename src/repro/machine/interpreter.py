@@ -6,8 +6,10 @@
 correctness is always judged against these functions.
 
 An optional observer receives every executed instruction together with its
-:class:`~repro.machine.semantics.StepEffect`; the profiler is implemented
-as such an observer.
+:class:`~repro.machine.semantics.StepEffect`.  The profiler's reference
+implementation (:class:`repro.profiling.Profiler`) is such an observer;
+:func:`repro.profiling.profile_program` itself runs basic-block
+supersteps and hooks only loads and stores.
 
 Execution dispatches through the pre-decoded engine
 (:mod:`repro.machine.decoded`), which is differentially tested to be
@@ -20,8 +22,9 @@ The ``REPRO_EXEC`` environment variable selects the execution tier for
 :func:`run`: ``oracle`` (every step through ``semantics.execute``),
 ``decoded`` (the default), or ``jit`` (compiled superblocks —
 :mod:`repro.machine.jit` — with deopt back to the decoded stepper; runs
-with an observer attached deopt entirely, preserving exact per-step
-fidelity).  All tiers produce bit-identical results.
+with an observer attached take the decoded per-step loop directly,
+preserving exact per-step fidelity and leaving the program without an
+empty JIT attachment).  All tiers produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -73,10 +76,8 @@ def run(
     if state is None:
         state = ArchState.initial(program)
     tier = resolve_exec_tier()
-    if tier == "jit":
-        steps, halted = jit_for(program).run(
-            state, max_steps, observer=observer
-        )
+    if tier == "jit" and observer is None:
+        steps, halted = jit_for(program).run(state, max_steps)
     else:
         steps, halted = decode(program, oracle=tier == "oracle").run(
             state, max_steps, observer=observer

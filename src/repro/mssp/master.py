@@ -152,6 +152,32 @@ class Master:
             else None
             for instr in distilled.code
         )
+        self._chains = self._superstep_table() if tier == "decoded" else None
+
+    def _superstep_table(self) -> tuple:
+        """Per pc: the decoded chain cut before its first ``fork`` or
+        ``jr`` (which the master intercepts) as ``(chain, anchors of its
+        pcs, lw count, ends in halt)``, or ``None`` at a fork or jr."""
+        decoded = self._decoded
+        code = decoded.code
+        special = self._special
+        arrival_pcs = self.arrival_pcs
+        table = []
+        for pc, chain in enumerate(decoded.chains):
+            n = next(
+                (i for i in range(len(chain)) if special[pc + i]), len(chain)
+            )
+            if not n:
+                table.append(None)
+                continue
+            span = range(pc, pc + n)
+            table.append((
+                chain[:n],
+                tuple(arrival_pcs[p] for p in span if p in arrival_pcs),
+                sum(1 for p in span if code[p].op is Opcode.LW),
+                n == len(chain) and decoded.chain_halts[pc],
+            ))
+        return tuple(table)
 
     def restart(self, arch: ArchState, distilled_pc: int) -> None:
         """Reseed the master from architected state at ``distilled_pc``."""
@@ -171,12 +197,33 @@ class Master:
         arrival_pcs = self.arrival_pcs
         arrivals = self._arrivals
         jp = self._jit
+        chains = self._chains
         executed = 0
         loads = 0
         while True:
             pc = view.pc
             if not 0 <= pc < size:
                 return MasterEvent(MasterEventKind.TRAP, executed, loads)
+            if chains is not None and chains[pc] is not None:
+                # A superstep visits each pc of its span once: count
+                # their arrivals, then run it whole.
+                chain, anchors, n_loads, halts = chains[pc]
+                n = len(chain)
+                if executed + n < budget:
+                    for anchor in anchors:
+                        arrivals[anchor] = arrivals.get(anchor, 0) + 1
+                    for fn in chain:
+                        fn(view)
+                    loads += n_loads
+                    if halts:
+                        executed += n - 1
+                        self.total_instrs += n - 1
+                        return MasterEvent(
+                            MasterEventKind.HALT, executed, loads
+                        )
+                    executed += n
+                    self.total_instrs += n
+                    continue
             if jp is not None:
                 # Region dispatch happens *instead of* the per-step
                 # arrival count below: generated code counts the arrival

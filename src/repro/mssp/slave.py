@@ -135,11 +135,18 @@ def execute_task(
     leader (superblocks only check arrivals at leaders) — in both cases
     execution is exactly the decoded per-step loop, so results stay
     bit-identical by construction.
+
+    The decoded tier without protected regions runs whole superstep
+    chains wherever neither the budget nor the end pc falls inside one,
+    checking the arrival once after the chain.
     """
     view = SlaveView(task.checkpoint, arch, task.start_pc, regions=regions)
     decoded = decode(program, oracle=tier == "oracle")
     steppers = decoded.steppers
     size = decoded.size
+    chains = decoded.chains if tier == "decoded" and regions is None else None
+    chain_halts = decoded.chain_halts
+    chain_loads = decoded.chain_loads
     steps = 0
     loads = 0
     halted = False
@@ -171,6 +178,25 @@ def execute_task(
                 if status == EXIT_ARRIVAL:
                     break
                 continue  # EXIT_RUN: pc synced; retry dispatch there.
+        if chains is not None:
+            chain = chains[pc]
+            n = len(chain)
+            if steps + n < max_instrs and not (
+                end_pc is not None and pc < end_pc < pc + n
+            ):
+                for fn in chain:
+                    fn(view)
+                loads += chain_loads[pc]
+                if chain_halts[pc]:
+                    steps += n - 1
+                    halted = True
+                    break
+                steps += n
+                if view.pc == end_pc:
+                    remaining_arrivals -= 1
+                    if remaining_arrivals == 0:
+                        break
+                continue
         try:
             effect = steppers[pc](view)
         except ProtectedAccessError:

@@ -1,20 +1,29 @@
-"""Execution profiler.
+"""Execution profiler: the paper's offline training run, whose
+:class:`~repro.profiling.profile_data.Profile` tells the distiller which
+branches to assert, which code is cold, which loads are specializable,
+and where to place fork points.
 
-Runs a program under the sequential interpreter with an observer that
-feeds a :class:`~repro.profiling.profile_data.Profile`.  This plays the
-role of the paper's offline training run: the distiller consumes the
-resulting profile to decide which branches to assert, which code is cold,
-which loads are specializable, and where to place fork points.
+:func:`profile_program` runs whole basic-block supersteps and counts
+chain entries; per-pc counts follow from a difference array over the
+chains' spans.  A branch's direction is its chain's successor pc (or
+its condition, re-evaluated, when it targets its own fall-through pc).
+Loads and stores report through :class:`_ProfilingState` hooks.  Near
+the step budget, and on the ``oracle`` tier, it steps exactly, like the
+per-instruction observer :class:`Profiler` it is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from itertools import accumulate
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.isa.instructions import Instruction, Opcode
+from repro.errors import InvalidPcError, StepLimitExceeded
+from repro.isa.instructions import Instruction
 from repro.isa.program import Program
-from repro.machine.interpreter import DEFAULT_STEP_LIMIT, run
-from repro.machine.semantics import StepEffect
+from repro.machine.decoded import DecodedProgram, decode
+from repro.machine.interpreter import DEFAULT_STEP_LIMIT
+from repro.machine.jit import resolve_exec_tier
+from repro.machine.semantics import _BRANCH_OPS, StepEffect
 from repro.machine.state import ArchState
 from repro.profiling.profile_data import (
     BranchProfile,
@@ -25,7 +34,8 @@ from repro.profiling.profile_data import (
 
 
 class Profiler:
-    """Observer that accumulates a :class:`Profile` during a run."""
+    """Observer that accumulates a :class:`Profile` during a run: the
+    per-instruction reference :func:`profile_program` is tested against."""
 
     def __init__(self, program: Program):
         self.profile = Profile(
@@ -61,15 +71,145 @@ class Profiler:
                 load.observe(effect.mem_addr, effect.mem_value)
 
 
+class _ProfilingState(ArchState):
+    """An :class:`ArchState` whose loads and stores feed a profile at
+    ``self.pc`` (decoded closures advance the pc after the access).  It
+    shares the caller's registers and memory; only ``pc`` is copied back.
+    """
+
+    __slots__ = ("profile",)
+
+    def __init__(self, state: ArchState, profile: Profile):
+        self.regs = state.regs
+        self.mem = state.mem
+        self.pc = state.pc
+        self.profile = profile
+
+    def load(self, address: int) -> int:
+        value = self.mem.get(address, 0)
+        profile = self.profile
+        profile.loaded_addresses.add(address)
+        site = profile.loads.get(self.pc)
+        if site is None:
+            site = profile.loads[self.pc] = LoadProfile()
+        site.observe(address, value)
+        return value
+
+    def store(self, address: int, value: int) -> None:
+        profile = self.profile
+        profile.stored_addresses.add(address)
+        site = profile.stores.get(self.pc)
+        if site is None:
+            site = profile.stores[self.pc] = StoreProfile()
+        site.observe(address)
+        super().store(address, value)
+
+
+def _branch_exits(decoded: DecodedProgram) -> List[Optional[Tuple]]:
+    """Per chain-entry pc: ``(branch pc, target, condition)`` if the chain
+    ends at a conditional branch, else ``None``; ``condition`` is set only
+    when the target is the fall-through pc, which no successor tells."""
+    exits: List[Optional[Tuple]] = []
+    for pc, chain in enumerate(decoded.chains):
+        last = pc + len(chain) - 1
+        instr = decoded.code[last]
+        if not instr.is_branch:
+            exits.append(None)
+            continue
+        condition = None
+        if instr.target == last + 1:
+            def condition(state, fn=_BRANCH_OPS[instr.op], rs=instr.rs,
+                          rt=instr.rt):
+                return fn(state.read_reg(rs), state.read_reg(rt))
+        exits.append((last, instr.target, condition))
+    return exits
+
+
+def _record_branch(
+    branches: Dict[int, BranchProfile], pc: int, taken: bool
+) -> None:
+    branch = branches.get(pc)
+    if branch is None:
+        branch = branches[pc] = BranchProfile()
+    if taken:
+        branch.taken += 1
+    else:
+        branch.not_taken += 1
+
+
 def profile_program(
     program: Program,
     state: Optional[ArchState] = None,
     max_steps: int = DEFAULT_STEP_LIMIT,
 ) -> Profile:
-    """Run ``program`` to halt and return its execution profile."""
-    profiler = Profiler(program)
-    run(program, state=state, max_steps=max_steps, observer=profiler.observe)
-    return profiler.profile
+    """Run ``program`` to halt and return its execution profile.
+
+    Equal to the observer :class:`Profiler`'s profile of the same run,
+    including the ``halt`` it counts.  ``state`` (default: the boot
+    state) is advanced in place, exactly as
+    :func:`repro.machine.interpreter.run` would leave it.
+    """
+    if state is None:
+        state = ArchState.initial(program)
+    decoded = decode(program, oracle=resolve_exec_tier() == "oracle")
+    profile = Profile(
+        program_name=program.name, code_length=len(program.code)
+    )
+    view = _ProfilingState(state, profile)
+    size = decoded.size
+    chains = decoded.chains
+    chain_halts = decoded.chain_halts
+    steppers = decoded.steppers
+    code = decoded.code
+    exits = _branch_exits(decoded)
+    branches = profile.branches
+    # The oracle tier is the reference the decoded tier is compared
+    # against: it steps every instruction.
+    superstep_limit = 0 if decoded.oracle else max_steps
+    entries = [0] * size
+    delta = [0] * (size + 1)
+    steps = 0
+    try:
+        while True:
+            pc = view.pc
+            if not 0 <= pc < size:
+                raise InvalidPcError(pc, size)
+            chain = chains[pc]
+            if steps + len(chain) < superstep_limit:
+                for fn in chain:
+                    fn(view)
+                entries[pc] += 1
+                if chain_halts[pc]:
+                    break
+                steps += len(chain)
+                branch = exits[pc]
+                if branch is not None:
+                    last, target, condition = branch
+                    _record_branch(
+                        branches, last,
+                        view.pc == target if condition is None
+                        else condition(view),
+                    )
+                continue
+            # One exact step: near the budget, or on the oracle tier.
+            effect = steppers[pc](view)
+            delta[pc] += 1
+            delta[pc + 1] -= 1
+            if effect.halted:
+                break
+            steps += 1
+            if code[pc].is_branch:
+                _record_branch(branches, pc, effect.taken)
+            if steps >= max_steps:
+                raise StepLimitExceeded(max_steps)
+    finally:
+        state.pc = view.pc
+    for pc, count in enumerate(entries):
+        delta[pc] += count
+        delta[pc + len(chains[pc])] -= count
+    profile.exec_counts = list(accumulate(delta[:size]))
+    profile.total_instructions = sum(profile.exec_counts)
+    return profile
 
 
 def profile_many(

@@ -108,6 +108,9 @@ class WarmCache:
         self._lock = threading.Lock()
         self._by_key: Dict[str, ServedProgram] = {}
         self._by_digest: Dict[str, ServedProgram] = {}
+        #: (name, resolved size, distill config) -> entry: a repeat
+        #: request skips regenerating and re-digesting the program.
+        self._by_request: Dict[tuple, ServedProgram] = {}
         self.counters = CacheCounters()
 
     def resolve(
@@ -118,7 +121,8 @@ class WarmCache:
     ) -> Tuple[ServedProgram, bool]:
         """The served program for a workload request; ``(entry, hit)``.
 
-        A miss builds through the *persistent* artifact cache
+        A request resolved before returns its entry without generating
+        anything.  A miss builds through the *persistent* artifact cache
         (:func:`repro.experiments.bench.cached_prepare`), so the
         expensive profile/distill stage is shared across server
         processes as well as across tenants.
@@ -127,13 +131,19 @@ class WarmCache:
         from repro.workloads import get_workload
 
         resolved = size if size is not None else workload_size(name)
+        request = (name, resolved, distill_config)
         with self._lock:
-            instance = get_workload(name).instance(resolved)
-            digest = artifact_cache.program_digest(instance.program)
-            key = artifact_cache.digest(name, resolved, digest, distill_config)
-            entry = self._by_key.get(key)
+            entry = self._by_request.get(request)
+            if entry is None:
+                instance = get_workload(name).instance(resolved)
+                digest = artifact_cache.program_digest(instance.program)
+                key = artifact_cache.digest(
+                    name, resolved, digest, distill_config
+                )
+                entry = self._by_key.get(key)
             if entry is not None:
                 self.counters.prepared_hits += 1
+                self._by_request[request] = entry
                 return entry, True
             prepared, _ = cached_prepare(
                 name, size=resolved, distill_config=distill_config
@@ -147,6 +157,7 @@ class WarmCache:
             )
             self.counters.prepared_misses += 1
             self._install(entry)
+            self._by_request[request] = entry
             return entry, False
 
     def lookup_digest(self, digest: str) -> Optional[ServedProgram]:

@@ -526,6 +526,20 @@ class TestCheckDecoded:
         report = check_decoded(rich_program)
         assert "DEC003" in error_ids(report)
 
+    def test_wrong_chain_load_count_is_dec003(self, rich_program):
+        from repro.machine.decoded import decode
+
+        decoded = decode(rich_program)
+        loads = list(decoded.chain_loads)
+        pc = len(loads) // 2
+        loads[pc] += 1
+        decoded.chain_loads = tuple(loads)
+        report = check_decoded(rich_program)
+        assert "DEC003" in error_ids(report)
+        assert any(
+            f.check_id == "DEC003" and f.pc == pc for f in report.errors
+        )
+
 
 # -- layer 5: the superblock JIT --------------------------------------------
 

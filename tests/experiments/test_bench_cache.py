@@ -161,7 +161,7 @@ class TestRunBench:
 
 #: Every key ``repro bench`` writes, and nothing else.
 SUMMARY_KEYS = {
-    "schema", "scale", "jobs", "runtime", "exec_tier", "cpu_count",
+    "schema", "commit", "scale", "jobs", "runtime", "exec_tier", "cpu_count",
     "serve_bench", "microbenchmark", "suite", "suite_wall_seconds",
     "cache_hits", "adaptive_cache_hits", "cache_dir", "sim_bench",
 }
@@ -226,6 +226,19 @@ class TestCliBench:
         assert main(argv) == 0
         summary = json.loads(out.read_text())
         assert summary["suite"][0]["cache_hit"] is True
+        # Each run appended its headline numbers beside the summary.
+        history = [
+            json.loads(line) for line in
+            (tmp_path / "BENCH_history.jsonl").read_text().splitlines()
+        ]
+        assert len(history) == 2
+        assert set(history[-1]) == {
+            "commit", "date", "scale", "runtime", "speedup_vs_cold",
+            "decoded_instrs_per_sec", "jit_instrs_per_sec",
+            "suite_wall_seconds",
+        }
+        assert history[-1]["commit"] == summary["commit"]
+        assert history[-1]["scale"] == 0.02
 
     def test_bench_fails_on_regression(
         self, cache_root, short_serve_stage, tmp_path

@@ -1,17 +1,25 @@
 """Tests for the profiler and profile data model."""
 
-import pytest
+import json
 
+import pytest
+from hypothesis import given, settings
+
+from repro.errors import StepLimitExceeded
 from repro.isa.asm import assemble
+from repro.machine.interpreter import run
 from repro.machine.state import ArchState
 from repro.profiling import (
     VALUE_HISTOGRAM_CAP,
     BranchProfile,
     LoadProfile,
     Profile,
+    Profiler,
     profile_many,
     profile_program,
 )
+from repro.workloads import WORKLOADS, get_workload
+from tests.strategies import terminating_programs
 
 BIASED = """
 main:   li r1, 100
@@ -151,3 +159,89 @@ class TestSummary:
         assert summary["total_instructions"] == profile.total_instructions
         assert 0 < summary["static_coverage"] <= 1.0
         assert summary["branch_sites"] == 2.0
+
+
+def observer_profile(program, state=None, max_steps=50_000_000):
+    """The reference: one observer call per executed instruction."""
+    profiler = Profiler(program)
+    run(program, state=state, max_steps=max_steps, observer=profiler.observe)
+    return profiler.profile
+
+
+def assert_same_profile(candidate, reference):
+    assert candidate == reference
+    # Serialized form too, so dict insertion order matches as well.
+    assert json.dumps(candidate.to_dict()) == json.dumps(reference.to_dict())
+
+
+def profile_outcome(profiler, program, state, max_steps):
+    """``(profile, None)`` or ``(None, limit)`` of one bounded run."""
+    try:
+        return profiler(program, state=state, max_steps=max_steps), None
+    except StepLimitExceeded as error:
+        return None, error.limit
+
+
+#: A conditional branch whose target is its own fall-through pc (pc 2):
+#: its successor is pc 3 both ways, so only its condition tells.
+SELF_FALLTHROUGH = """
+main:   li r1, 6
+loop:   andi r2, r1, 1
+        beq r2, zero, next    # taken on even r1
+next:   addi r1, r1, -1
+        bne r1, zero, loop
+        addi r3, r3, 1
+        addi r4, r4, 1
+        halt
+"""
+
+
+class TestSuperstepProfileMatchesObserver:
+    """``profile_program`` runs whole chains; the per-instruction observer
+    ``Profiler`` is the reference it must equal."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_workload_programs(self, name):
+        instance = get_workload(name).instance()
+        for program in (*instance.train_programs, instance.program):
+            assert_same_profile(
+                profile_program(program), observer_profile(program)
+            )
+
+    @given(terminating_programs())
+    @settings(max_examples=25, deadline=None)
+    def test_generated_programs(self, program):
+        assert_same_profile(
+            profile_program(program, max_steps=2_000_000),
+            observer_profile(program, max_steps=2_000_000),
+        )
+
+    def test_branch_to_its_own_fallthrough_both_ways(self):
+        program = assemble(SELF_FALLTHROUGH)
+        profile = profile_program(program)
+        assert profile.branches[2] == BranchProfile(taken=3, not_taken=3)
+        assert_same_profile(profile, observer_profile(program))
+
+    def test_step_budget_boundary(self):
+        program = assemble(SELF_FALLTHROUGH)
+        length = run(program).steps  # non-halt instructions to halt
+        for max_steps in range(length - 3, length + 3):
+            mine, theirs = ArchState.initial(program), ArchState.initial(
+                program
+            )
+            got = profile_outcome(profile_program, program, mine, max_steps)
+            want = profile_outcome(observer_profile, program, theirs, max_steps)
+            assert got == want, max_steps
+            assert mine == theirs, max_steps
+            # One below and at the length raise; one above profiles the
+            # whole run, its last chain ending exactly at the budget.
+            assert (got[0] is None) == (max_steps <= length)
+
+    def test_caller_supplied_state(self):
+        program = assemble(LOADS)
+        mine = ArchState(regs=[0, 5] + [0] * 30, mem={500: 7}, pc=1)
+        theirs = mine.copy()
+        profile = profile_program(program, state=mine)
+        assert_same_profile(profile, observer_profile(program, state=theirs))
+        assert mine == theirs
+        assert mine.pc == 6 and mine.mem[600] == 1

@@ -139,6 +139,29 @@ class TestWarmSharing:
         assert summary["prepared_hits"] >= 1
         assert summary["engine_hits"] >= 1
 
+    def test_warm_hit_generates_nothing(self, cache_root, monkeypatch):
+        """A repeated (workload, size) request returns the resolved entry
+        without rebuilding or re-digesting the program."""
+        from repro.serve import WarmCache
+        from repro.workloads.base import WorkloadSpec
+
+        warm = WarmCache()
+        first, hit = warm.resolve("crc", size=SMALL)
+        assert not hit
+        calls = []
+        original = WorkloadSpec.instance
+
+        def counting(self, size=None):
+            calls.append(size)
+            return original(self, size)
+
+        monkeypatch.setattr(WorkloadSpec, "instance", counting)
+        second, hit = warm.resolve("crc", size=SMALL)
+        assert hit and second is first
+        assert calls == []
+        assert warm.counters.prepared_hits == 1
+        assert warm.counters.prepared_misses == 1
+
     def test_digest_addressing(self, cache_root):
         """A tenant can name a warm program by bare content digest; an
         unknown digest is an error response, never a recompile."""
