@@ -878,7 +878,7 @@ def check_decoded(
     # DEC003: superstep chains mirror the text's terminator structure.
     if not len(decoded.chains) == len(decoded.chain_halts) == len(
         decoded.chain_loads
-    ) == size:
+    ) == len(decoded.chain_reads) == len(decoded.chain_writes) == size:
         _finding(
             report, "DEC003", Severity.ERROR,
             f"chain tables cover {len(decoded.chains)} pcs but the text "
@@ -920,6 +920,26 @@ def check_decoded(
                 f"terminator {'is' if expected_halts[pc] else 'is not'} "
                 "a halt", pc=pc,
             )
+        # The slave records chain_reads as live-ins and marks
+        # chain_writes written: recompute both from the ISA's use/def
+        # sets, operands in evaluation order (rs before rt).
+        reads: List[int] = []
+        writes: List[int] = []
+        for instr in program.code[pc:pc + expected_spans[pc]]:
+            for reg in (instr.rs, instr.rt):
+                if reg in instr.uses() - {ZERO} and reg not in reads + writes:
+                    reads.append(reg)
+            writes += [r for r in instr.defs() - {ZERO} if r not in writes]
+        for name, table, expected in (
+            ("reads", decoded.chain_reads, reads),
+            ("writes", decoded.chain_writes, writes),
+        ):
+            if list(table[pc]) != expected:
+                _finding(
+                    report, "DEC003", Severity.ERROR,
+                    f"chain_{name} is {list(table[pc])} but the chain's "
+                    f"span {name} {expected}", pc=pc,
+                )
     return report
 
 

@@ -1017,6 +1017,8 @@ def cmd_bench(args) -> int:
           f"{micro['decoded_instrs_per_sec']:>12,.0f} instrs/sec")
     print(f"  superblock jit:           "
           f"{micro['jit_instrs_per_sec']:>12,.0f} instrs/sec")
+    print(f"  decoded MSSP episodes:    "
+          f"{micro['e2e_instrs_per_sec']:>12,.0f} instrs/sec")
     print(f"  decoded vs reference:     {micro['speedup']:>12.2f}x")
     print(f"  jit vs decoded:           {micro['jit_speedup']:>12.2f}x")
     print(f"  master jit vs decoded:    {micro['master_jit_speedup']:>12.2f}x"

@@ -47,6 +47,7 @@ share one on-disk artifact store.
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -99,6 +100,10 @@ BASELINE_TOLERANCE = 0.30
 #: server workers and seed 0 are :func:`run_serve_bench`'s defaults.
 SERVE_RATES = DEFAULT_RATES
 SERVE_REQUESTS = 24
+
+#: Warm episodes whose median is the microbenchmark's
+#: ``e2e_instrs_per_sec``.
+E2E_EPISODES = 5
 
 #: The cluster stage's simulated slave counts (the scenarios run at the
 #: middle one).
@@ -199,14 +204,15 @@ def microbenchmark(
 ) -> Dict[str, float]:
     """Instructions/second across every execution tier.
 
-    Four timed stages on one workload: the seed's reference ``execute``
-    loop, the pre-decoded engine, the superblock JIT, and the
+    Five timed stages on one workload: the seed's reference ``execute``
+    loop, the pre-decoded engine, the superblock JIT, the
     *master-side* JIT — the distilled program standalone under
     ``tier="jit"`` vs ``tier="decoded"`` (``master_jit_speedup``, with
     ``master_jit_coverage`` the fraction of distilled instructions
-    retired inside generated code).  Also
-    records the arch JIT's linking counters so the CI bench smoke can
-    assert superblock linking actually engaged.
+    retired inside generated code) — and whole MSSP episodes
+    (``e2e_instrs_per_sec``).  Also records the arch JIT's linking
+    counters so the CI bench smoke can assert superblock linking
+    actually engaged.
     """
     program = get_workload(workload).instance(
         workload_size(workload, scale)
@@ -259,7 +265,32 @@ def microbenchmark(
         "jit_fused_regions": jit.stats["fused_regions"],
     }
     result.update(master_microbenchmark(workload, scale, repeats))
+    result["e2e_instrs_per_sec"] = episode_throughput(workload, scale)
     return result
+
+
+def episode_throughput(
+    workload: str = MICRO_WORKLOAD, scale: float = 1.0
+) -> float:
+    """Architected instructions per second of whole MSSP episodes.
+
+    The median over :data:`E2E_EPISODES` warm eager episodes on the decoded
+    tier, after one warm-up episode: instructions committed to
+    architected state (by tasks and by recovery) over episode wall
+    time — what a user's run gets, not only the sequential loop.
+    """
+    ready, _ = cached_prepare(workload, size=workload_size(workload, scale))
+    config = MsspConfig(runtime="eager", exec_tier="decoded")
+    rates: List[float] = []
+    with create_engine(
+        ready.instance.program, ready.distillation, config
+    ) as engine:
+        engine.run()
+        for _ in range(E2E_EPISODES):
+            start = time.perf_counter()
+            instrs = engine.run().counters.total_instrs
+            rates.append(instrs / max(time.perf_counter() - start, 1e-9))
+    return statistics.median(rates)
 
 
 def master_microbenchmark(
@@ -660,10 +691,11 @@ def check_baseline(
 ) -> List[str]:
     """Regression check against a committed baseline; returns problems.
 
-    The baseline file records the *floor* throughput
-    (``decoded_instrs_per_sec``) and the minimum decoded-vs-legacy
-    ``speedup``; the current run fails when it regresses more than
-    ``tolerance`` below either.  An absent baseline file is an error
+    The baseline file records *floor* throughputs (the decoded and jit
+    sequential loops, and ``e2e_instrs_per_sec`` for whole episodes) and
+    minimum speedups; the current run fails when a throughput regresses
+    more than ``tolerance`` below its floor or a speedup falls under its
+    minimum.  An absent baseline file is an error
     (the gate must never pass vacuously).
     """
     problems: List[str] = []
@@ -688,6 +720,16 @@ def check_baseline(
             f"decoded-vs-legacy speedup regressed: "
             f"{micro['speedup']:.2f}x < required {min_speedup:.2f}x"
         )
+    e2e_floor = baseline.get("e2e_instrs_per_sec")
+    if e2e_floor is not None:
+        allowed = e2e_floor * (1.0 - tolerance)
+        actual = micro.get("e2e_instrs_per_sec", 0.0)
+        if actual < allowed:
+            problems.append(
+                f"end-to-end episode throughput regressed: "
+                f"{actual:,.0f} instrs/sec < {allowed:,.0f} "
+                f"(baseline {e2e_floor:,.0f} - {tolerance:.0%})"
+            )
     jit_floor = baseline.get("jit_instrs_per_sec")
     if jit_floor is not None:
         allowed = jit_floor * (1.0 - tolerance)
@@ -745,11 +787,14 @@ def write_baseline(summary: Dict[str, object], path: str) -> None:
             f"jit ~{micro['jit_instrs_per_sec'] / 1e6:.2f}M instrs/sec "
             f"({micro['jit_speedup']:.2f}x decoded), "
             f"master jit {micro['master_jit_speedup']:.2f}x its decoded "
-            f"loop at {micro['master_jit_coverage']:.0%} coverage."
+            f"loop at {micro['master_jit_coverage']:.0%} coverage, "
+            f"decoded MSSP episodes "
+            f"~{micro['e2e_instrs_per_sec'] / 1e6:.2f}M instrs/sec."
         ),
         "decoded_instrs_per_sec": floor(micro["decoded_instrs_per_sec"]),
         "min_speedup": 2.0,
         "jit_instrs_per_sec": floor(micro["jit_instrs_per_sec"]),
+        "e2e_instrs_per_sec": floor(micro["e2e_instrs_per_sec"]),
         "min_jit_speedup": 2.0,
         "min_master_jit_speedup": 1.5,
     }

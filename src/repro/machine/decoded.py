@@ -30,14 +30,19 @@ them across steps (snapshot the fields instead).  Effects describing
 memory accesses are freshly allocated (they carry per-step data), but
 code must not rely on that.
 
-On top of per-instruction closures, :class:`DecodedProgram` precomputes
+On top of the steppers, :class:`DecodedProgram` precomputes
 **basic-block supersteps**: for every pc, the straight-line run of
-closures from that pc to its block terminator, with its halt flag and
-load count.  The sequential :meth:`DecodedProgram.run`, the profiler,
-and the MSSP slave and master run whole chains, falling back to exact
-per-step execution wherever a step boundary could fall inside one — near
-the step budget, so ``StepLimitExceeded`` (or an overrun or timeout)
-fires at precisely the same instruction as the reference loop.
+*links* from that pc to its block terminator, with its halt flag, load
+count, and the registers it reads before writing (``chain_reads``) and
+writes (``chain_writes``).  A link, ``fn(regs, state)``, indexes the
+state's own register list and wraps results inline; only memory goes
+through ``state.load``/``state.store``.  A recording view therefore
+records a chain's register live-ins once, from ``chain_reads``, instead
+of on every access.  The sequential :meth:`DecodedProgram.run`, the
+profiler, and the MSSP slave and master run whole chains, falling back
+to exact per-step execution wherever a step boundary could fall inside
+one — near the step budget, so ``StepLimitExceeded`` (or an overrun or
+timeout) fires at precisely the same instruction as the reference loop.
 
 Decoded programs are cached per :class:`~repro.isa.program.Program`
 *instance* (identity, not value): the decoding is attached to the
@@ -70,6 +75,13 @@ from repro.machine.state import MachineStateLike, wrap64
 #: A decoded instruction: mutates ``state`` and returns its effect.
 Stepper = Callable[[MachineStateLike], StepEffect]
 
+#: A superstep-chain link: ``link(regs, state)`` executes one instruction
+#: on ``regs``, the state's own register list (see :func:`_decode_link`).
+Link = Callable[[List[int], MachineStateLike], None]
+
+_MIN64 = -(1 << 63)
+_MAX64 = (1 << 63) - 1
+
 #: Interned singleton effects (see the interned-effect contract above).
 EFFECT_FALL = StepEffect()
 EFFECT_TAKEN = StepEffect(taken=True)
@@ -79,16 +91,9 @@ EFFECT_HALT = StepEffect(halted=True)
 _CACHE_ATTR = "_decoded_cache"
 
 
-def _decode_instruction(
-    pc: int, instr: Instruction
-) -> Tuple[Stepper, Optional[Stepper]]:
-    """Compile ``instr`` at ``pc`` into (stepper, quick) closures.
-
-    The stepper returns the instruction's :class:`StepEffect`; ``quick``
-    is an effect-free variant for the memory opcodes (whose stepper must
-    allocate) used inside superstep chains, or ``None`` when the stepper
-    itself is already allocation-free.
-    """
+def _decode_instruction(pc: int, instr: Instruction) -> Stepper:
+    """Compile ``instr`` at ``pc`` into a stepper returning its
+    :class:`StepEffect` (exact per-step execution on any state)."""
     op = instr.op
     nxt = pc + 1
     fn = _R3_OPS.get(op)
@@ -109,7 +114,7 @@ def _decode_instruction(
                 )
                 state.pc = nxt
                 return EFFECT_FALL
-        return step, None
+        return step
     fn = _I2_OPS.get(op)
     if fn is not None:
         rd, rs, imm = instr.rd, instr.rs, instr.imm
@@ -123,7 +128,7 @@ def _decode_instruction(
                 state.write_reg(rd, fn(state.read_reg(rs), imm))
                 state.pc = nxt
                 return EFFECT_FALL
-        return step, None
+        return step
     fn = _BRANCH_OPS.get(op)
     if fn is not None:
         rs, rt, target = instr.rs, instr.rt, instr.target
@@ -134,7 +139,7 @@ def _decode_instruction(
                 return EFFECT_TAKEN
             state.pc = nxt
             return EFFECT_FALL
-        return step, None
+        return step
     if op is Opcode.LW:
         rd, rs, imm = instr.rd, instr.rs, instr.imm
         if rd == ZERO:
@@ -143,10 +148,6 @@ def _decode_instruction(
                 value = state.load(address)
                 state.pc = nxt
                 return StepEffect(mem_addr=address, mem_value=value)
-
-            def quick(state, rs=rs, imm=imm, nxt=nxt):
-                state.load(wrap64(state.read_reg(rs) + imm))
-                state.pc = nxt
         else:
             def step(state, rd=rd, rs=rs, imm=imm, nxt=nxt):
                 address = wrap64(state.read_reg(rs) + imm)
@@ -154,13 +155,7 @@ def _decode_instruction(
                 state.write_reg(rd, value)
                 state.pc = nxt
                 return StepEffect(mem_addr=address, mem_value=value)
-
-            def quick(state, rd=rd, rs=rs, imm=imm, nxt=nxt):
-                state.write_reg(
-                    rd, state.load(wrap64(state.read_reg(rs) + imm))
-                )
-                state.pc = nxt
-        return step, quick
+        return step
     if op is Opcode.SW:
         rs, rt, imm = instr.rs, instr.rt, instr.imm
 
@@ -172,13 +167,7 @@ def _decode_instruction(
             return StepEffect(
                 mem_addr=address, mem_value=value, is_store=True
             )
-
-        def quick(state, rs=rs, rt=rt, imm=imm, nxt=nxt):
-            state.store(
-                wrap64(state.read_reg(rs) + imm), state.read_reg(rt)
-            )
-            state.pc = nxt
-        return step, quick
+        return step
     if op is Opcode.LI:
         rd, imm = instr.rd, instr.imm
         if rd == ZERO:
@@ -190,7 +179,7 @@ def _decode_instruction(
                 state.write_reg(rd, imm)
                 state.pc = nxt
                 return EFFECT_FALL
-        return step, None
+        return step
     if op is Opcode.MOV:
         rd, rs = instr.rd, instr.rs
         if rd == ZERO:
@@ -203,14 +192,14 @@ def _decode_instruction(
                 state.write_reg(rd, state.read_reg(rs))
                 state.pc = nxt
                 return EFFECT_FALL
-        return step, None
+        return step
     if op is Opcode.J:
         target = instr.target
 
         def step(state, target=target):
             state.pc = target
             return EFFECT_TAKEN
-        return step, None
+        return step
     if op is Opcode.JAL:
         target = instr.target
 
@@ -218,24 +207,126 @@ def _decode_instruction(
             state.write_reg(RA, nxt)
             state.pc = target
             return EFFECT_TAKEN
-        return step, None
+        return step
     if op is Opcode.JR:
         rs = instr.rs
 
         def step(state, rs=rs):
             state.pc = state.read_reg(rs)
             return EFFECT_TAKEN
-        return step, None
+        return step
     if op is Opcode.HALT:
         def step(state):
             return EFFECT_HALT
-        return step, None
+        return step
 
     # NOP and FORK (a task marker, not a computation) fall through.
     def step(state, nxt=nxt):
         state.pc = nxt
         return EFFECT_FALL
-    return step, None
+    return step
+
+
+def _pass(regs, state):
+    """The link of an instruction with no effect inside a chain."""
+
+
+def _decode_link(
+    pc: int, instr: Instruction
+) -> Tuple[Link, Tuple[int, ...], Optional[int]]:
+    """Compile ``instr`` at ``pc`` into ``(link, reads, write)``.
+
+    ``link(regs, state)`` indexes the register list directly and sends
+    only memory through ``state.load``/``state.store``.  It relies on
+    ``regs[0] == 0`` and stores no fall-through pc: a memory link stores
+    its own pc before the access (the profiler attributes sites to
+    ``state.pc``), control transfers and ``halt`` store theirs, and a
+    chain's caller resumes wherever the chain ends.  Results wrap inline
+    (``wrap64`` only on overflow); a write to ``r0`` vanishes.
+    ``reads`` are the source registers in evaluation order (``rs``
+    before ``rt``, r0 included), ``write`` the destination, or ``None``.
+    """
+    op = instr.op
+    nxt = pc + 1
+    rd, rs, rt, imm = instr.rd, instr.rs, instr.rt, instr.imm
+    write = None if rd == ZERO else rd
+    fn = _R3_OPS.get(op)
+    if fn is not None:
+        if write is None:
+            return _pass, (rs, rt), None
+
+        def link(regs, state, fn=fn, rd=rd, rs=rs, rt=rt):
+            v = fn(regs[rs], regs[rt])
+            regs[rd] = v if _MIN64 <= v <= _MAX64 else wrap64(v)
+        return link, (rs, rt), write
+    fn = _I2_OPS.get(op)
+    if fn is not None:
+        if write is None:
+            return _pass, (rs,), None
+
+        def link(regs, state, fn=fn, rd=rd, rs=rs, imm=imm):
+            v = fn(regs[rs], imm)
+            regs[rd] = v if _MIN64 <= v <= _MAX64 else wrap64(v)
+        return link, (rs,), write
+    fn = _BRANCH_OPS.get(op)
+    if fn is not None:
+        def link(regs, state, fn=fn, rs=rs, rt=rt, target=instr.target,
+                 nxt=nxt):
+            state.pc = target if fn(regs[rs], regs[rt]) else nxt
+        return link, (rs, rt), None
+    if op is Opcode.LW:
+        if write is None:
+            def link(regs, state, rs=rs, imm=imm, pc=pc):
+                a = regs[rs] + imm
+                state.pc = pc
+                state.load(a if _MIN64 <= a <= _MAX64 else wrap64(a))
+        else:
+            def link(regs, state, rd=rd, rs=rs, imm=imm, pc=pc):
+                a = regs[rs] + imm
+                state.pc = pc
+                v = state.load(a if _MIN64 <= a <= _MAX64 else wrap64(a))
+                regs[rd] = v if _MIN64 <= v <= _MAX64 else wrap64(v)
+        return link, (rs,), write
+    if op is Opcode.SW:
+        def link(regs, state, rs=rs, rt=rt, imm=imm, pc=pc):
+            a = regs[rs] + imm
+            state.pc = pc
+            state.store(a if _MIN64 <= a <= _MAX64 else wrap64(a), regs[rt])
+        return link, (rs, rt), None
+    if op is Opcode.LI:
+        if write is None:
+            return _pass, (), None
+
+        def link(regs, state, rd=rd, value=wrap64(imm)):
+            regs[rd] = value
+        return link, (), write
+    if op is Opcode.MOV:
+        if write is None:
+            return _pass, (rs,), None
+
+        def link(regs, state, rd=rd, rs=rs):
+            v = regs[rs]
+            regs[rd] = v if _MIN64 <= v <= _MAX64 else wrap64(v)
+        return link, (rs,), write
+    if op is Opcode.J:
+        def link(regs, state, target=instr.target):
+            state.pc = target
+        return link, (), None
+    if op is Opcode.JAL:
+        def link(regs, state, target=instr.target, nxt=nxt):
+            regs[RA] = nxt
+            state.pc = target
+        return link, (), RA
+    if op is Opcode.JR:
+        def link(regs, state, rs=rs):
+            state.pc = regs[rs]
+        return link, (rs,), None
+    if op is Opcode.HALT:
+        def link(regs, state, pc=pc):
+            state.pc = pc
+        return link, (), None
+    # NOP and FORK (a task marker, not a computation).
+    return _pass, (), None
 
 
 def _decode_meta(pc: int, instr: Instruction) -> Tuple:
@@ -270,7 +361,7 @@ class DecodedProgram:
 
     __slots__ = (
         "program", "code", "size", "steppers", "chains", "chain_halts",
-        "chain_loads", "meta", "oracle",
+        "chain_loads", "chain_reads", "chain_writes", "meta", "oracle",
     )
 
     def __init__(self, program: Program, oracle: bool = False):
@@ -279,54 +370,91 @@ class DecodedProgram:
         self.size = len(program.code)
         self.oracle = oracle
         steppers: List[Stepper] = []
-        quicks: List[Stepper] = []
+        links: List[Link] = []
+        operands: List[Tuple[Tuple[int, ...], Optional[int]]] = []
         meta: List[Tuple] = []
         for pc, instr in enumerate(self.code):
+            link, reads, write = _decode_link(pc, instr)
             if oracle:
                 def step(state, instr=instr):
                     return execute(instr, state)
-                stepper, quick = step, None
+
+                def link(regs, state, instr=instr):
+                    execute(instr, state)
+                steppers.append(step)
             else:
-                stepper, quick = _decode_instruction(pc, instr)
-            steppers.append(stepper)
-            quicks.append(quick if quick is not None else stepper)
+                steppers.append(_decode_instruction(pc, instr))
+            links.append(link)
+            operands.append((reads, write))
             meta.append(_decode_meta(pc, instr))
         self.steppers: Tuple[Stepper, ...] = tuple(steppers)
         self.meta: Tuple[Tuple, ...] = tuple(meta)
-        self._build_chains(quicks)
+        self._build_chains(links, operands)
 
-    def _build_chains(self, quicks: List[Stepper]) -> None:
-        """Per-pc straight-line closure runs ending at block terminators.
+    def _build_chains(
+        self,
+        links: List[Link],
+        operands: List[Tuple[Tuple[int, ...], Optional[int]]],
+    ) -> None:
+        """Per-pc straight-line link runs ending at block terminators.
 
         ``chains[pc]`` executes pc through the first terminator at or
-        after it (or the end of the text); ``chain_halts[pc]`` marks
+        after it (or the end of the text), as ``fn(regs, state)`` calls
+        on the state's own register list; ``chain_halts[pc]`` marks
         chains whose terminator is ``halt``, and ``chain_loads[pc]``
-        counts the ``lw`` instructions in the chain.  Entry at any pc is
+        counts the ``lw`` instructions in the chain.  ``chain_reads[pc]``
+        lists the registers the chain reads before writing them (r0
+        excluded) in first-read order, ``chain_writes[pc]`` the
+        registers it writes: a recording view takes a chain's live-ins
+        once at entry instead of on every access.  Entry at any pc is
         legal — chains are suffixes, so branch targets into block
-        middles get their own (shorter) run.
+        middles get their own (shorter) run.  A text that ends without a
+        terminator gets a last link that also stores the end pc.
         """
         code = self.code
         size = self.size
+        if size and not code[-1].is_terminator:
+            def last(regs, state, inner=links[-1], end=size):
+                inner(regs, state)
+                state.pc = end
+            links[-1] = last
         ends: List[int] = [0] * size  # pc -> index one past the terminator
         halts: List[bool] = [False] * size
         loads: List[int] = [0] * size
+        reads: List[Tuple[int, ...]] = [()] * size
+        writes: List[Tuple[int, ...]] = [()] * size
         end = size
         halt = False
         count = 0
+        span_reads: Tuple[int, ...] = ()
+        span_writes: Tuple[int, ...] = ()
         for pc in range(size - 1, -1, -1):
             if code[pc].is_terminator:
                 end = pc + 1
                 halt = code[pc].op is Opcode.HALT
                 count = 0
+                span_reads = span_writes = ()
             count += code[pc].op is Opcode.LW
             ends[pc] = end
             halts[pc] = halt
             loads[pc] = count
-        self.chains: Tuple[Tuple[Stepper, ...], ...] = tuple(
-            tuple(quicks[pc:ends[pc]]) for pc in range(size)
+            sources, write = operands[pc]
+            own = tuple(dict.fromkeys(r for r in sources if r != ZERO))
+            span_reads = own + tuple(
+                r for r in span_reads if r != write and r not in own
+            )
+            span_writes = (() if write is None else (write,)) + tuple(
+                r for r in span_writes if r != write
+            )
+            reads[pc] = span_reads
+            writes[pc] = span_writes
+        self.chains: Tuple[Tuple[Link, ...], ...] = tuple(
+            tuple(links[pc:ends[pc]]) for pc in range(size)
         )
         self.chain_halts: Tuple[bool, ...] = tuple(halts)
         self.chain_loads: Tuple[int, ...] = tuple(loads)
+        self.chain_reads: Tuple[Tuple[int, ...], ...] = tuple(reads)
+        self.chain_writes: Tuple[Tuple[int, ...], ...] = tuple(writes)
 
     # -- stepping -----------------------------------------------------------
 
@@ -357,6 +485,7 @@ class DecodedProgram:
         chains = self.chains
         chain_halts = self.chain_halts
         size = self.size
+        regs = state.regs
         steps = 0
         while True:
             pc = state.pc
@@ -365,7 +494,7 @@ class DecodedProgram:
             chain = chains[pc]
             if steps + len(chain) < max_steps:
                 for fn in chain:
-                    fn(state)
+                    fn(regs, state)
                 if chain_halts[pc]:
                     return steps + len(chain) - 1, True
                 steps += len(chain)

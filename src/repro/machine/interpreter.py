@@ -116,6 +116,16 @@ def count_dynamic_instructions(
     return run_to_halt(program, max_steps=max_steps).steps
 
 
+class _LoadCountingState(ArchState):
+    """An :class:`ArchState` that counts its ``load`` calls."""
+
+    __slots__ = ("loads",)
+
+    def load(self, address: int) -> int:
+        self.loads += 1
+        return self.mem.get(address, 0)
+
+
 def count_instructions_and_loads(
     program: Program, max_steps: int = DEFAULT_STEP_LIMIT
 ) -> "tuple[int, int]":
@@ -123,15 +133,13 @@ def count_instructions_and_loads(
 
     The load count feeds memory-aware cycle accounting: machines that
     charge ``load_penalty`` extra cycles per load need the baseline's
-    load count for fair speedup denominators.
+    load count for fair speedup denominators.  It runs the decoded
+    program's supersteps (never the JIT) on a state that counts its
+    loads, with no per-instruction observer.
     """
-    loads = 0
-
-    def observer(pc, instr, effect, state):
-        nonlocal loads
-        del pc, instr, state
-        if effect.mem_addr is not None and not effect.is_store:
-            loads += 1
-
-    result = run(program, max_steps=max_steps, observer=observer)
-    return result.steps, loads
+    state = _LoadCountingState(mem=program.memory, pc=program.entry)
+    state.loads = 0
+    steps, _ = decode(program, oracle=resolve_exec_tier() == "oracle").run(
+        state, max_steps
+    )
+    return steps, state.loads

@@ -1251,6 +1251,7 @@ class JitProgram:
         chain_halts = decoded.chain_halts
         size = self.size
         arch = self.mode == "arch"
+        regs = state.regs
         steps = 0
         while True:
             pc = state.pc
@@ -1270,7 +1271,7 @@ class JitProgram:
             chain = chains[pc]
             if steps + len(chain) < max_steps:
                 for fn in chain:
-                    fn(state)
+                    fn(regs, state)
                 if chain_halts[pc]:
                     return steps + len(chain) - 1, True
                 steps += len(chain)

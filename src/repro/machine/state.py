@@ -38,10 +38,13 @@ class MachineStateLike(Protocol):
     """Access interface required by the instruction semantics.
 
     Implementations: :class:`ArchState` (direct), the MSSP master's
-    write-cache view, and the MSSP slave's recording view.
+    write-cache view, and the MSSP slave's recording view.  ``regs`` is
+    the state's own register list, which decoded superstep chains index
+    directly; every implementation keeps ``regs[0] == 0``.
     """
 
     pc: int
+    regs: List[int]
 
     def read_reg(self, index: int) -> int: ...
 
@@ -69,6 +72,8 @@ class ArchState:
         self.regs: List[int] = regs_list
         if len(self.regs) != NUM_REGS:
             raise ValueError(f"expected {NUM_REGS} registers")
+        if regs_list[ZERO]:
+            raise ValueError("r0 is hardwired to zero")
         self.mem: Dict[int, int] = (
             {a: v for a, v in mem.items() if v} if mem else {}
         )

@@ -79,6 +79,7 @@ class _MasterView:
     def __init__(self, arch: ArchState, pc: int):
         self.pc = pc
         self.regs: List[int] = list(arch.regs)
+        self.regs[0] = 0
         self.dirty: Dict[int, int] = {}
         self.delta: Dict[int, int] = {}
         self._base_mem = dict(arch.mem)
@@ -157,7 +158,9 @@ class Master:
     def _superstep_table(self) -> tuple:
         """Per pc: the decoded chain cut before its first ``fork`` or
         ``jr`` (which the master intercepts) as ``(chain, anchors of its
-        pcs, lw count, ends in halt)``, or ``None`` at a fork or jr."""
+        pcs, lw count, ends in halt, pc after a cut or None)``, or
+        ``None`` at a fork or jr.  Links store no fall-through pc, so
+        the loop sets the pc of the intercepted instruction itself."""
         decoded = self._decoded
         code = decoded.code
         special = self._special
@@ -176,6 +179,7 @@ class Master:
                 tuple(arrival_pcs[p] for p in span if p in arrival_pcs),
                 sum(1 for p in span if code[p].op is Opcode.LW),
                 n == len(chain) and decoded.chain_halts[pc],
+                pc + n if n < len(chain) else None,
             ))
         return tuple(table)
 
@@ -207,13 +211,16 @@ class Master:
             if chains is not None and chains[pc] is not None:
                 # A superstep visits each pc of its span once: count
                 # their arrivals, then run it whole.
-                chain, anchors, n_loads, halts = chains[pc]
+                chain, anchors, n_loads, halts, cut = chains[pc]
                 n = len(chain)
                 if executed + n < budget:
                     for anchor in anchors:
                         arrivals[anchor] = arrivals.get(anchor, 0) + 1
+                    regs = view.regs
                     for fn in chain:
-                        fn(view)
+                        fn(regs, view)
+                    if cut is not None:
+                        view.pc = cut
                     loads += n_loads
                     if halts:
                         executed += n - 1

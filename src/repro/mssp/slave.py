@@ -21,7 +21,7 @@ verification treats as a misspeculation).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ProtectedAccessError
 from repro.isa.program import Program
@@ -42,7 +42,7 @@ class SlaveView:
     """
 
     __slots__ = (
-        "pc", "_regs", "_reg_written", "_ckpt_mem", "_arch",
+        "pc", "regs", "_reg_written", "_ckpt_mem", "_arch",
         "_own_mem", "live_in_regs", "live_in_mem", "_regions",
     )
 
@@ -54,8 +54,10 @@ class SlaveView:
         regions: Optional["ProtectedRegions"] = None,
     ):
         self.pc = pc
-        self._regs: List[int] = list(checkpoint.regs)
-        self._reg_written = [False] * len(self._regs)
+        # A checkpoint's r0 is never observable: reads of r0 are 0.
+        self.regs: List[int] = list(checkpoint.regs)
+        self.regs[0] = 0
+        self._reg_written = [False] * len(self.regs)
         self._ckpt_mem = checkpoint.mem
         self._arch = arch
         self._own_mem: Dict[int, int] = {}
@@ -68,15 +70,37 @@ class SlaveView:
     def read_reg(self, index: int) -> int:
         if index == 0:
             return 0
-        value = self._regs[index]
+        value = self.regs[index]
         if not self._reg_written[index] and index not in self.live_in_regs:
             self.live_in_regs[index] = value
         return value
 
     def write_reg(self, index: int, value: int) -> None:
         if index != 0:
-            self._regs[index] = wrap64(value)
+            self.regs[index] = wrap64(value)
             self._reg_written[index] = True
+
+    def run_chain(
+        self, chain: Sequence[Callable], reads: Sequence[int],
+        writes: Sequence[int],
+    ) -> None:
+        """Run a superstep chain on :attr:`regs`, recording like ``read_reg``.
+
+        ``reads`` (first-read order, r0 excluded) are recorded before the
+        chain runs and ``writes`` marked written after it.  That is exact
+        only for a chain that cannot stop part-way: no protected regions,
+        and neither budget nor end pc inside it.
+        """
+        regs = self.regs
+        written = self._reg_written
+        live_in = self.live_in_regs
+        for r in reads:
+            if not written[r] and r not in live_in:
+                live_in[r] = regs[r]
+        for fn in chain:
+            fn(regs, self)
+        for r in writes:
+            written[r] = True
 
     def load(self, address: int) -> int:
         if self._regions is not None and address in self._regions:
@@ -102,7 +126,7 @@ class SlaveView:
     def live_out_regs(self) -> Dict[int, int]:
         return {
             index: value
-            for index, value in enumerate(self._regs)
+            for index, value in enumerate(self.regs)
             if self._reg_written[index]
         }
 
@@ -138,7 +162,10 @@ def execute_task(
 
     The decoded tier without protected regions runs whole superstep
     chains wherever neither the budget nor the end pc falls inside one,
-    checking the arrival once after the chain.
+    checking the arrival once after the chain.  :meth:`SlaveView.run_chain`
+    runs it on the view's register list, recording its ``chain_reads``
+    once at entry and marking its ``chain_writes`` after; memory still
+    records through the view.
     """
     view = SlaveView(task.checkpoint, arch, task.start_pc, regions=regions)
     decoded = decode(program, oracle=tier == "oracle")
@@ -147,6 +174,9 @@ def execute_task(
     chains = decoded.chains if tier == "decoded" and regions is None else None
     chain_halts = decoded.chain_halts
     chain_loads = decoded.chain_loads
+    chain_reads = decoded.chain_reads
+    chain_writes = decoded.chain_writes
+    run_chain = view.run_chain
     steps = 0
     loads = 0
     halted = False
@@ -184,8 +214,7 @@ def execute_task(
             if steps + n < max_instrs and not (
                 end_pc is not None and pc < end_pc < pc + n
             ):
-                for fn in chain:
-                    fn(view)
+                run_chain(chain, chain_reads[pc], chain_writes[pc])
                 loads += chain_loads[pc]
                 if chain_halts[pc]:
                     steps += n - 1

@@ -73,8 +73,9 @@ class Profiler:
 
 class _ProfilingState(ArchState):
     """An :class:`ArchState` whose loads and stores feed a profile at
-    ``self.pc`` (decoded closures advance the pc after the access).  It
-    shares the caller's registers and memory; only ``pc`` is copied back.
+    ``self.pc`` (a chain's memory links store their own pc before the
+    access).  It shares the caller's registers and memory; only ``pc``
+    is copied back.
     """
 
     __slots__ = ("profile",)
@@ -156,6 +157,7 @@ def profile_program(
         program_name=program.name, code_length=len(program.code)
     )
     view = _ProfilingState(state, profile)
+    regs = view.regs
     size = decoded.size
     chains = decoded.chains
     chain_halts = decoded.chain_halts
@@ -177,7 +179,7 @@ def profile_program(
             chain = chains[pc]
             if steps + len(chain) < superstep_limit:
                 for fn in chain:
-                    fn(view)
+                    fn(regs, view)
                 entries[pc] += 1
                 if chain_halts[pc]:
                     break

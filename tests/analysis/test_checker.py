@@ -540,6 +540,33 @@ class TestCheckDecoded:
             f.check_id == "DEC003" and f.pc == pc for f in report.errors
         )
 
+    @staticmethod
+    def tamper_chain_table(program, name, pick, change):
+        """Rewrite one ``chain_<name>`` entry; returns the pc tampered."""
+        from repro.machine.decoded import decode
+
+        decoded = decode(program)
+        table = list(getattr(decoded, name))
+        pc = next(pc for pc, entry in enumerate(table) if pick(entry))
+        table[pc] = change(table[pc])
+        setattr(decoded, name, tuple(table))
+        return pc
+
+    @pytest.mark.parametrize("name, pick, change", [
+        ("chain_reads", lambda regs: len(regs) > 1,
+         lambda regs: (regs[1], regs[0]) + regs[2:]),
+        ("chain_reads", lambda regs: len(regs) > 0, lambda regs: regs[1:]),
+        ("chain_writes", lambda regs: len(regs) > 0, lambda regs: regs[1:]),
+    ], ids=["swapped-read-order", "dropped-read", "missing-write"])
+    def test_wrong_chain_registers_are_dec003(
+        self, rich_program, name, pick, change
+    ):
+        pc = self.tamper_chain_table(rich_program, name, pick, change)
+        report = check_decoded(rich_program)
+        assert any(
+            f.check_id == "DEC003" and f.pc == pc for f in report.errors
+        )
+
 
 # -- layer 5: the superblock JIT --------------------------------------------
 

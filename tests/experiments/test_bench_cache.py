@@ -125,6 +125,8 @@ class TestRunBench:
         assert summary["schema"] == cache.CACHE_SCHEMA
         micro = summary["microbenchmark"]
         assert micro["decoded_instrs_per_sec"] > 0
+        assert set(micro) == MICRO_KEYS
+        assert micro["e2e_instrs_per_sec"] > 0
         assert len(summary["suite"]) == 1
         row = summary["suite"][0]
         assert row["workload"] == "compress"
@@ -151,6 +153,16 @@ class TestRunBench:
         assert any("throughput regressed" in p for p in problems)
         assert any("speedup regressed" in p for p in problems)
 
+    def test_low_episode_throughput_is_flagged(self, tmp_path):
+        summary = {"microbenchmark": {"e2e_instrs_per_sec": 690.0}}
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"e2e_instrs_per_sec": 1000}))
+        problems = bench.check_baseline(summary, str(baseline))
+        assert len(problems) == 1
+        assert "episode throughput regressed" in problems[0]
+        summary["microbenchmark"]["e2e_instrs_per_sec"] = 700.0
+        assert bench.check_baseline(summary, str(baseline)) == []
+
     def test_missing_baseline_is_an_error(self, cache_root, tmp_path):
         summary = {"microbenchmark": {}}
         problems = bench.check_baseline(
@@ -158,6 +170,16 @@ class TestRunBench:
         )
         assert problems and "not found" in problems[0]
 
+
+#: Every microbenchmark-stage key, and nothing else.
+MICRO_KEYS = {
+    "workload", "dynamic_instrs", "legacy_instrs_per_sec",
+    "decoded_instrs_per_sec", "jit_instrs_per_sec", "speedup",
+    "jit_speedup", "jit_link_transits", "jit_link_promotions",
+    "jit_link_demotions", "jit_fused_regions", "master_dynamic_instrs",
+    "master_decoded_instrs_per_sec", "master_jit_instrs_per_sec",
+    "master_jit_speedup", "master_jit_coverage", "e2e_instrs_per_sec",
+}
 
 #: Every key ``repro bench`` writes, and nothing else.
 SUMMARY_KEYS = {

@@ -141,6 +141,29 @@ class TestDifferentialFixtures:
             # leaving bit-identical states (superstep may not overshoot).
             assert fast_state == oracle_state
 
+    def test_running_off_the_text_matches_oracle(self):
+        """A text without a final terminator leaves the pc at its end."""
+        program = assemble(".text\nmain: li r1, 3\n sw r1, 9(r0)\n")
+        for oracle in (False, True):
+            state = ArchState.initial(program)
+            with pytest.raises(InvalidPcError):
+                decode(program, oracle=oracle).run(state, 100)
+            assert state.pc == 2 and state.load(9) == 3
+
+    def test_register_corner_cases_equivalent(self):
+        """Wraps at every bound, srl of negatives, and r0 writes."""
+        assert_equivalent(assemble(
+            ".text\nmain: li r1, -8\n li r2, 1\n srl r3, r1, r2\n"
+            " srli r4, r1, 0\n li r5, 9223372036854775807\n"
+            " addi r6, r5, 1\n mul r7, r5, r5\n muli r8, r5, 3\n"
+            " li r9, -9223372036854775808\n sub r10, r9, r2\n"
+            " div r11, r9, r1\n li r12, 0x10000000000000005\n"
+            " andi r13, r1, 0x1ffffffffffffffff\n mov r0, r5\n"
+            " add r0, r5, r5\n sll r14, r5, r2\n slt r15, r9, r5\n"
+            " sw r7, 0x7fffffffffffffff(r2)\n"
+            " lw r16, 0x7fffffffffffffff(r2)\n halt\n"
+        ))
+
     def test_invalid_pc_parity(self):
         program = assemble(".text\nmain: j end\nend: halt\n")
         state = ArchState.initial(program)
@@ -295,6 +318,24 @@ class TestDecodeCache:
         assert len(decoded.chains) == len(program.code)
         for pc, chain in enumerate(decoded.chains):
             assert 1 <= len(chain) <= len(program.code) - pc
+
+    def test_chain_register_tables(self):
+        program = assemble(
+            ".text\nmain: add r3, r5, r4\n addi r5, r5, 1\n"
+            " add r0, r6, r3\n lw r7, 0(r5)\n sw r7, 4(r8)\n"
+            " bne r7, r9, main\n jal leaf\n halt\n"
+            "leaf: mov r1, r31\n jr r1\n"
+        )
+        decoded = decode(program)
+        assert decoded.chain_reads[:6] == (
+            (5, 4, 6, 8, 9), (5, 6, 3, 8, 9), (6, 3, 5, 8, 9), (5, 8, 9),
+            (8, 7, 9), (7, 9),
+        )
+        assert decoded.chain_writes[:6] == (
+            (3, 5, 7), (5, 7), (7,), (7,), (), (),
+        )
+        assert decoded.chain_reads[6:] == ((), (), (31,), (1,))
+        assert decoded.chain_writes[6:] == ((31,), (), (1,), ())
 
     def test_direct_construction_matches_cached(self):
         program = assemble(FIXTURE)

@@ -7,6 +7,7 @@ from repro.errors import InvalidPcError, StepLimitExceeded
 from repro.isa.asm import assemble
 from repro.machine.interpreter import (
     count_dynamic_instructions,
+    count_instructions_and_loads,
     run,
     run_to_halt,
     seq,
@@ -143,3 +144,58 @@ class TestCounting:
     def test_random_programs_terminate(self, program):
         result = run_to_halt(program, max_steps=1_000_000)
         assert result.halted
+
+
+def observed_count(program, max_steps):
+    """The observer-based (instructions, loads) count: the reference."""
+    loads = 0
+
+    def observer(pc, instr, effect, state):
+        nonlocal loads
+        if effect.mem_addr is not None and not effect.is_store:
+            loads += 1
+
+    result = run(program, max_steps=max_steps, observer=observer)
+    return result.steps, loads
+
+
+def assert_count_matches_observer(program):
+    """Equal counts, and the same StepLimitExceeded at the boundary."""
+    expected = observed_count(program, 50_000_000)
+    assert count_instructions_and_loads(program) == expected
+    steps = expected[0]
+    assert count_instructions_and_loads(program, steps + 1) == expected
+    for budget in {steps, max(1, steps // 2)}:
+        with pytest.raises(StepLimitExceeded):
+            observed_count(program, budget)
+        with pytest.raises(StepLimitExceeded):
+            count_instructions_and_loads(program, budget)
+
+
+class TestCountInstructionsAndLoads:
+    def test_workload_evaluation_programs(self):
+        from repro.workloads import WORKLOADS, get_workload
+
+        for name in WORKLOADS:
+            spec = get_workload(name)
+            assert_count_matches_observer(
+                spec.instance(max(4, spec.default_size // 10)).program
+            )
+
+    @given(terminating_programs())
+    @settings(max_examples=25, deadline=None)
+    def test_random_programs(self, program):
+        assert_count_matches_observer(program)
+
+    def test_oracle_tier(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXEC", "oracle")
+        assert_count_matches_observer(assemble(SUM_LOOP))
+        assert count_instructions_and_loads(
+            assemble("main: lw r1, 5(zero)\nlw r0, 6(zero)\nhalt")
+        ) == (2, 2)
+
+    def test_attaches_no_jit_cache(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXEC", "jit")
+        program = assemble(SUM_LOOP)
+        assert_count_matches_observer(program)
+        assert "_jit_cache" not in program.__dict__

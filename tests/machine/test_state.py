@@ -37,6 +37,11 @@ class TestRegisters:
         with pytest.raises(ValueError):
             ArchState(regs=[0] * (NUM_REGS - 1))
 
+    def test_nonzero_r0_rejected(self):
+        with pytest.raises(ValueError, match="r0"):
+            ArchState(regs=[5] + [0] * (NUM_REGS - 1))
+        assert ArchState(regs=[1 << 64] + [0] * (NUM_REGS - 1)).regs[0] == 0
+
 
 class TestMemory:
     def test_unmapped_reads_zero(self):
