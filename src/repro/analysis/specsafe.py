@@ -87,15 +87,18 @@ class RegionSafety:
     cells: Mapping[int, CellClass] = field(default_factory=dict)
     #: True if the master's memory view provably matches at the anchor.
     mem_proven: bool = False
+    _proven: FrozenSet[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cells", dict(self.cells))
+        # Every forked task asks for this set: build it once.
+        object.__setattr__(self, "_proven", frozenset(
+            r for r, cls in self.cells.items() if cls is CellClass.PROVEN
+        ))
 
     @property
     def proven_regs(self) -> FrozenSet[int]:
-        return frozenset(
-            r for r, cls in self.cells.items() if cls is CellClass.PROVEN
-        )
+        return self._proven
 
     def counts(self) -> Dict[str, int]:
         out = {cls.value: 0 for cls in CellClass}

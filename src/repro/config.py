@@ -128,7 +128,10 @@ class MsspConfig:
     checkpoint_mode: str = "cumulative"
     #: Hard cap on master instructions between two forks.
     max_master_instrs_per_task: int = 20_000
-    #: Hard cap on tasks the master may run ahead (checkpoint buffer size).
+    #: Hard cap on tasks the master may run ahead (checkpoint buffer
+    #: size).  The pipelined runtimes' run-ahead window grows on commits
+    #: and halves on squashes below it
+    #: (:class:`~repro.mssp.runtime.pipeline.RunAheadWindow`).
     max_inflight_tasks: int = 64
     #: Upper bound on one recovery episode (safety net only).
     recovery_max_instrs: int = 1_000_000
@@ -155,10 +158,12 @@ class MsspConfig:
     #: Workers (threads or processes) backing the pipelined runtimes'
     #: slave pool.
     num_slaves: int = 4
-    #: Tasks batched per pool dispatch in the pipelined runtimes
-    #: (amortizes per-dispatch cost over several small tasks; the
-    #: run-ahead window is
-    #: ``min(max_inflight_tasks, num_slaves * parallel_chunk_tasks)``).
+    #: Upper bound on tasks batched per pool dispatch in the pipelined
+    #: runtimes (amortizes per-dispatch cost over several small tasks).
+    #: The chunk follows the run-ahead window, two chunks per worker:
+    #: ``window // (2 * num_slaves)``, clamped to
+    #: ``1..parallel_chunk_tasks``; the window starts at
+    #: ``min(max_inflight_tasks, 2 * num_slaves * parallel_chunk_tasks)``.
     parallel_chunk_tasks: int = 16
     #: Static verify fast path over the speculation-safety prover's
     #: report (:mod:`repro.analysis.specsafe`): ``"skip"`` skips the

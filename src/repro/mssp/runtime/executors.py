@@ -29,6 +29,7 @@ from the next episode on the pipeline treats it as inline.
 from __future__ import annotations
 
 import os
+import threading
 import weakref
 from typing import Callable, Dict, List, Optional
 
@@ -170,6 +171,7 @@ class ThreadExecutor(SlaveExecutor):
         self._pool = None
         self._finalizer = None
         self._base: Dict[int, int] = {}
+        self._ended = threading.Event()
         if core.exec_tier == "jit" and core.regions is None:
             # Compile the JitProgram on the main thread before worker
             # threads race to attach it to the program object.
@@ -202,6 +204,12 @@ class ThreadExecutor(SlaveExecutor):
         # Freeze the episode-start image: committing tasks mutate
         # arch.mem on the main thread while chunks read concurrently.
         self._base = dict(arch.mem)
+        self._ended = threading.Event()
+
+    def end_episode(self) -> None:
+        # Chunks already running stop at their next task: their results
+        # can no longer be judged, and the work holds the GIL.
+        self._ended.set()
 
     def submit_chunk(self, batch) -> Optional[ChunkHandle]:
         pool = self._ensure_pool()
@@ -214,13 +222,15 @@ class ThreadExecutor(SlaveExecutor):
             for entry in batch
         ]
         # Shadow tasks, built on the worker thread as the loop reaches
-        # them.
+        # them, until the episode ends.
+        ended = self._ended
         shadows = (
             Task(
                 tid=tid, start_pc=start_pc, checkpoint=checkpoint,
                 end_pc=end_pc, end_arrivals=end_arrivals,
             )
             for tid, start_pc, end_pc, end_arrivals, checkpoint in specs
+            if not ended.is_set()
         )
         try:
             future = pool.submit(
@@ -250,7 +260,11 @@ class ProcessExecutor(SlaveExecutor):
     down.  Chunks go over the wire delta-encoded: in cumulative
     checkpoint mode consecutive checkpoints satisfy
     ``mem_k == mem_{k-1} | delta_k``, so only a chunk's first task ships
-    its full overlay.
+    its full overlay.  The episode's base image (memory changed since
+    boot) is computed at the episode's first dispatch and ships with the
+    first chunk each pipe worker gets in the episode; workers cache it
+    by (run token, episode).  An external pool may hand any chunk to
+    any worker, so there every chunk carries it.
     """
 
     name = "process"
@@ -266,7 +280,11 @@ class ProcessExecutor(SlaveExecutor):
         self._run_token = -1
         self._episode_seq = 0
         self._base_key: tuple = (-1, -1)
-        self._base_delta: Dict[int, int] = {}
+        self._episode_arch: Optional[ArchState] = None
+        #: This episode's base delta, once its first chunk is encoded.
+        self._base_delta: Optional[Dict[int, int]] = None
+        #: Pipe workers that hold this episode's base image.
+        self._based: set = set()
 
     @property
     def workers(self) -> int:
@@ -291,8 +309,6 @@ class ProcessExecutor(SlaveExecutor):
         dispatch path.
         """
         try:
-            import threading
-
             pool = _PipePool(
                 self.core.config.num_slaves, self._digest,
                 self.core.original, tier=self.core.exec_tier,
@@ -306,23 +322,34 @@ class ProcessExecutor(SlaveExecutor):
     def begin_episode(self, arch: ArchState) -> None:
         self._base_key = (self._run_token, self._episode_seq)
         self._episode_seq += 1
-        self._base_delta = self._episode_base_delta(arch)
+        self._episode_arch = arch
+        self._base_delta = None
+        self._based.clear()
 
-    def _episode_base_delta(self, arch: ArchState) -> Dict[int, int]:
-        """Memory changed since boot (value 0 encodes a deleted cell)."""
-        boot = self._boot_mem
-        delta: Dict[int, int] = {}
-        current = arch.mem
-        for address, value in current.items():
-            if boot.get(address, 0) != value:
-                delta[address] = value
-        for address, value in boot.items():
-            if value and address not in current:
-                delta[address] = 0
-        return delta
+    def _episode_base_delta(self) -> Dict[int, int]:
+        """Memory changed since boot (value 0 encodes a deleted cell).
 
-    def _encode_chunk(self, batch) -> tuple:
-        """The picklable worker payload for one chunk of tasks."""
+        Computed at the episode's first dispatch, which the pipeline
+        makes before its first judgement, so it is the episode-start
+        image.
+        """
+        if self._base_delta is None:
+            boot = self._boot_mem
+            current = self._episode_arch.mem
+            delta = dict(current.items() - boot.items())
+            for address in boot.keys() - current.keys():
+                if boot[address]:
+                    delta[address] = 0
+            self._base_delta = delta
+        return self._base_delta
+
+    def _encode_chunk(
+        self, batch, base_delta: Optional[Dict[int, int]] = None
+    ) -> tuple:
+        """The picklable worker payload for one chunk of tasks.
+
+        ``base_delta`` None: the worker already holds the episode base.
+        """
         core = self.core
         chained = core.config.checkpoint_mode == "cumulative"
         wire = []
@@ -342,20 +369,29 @@ class ProcessExecutor(SlaveExecutor):
         shipped = None if self._external is None else core.original
         return (
             self._digest, shipped, core.config.protected_regions,
-            core.config.max_task_instrs, self._base_key, self._base_delta,
+            core.config.max_task_instrs, self._base_key, base_delta,
             wire, core.exec_tier,
         )
 
     def submit_chunk(self, batch) -> Optional[ChunkHandle]:
         if self.broken or self._pool is None:
             return None
-        payload = self._encode_chunk(batch)
         pool = self._pool
         try:
             if isinstance(pool, _PipePool):
-                ticket = pool.submit(payload)
+                worker = pool.next_worker()
+                base_delta = None
+                if worker not in self._based:
+                    base_delta = self._episode_base_delta()
+                    self._based.add(worker)
+                ticket = pool.submit(
+                    worker, self._encode_chunk(batch, base_delta)
+                )
                 return ChunkHandle(lambda: pool.get(ticket))
-            future = pool.submit(_execute_chunk, payload)
+            future = pool.submit(
+                _execute_chunk,
+                self._encode_chunk(batch, self._episode_base_delta()),
+            )
         except Exception:
             self.mark_broken("worker pool rejected a submission")
             return None

@@ -6,8 +6,11 @@ and runs it against any :class:`SlaveExecutor` backend:
 
 * master production into a bounded in-flight window (window = one task
   for non-pipelined backends, which reproduces the eager engine's
-  master/slave interleaving exactly);
-* chunked dispatch to the executor (pipelined backends only);
+  master/slave interleaving exactly; pipelined backends size it with a
+  :class:`RunAheadWindow`);
+* chunked dispatch to the executor (pipelined backends only): a chunk
+  ships as soon as the master has closed enough tasks to fill it, so
+  workers execute while the master forks on and the parent judges;
 * in-order judge via the engine core's shared ``_judge_task``: the
   worker result for the head task is awaited, staleness-checked against
   architected state at its commit point, and either adopted or replaced
@@ -56,7 +59,7 @@ from repro.mssp.task import (
     adopt_wire_result,
 )
 
-__all__ = ["TaskPipeline", "_Pending"]
+__all__ = ["RunAheadWindow", "TaskPipeline", "_Pending"]
 
 
 @dataclass
@@ -79,6 +82,48 @@ class _Chunk:
     handle: ChunkHandle
 
 
+class RunAheadWindow:
+    """How far the master may run ahead of in-order judgement, in tasks.
+
+    The window of one run's pipelined episodes.  It starts at two chunks
+    per worker, so each worker has its next chunk queued while it
+    executes one and the parent judges the one before (double
+    buffering); it grows by one task per commit up to
+    ``max_inflight_tasks``, and halves on a squash or a stale worker
+    result — work the run-ahead wasted — down to one task.  The chunk
+    size follows the window: ``tasks // (2 * workers)``, clamped to
+    ``1..parallel_chunk_tasks``.
+
+    Every input is a verdict of the in-order judge, which every backend
+    reaches in the same order, so a run's dispatch schedule is a pure
+    function of the run: repeated runs of one engine dispatch
+    identically.  The window decides only where and when tasks execute,
+    never what is judged.
+    """
+
+    __slots__ = ("workers", "max_chunk", "limit", "tasks")
+
+    def __init__(self, workers: int, max_chunk: int, limit: int):
+        self.workers = workers
+        self.max_chunk = max_chunk
+        self.limit = limit
+        self.tasks = min(limit, 2 * workers * max_chunk)
+
+    @property
+    def chunk(self) -> int:
+        """Tasks per dispatched chunk at the current window."""
+        return max(1, min(self.max_chunk, self.tasks // (2 * self.workers)))
+
+    def committed(self) -> None:
+        """A judged task committed: run one task further ahead."""
+        if self.tasks < self.limit:
+            self.tasks += 1
+
+    def wasted(self) -> None:
+        """A squash or a stale result: halve the run-ahead."""
+        self.tasks = max(1, self.tasks // 2)
+
+
 class TaskPipeline:
     """Runs episodes for an engine core over one executor backend.
 
@@ -93,6 +138,11 @@ class TaskPipeline:
         self.core = core
         self.executor = executor
         self.events = events
+        config = core.config
+        self.runahead = RunAheadWindow(
+            executor.workers, config.parallel_chunk_tasks,
+            config.max_inflight_tasks,
+        )
         # Mirror of the jit tier's whole-task deopt conditions in
         # execute_task, so local executions announce their deopts.
         self._jit_deopt_why: Optional[str] = None
@@ -122,25 +172,13 @@ class TaskPipeline:
         throttling around it.
         """
         core = self.core
-        config = core.config
         events = self.events
         executor = self.executor
         pipelined = executor.pipelined and not executor.broken
+        runahead = self.runahead
         if pipelined:
-            chunk_size = min(
-                config.parallel_chunk_tasks, config.max_inflight_tasks
-            )
-            window = max(
-                chunk_size,
-                min(
-                    config.max_inflight_tasks,
-                    executor.workers * chunk_size,
-                ),
-            )
             executor.begin_episode(arch)
-        else:
-            chunk_size = 1
-            window = 1
+        window = chunk_size = 1
         # Workers execute against an image of architected memory frozen
         # at this point; cells unstamped since now are provably equal to
         # that image at every later judge point in the episode (the
@@ -165,7 +203,10 @@ class TaskPipeline:
 
         try:
             while True:
-                # 1. Master run-ahead: fork tasks into the window.
+                if pipelined:
+                    window, chunk_size = runahead.tasks, runahead.chunk
+                # 1. Master run-ahead: fork tasks into the window, and
+                # ship each chunk the moment it fills.
                 while not production_done and len(pending) < window:
                     event = master.run_until_fork()
                     if event.kind is MasterEventKind.FORK:
@@ -228,18 +269,18 @@ class TaskPipeline:
                         pending.append(_Pending(open_task, event,
                                                 failure=True))
                         production_done = True
+                    if len(to_dispatch) >= chunk_size:
+                        self._dispatch(to_dispatch, chunk_size, inflight)
 
-                # 2. Ship closed tasks in chunks.  Partial chunks go out
-                # only when nothing is in flight (the pipeline would
-                # starve) or nothing more is coming.
+                # 2. Partial chunks go out only when nothing is in
+                # flight (the workers would starve) or nothing more is
+                # coming.
                 while to_dispatch and (
                     len(to_dispatch) >= chunk_size
                     or production_done
                     or not inflight
                 ):
-                    batch = to_dispatch[:chunk_size]
-                    del to_dispatch[:chunk_size]
-                    self._dispatch(batch, inflight)
+                    self._dispatch(to_dispatch, chunk_size, inflight)
 
                 # 3. Verify/commit the next task in episode order.
                 entry = pending.popleft()
@@ -247,6 +288,8 @@ class TaskPipeline:
                 if entry.failure:
                     core._record_master_failure(task, entry.event)
                     recent_outcomes.append(False)
+                    if pipelined:
+                        runahead.wasted()
                     return False, task.tid + 1
                 result = self._await_result(task.tid, inflight, results)
                 adopted = False
@@ -263,6 +306,7 @@ class TaskPipeline:
                         )
                     else:
                         reexecuted = "stale"
+                        runahead.wasted()
                 elif pipelined:
                     reexecuted = "missing"
                 if not adopted:
@@ -277,6 +321,11 @@ class TaskPipeline:
                     task, entry.event, arch
                 )
                 recent_outcomes.append(committed)
+                if pipelined:
+                    if committed:
+                        runahead.committed()
+                    else:
+                        runahead.wasted()
                 if not committed:
                     return False, task.tid + 1
                 if slave_halted:
@@ -294,8 +343,14 @@ class TaskPipeline:
     # -- stages -------------------------------------------------------------------
 
     def _dispatch(
-        self, batch: List[_Pending], inflight: Deque[_Chunk]
+        self,
+        to_dispatch: List[_Pending],
+        chunk_size: int,
+        inflight: Deque[_Chunk],
     ) -> None:
+        """Ship the first ``chunk_size`` closed tasks as one chunk."""
+        batch = to_dispatch[:chunk_size]
+        del to_dispatch[:chunk_size]
         handle = self.executor.submit_chunk(batch)
         if handle is None:
             return  # undispatched tasks re-execute locally when judged

@@ -9,19 +9,23 @@ can build on it without cycles.
 Workers keep two process-local caches: programs (and, via the global
 decode cache, their decodings) keyed by content digest — so the program
 ships once per worker, through the pool initializer, not once per task —
-and per-episode base memory images keyed by (run token, episode).  The
-token, unique per engine run within the parent process, keeps an
-externally shared executor from resurrecting a previous run's episode
-bases.
+and per-episode base memory images keyed by (run token, episode), so a
+pipe worker receives each episode's base once, with its first chunk of
+the episode.  The token, unique per engine run within the parent
+process, keeps an externally shared executor from resurrecting a
+previous run's episode bases.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import pickle
+import select
+import struct
 import time
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.isa.program import Program
 from repro.machine.decoded import decode
@@ -64,11 +68,11 @@ _WORKER_BASE_LIMIT = 4
 
 _RUN_TOKENS = itertools.count()
 
-#: Unanswered chunks a pipe-pool worker may hold before ``submit`` reads
-#: its oldest reply.  An episode keeps at most one chunk per worker in
-#: flight, so only replies to chunks a squash abandoned pile up; unread,
-#: they fill the socket both ways and parent and worker block each other.
-_MAX_UNANSWERED = 2
+#: Every pool pipe end this process holds: the parent ends of live
+#: pools and the child ends not yet handed to a started worker.  A
+#: forked worker inherits all of them and closes every one but its own
+#: child end, so no worker keeps another pool's pipe open.
+_OPEN_ENDS: Set = set()
 
 
 def _worker_init(
@@ -92,8 +96,7 @@ def _worker_init(
 
 
 def _pipe_worker(
-    conn, digest: bytes, program: Program, tier: str = "decoded",
-    inherited=(),
+    conn, digest: bytes, program: Program, tier: str = "decoded"
 ) -> None:
     """Slave process main loop: execute chunks arriving on ``conn``.
 
@@ -101,10 +104,21 @@ def _pipe_worker(
     ``(chunk_id, results)``.  ``None`` (or a closed pipe) shuts the
     worker down.  The chunk id is echoed so the engine can discard
     replies to chunks it stopped caring about (episode squash).  With
-    the pool's ``inherited`` ends closed, the worker sees EOF or EPIPE
-    once the parent is gone."""
-    for end in inherited:
-        end.close()
+    every other pool pipe end closed, the worker sees EOF or EPIPE once
+    the parent is gone.
+
+    The worker runs as a batch task: Linux never lets one preempt the
+    task that wakes it.  A chunk sent to a sleeping worker otherwise
+    took the parent's core until the chunk was done, and the master and
+    the worker took turns on one core while the other idled."""
+    for end in list(_OPEN_ENDS):
+        if end is not conn:
+            end.close()
+    _OPEN_ENDS.clear()
+    try:
+        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    except (AttributeError, OSError):  # not Linux, or not permitted
+        pass
     _worker_init(digest, program, tier)
     try:
         while True:
@@ -133,11 +147,15 @@ class _PipePool:
     is one ``send``, retrieval one ``recv`` (which releases the GIL
     while blocking), and there are no auxiliary threads at all.
 
-    Chunks are assigned round-robin; each worker processes its pipe in
-    FIFO order.  ``submit`` first reads the replies already waiting (and
-    the oldest, at :data:`_MAX_UNANSWERED`), so no socket fills up.
-    Replies wait for :meth:`get` by chunk id; those of chunks abandoned
-    on episode squash are dropped by the next ``get``.
+    The caller picks each chunk's worker with :meth:`next_worker`
+    (round-robin); each worker processes its pipe in FIFO order.
+    ``submit`` never blocks on a full socket while the worker waits for
+    its own reply to be read: it first reads the replies already
+    waiting, then writes without blocking and reads a reply whenever
+    the socket will take no more.  So any number of chunks may be in
+    flight per worker.  Replies wait for :meth:`get` by chunk id; those
+    of chunks abandoned on episode squash are dropped by the next
+    ``get``.
     """
 
     def __init__(
@@ -161,12 +179,12 @@ class _PipePool:
         self._unanswered = [0] * num_workers
         self._replies: Dict[int, List[tuple]] = {}
         self.num_workers = num_workers
+        for pipe in pipes:
+            _OPEN_ENDS.update(pipe)
         for _, child_conn in pipes:
-            # The fork hands the worker every end of every pool pipe.
-            inherited = [e for p in pipes for e in p if e is not child_conn]
             proc = ctx.Process(
                 target=_pipe_worker,
-                args=(child_conn, digest, program, tier, inherited),
+                args=(child_conn, digest, program, tier),
                 daemon=True,
             )
             self._procs.append((proc, child_conn))
@@ -179,21 +197,48 @@ class _PipePool:
             proc.start()
             # The child inherited its end; drop the parent's duplicate
             # so a dead worker surfaces as EOF instead of a hang.
+            _OPEN_ENDS.discard(child_conn)
             child_conn.close()
 
-    def submit(self, payload: tuple):
-        """Ship one chunk; returns an opaque ticket for :meth:`get`."""
+    def next_worker(self) -> int:
+        """The worker the next chunk goes to (round-robin)."""
         worker = self._next_worker
         self._next_worker = (worker + 1) % self.num_workers
+        return worker
+
+    def submit(self, worker: int, payload: tuple):
+        """Ship one chunk to ``worker``; returns a ticket for :meth:`get`."""
         conn = self._conns[worker]
-        while self._unanswered[worker] and (
-            self._unanswered[worker] >= _MAX_UNANSWERED or conn.poll()
-        ):
+        while self._unanswered[worker] and conn.poll():
             self._read(worker)
         chunk_id = next(self._chunk_ids)
-        conn.send((chunk_id, payload))
+        self._send(worker, (chunk_id, payload))
         self._unanswered[worker] += 1
         return (worker, chunk_id)
+
+    def _send(self, worker: int, message) -> None:
+        """Write ``message`` in the framing ``Connection.recv`` reads.
+
+        A blocking ``send`` could wait on a worker that is itself
+        blocked sending a reply into a full socket; so the bytes go out
+        without blocking, and whenever the socket takes no more, a reply
+        that arrives meanwhile is read first.
+        """
+        data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        view = memoryview(struct.pack("!i", len(data)) + data)
+        fd = self._conns[worker].fileno()
+        while view:
+            os.set_blocking(fd, False)
+            try:
+                view = view[os.write(fd, view):]
+            except BlockingIOError:
+                pass
+            finally:
+                os.set_blocking(fd, True)
+            if view:
+                readable, _, _ = select.select([fd], [fd], [])
+                if readable:
+                    self._read(worker)
 
     def get(self, ticket) -> List[tuple]:
         """Block for one chunk's results, discarding stale replies."""
@@ -221,6 +266,7 @@ class _PipePool:
                 conn.close()
             except OSError:
                 pass
+            _OPEN_ENDS.discard(conn)
         for proc, _ in self._procs:
             proc.join(timeout=0.5 if wait else 0.05)
             if proc.is_alive():
@@ -257,11 +303,17 @@ class _ChainMemory:
 
 
 def _episode_base(
-    key: tuple, base_delta: Dict[int, int], program: Program
+    key: tuple, base_delta: Optional[Dict[int, int]], program: Program
 ) -> Dict[int, int]:
-    """The episode-start memory image (boot image + commit delta)."""
+    """The episode-start memory image (boot image + commit delta).
+
+    ``base_delta`` is None on every chunk but the first a worker gets in
+    an episode, which built the image this one reads.
+    """
     base = _WORKER_BASES.get(key)
     if base is None:
+        if base_delta is None:
+            raise RuntimeError(f"no episode base cached for {key}")
         base = dict(program.memory)
         for address, value in base_delta.items():
             if value:

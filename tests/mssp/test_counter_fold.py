@@ -14,7 +14,11 @@ These tests hold that fold to three standards:
   undispatched tasks on top of the unjudged ones, which already held
   them.  Its pinned value is the old one; the row's
   ``forked_minus_judged`` (computed from the old run's own events) is
-  what the fold must report.
+  what the fold must report.  The whole ``dispatch`` block of
+  ``fib_memo/thread``, ``hashlookup/thread`` and ``mispredict/thread``
+  was re-recorded when a run-ahead window that grows on commits and
+  halves on squashes replaced the fixed one: routing moved, no protocol
+  field did.
 * **The discard rule.** On the pipelined runtimes ``discarded`` equals
   the ``task_forked`` events minus the judged tasks.
 * **Round trip.** A trace exported to JSONL and imported again folds
