@@ -87,6 +87,9 @@ CHECKS: Dict[str, str] = {
               "instruction",
     "DEC003": "superstep chains stop exactly at block terminators, with "
               "correct halt flags and load counts",
+    "DEC004": "every compiled chain leaves exactly the state that stepping "
+              "its span with the semantic oracle leaves, on seeded register "
+              "files",
     # -- superblock JIT checks ------------------------------------------------
     "JIT001": "jit compilation is cached per program object and per codegen "
               "mode, and regions start only at block leaders",
@@ -836,6 +839,7 @@ def check_decoded(
     statically, before the differential tests have to.
     """
     from repro.machine.decoded import _decode_meta, decode
+    from repro.machine.semantics import execute
 
     report = CheckReport(subject=subject or f"{program.name}: decoded")
     decoded = decode(program)
@@ -876,13 +880,13 @@ def check_decoded(
             )
 
     # DEC003: superstep chains mirror the text's terminator structure.
-    if not len(decoded.chains) == len(decoded.chain_halts) == len(
+    if not len(decoded.chain_spans) == len(decoded.chain_halts) == len(
         decoded.chain_loads
     ) == len(decoded.chain_reads) == len(decoded.chain_writes) == size:
         _finding(
             report, "DEC003", Severity.ERROR,
-            f"chain tables cover {len(decoded.chains)} pcs but the text "
-            f"has {size}",
+            f"chain tables cover {len(decoded.chain_spans)} pcs but the "
+            f"text has {size}",
         )
         return report
     end = size
@@ -906,10 +910,10 @@ def check_decoded(
                 f"chain's span holds {expected_loads} lw", pc=pc,
             )
     for pc in range(size):
-        if len(decoded.chains[pc]) != expected_spans[pc]:
+        if decoded.chain_spans[pc] != expected_spans[pc]:
             _finding(
                 report, "DEC003", Severity.ERROR,
-                f"chain spans {len(decoded.chains[pc])} instruction(s) "
+                f"chain spans {decoded.chain_spans[pc]} instruction(s) "
                 f"but the block suffix from here holds "
                 f"{expected_spans[pc]}", pc=pc,
             )
@@ -940,6 +944,33 @@ def check_decoded(
                     f"chain_{name} is {list(table[pc])} but the chain's "
                     f"span {name} {expected}", pc=pc,
                 )
+
+    # DEC004: the generated chain entered at each pc equals stepping the
+    # text's span from there through the oracle, on register files that
+    # include the int64 bounds and values outside them.
+    for pc in range(size):
+        span = program.code[pc:pc + expected_spans[pc]]
+        for variant in range(5):
+            got = _fuzz_states(program, pc, variant)
+            want = _fuzz_states(program, pc, variant)
+            try:
+                decoded.chains[pc](got.regs, got)
+            except Exception as exc:  # noqa: BLE001 - report, never raise
+                _finding(
+                    report, "DEC004", Severity.ERROR,
+                    f"chain raised {type(exc).__name__}: {exc} (seed "
+                    f"{variant})", pc=pc,
+                )
+                break
+            for instr in span:
+                execute(instr, want)
+            if got != want:
+                _finding(
+                    report, "DEC004", Severity.ERROR,
+                    f"chain diverges from stepping its span with execute "
+                    f"(seed {variant}): {want.diff(got)[:3]}", pc=pc,
+                )
+                break
     return report
 
 
@@ -949,12 +980,15 @@ def check_decoded(
 
 
 def _fuzz_states(program: Program, entry: int, variant: int):
-    """Deterministic machine states for the JIT003 differential.
+    """Deterministic machine states for the JIT003 and DEC004
+    differentials.
 
-    Three register-file shapes per region entry: boot-like zeros, small
-    in-range values (so memory ops hit the seeded data image), and a
-    splitmix-style pseudo-random 64-bit fill.  No global RNG — lint
-    output must be reproducible run to run.
+    Register-file shapes per entry: boot-like zeros, small in-range
+    values (so memory ops hit the seeded data image), a splitmix-style
+    pseudo-random 64-bit fill, the int64 bounds, and values outside them
+    (variant 4, which only chains must survive: a checkpoint may seed a
+    slave's registers with any value, while jit regions assume canonical
+    ones).  No global RNG — lint output must be reproducible run to run.
     """
     from repro.machine.state import ArchState, wrap64
 
@@ -967,6 +1001,15 @@ def _fuzz_states(program: Program, entry: int, variant: int):
         for reg in range(1, NUM_REGS):
             x = wrap64(x * 6364136223846793005 + 1442695040888963407)
             state.write_reg(reg, x)
+    elif variant == 3:
+        bounds = (-(1 << 63), (1 << 63) - 1, -1, 1)
+        for reg in range(1, NUM_REGS):
+            state.write_reg(reg, bounds[(reg + entry) % len(bounds)])
+    elif variant == 4:
+        for reg in range(1, NUM_REGS):
+            state.regs[reg] = (
+                (1 << 63) + reg if (reg + entry) % 2 else -(1 << 64) - reg
+            )
     return state
 
 

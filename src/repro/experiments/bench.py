@@ -34,7 +34,8 @@ whole into a machine-readable ``BENCH_summary.json``
    counts and under three cluster scenarios.  ``repro sim`` prints the
    same sweep for any workload.
 
-The summary is stamped with its commit, and each run appends a line to
+The summary is stamped with its commit and whether the tracked files
+differed from it (``dirty``), and each run appends a line to
 ``BENCH_history.jsonl`` beside it (:func:`append_history`).
 
 The stages' settings are the module constants below, not flags.  The
@@ -620,6 +621,7 @@ def run_bench(
     return {
         "schema": artifact_cache.CACHE_SCHEMA,
         "commit": current_commit(),
+        "dirty": tree_dirty(),
         "scale": scale,
         "jobs": jobs,
         "runtime": runtime,
@@ -641,18 +643,31 @@ def run_bench(
     }
 
 
-def current_commit() -> str:
-    """``git rev-parse --short HEAD`` of the source tree, or ``unknown``."""
+def _git(*args: str) -> Optional[str]:
+    """The output of ``git args`` in the source tree, or ``None``."""
     import subprocess
 
     try:
         return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], check=True,
+            ["git", *args], check=True,
             cwd=Path(__file__).resolve().parent,
             capture_output=True, text=True, timeout=10,
-        ).stdout.strip() or "unknown"
+        ).stdout.strip()
     except (OSError, subprocess.SubprocessError):
-        return "unknown"
+        return None
+
+
+def current_commit() -> str:
+    """``git rev-parse --short HEAD`` of the source tree, or ``unknown``."""
+    return _git("rev-parse", "--short", "HEAD") or "unknown"
+
+
+def tree_dirty() -> Optional[bool]:
+    """Whether tracked files differ from :func:`current_commit` (``git
+    status --porcelain --untracked-files=no`` prints anything), so a
+    run that measured uncommitted code says so; ``None`` without git."""
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return None if status is None else bool(status)
 
 
 def write_summary(summary: Dict[str, object], path: str) -> None:
@@ -670,6 +685,7 @@ def append_history(summary: Dict[str, object], path: str) -> Path:
     micro = summary["microbenchmark"]
     line = {
         "commit": summary["commit"],
+        "dirty": summary["dirty"],
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "scale": summary["scale"],
         "runtime": summary["runtime"],

@@ -54,7 +54,9 @@ from typing import Any, Callable, Optional, Tuple
 #: 7: one architected-memory store: ArchState memory always pickles as
 #:    a dict; MsspConfig lost the memory-store knob; bench summaries
 #:    lost the paged-store stage and the memory-store key.
-CACHE_SCHEMA = 7
+#: 8: task, recovery and master-failure trace records are slotted
+#:    dataclasses, so cached results pickle without instance dicts.
+CACHE_SCHEMA = 8
 
 _ENV_VAR = "REPRO_BENCH_CACHE"
 

@@ -1,4 +1,4 @@
-"""Pre-decoded execution engine: closure-specialized Z-ISA dispatch.
+"""Pre-decoded execution engine: per-pc steppers and compiled chains.
 
 :func:`repro.machine.semantics.execute` pays, on *every* step, two
 opcode-table probes, a ladder of identity tests, five attribute loads on
@@ -8,7 +8,7 @@ per *instruction executed*, but all of their inputs are per *instruction
 decoded* — a program of a few hundred static instructions is stepped
 tens of millions of times.
 
-This module moves the whole decode cost to program-construction time.
+This module moves the decode cost to program-construction time.
 :func:`decode` compiles each instruction once into a specialized
 zero-argument-lookup closure: operands, immediates, branch targets, the
 operator lambda, and the fall-through pc are captured as cell variables,
@@ -30,19 +30,41 @@ them across steps (snapshot the fields instead).  Effects describing
 memory accesses are freshly allocated (they carry per-step data), but
 code must not rely on that.
 
-On top of the steppers, :class:`DecodedProgram` precomputes
-**basic-block supersteps**: for every pc, the straight-line run of
-*links* from that pc to its block terminator, with its halt flag, load
+Superstep chains
+----------------
+
+On top of the steppers, :class:`DecodedProgram` runs **basic-block
+supersteps**: for every pc, the straight-line span from that pc to its
+block terminator, with its length (``chain_spans``), halt flag, load
 count, and the registers it reads before writing (``chain_reads``) and
-writes (``chain_writes``).  A link, ``fn(regs, state)``, indexes the
-state's own register list and wraps results inline; only memory goes
-through ``state.load``/``state.store``.  A recording view therefore
+writes (``chain_writes``).  ``chains[pc]`` is one generated Python
+function, ``chain(regs, state)``, for the whole span.  It indexes the
+state's own register list, range-checks every result and address inline
+(``wrap64`` only on overflow), drops writes to ``r0``, and sends only
+memory through ``state.load``/``state.store``.  Each memory op stores
+its own pc first (the profiler attributes sites to ``state.pc``),
+control transfers and ``halt`` store theirs, and a span that does not
+end in a terminator stores its end pc.  A recording view therefore
 records a chain's register live-ins once, from ``chain_reads``, instead
 of on every access.  The sequential :meth:`DecodedProgram.run`, the
 profiler, and the MSSP slave and master run whole chains, falling back
 to exact per-step execution wherever a step boundary could fall inside
 one — near the step budget, so ``StepLimitExceeded`` (or an overrun or
 timeout) fires at precisely the same instruction as the reference loop.
+
+The arithmetic and branch expressions come from one table
+(``_LOCAL_R3``, ``_I2_OPS_TO_R3``, ``_BRANCH_EXPR``) that the superblock
+jit (:mod:`repro.machine.jit`) generates its regions from too.
+
+A chain compiles at its first entry, into a process-wide cache keyed by
+its pc, its span's instructions and the text size, and bounded by
+:data:`CHAIN_CACHE_LIMIT` entries (the oldest is evicted first).  Texts
+that agree on a span share its function: a workload's training and
+evaluation instances, and every rebuild of an engine over the same
+program, compile nothing twice.  Evicting an entry never changes a
+result: decodings keep the functions they already hold, and a
+re-entered span compiles to the same code.  The oracle tier's chains
+step ``semantics.execute`` and run no generated code.
 
 Decoded programs are cached per :class:`~repro.isa.program.Program`
 *instance* (identity, not value): the decoding is attached to the
@@ -52,12 +74,14 @@ attachment so pickling and deep-copying never see the closures.
 ``semantics.execute`` remains the semantic oracle; differential tests
 (``tests/machine/test_decoded.py``) hold the two bit-identical, and
 ``repro lint`` re-checks every closure's decode metadata against its
-source instruction (the ``DEC`` checks).
+source instruction and every chain against stepping its span (the
+``DEC`` checks).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+import threading
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import InvalidPcError, StepLimitExceeded
 from repro.isa.instructions import Instruction, Opcode
@@ -68,6 +92,8 @@ from repro.machine.semantics import (
     _I2_OPS,
     _R3_OPS,
     StepEffect,
+    _div_trunc,
+    _mod_trunc,
     execute,
 )
 from repro.machine.state import MachineStateLike, wrap64
@@ -75,12 +101,13 @@ from repro.machine.state import MachineStateLike, wrap64
 #: A decoded instruction: mutates ``state`` and returns its effect.
 Stepper = Callable[[MachineStateLike], StepEffect]
 
-#: A superstep-chain link: ``link(regs, state)`` executes one instruction
-#: on ``regs``, the state's own register list (see :func:`_decode_link`).
-Link = Callable[[List[int], MachineStateLike], None]
+#: A superstep chain: ``chain(regs, state)`` executes a whole span on
+#: ``regs``, the state's own register list.
+Chain = Callable[[List[int], MachineStateLike], None]
 
 _MIN64 = -(1 << 63)
 _MAX64 = (1 << 63) - 1
+_MASK64 = (1 << 64) - 1
 
 #: Interned singleton effects (see the interned-effect contract above).
 EFFECT_FALL = StepEffect()
@@ -89,6 +116,61 @@ EFFECT_HALT = StepEffect(halted=True)
 
 #: Attribute under which the decoding is cached on the Program instance.
 _CACHE_ATTR = "_decoded_cache"
+
+# Arithmetic expression templates over two operand expressions ``{a}``
+# and ``{b}``, and the wrap each result needs when both operands are
+# canonical 64-bit values: "two" may leave [MIN, MAX] in either
+# direction, "upper" is nonnegative and may only exceed MAX, "none" is
+# closed over canonical inputs (bitwise/shift-right/compare results).
+# The jit, whose localized registers are canonical, honours the kinds;
+# chains range-check every result, since a checkpoint may seed a slave's
+# registers with values outside int64.
+_LOCAL_R3: Dict[Opcode, Tuple[str, str]] = {
+    Opcode.ADD: ("{a} + {b}", "two"),
+    Opcode.SUB: ("{a} - {b}", "two"),
+    Opcode.MUL: ("{a} * {b}", "two"),
+    Opcode.DIV: ("dv({a}, {b})", "two"),  # only MIN // -1 overflows
+    Opcode.MOD: ("md({a}, {b})", "none"),  # |result| < 2**63 always
+    Opcode.AND: ("{a} & {b}", "none"),
+    Opcode.OR: ("{a} | {b}", "none"),
+    Opcode.XOR: ("{a} ^ {b}", "none"),
+    Opcode.SLL: ("{a} << ({b} & 63)", "two"),
+    Opcode.SRL: ("({a} & %d) >> ({b} & 63)" % _MASK64, "upper"),
+    Opcode.SRA: ("{a} >> ({b} & 63)", "none"),
+    Opcode.SLT: ("(1 if {a} < {b} else 0)", "none"),
+    Opcode.SLE: ("(1 if {a} <= {b} else 0)", "none"),
+    Opcode.SEQ: ("(1 if {a} == {b} else 0)", "none"),
+    Opcode.SNE: ("(1 if {a} != {b} else 0)", "none"),
+}
+
+#: Immediate forms: the register form whose expression they share.
+_I2_OPS_TO_R3: Dict[Opcode, Opcode] = {
+    Opcode.ADDI: Opcode.ADD,
+    Opcode.MULI: Opcode.MUL,
+    Opcode.ANDI: Opcode.AND,
+    Opcode.ORI: Opcode.OR,
+    Opcode.XORI: Opcode.XOR,
+    Opcode.SLLI: Opcode.SLL,
+    Opcode.SRLI: Opcode.SRL,
+    Opcode.SLTI: Opcode.SLT,
+}
+
+#: Taken conditions of the conditional branches.
+_BRANCH_EXPR: Dict[Opcode, str] = {
+    Opcode.BEQ: "{a} == {b}",
+    Opcode.BNE: "{a} != {b}",
+    Opcode.BLT: "{a} < {b}",
+    Opcode.BGE: "{a} >= {b}",
+}
+
+#: Globals bound into every generated chain's and jit region's namespace.
+_CODEGEN_GLOBALS = {"w": wrap64, "dv": _div_trunc, "md": _mod_trunc}
+
+#: Compiled chains kept process-wide, at most (oldest evicted first).
+CHAIN_CACHE_LIMIT = 4096
+
+_chain_cache: Dict[tuple, Chain] = {}
+_chain_cache_lock = threading.Lock()
 
 
 def _decode_instruction(pc: int, instr: Instruction) -> Stepper:
@@ -227,106 +309,76 @@ def _decode_instruction(pc: int, instr: Instruction) -> Stepper:
     return step
 
 
-def _pass(regs, state):
-    """The link of an instruction with no effect inside a chain."""
+def _chain_source(pc: int, span: Sequence[Instruction]) -> str:
+    """The source of ``chain(regs, state)`` for ``span``, the
+    instructions at ``pc`` onward (see the module docstring)."""
+    lines = ["def chain(regs, state):"]
+    emit = lines.append
+    checked = f" if {_MIN64} <= {{0}} <= {_MAX64} else w({{0}})"
+
+    def result(rd: int, expr: str) -> None:
+        emit(f" v = {expr}")
+        emit(f" regs[{rd}] = v" + checked.format("v"))
+
+    def address(rs: int, imm: int) -> str:
+        emit(f" a = regs[{rs}] + {imm}" if imm else f" a = regs[{rs}]")
+        return "a" + checked.format("a")
+
+    for at, instr in enumerate(span, pc):
+        op = instr.op
+        rd, rs, rt, imm = instr.rd, instr.rs, instr.rt, instr.imm
+        r3 = _I2_OPS_TO_R3.get(op, op)
+        if r3 in _LOCAL_R3:
+            if rd != ZERO:
+                b = repr(imm) if r3 is not op else f"regs[{rt}]"
+                result(rd, _LOCAL_R3[r3][0].format(a=f"regs[{rs}]", b=b))
+        elif op in _BRANCH_EXPR:
+            cond = _BRANCH_EXPR[op].format(a=f"regs[{rs}]", b=f"regs[{rt}]")
+            emit(f" state.pc = {instr.target} if {cond} else {at + 1}")
+        elif op is Opcode.LW:
+            addr = address(rs, imm)
+            emit(f" state.pc = {at}")
+            if rd == ZERO:
+                emit(f" state.load({addr})")
+            else:
+                result(rd, f"state.load({addr})")
+        elif op is Opcode.SW:
+            addr = address(rs, imm)
+            emit(f" state.pc = {at}")
+            emit(f" state.store({addr}, regs[{rt}])")
+        elif op is Opcode.LI:
+            if rd != ZERO:
+                emit(f" regs[{rd}] = {wrap64(imm)}")
+        elif op is Opcode.MOV:
+            if rd != ZERO:
+                result(rd, f"regs[{rs}]")
+        elif op is Opcode.J:
+            emit(f" state.pc = {instr.target}")
+        elif op is Opcode.JAL:
+            emit(f" regs[{RA}] = {at + 1}")
+            emit(f" state.pc = {instr.target}")
+        elif op is Opcode.JR:
+            emit(f" state.pc = regs[{rs}]")
+        elif op is Opcode.HALT:
+            emit(f" state.pc = {at}")
+        # NOP and FORK (a task marker, not a computation) do nothing.
+    if not span[-1].is_terminator:
+        emit(f" state.pc = {pc + len(span)}")
+    return "\n".join(lines) + "\n"
 
 
-def _decode_link(
-    pc: int, instr: Instruction
-) -> Tuple[Link, Tuple[int, ...], Optional[int]]:
-    """Compile ``instr`` at ``pc`` into ``(link, reads, write)``.
+def _compile_chain(pc: int, span: Sequence[Instruction]) -> Chain:
+    namespace = dict(_CODEGEN_GLOBALS)
+    exec(compile(_chain_source(pc, span), f"<chain@{pc}>", "exec"), namespace)
+    return namespace["chain"]
 
-    ``link(regs, state)`` indexes the register list directly and sends
-    only memory through ``state.load``/``state.store``.  It relies on
-    ``regs[0] == 0`` and stores no fall-through pc: a memory link stores
-    its own pc before the access (the profiler attributes sites to
-    ``state.pc``), control transfers and ``halt`` store theirs, and a
-    chain's caller resumes wherever the chain ends.  Results wrap inline
-    (``wrap64`` only on overflow); a write to ``r0`` vanishes.
-    ``reads`` are the source registers in evaluation order (``rs``
-    before ``rt``, r0 included), ``write`` the destination, or ``None``.
-    """
-    op = instr.op
-    nxt = pc + 1
-    rd, rs, rt, imm = instr.rd, instr.rs, instr.rt, instr.imm
-    write = None if rd == ZERO else rd
-    fn = _R3_OPS.get(op)
-    if fn is not None:
-        if write is None:
-            return _pass, (rs, rt), None
 
-        def link(regs, state, fn=fn, rd=rd, rs=rs, rt=rt):
-            v = fn(regs[rs], regs[rt])
-            regs[rd] = v if _MIN64 <= v <= _MAX64 else wrap64(v)
-        return link, (rs, rt), write
-    fn = _I2_OPS.get(op)
-    if fn is not None:
-        if write is None:
-            return _pass, (rs,), None
-
-        def link(regs, state, fn=fn, rd=rd, rs=rs, imm=imm):
-            v = fn(regs[rs], imm)
-            regs[rd] = v if _MIN64 <= v <= _MAX64 else wrap64(v)
-        return link, (rs,), write
-    fn = _BRANCH_OPS.get(op)
-    if fn is not None:
-        def link(regs, state, fn=fn, rs=rs, rt=rt, target=instr.target,
-                 nxt=nxt):
-            state.pc = target if fn(regs[rs], regs[rt]) else nxt
-        return link, (rs, rt), None
-    if op is Opcode.LW:
-        if write is None:
-            def link(regs, state, rs=rs, imm=imm, pc=pc):
-                a = regs[rs] + imm
-                state.pc = pc
-                state.load(a if _MIN64 <= a <= _MAX64 else wrap64(a))
-        else:
-            def link(regs, state, rd=rd, rs=rs, imm=imm, pc=pc):
-                a = regs[rs] + imm
-                state.pc = pc
-                v = state.load(a if _MIN64 <= a <= _MAX64 else wrap64(a))
-                regs[rd] = v if _MIN64 <= v <= _MAX64 else wrap64(v)
-        return link, (rs,), write
-    if op is Opcode.SW:
-        def link(regs, state, rs=rs, rt=rt, imm=imm, pc=pc):
-            a = regs[rs] + imm
-            state.pc = pc
-            state.store(a if _MIN64 <= a <= _MAX64 else wrap64(a), regs[rt])
-        return link, (rs, rt), None
-    if op is Opcode.LI:
-        if write is None:
-            return _pass, (), None
-
-        def link(regs, state, rd=rd, value=wrap64(imm)):
-            regs[rd] = value
-        return link, (), write
-    if op is Opcode.MOV:
-        if write is None:
-            return _pass, (rs,), None
-
-        def link(regs, state, rd=rd, rs=rs):
-            v = regs[rs]
-            regs[rd] = v if _MIN64 <= v <= _MAX64 else wrap64(v)
-        return link, (rs,), write
-    if op is Opcode.J:
-        def link(regs, state, target=instr.target):
-            state.pc = target
-        return link, (), None
-    if op is Opcode.JAL:
-        def link(regs, state, target=instr.target, nxt=nxt):
-            regs[RA] = nxt
-            state.pc = target
-        return link, (), RA
-    if op is Opcode.JR:
-        def link(regs, state, rs=rs):
-            state.pc = regs[rs]
-        return link, (rs,), None
-    if op is Opcode.HALT:
-        def link(regs, state, pc=pc):
-            state.pc = pc
-        return link, (), None
-    # NOP and FORK (a task marker, not a computation).
-    return _pass, (), None
+def _oracle_chain(span: Sequence[Instruction]) -> Chain:
+    """A chain that steps ``span`` through ``semantics.execute``."""
+    def chain(regs, state):
+        for instr in span:
+            execute(instr, state)
+    return chain
 
 
 def _decode_meta(pc: int, instr: Instruction) -> Tuple:
@@ -348,20 +400,41 @@ def _decode_meta(pc: int, instr: Instruction) -> Tuple:
     )
 
 
+class ChainTable(dict):
+    """pc -> the chain over ``spans[pc]`` instructions from pc, compiled
+    (through the process-wide cache) at the pc's first entry.
+
+    Callers index only pcs whose span they are about to run, so a pc
+    that is never entered is never compiled.
+    """
+
+    __slots__ = ("decoded", "spans")
+
+    def __init__(self, decoded: "DecodedProgram", spans: Tuple[int, ...]):
+        super().__init__()
+        self.decoded = decoded
+        self.spans = spans
+
+    def __missing__(self, pc: int) -> Chain:
+        chain = self[pc] = self.decoded.compile_span(pc, self.spans[pc])
+        return chain
+
+
 class DecodedProgram:
     """A :class:`Program` compiled to per-pc closures and superstep chains.
 
     Obtain instances through :func:`decode` (which caches one per
     program object); direct construction is for tests and the lint
-    checks.  With ``oracle=True`` every closure defers to
+    checks.  With ``oracle=True`` every closure and chain defers to
     :func:`~repro.machine.semantics.execute` — bitwise the reference
     semantics, used by differential tests to hold the fast path and the
     oracle against each other through identical plumbing.
     """
 
     __slots__ = (
-        "program", "code", "size", "steppers", "chains", "chain_halts",
-        "chain_loads", "chain_reads", "chain_writes", "meta", "oracle",
+        "program", "code", "size", "steppers", "chains", "chain_spans",
+        "chain_halts", "chain_loads", "chain_reads", "chain_writes", "meta",
+        "oracle",
     )
 
     def __init__(self, program: Program, oracle: bool = False):
@@ -369,56 +442,40 @@ class DecodedProgram:
         self.code = program.code
         self.size = len(program.code)
         self.oracle = oracle
-        steppers: List[Stepper] = []
-        links: List[Link] = []
-        operands: List[Tuple[Tuple[int, ...], Optional[int]]] = []
-        meta: List[Tuple] = []
-        for pc, instr in enumerate(self.code):
-            link, reads, write = _decode_link(pc, instr)
-            if oracle:
-                def step(state, instr=instr):
-                    return execute(instr, state)
+        if oracle:
+            self.steppers: Tuple[Stepper, ...] = tuple(
+                lambda state, instr=instr: execute(instr, state)
+                for instr in self.code
+            )
+        else:
+            self.steppers = tuple(
+                _decode_instruction(pc, instr)
+                for pc, instr in enumerate(self.code)
+            )
+        self.meta: Tuple[Tuple, ...] = tuple(
+            _decode_meta(pc, instr) for pc, instr in enumerate(self.code)
+        )
+        self._build_chains()
+        self.chains = ChainTable(self, self.chain_spans)
 
-                def link(regs, state, instr=instr):
-                    execute(instr, state)
-                steppers.append(step)
-            else:
-                steppers.append(_decode_instruction(pc, instr))
-            links.append(link)
-            operands.append((reads, write))
-            meta.append(_decode_meta(pc, instr))
-        self.steppers: Tuple[Stepper, ...] = tuple(steppers)
-        self.meta: Tuple[Tuple, ...] = tuple(meta)
-        self._build_chains(links, operands)
+    def _build_chains(self) -> None:
+        """Per-pc facts of the straight-line spans ending at terminators.
 
-    def _build_chains(
-        self,
-        links: List[Link],
-        operands: List[Tuple[Tuple[int, ...], Optional[int]]],
-    ) -> None:
-        """Per-pc straight-line link runs ending at block terminators.
-
-        ``chains[pc]`` executes pc through the first terminator at or
-        after it (or the end of the text), as ``fn(regs, state)`` calls
-        on the state's own register list; ``chain_halts[pc]`` marks
-        chains whose terminator is ``halt``, and ``chain_loads[pc]``
-        counts the ``lw`` instructions in the chain.  ``chain_reads[pc]``
-        lists the registers the chain reads before writing them (r0
-        excluded) in first-read order, ``chain_writes[pc]`` the
-        registers it writes: a recording view takes a chain's live-ins
-        once at entry instead of on every access.  Entry at any pc is
-        legal — chains are suffixes, so branch targets into block
-        middles get their own (shorter) run.  A text that ends without a
-        terminator gets a last link that also stores the end pc.
+        ``chain_spans[pc]`` counts the instructions from pc through the
+        first terminator at or after it (or the end of the text);
+        ``chain_halts[pc]`` marks spans whose terminator is ``halt``, and
+        ``chain_loads[pc]`` counts their ``lw`` instructions.
+        ``chain_reads[pc]`` lists the registers the span reads before
+        writing them (r0 excluded) in first-read order, operands in
+        evaluation order (``rs`` before ``rt``); ``chain_writes[pc]``
+        the registers it writes: a recording view takes a chain's
+        live-ins once at entry instead of on every access.  Entry at any
+        pc is legal — spans are suffixes, so branch targets into block
+        middles get their own (shorter) chain.
         """
         code = self.code
         size = self.size
-        if size and not code[-1].is_terminator:
-            def last(regs, state, inner=links[-1], end=size):
-                inner(regs, state)
-                state.pc = end
-            links[-1] = last
-        ends: List[int] = [0] * size  # pc -> index one past the terminator
+        spans: List[int] = [0] * size
         halts: List[bool] = [False] * size
         loads: List[int] = [0] * size
         reads: List[Tuple[int, ...]] = [()] * size
@@ -429,32 +486,58 @@ class DecodedProgram:
         span_reads: Tuple[int, ...] = ()
         span_writes: Tuple[int, ...] = ()
         for pc in range(size - 1, -1, -1):
-            if code[pc].is_terminator:
+            instr = code[pc]
+            if instr.is_terminator:
                 end = pc + 1
-                halt = code[pc].op is Opcode.HALT
+                halt = instr.op is Opcode.HALT
                 count = 0
                 span_reads = span_writes = ()
-            count += code[pc].op is Opcode.LW
-            ends[pc] = end
+            count += instr.op is Opcode.LW
+            spans[pc] = end - pc
             halts[pc] = halt
             loads[pc] = count
-            sources, write = operands[pc]
-            own = tuple(dict.fromkeys(r for r in sources if r != ZERO))
+            written = instr.defs() - {ZERO}
+            own = tuple(dict.fromkeys(
+                r for r in (instr.rs, instr.rt) if r is not None and r != ZERO
+            ))
             span_reads = own + tuple(
-                r for r in span_reads if r != write and r not in own
+                r for r in span_reads if r not in written and r not in own
             )
-            span_writes = (() if write is None else (write,)) + tuple(
-                r for r in span_writes if r != write
+            span_writes = tuple(written) + tuple(
+                r for r in span_writes if r not in written
             )
             reads[pc] = span_reads
             writes[pc] = span_writes
-        self.chains: Tuple[Tuple[Link, ...], ...] = tuple(
-            tuple(links[pc:ends[pc]]) for pc in range(size)
-        )
+        self.chain_spans: Tuple[int, ...] = tuple(spans)
         self.chain_halts: Tuple[bool, ...] = tuple(halts)
         self.chain_loads: Tuple[int, ...] = tuple(loads)
         self.chain_reads: Tuple[Tuple[int, ...], ...] = tuple(reads)
         self.chain_writes: Tuple[Tuple[int, ...], ...] = tuple(writes)
+
+    def compile_span(self, pc: int, n: int) -> Chain:
+        """The chain over the ``n`` instructions from ``pc``.
+
+        Generated chains come from the process-wide cache, keyed by the
+        pc, the span's decode records (:func:`_decode_meta`: the
+        instructions' fields, which hash without a Python call per
+        instruction) and the text size; a miss compiles.  Two threads
+        that miss together both compile, and both get a correct chain.
+        """
+        span = self.code[pc:pc + n]
+        if self.oracle:
+            return _oracle_chain(span)
+        key = (pc, self.size, self.meta[pc:pc + n])
+        chain = _chain_cache.get(key)
+        if chain is None:
+            chain = _compile_chain(pc, span)
+            with _chain_cache_lock:
+                if (
+                    key not in _chain_cache
+                    and len(_chain_cache) >= CHAIN_CACHE_LIMIT
+                ):
+                    del _chain_cache[next(iter(_chain_cache))]
+                chain = _chain_cache.setdefault(key, chain)
+        return chain
 
     # -- stepping -----------------------------------------------------------
 
@@ -483,6 +566,7 @@ class DecodedProgram:
         if observer is not None:
             return self._step_loop(state, 0, max_steps, observer)
         chains = self.chains
+        spans = self.chain_spans
         chain_halts = self.chain_halts
         size = self.size
         regs = state.regs
@@ -491,13 +575,12 @@ class DecodedProgram:
             pc = state.pc
             if not 0 <= pc < size:
                 raise InvalidPcError(pc, size)
-            chain = chains[pc]
-            if steps + len(chain) < max_steps:
-                for fn in chain:
-                    fn(regs, state)
+            n = spans[pc]
+            if steps + n < max_steps:
+                chains[pc](regs, state)
                 if chain_halts[pc]:
-                    return steps + len(chain) - 1, True
-                steps += len(chain)
+                    return steps + n - 1, True
+                steps += n
             else:
                 # Near the budget boundary: step exactly, so the limit
                 # fires at the same instruction as the reference loop.
@@ -535,7 +618,8 @@ def decode(program: Program, oracle: bool = False) -> DecodedProgram:
     """The (cached) decoding of ``program``.
 
     One decoding is kept per program *object*; a different Program with
-    equal contents decodes separately, and re-decoding after mutation is
+    equal contents decodes separately (sharing its compiled chains
+    through the chain cache), and re-decoding after mutation is
     impossible because programs are frozen.  The cache entry lives in the
     program's ``__dict__`` (excluded from pickling by
     ``Program.__getstate__``), so invalidation is garbage collection.

@@ -1,11 +1,15 @@
 """Superblock JIT: hot Z-ISA regions compiled to generated Python.
 
-The pre-decoded engine (:mod:`repro.machine.decoded`) pays one Python
-call per instruction inside its superstep chains.  This module removes
-that last per-instruction cost for hot code: a **superblock compiler**
-stitches the straight-line chain of basic blocks starting at a hot block
-leader into a single generated-Python function per region, produced by
-textual codegen and ``compile()``/``exec``.
+The pre-decoded engine (:mod:`repro.machine.decoded`) runs each basic
+block suffix as one generated function on the register list, but it
+still returns to its dispatch loop at every block end and reads every
+operand from the list.  For hot code this module goes further: a
+**superblock compiler** stitches the straight-line chain of basic blocks
+starting at a hot block leader into a single generated-Python function
+per region, produced by textual codegen and ``compile()``/``exec``.
+Both generators take their arithmetic and branch expressions from one
+table in :mod:`repro.machine.decoded` (``_LOCAL_R3``, ``_I2_OPS_TO_R3``,
+``_BRANCH_EXPR``); each keeps its own emitters for memory and control.
 
 What the generated code looks like
 ----------------------------------
@@ -144,8 +148,14 @@ from repro.errors import InvalidPcError
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import Program
 from repro.isa.registers import RA, ZERO
-from repro.machine.decoded import DecodedProgram, decode
-from repro.machine.semantics import _div_trunc, _mod_trunc
+from repro.machine.decoded import (
+    _BRANCH_EXPR,
+    _CODEGEN_GLOBALS,
+    _I2_OPS_TO_R3,
+    _LOCAL_R3,
+    DecodedProgram,
+    decode,
+)
 from repro.machine.state import MachineStateLike, wrap64
 
 __all__ = [
@@ -223,52 +233,9 @@ _VARIANTS = {
     "master": ("master",),
 }
 
-# Localized-register expression templates and their wrap discipline.
-# "two": result may leave [MINI, MAXI] in either direction; "upper":
-# result is nonnegative and may only exceed MAXI; "none": closed over
-# canonical inputs (bitwise/shift-right/compare/copy results).
-_LOCAL_R3: Dict[Opcode, Tuple[str, str]] = {
-    Opcode.ADD: ("{a} + {b}", "two"),
-    Opcode.SUB: ("{a} - {b}", "two"),
-    Opcode.MUL: ("{a} * {b}", "two"),
-    Opcode.DIV: ("dv({a}, {b})", "two"),  # only MINI // -1 overflows
-    Opcode.MOD: ("md({a}, {b})", "none"),  # |result| < 2**63 always
-    Opcode.AND: ("{a} & {b}", "none"),
-    Opcode.OR: ("{a} | {b}", "none"),
-    Opcode.XOR: ("{a} ^ {b}", "none"),
-    Opcode.SLL: ("{a} << ({b} & 63)", "two"),
-    Opcode.SRL: ("({a} & %d) >> ({b} & 63)" % _MASK64, "upper"),
-    Opcode.SRA: ("{a} >> ({b} & 63)", "none"),
-    Opcode.SLT: ("(1 if {a} < {b} else 0)", "none"),
-    Opcode.SLE: ("(1 if {a} <= {b} else 0)", "none"),
-    Opcode.SEQ: ("(1 if {a} == {b} else 0)", "none"),
-    Opcode.SNE: ("(1 if {a} != {b} else 0)", "none"),
-}
-
 # View-mode expressions: no wrap calls at all — ``write_reg`` wraps on
 # the way in, so the unwrapped expression value is unobservable.
 _VIEW_R3 = {op: expr for op, (expr, _kind) in _LOCAL_R3.items()}
-
-_I2_OPS_TO_R3 = {
-    Opcode.ADDI: Opcode.ADD,
-    Opcode.MULI: Opcode.MUL,
-    Opcode.ANDI: Opcode.AND,
-    Opcode.ORI: Opcode.OR,
-    Opcode.XORI: Opcode.XOR,
-    Opcode.SLLI: Opcode.SLL,
-    Opcode.SRLI: Opcode.SRL,
-    Opcode.SLTI: Opcode.SLT,
-}
-
-_BRANCH_EXPR = {
-    Opcode.BEQ: "{a} == {b}",
-    Opcode.BNE: "{a} != {b}",
-    Opcode.BLT: "{a} < {b}",
-    Opcode.BGE: "{a} >= {b}",
-}
-
-#: Globals bound into every generated region's namespace.
-_CODEGEN_GLOBALS = {"w": wrap64, "dv": _div_trunc, "md": _mod_trunc}
 
 
 def block_leaders(program: Program) -> FrozenSet[int]:
@@ -1248,6 +1215,7 @@ class JitProgram:
         if observer is not None:
             return decoded._step_loop(state, 0, max_steps, observer)
         chains = decoded.chains
+        spans = decoded.chain_spans
         chain_halts = decoded.chain_halts
         size = self.size
         arch = self.mode == "arch"
@@ -1268,13 +1236,12 @@ class JitProgram:
                 if status == EXIT_HALT:
                     return steps, True
                 continue
-            chain = chains[pc]
-            if steps + len(chain) < max_steps:
-                for fn in chain:
-                    fn(regs, state)
+            n = spans[pc]
+            if steps + n < max_steps:
+                chains[pc](regs, state)
                 if chain_halts[pc]:
-                    return steps + len(chain) - 1, True
-                steps += len(chain)
+                    return steps + n - 1, True
+                steps += n
             else:
                 return decoded._step_loop(state, steps, max_steps, None)
 

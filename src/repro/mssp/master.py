@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 from repro.config import MsspConfig
 from repro.isa.instructions import Opcode
 from repro.isa.program import Program
-from repro.machine.decoded import decode
+from repro.machine.decoded import ChainTable, decode
 from repro.machine.jit import EXIT_HALT, jit_for
 from repro.machine.state import ArchState, wrap64
 from repro.mssp.task import Checkpoint
@@ -153,35 +153,37 @@ class Master:
             else None
             for instr in distilled.code
         )
-        self._chains = self._superstep_table() if tier == "decoded" else None
+        self._chains, self._chain_fns = (
+            self._superstep_table() if tier == "decoded" else (None, None)
+        )
 
     def _superstep_table(self) -> tuple:
-        """Per pc: the decoded chain cut before its first ``fork`` or
-        ``jr`` (which the master intercepts) as ``(chain, anchors of its
-        pcs, lw count, ends in halt, pc after a cut or None)``, or
-        ``None`` at a fork or jr.  Links store no fall-through pc, so
-        the loop sets the pc of the intercepted instruction itself."""
+        """Per pc: the decoded chain's span cut before its first ``fork``
+        or ``jr`` (which the master intercepts) as ``(length, anchors of
+        its pcs, lw count, ends in halt)``, or ``None`` at a fork or jr;
+        and the :class:`~repro.machine.decoded.ChainTable` over the cut
+        spans.  A cut chain stores the intercepted instruction's pc as
+        its end pc."""
         decoded = self._decoded
         code = decoded.code
         special = self._special
         arrival_pcs = self.arrival_pcs
         table = []
-        for pc, chain in enumerate(decoded.chains):
-            n = next(
-                (i for i in range(len(chain)) if special[pc + i]), len(chain)
-            )
+        spans = []
+        for pc, length in enumerate(decoded.chain_spans):
+            n = next((i for i in range(length) if special[pc + i]), length)
+            spans.append(n)
             if not n:
                 table.append(None)
                 continue
             span = range(pc, pc + n)
             table.append((
-                chain[:n],
+                n,
                 tuple(arrival_pcs[p] for p in span if p in arrival_pcs),
                 sum(1 for p in span if code[p].op is Opcode.LW),
-                n == len(chain) and decoded.chain_halts[pc],
-                pc + n if n < len(chain) else None,
+                n == length and decoded.chain_halts[pc],
             ))
-        return tuple(table)
+        return tuple(table), ChainTable(decoded, tuple(spans))
 
     def restart(self, arch: ArchState, distilled_pc: int) -> None:
         """Reseed the master from architected state at ``distilled_pc``."""
@@ -202,6 +204,7 @@ class Master:
         arrivals = self._arrivals
         jp = self._jit
         chains = self._chains
+        chain_fns = self._chain_fns
         executed = 0
         loads = 0
         while True:
@@ -211,16 +214,11 @@ class Master:
             if chains is not None and chains[pc] is not None:
                 # A superstep visits each pc of its span once: count
                 # their arrivals, then run it whole.
-                chain, anchors, n_loads, halts, cut = chains[pc]
-                n = len(chain)
+                n, anchors, n_loads, halts = chains[pc]
                 if executed + n < budget:
                     for anchor in anchors:
                         arrivals[anchor] = arrivals.get(anchor, 0) + 1
-                    regs = view.regs
-                    for fn in chain:
-                        fn(regs, view)
-                    if cut is not None:
-                        view.pc = cut
+                    chain_fns[pc](view.regs, view)
                     loads += n_loads
                     if halts:
                         executed += n - 1

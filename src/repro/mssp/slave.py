@@ -21,11 +21,11 @@ verification treats as a misspeculation).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ProtectedAccessError
 from repro.isa.program import Program
-from repro.machine.decoded import decode
+from repro.machine.decoded import Chain, decode
 from repro.machine.jit import EXIT_ARRIVAL, EXIT_HALT, jit_for
 from repro.machine.state import ArchState, wrap64
 from repro.mssp.regions import ProtectedRegions
@@ -81,8 +81,7 @@ class SlaveView:
             self._reg_written[index] = True
 
     def run_chain(
-        self, chain: Sequence[Callable], reads: Sequence[int],
-        writes: Sequence[int],
+        self, chain: Chain, reads: Sequence[int], writes: Sequence[int],
     ) -> None:
         """Run a superstep chain on :attr:`regs`, recording like ``read_reg``.
 
@@ -97,8 +96,7 @@ class SlaveView:
         for r in reads:
             if not written[r] and r not in live_in:
                 live_in[r] = regs[r]
-        for fn in chain:
-            fn(regs, self)
+        chain(regs, self)
         for r in writes:
             written[r] = True
 
@@ -172,6 +170,7 @@ def execute_task(
     steppers = decoded.steppers
     size = decoded.size
     chains = decoded.chains if tier == "decoded" and regions is None else None
+    chain_spans = decoded.chain_spans
     chain_halts = decoded.chain_halts
     chain_loads = decoded.chain_loads
     chain_reads = decoded.chain_reads
@@ -209,12 +208,11 @@ def execute_task(
                     break
                 continue  # EXIT_RUN: pc synced; retry dispatch there.
         if chains is not None:
-            chain = chains[pc]
-            n = len(chain)
+            n = chain_spans[pc]
             if steps + n < max_instrs and not (
                 end_pc is not None and pc < end_pc < pc + n
             ):
-                run_chain(chain, chain_reads[pc], chain_writes[pc])
+                run_chain(chains[pc], chain_reads[pc], chain_writes[pc])
                 loads += chain_loads[pc]
                 if chain_halts[pc]:
                     steps += n - 1

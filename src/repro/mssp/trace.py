@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Union
 from repro.mssp.task import SquashReason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskAttemptRecord:
     """One task attempt (committed or squashed)."""
 
@@ -66,7 +66,7 @@ class TaskAttemptRecord:
         return "committed" if self.committed else "squashed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecoveryRecord:
     """One non-speculative recovery episode (sequential re-execution)."""
 
@@ -81,7 +81,7 @@ class RecoveryRecord:
     device_accesses: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MasterFailureRecord:
     """The master hit a trap/timeout instead of producing a fork."""
 

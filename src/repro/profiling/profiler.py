@@ -73,7 +73,7 @@ class Profiler:
 
 class _ProfilingState(ArchState):
     """An :class:`ArchState` whose loads and stores feed a profile at
-    ``self.pc`` (a chain's memory links store their own pc before the
+    ``self.pc`` (a chain's memory ops store their own pc before the
     access).  It shares the caller's registers and memory; only ``pc``
     is copied back.
     """
@@ -111,8 +111,8 @@ def _branch_exits(decoded: DecodedProgram) -> List[Optional[Tuple]]:
     ends at a conditional branch, else ``None``; ``condition`` is set only
     when the target is the fall-through pc, which no successor tells."""
     exits: List[Optional[Tuple]] = []
-    for pc, chain in enumerate(decoded.chains):
-        last = pc + len(chain) - 1
+    for pc, n in enumerate(decoded.chain_spans):
+        last = pc + n - 1
         instr = decoded.code[last]
         if not instr.is_branch:
             exits.append(None)
@@ -160,6 +160,7 @@ def profile_program(
     regs = view.regs
     size = decoded.size
     chains = decoded.chains
+    spans = decoded.chain_spans
     chain_halts = decoded.chain_halts
     steppers = decoded.steppers
     code = decoded.code
@@ -176,14 +177,13 @@ def profile_program(
             pc = view.pc
             if not 0 <= pc < size:
                 raise InvalidPcError(pc, size)
-            chain = chains[pc]
-            if steps + len(chain) < superstep_limit:
-                for fn in chain:
-                    fn(regs, view)
+            n = spans[pc]
+            if steps + n < superstep_limit:
+                chains[pc](regs, view)
                 entries[pc] += 1
                 if chain_halts[pc]:
                     break
-                steps += len(chain)
+                steps += n
                 branch = exits[pc]
                 if branch is not None:
                     last, target, condition = branch
@@ -208,7 +208,7 @@ def profile_program(
         state.pc = view.pc
     for pc, count in enumerate(entries):
         delta[pc] += count
-        delta[pc + len(chains[pc])] -= count
+        delta[pc + spans[pc]] -= count
     profile.exec_counts = list(accumulate(delta[:size]))
     profile.total_instructions = sum(profile.exec_counts)
     return profile

@@ -507,12 +507,10 @@ class TestCheckDecoded:
         from repro.machine.decoded import decode
 
         decoded = decode(rich_program)
-        chains = list(decoded.chains)
-        victim = next(
-            pc for pc, chain in enumerate(chains) if len(chain) > 1
-        )
-        chains[victim] = chains[victim][:-1]
-        decoded.chains = tuple(chains)
+        spans = list(decoded.chain_spans)
+        victim = next(pc for pc, n in enumerate(spans) if n > 1)
+        spans[victim] -= 1
+        decoded.chain_spans = tuple(spans)
         report = check_decoded(rich_program)
         assert "DEC003" in error_ids(report)
 
@@ -566,6 +564,28 @@ class TestCheckDecoded:
         assert any(
             f.check_id == "DEC003" and f.pc == pc for f in report.errors
         )
+
+
+    @pytest.mark.parametrize("table, op, expr, pcs", [
+        ("_LOCAL_R3", Opcode.SUB, ("{a} + {b}", "two"), {0, 1}),
+        ("_BRANCH_EXPR", Opcode.BLT, "{a} <= {b}", {0, 1, 2}),
+    ], ids=["sub-as-add", "blt-as-ble"])
+    def test_mutated_chain_expression_is_dec004(
+        self, monkeypatch, table, op, expr, pcs
+    ):
+        # Chains compiled from a mutated expression table, into a fresh
+        # chain cache so no correct chain is served from earlier runs.
+        from repro.machine import decoded as decoded_module
+
+        monkeypatch.setitem(getattr(decoded_module, table), op, expr)
+        monkeypatch.setattr(decoded_module, "_chain_cache", {})
+        program = assemble(
+            ".text\nmain: li r1, 7\n sub r2, r1, r3\n"
+            " blt r3, r3, main\n halt\n"
+        )
+        report = check_decoded(program)
+        assert error_ids(report) == {"DEC004"}
+        assert {f.pc for f in report.errors} == pcs
 
 
 # -- layer 5: the superblock JIT --------------------------------------------

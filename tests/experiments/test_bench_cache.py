@@ -183,7 +183,7 @@ MICRO_KEYS = {
 
 #: Every key ``repro bench`` writes, and nothing else.
 SUMMARY_KEYS = {
-    "schema", "commit", "scale", "jobs", "runtime", "exec_tier", "cpu_count",
+    "schema", "commit", "dirty", "scale", "jobs", "runtime", "exec_tier", "cpu_count",
     "serve_bench", "microbenchmark", "suite", "suite_wall_seconds",
     "cache_hits", "adaptive_cache_hits", "cache_dir", "sim_bench",
 }
@@ -255,11 +255,13 @@ class TestCliBench:
         ]
         assert len(history) == 2
         assert set(history[-1]) == {
-            "commit", "date", "scale", "runtime", "speedup_vs_cold",
+            "commit", "dirty", "date", "scale", "runtime", "speedup_vs_cold",
             "decoded_instrs_per_sec", "jit_instrs_per_sec",
             "suite_wall_seconds",
         }
         assert history[-1]["commit"] == summary["commit"]
+        assert history[-1]["dirty"] == summary["dirty"]
+        assert summary["dirty"] in (True, False, None)
         assert history[-1]["scale"] == 0.02
 
     def test_bench_fails_on_regression(

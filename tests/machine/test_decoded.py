@@ -9,6 +9,7 @@ over hand-written corner cases and random terminating programs.
 
 import pickle
 import sys
+import threading
 from copy import deepcopy
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from strategies import terminating_programs  # noqa: E402
 
 from repro.errors import InvalidPcError, StepLimitExceeded
 from repro.isa.asm import assemble
+from repro.machine import decoded as decoded_module
 from repro.machine.decoded import (
     EFFECT_FALL,
     EFFECT_HALT,
@@ -30,6 +32,7 @@ from repro.machine.decoded import (
 from repro.machine.interpreter import run, run_to_halt, seq
 from repro.machine.semantics import execute
 from repro.machine.state import ArchState
+from repro.workloads import WORKLOADS, get_workload
 
 
 def snapshot(effect):
@@ -121,8 +124,6 @@ class TestDifferentialFixtures:
         assert_equivalent(assemble(FIXTURE))
 
     def test_every_workload_boot_run_equivalent(self):
-        from repro.workloads import WORKLOADS, get_workload
-
         for name in WORKLOADS:
             spec = get_workload(name)
             program = spec.instance(max(4, spec.default_size // 10)).program
@@ -161,7 +162,15 @@ class TestDifferentialFixtures:
             " andi r13, r1, 0x1ffffffffffffffff\n mov r0, r5\n"
             " add r0, r5, r5\n sll r14, r5, r2\n slt r15, r9, r5\n"
             " sw r7, 0x7fffffffffffffff(r2)\n"
-            " lw r16, 0x7fffffffffffffff(r2)\n halt\n"
+            " lw r16, 0x7fffffffffffffff(r2)\n"
+            " li r17, -1\n div r18, r9, r17\n mod r19, r9, r17\n"
+            " mod r20, r1, r6\n sra r21, r9, r17\n srli r22, r9, 63\n"
+            " slti r23, r9, 0x8000000000000000\n xori r24, r5, -1\n"
+            " sub r25, r5, r9\n lw r0, -1(r9)\n sw r5, -1(r9)\n"
+            " lw r26, 9223372036854775807(r0)\n"
+            " blt r9, r5, bounds\n halt\n"
+            "bounds: bge r5, r9, done\n halt\n"
+            "done: add r0, r0, r0\n halt\n"
         ))
 
     def test_invalid_pc_parity(self):
@@ -315,9 +324,9 @@ class TestDecodeCache:
         program = assemble(FIXTURE)
         decoded = decode(program)
         assert len(decoded.steppers) == len(program.code)
-        assert len(decoded.chains) == len(program.code)
-        for pc, chain in enumerate(decoded.chains):
-            assert 1 <= len(chain) <= len(program.code) - pc
+        assert len(decoded.chain_spans) == len(program.code)
+        for pc, n in enumerate(decoded.chain_spans):
+            assert 1 <= n <= len(program.code) - pc
 
     def test_chain_register_tables(self):
         program = assemble(
@@ -342,3 +351,139 @@ class TestDecodeCache:
         direct = DecodedProgram(program)
         cached = decode(program)
         assert direct.meta == cached.meta
+
+
+@pytest.fixture
+def chain_cache(monkeypatch):
+    """An empty process-wide chain cache for one test."""
+    cache = {}
+    monkeypatch.setattr(decoded_module, "_chain_cache", cache)
+    return cache
+
+
+#: Entered from main: the chains at 0 (li through bne), 1 (the loop
+#: body) and 3 (halt).  Nothing enters ``cold``.
+LOOP = """
+main:   li r1, 5
+loop:   addi r1, r1, -1
+        bne r1, r0, loop
+        halt
+cold:   addi r2, r2, 1
+        halt
+"""
+
+
+def run_fast(program, max_steps=1_000_000):
+    state = ArchState.initial(program)
+    decode(program).run(state, max_steps)
+    return state
+
+
+class TestChainCompilePolicy:
+    """Chains compile at first entry into a bounded, content-keyed
+    process-wide cache."""
+
+    def test_never_entered_pc_is_never_compiled(self, chain_cache):
+        program = assemble(LOOP)
+        run_fast(program)
+        decoded = decode(program)
+        assert set(decoded.chains) == {0, 1, 3}
+        assert sorted(key[0] for key in chain_cache) == [0, 1, 3]
+
+    def test_equal_texts_share_chain_functions(self, chain_cache):
+        first, second = assemble(LOOP), assemble(LOOP)
+        assert run_fast(first) == run_fast(second)
+        a, b = decode(first), decode(second)
+        assert a is not b and set(a.chains) == set(b.chains)
+        assert all(a.chains[pc] is b.chains[pc] for pc in a.chains)
+        assert len(chain_cache) == 3
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_training_and_evaluation_instances_share_chains(
+        self, chain_cache, name
+    ):
+        spec = get_workload(name)
+        instance = spec.instance(max(4, spec.default_size // 10))
+        programs = (instance.program,) + tuple(instance.train_programs)
+        for program in programs:
+            run_fast(program, max_steps=2_000_000)
+        compiled = len(chain_cache)
+        entered = [decode(program).chains for program in programs]
+        for chains in entered[1:]:
+            for pc in set(chains) & set(entered[0]):
+                assert chains[pc] is entered[0][pc]
+        assert compiled == len(set().union(*entered))
+
+    def test_engine_rerun_compiles_nothing(self, chain_cache, monkeypatch):
+        from repro.experiments import prepare
+        from repro.mssp import create_engine
+
+        compiled = []
+        compile_chain = decoded_module._compile_chain
+
+        def counting(pc, span):
+            compiled.append(pc)
+            return compile_chain(pc, span)
+
+        monkeypatch.setattr(decoded_module, "_compile_chain", counting)
+        ready = prepare(get_workload("compress"), size=40)
+        with create_engine(ready.instance.program, ready.distillation) as engine:
+            first = engine.run()  # builds a Master per run
+            count = len(compiled)
+            assert engine.run().counters == first.counters
+        assert count and len(compiled) == count
+
+    def test_texts_differing_in_one_immediate_share_none(self, chain_cache):
+        three = assemble(".text\nmain: li r1, 5\n addi r2, r1, 3\n halt\n")
+        four = assemble(".text\nmain: li r1, 5\n addi r2, r1, 4\n halt\n")
+        assert run_fast(three).regs[2] == 8
+        assert run_fast(four).regs[2] == 9
+        assert set(decode(three).chains) == set(decode(four).chains) == {0}
+        assert decode(three).chains[0] is not decode(four).chains[0]
+        assert len(chain_cache) == 2
+
+    def test_cache_stops_at_its_bound_and_eviction_changes_nothing(
+        self, chain_cache, monkeypatch
+    ):
+        monkeypatch.setattr(decoded_module, "CHAIN_CACHE_LIMIT", 2)
+        program = assemble(FIXTURE)
+        expected = ArchState.initial(program)
+        oracle_run(program, expected)
+        assert run_fast(program) == expected
+        assert len(decode(program).chains) > 2
+        assert len(chain_cache) == 2
+        # A twin decodes afresh and recompiles the evicted spans; the
+        # first decoding keeps running the chains it already holds.
+        assert run_fast(assemble(FIXTURE)) == expected
+        assert run_fast(program) == expected
+        assert len(chain_cache) == 2
+
+    def test_threads_entering_an_uncompiled_chain_match_the_oracle(
+        self, chain_cache
+    ):
+        expected = ArchState.initial(assemble(FIXTURE))
+        oracle_run(assemble(FIXTURE), expected)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                chain_cache.clear()
+                program = assemble(FIXTURE)
+                decode(program)
+                barrier = threading.Barrier(4)
+                results = []
+
+                def enter():
+                    barrier.wait(timeout=10)
+                    results.append(run_fast(program))
+
+                threads = [threading.Thread(target=enter) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert len(results) == 4
+                assert all(state == expected for state in results)
+        finally:
+            sys.setswitchinterval(switch)

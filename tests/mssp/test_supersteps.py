@@ -196,28 +196,41 @@ REGISTER_PROGRAM = assemble(
             halt                # 18
     leaf:   add r22, r31, r20   # 19 r31 written by jal: no live-in
             addi r20, r20, 1    # 20
-            jr r31              # 21
+            and r23, r24, r24   # 21 checkpoint values outside int64:
+            mov r25, r26        # 22 every result wraps ...
+            slt r27, r24, r26   # 23 ... compares see the raw values
+            sw r24, 0(r26)      # 24 wrapped address and value
+            lw r28, 0(r26)      # 25
+            jr r31              # 26
+    tail:   add r29, r24, r24   # 27 the text ends without a terminator
             .data 100
             .word 123
     """
 )
 REGISTER_CHECKPOINT = {
     0: 77, 4: 40, 5: 50, 6: 60, 7: 70, 8: 100, 9: 90, 10: 41, 13: -8,
-    14: 1, 16: 1 << 40, 20: 200,
+    14: 1, 16: 1 << 40, 20: 200, 24: (1 << 64) + 7, 26: -(1 << 64) - 100,
 }
 
 
 class TestRegisterFileChains:
-    @pytest.mark.parametrize("end_pc", [None, 8, 19, 17])
-    def test_task_fields_match_oracle(self, end_pc):
+    @pytest.mark.parametrize("start_pc, end_pc", [
+        pytest.param(0, None, id="None"),
+        pytest.param(0, 8, id="8"),
+        pytest.param(0, 19, id="19"),
+        pytest.param(0, 17, id="17"),
+        pytest.param(27, None, id="off-the-text"),
+    ])
+    def test_task_fields_match_oracle(self, start_pc, end_pc):
         decoded, oracle = (
             run_slave(
-                tier, 0, end_pc, REGISTER_CHECKPOINT, 100,
+                tier, start_pc, end_pc, REGISTER_CHECKPOINT, 100,
                 program=REGISTER_PROGRAM,
             )
             for tier in TIERS
         )
         assert task_facts(decoded) == task_facts(oracle)
+        assert decoded.faulted == (start_pc == 27)
 
     def test_live_ins_recorded_once_in_first_read_order(self):
         task = run_slave(
@@ -228,6 +241,7 @@ class TestRegisterFileChains:
         assert list(task.live_in_regs.items()) == [
             (5, 50), (4, 40), (7, 70), (6, 60), (8, 100), (9, 90),
             (10, 41), (13, -8), (14, 1), (16, 1 << 40), (20, 200),
+            (24, (1 << 64) + 7), (26, -(1 << 64) - 100),
         ]
         assert task.live_in_mem == {100: 123}
 
@@ -243,6 +257,8 @@ class TestRegisterFileChains:
         assert out[19] == -(1 << 63)
         assert out[31] == 17 and out[22] == 217 and out[20] == 201
         assert out[11] == 81
+        assert out[23] == 7 and out[25] == -100 and out[27] == 0
+        assert out[28] == 7
 
     @settings(max_examples=40, deadline=None)
     @given(

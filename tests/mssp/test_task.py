@@ -49,6 +49,24 @@ class TestPickleRoundTrip:
         assert clone.regs == checkpoint.regs
         assert clone.mem == checkpoint.mem
 
+    def test_trace_records_are_slotted_and_round_trip(self):
+        from repro.mssp.trace import (
+            MasterFailureRecord,
+            RecoveryRecord,
+            TaskAttemptRecord,
+        )
+
+        for record in (
+            TaskAttemptRecord(
+                tid=3, start_pc=0, end_pc=8, n_instrs=40, master_instrs=10,
+                committed=False, squash_reason="live_in", origin_pc=8,
+            ),
+            RecoveryRecord(n_instrs=12, halted=True, resumed_at=None),
+            MasterFailureRecord(kind="trap", master_instrs=5, exact=True),
+        ):
+            assert not hasattr(record, "__dict__")
+            assert pickle.loads(pickle.dumps(record)) == record
+
     def test_squash_reason_round_trips_to_same_member(self):
         for reason in SquashReason:
             assert pickle.loads(pickle.dumps(reason)) is reason
