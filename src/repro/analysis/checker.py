@@ -947,7 +947,8 @@ def check_decoded(
 
     # DEC004: the generated chain entered at each pc equals stepping the
     # text's span from there through the oracle, on register files that
-    # include the int64 bounds and values outside them.
+    # include the int64 bounds and values outside them; so does its
+    # recording variant, on a slave's recording view.
     for pc in range(size):
         span = program.code[pc:pc + expected_spans[pc]]
         for variant in range(5):
@@ -971,7 +972,79 @@ def check_decoded(
                     f"(seed {variant}): {want.diff(got)[:3]}", pc=pc,
                 )
                 break
+        problem = _recording_chain_problem(program, decoded, pc, span)
+        if problem:
+            _finding(
+                report, "DEC004", Severity.ERROR,
+                f"recording chain {problem}", pc=pc,
+            )
     return report
+
+
+def _recording_chain_problem(program: Program, decoded, pc: int, span) -> str:
+    """How the recording chain the slave enters at ``pc`` differs from
+    stepping its span with ``semantics.execute`` on a recording view, or
+    ``""``.  Each of :func:`_fuzz_states`' register files is tried on a
+    fresh view and on one whose registers were partly written or
+    recorded already (a loop's second iteration)."""
+    from repro.machine.semantics import execute
+
+    for variant in range(5):
+        for reentered in (False, True):
+            got = _fuzz_view(program, pc, variant, reentered)
+            want = _fuzz_view(program, pc, variant, reentered)
+            seed = f"(seed {variant}{', re-entered' if reentered else ''})"
+            try:
+                decoded.recording_chains[pc](
+                    got.regs, got, got._reg_written, got.live_in_regs
+                )
+            except Exception as exc:  # noqa: BLE001 - report, never raise
+                return f"raised {type(exc).__name__}: {exc} {seed}"
+            for instr in span:
+                execute(instr, want)
+            problem = _view_difference(want, got)
+            if problem:
+                return f"{problem} {seed}"
+    return ""
+
+
+def _fuzz_view(program: Program, entry: int, variant: int, reentered: bool):
+    """A slave recording view over :func:`_fuzz_states`' registers for
+    the recording-chain differential.  ``reentered`` marks every third
+    register written and records a stale value for the next of each
+    three, as a chain entered again in a task would find them."""
+    from repro.mssp.slave import SlaveView
+    from repro.mssp.task import Checkpoint
+
+    state = _fuzz_states(program, entry, variant)
+    view = SlaveView(Checkpoint(tuple(state.regs), {}), state, entry)
+    if reentered:
+        for reg in range(1, NUM_REGS):
+            if (reg + entry) % 3 == 0:
+                view._reg_written[reg] = True
+            elif (reg + entry) % 3 == 1:
+                view.live_in_regs[reg] = -reg
+    return view
+
+
+def _view_difference(want, got) -> str:
+    """What differs between two recording views, or ``""``."""
+    for name, mine, theirs in (
+        ("pc", got.pc, want.pc),
+        ("registers", got.regs, want.regs),
+        ("written registers", got._reg_written, want._reg_written),
+        ("register live-ins", list(got.live_in_regs.items()),
+         list(want.live_in_regs.items())),
+        ("memory live-ins", list(got.live_in_mem.items()),
+         list(want.live_in_mem.items())),
+        ("stores", got.live_out_mem(), want.live_out_mem()),
+    ):
+        if mine != theirs:
+            return (
+                f"diverges from stepping its span on a recording view: "
+                f"{name} {mine!r:.120} != {theirs!r:.120}"
+            )
+    return ""
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,12 @@ whole into a machine-readable ``BENCH_summary.json``
    same sweep for any workload.
 
 The summary is stamped with its commit and whether the tracked files
-differed from it (``dirty``), and each run appends a line to
-``BENCH_history.jsonl`` beside it (:func:`append_history`).
+differed from it (``dirty``), and with the machine's speed at the start
+and end of the run (``calibration_cpu_seconds``: the CPU time of a
+fixed loop, :func:`calibration_seconds`); each run appends a line to
+``BENCH_history.jsonl`` beside it (:func:`append_history`).  On a
+shared VM the same code can read far slower in one run than the next;
+the calibration says which runs met a slow machine.  No gate reads it.
 
 The stages' settings are the module constants below, not flags.  The
 cached pipeline entry points (:func:`cached_prepare`,
@@ -109,6 +113,30 @@ E2E_EPISODES = 5
 #: The cluster stage's simulated slave counts (the scenarios run at the
 #: middle one).
 SIM_SLAVE_COUNTS = (2, 8, 16, 64)
+
+#: Iterations of the machine-speed calibration loop: the loop, and the
+#: count, the end-to-end benchmark times (``benchmarks/e2e/speed.py``),
+#: so a bench run and an e2e run read machine speed on one scale.
+CALIBRATION_STEPS = 12_000
+
+
+def _calibration_step(regs: list, mem: dict, i: int) -> int:
+    r = i & 7
+    value = (regs[r - 1] + regs[r] + i) & 0xFFFF
+    regs[r] = value
+    mem[value & 255] = mem.get((value >> 3) & 255, 0) + 1
+    return value & 1
+
+
+def calibration_seconds() -> float:
+    """CPU seconds the calling thread takes for the fixed calibration
+    loop, now: larger on a slower (or busier) machine.  Thread CPU time
+    leaves out waits for the interpreter lock."""
+    regs, mem, taken = [0] * 8, {}, 0
+    start = time.thread_time()
+    for i in range(CALIBRATION_STEPS):
+        taken += _calibration_step(regs, mem, i)
+    return time.thread_time() - start
 
 
 def workload_size(name: str, scale: float = 1.0) -> int:
@@ -594,6 +622,7 @@ def run_bench(
     """
     import os
 
+    calibration_start = calibration_seconds()
     names = list(workloads) if workloads else list(WORKLOADS)
     serve = run_serve_bench(
         rates=SERVE_RATES, requests_per_rate=SERVE_REQUESTS, scale=scale,
@@ -622,6 +651,9 @@ def run_bench(
         "schema": artifact_cache.CACHE_SCHEMA,
         "commit": current_commit(),
         "dirty": tree_dirty(),
+        "calibration_cpu_seconds": {
+            "start": calibration_start, "end": calibration_seconds(),
+        },
         "scale": scale,
         "jobs": jobs,
         "runtime": runtime,
@@ -686,6 +718,7 @@ def append_history(summary: Dict[str, object], path: str) -> Path:
     line = {
         "commit": summary["commit"],
         "dirty": summary["dirty"],
+        "calibration_cpu_seconds": summary["calibration_cpu_seconds"],
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "scale": summary["scale"],
         "runtime": summary["runtime"],

@@ -56,7 +56,9 @@ from typing import Any, Callable, Optional, Tuple
 #:    lost the paged-store stage and the memory-store key.
 #: 8: task, recovery and master-failure trace records are slotted
 #:    dataclasses, so cached results pickle without instance dicts.
-CACHE_SCHEMA = 8
+#: 9: task records are no longer frozen (their pickled state changed
+#:    shape); bench summaries grew ``calibration_cpu_seconds``.
+CACHE_SCHEMA = 9
 
 _ENV_VAR = "REPRO_BENCH_CACHE"
 

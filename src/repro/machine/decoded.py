@@ -44,13 +44,24 @@ state's own register list, range-checks every result and address inline
 memory through ``state.load``/``state.store``.  Each memory op stores
 its own pc first (the profiler attributes sites to ``state.pc``),
 control transfers and ``halt`` store theirs, and a span that does not
-end in a terminator stores its end pc.  A recording view therefore
-records a chain's register live-ins once, from ``chain_reads``, instead
-of on every access.  The sequential :meth:`DecodedProgram.run`, the
-profiler, and the MSSP slave and master run whole chains, falling back
-to exact per-step execution wherever a step boundary could fall inside
-one — near the step budget, so ``StepLimitExceeded`` (or an overrun or
-timeout) fires at precisely the same instruction as the reference loop.
+end in a terminator stores its end pc.  The sequential
+:meth:`DecodedProgram.run`, the profiler, MSSP recovery and the MSSP
+master run whole chains, falling back to exact per-step execution
+wherever a step boundary could fall inside one — near the step budget,
+so ``StepLimitExceeded`` (or an overrun or timeout) fires at precisely
+the same instruction as the reference loop.
+
+The MSSP slave runs the *recording* variant,
+``recording_chains[pc]``: ``chain(regs, state, written, live_in)``, the
+same body between a generated prologue and epilogue.  The prologue
+records each register of ``chain_reads`` that is neither marked in
+``written`` nor already in ``live_in`` (``live_in[r] = regs[r]``, in
+first-read order); the epilogue marks every register of
+``chain_writes`` in ``written``.  A span reads its ``chain_reads``
+before writing them, so their values at entry are the values its first
+reads see: the variant records exactly what a recording view's
+``read_reg``/``write_reg`` would, once per chain instead of on every
+access, and is exact for any chain that runs to its end.
 
 The arithmetic and branch expressions come from one table
 (``_LOCAL_R3``, ``_I2_OPS_TO_R3``, ``_BRANCH_EXPR``) that the superblock
@@ -81,7 +92,7 @@ source instruction and every chain against stepping its span (the
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidPcError, StepLimitExceeded
 from repro.isa.instructions import Instruction, Opcode
@@ -102,8 +113,13 @@ from repro.machine.state import MachineStateLike, wrap64
 Stepper = Callable[[MachineStateLike], StepEffect]
 
 #: A superstep chain: ``chain(regs, state)`` executes a whole span on
-#: ``regs``, the state's own register list.
-Chain = Callable[[List[int], MachineStateLike], None]
+#: ``regs``, the state's own register list.  The recording variant takes
+#: ``(regs, state, written, live_in)`` (see the module docstring).
+Chain = Callable[..., None]
+
+#: A span's ``(chain_reads, chain_writes)``: what a recording chain
+#: records at entry and marks at exit.
+SpanRegisters = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 _MIN64 = -(1 << 63)
 _MAX64 = (1 << 63) - 1
@@ -309,10 +325,25 @@ def _decode_instruction(pc: int, instr: Instruction) -> Stepper:
     return step
 
 
-def _chain_source(pc: int, span: Sequence[Instruction]) -> str:
+def _chain_source(
+    pc: int,
+    span: Sequence[Instruction],
+    recording: Optional[SpanRegisters] = None,
+) -> str:
     """The source of ``chain(regs, state)`` for ``span``, the
-    instructions at ``pc`` onward (see the module docstring)."""
-    lines = ["def chain(regs, state):"]
+    instructions at ``pc`` onward, or with ``recording`` — the span's
+    ``(chain_reads, chain_writes)`` — of the recording variant
+    ``chain(regs, state, written, live_in)`` (see the module
+    docstring)."""
+    if recording is None:
+        lines = ["def chain(regs, state):"]
+    else:
+        lines = ["def chain(regs, state, written, live_in):"]
+        lines += [
+            f" if not written[{r}] and {r} not in live_in:"
+            f" live_in[{r}] = regs[{r}]"
+            for r in recording[0]
+        ]
     emit = lines.append
     checked = f" if {_MIN64} <= {{0}} <= {_MAX64} else w({{0}})"
 
@@ -364,18 +395,28 @@ def _chain_source(pc: int, span: Sequence[Instruction]) -> str:
         # NOP and FORK (a task marker, not a computation) do nothing.
     if not span[-1].is_terminator:
         emit(f" state.pc = {pc + len(span)}")
+    if recording is not None and recording[1]:
+        marks = " = ".join(f"written[{r}]" for r in recording[1])
+        emit(f" {marks} = True")
     return "\n".join(lines) + "\n"
 
 
-def _compile_chain(pc: int, span: Sequence[Instruction]) -> Chain:
+def _compile_chain(
+    pc: int,
+    span: Sequence[Instruction],
+    recording: Optional[SpanRegisters] = None,
+) -> Chain:
     namespace = dict(_CODEGEN_GLOBALS)
-    exec(compile(_chain_source(pc, span), f"<chain@{pc}>", "exec"), namespace)
+    source = _chain_source(pc, span, recording)
+    exec(compile(source, f"<chain@{pc}>", "exec"), namespace)
     return namespace["chain"]
 
 
 def _oracle_chain(span: Sequence[Instruction]) -> Chain:
-    """A chain that steps ``span`` through ``semantics.execute``."""
-    def chain(regs, state):
+    """A chain that steps ``span`` through ``semantics.execute``.  It
+    takes the recording variant's arguments too and ignores them: on a
+    recording view, ``execute``'s own register accesses record."""
+    def chain(regs, state, *recording):
         for instr in span:
             execute(instr, state)
     return chain
@@ -401,22 +442,31 @@ def _decode_meta(pc: int, instr: Instruction) -> Tuple:
 
 
 class ChainTable(dict):
-    """pc -> the chain over ``spans[pc]`` instructions from pc, compiled
-    (through the process-wide cache) at the pc's first entry.
+    """pc -> the chain over ``spans[pc]`` instructions from pc (the
+    recording variant with ``recording``), compiled through the
+    process-wide cache at the pc's first entry.
 
     Callers index only pcs whose span they are about to run, so a pc
     that is never entered is never compiled.
     """
 
-    __slots__ = ("decoded", "spans")
+    __slots__ = ("decoded", "spans", "recording")
 
-    def __init__(self, decoded: "DecodedProgram", spans: Tuple[int, ...]):
+    def __init__(
+        self,
+        decoded: "DecodedProgram",
+        spans: Tuple[int, ...],
+        recording: bool = False,
+    ):
         super().__init__()
         self.decoded = decoded
         self.spans = spans
+        self.recording = recording
 
     def __missing__(self, pc: int) -> Chain:
-        chain = self[pc] = self.decoded.compile_span(pc, self.spans[pc])
+        chain = self[pc] = self.decoded.compile_span(
+            pc, self.spans[pc], self.recording
+        )
         return chain
 
 
@@ -432,9 +482,9 @@ class DecodedProgram:
     """
 
     __slots__ = (
-        "program", "code", "size", "steppers", "chains", "chain_spans",
-        "chain_halts", "chain_loads", "chain_reads", "chain_writes", "meta",
-        "oracle",
+        "program", "code", "size", "steppers", "chains", "recording_chains",
+        "chain_spans", "chain_halts", "chain_loads", "chain_reads",
+        "chain_writes", "meta", "oracle",
     )
 
     def __init__(self, program: Program, oracle: bool = False):
@@ -457,6 +507,9 @@ class DecodedProgram:
         )
         self._build_chains()
         self.chains = ChainTable(self, self.chain_spans)
+        self.recording_chains = ChainTable(
+            self, self.chain_spans, recording=True
+        )
 
     def _build_chains(self) -> None:
         """Per-pc facts of the straight-line spans ending at terminators.
@@ -468,7 +521,7 @@ class DecodedProgram:
         ``chain_reads[pc]`` lists the registers the span reads before
         writing them (r0 excluded) in first-read order, operands in
         evaluation order (``rs`` before ``rt``); ``chain_writes[pc]``
-        the registers it writes: a recording view takes a chain's
+        the registers it writes: the recording chains take a chain's
         live-ins once at entry instead of on every access.  Entry at any
         pc is legal — spans are suffixes, so branch targets into block
         middles get their own (shorter) chain.
@@ -514,22 +567,28 @@ class DecodedProgram:
         self.chain_reads: Tuple[Tuple[int, ...], ...] = tuple(reads)
         self.chain_writes: Tuple[Tuple[int, ...], ...] = tuple(writes)
 
-    def compile_span(self, pc: int, n: int) -> Chain:
-        """The chain over the ``n`` instructions from ``pc``.
+    def compile_span(self, pc: int, n: int, recording: bool = False) -> Chain:
+        """The chain over the ``n`` instructions from ``pc``; with
+        ``recording``, the recording variant over ``pc``'s whole chain
+        (``n`` must be ``chain_spans[pc]``).
 
         Generated chains come from the process-wide cache, keyed by the
-        pc, the span's decode records (:func:`_decode_meta`: the
-        instructions' fields, which hash without a Python call per
-        instruction) and the text size; a miss compiles.  Two threads
-        that miss together both compile, and both get a correct chain.
+        pc, the text size, the span's decode records
+        (:func:`_decode_meta`: the instructions' fields, which hash
+        without a Python call per instruction) and the variant; a miss
+        compiles.  Two threads that miss together both compile, and
+        both get a correct chain.
         """
         span = self.code[pc:pc + n]
         if self.oracle:
             return _oracle_chain(span)
-        key = (pc, self.size, self.meta[pc:pc + n])
+        key = (pc, self.size, self.meta[pc:pc + n], recording)
         chain = _chain_cache.get(key)
         if chain is None:
-            chain = _compile_chain(pc, span)
+            chain = _compile_chain(pc, span, (
+                (self.chain_reads[pc], self.chain_writes[pc]) if recording
+                else None
+            ))
             with _chain_cache_lock:
                 if (
                     key not in _chain_cache

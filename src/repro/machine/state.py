@@ -26,6 +26,8 @@ from repro.isa.program import Program
 from repro.isa.registers import NUM_REGS, ZERO
 
 _MASK64 = (1 << 64) - 1
+_MIN64 = -(1 << 63)
+_MAX64 = (1 << 63) - 1
 
 
 def wrap64(value: int) -> int:
@@ -167,12 +169,24 @@ class ArchState:
         This is the concrete form of the paper's superimposition operator
         ``S ← live_out(t)``: register and memory cells named by the write-set
         are overwritten, everything else is untouched, and the pc advances to
-        the committed task's end.
+        the committed task's end.  Values are wrapped and zero cells
+        dropped exactly as :meth:`write_reg` and :meth:`store` would, with
+        the int64 range check inline (``wrap64`` only on overflow).
         """
+        regs = self.regs
         for index, value in reg_writes.items():
-            self.write_reg(index, value)
+            if index != ZERO:
+                regs[index] = (
+                    value if _MIN64 <= value <= _MAX64 else wrap64(value)
+                )
+        mem = self.mem
         for address, value in mem_writes.items():
-            self.store(address, value)
+            if not _MIN64 <= value <= _MAX64:
+                value = wrap64(value)
+            if value:
+                mem[address] = value
+            else:
+                mem.pop(address, None)
         if pc is not None:
             self.pc = pc
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.analysis.specsafe import SafetyReport, prove_safety
 from repro.config import MsspConfig
@@ -174,6 +174,7 @@ class MsspEngine:
             candidate = jit_for(original)
             if self.pc_map.anchors <= candidate.leaders:
                 self._jit_recover = candidate
+        self._recover_spans = self._recovery_spans()
         #: Write-version stamps over architected memory, driving the
         #: verify fast path (re-created per run; see repro.mssp.verify).
         self._versions = CellVersions()
@@ -418,7 +419,8 @@ class MsspEngine:
         """Hot-swap the distilled artifact, coherently.
 
         Everything derived from the old distilled program / pc map is
-        rebuilt or invalidated here: the recovery superblock cache, the
+        rebuilt or invalidated here: the recovery superblock cache and
+        chain table (:meth:`_recovery_spans`, which reads the anchors), the
         safety report (and with it the verify fast path and the per-task
         proven sets), the statically allowed squash causes, the memory
         version stamps (bulk invalidation — the cheap, always-sound
@@ -434,6 +436,7 @@ class MsspEngine:
             candidate = jit_for(self.original)
             if self.pc_map.anchors <= candidate.leaders:
                 self._jit_recover = candidate
+        self._recover_spans = self._recovery_spans()
         if self.config.static_safety == "off":
             self.safety_report = SafetyReport()
         else:
@@ -451,6 +454,25 @@ class MsspEngine:
                 self.safety_report if self.config.static_safety != "off"
                 else None,
             )
+
+    def _recovery_spans(self) -> Optional[Tuple[int, ...]]:
+        """Per pc of the original text: the length of the decoded chain
+        from that pc when no anchor lies strictly inside its span, else
+        0 — recovery may run such a chain whole and test the anchor stop
+        once, after it.  ``None`` off the decoded tier, or with
+        protected regions (device accesses are logged per step)."""
+        if self.exec_tier != "decoded" or self.regions is not None:
+            return None
+        anchors = self.pc_map.anchors
+        spans = self._decoded_original.chain_spans
+        usable = [0] * len(spans)
+        blocked = False
+        for pc in range(len(spans) - 1, -1, -1):
+            n = spans[pc]
+            # The span from pc is pc plus the span from pc + 1.
+            blocked = n > 1 and (blocked or pc + 1 in anchors)
+            usable[pc] = 0 if blocked else n
+        return tuple(usable)
 
     def _make_executor(self):
         """Build the executor backend ``self.runtime`` names.
@@ -510,26 +532,14 @@ class MsspEngine:
             # same order, so training — and therefore every later
             # override — is bit-identical across runtimes.
             hits, misses = bank.observe_task(task, arch)
+        # Positional, in TaskAttemptRecord's field order (keywords cost
+        # a third of its construction time).
         record = TaskAttemptRecord(
-            tid=task.tid,
-            start_pc=task.start_pc,
-            end_pc=task.end_pc,
-            n_instrs=task.n_instrs,
-            master_instrs=event.instrs,
-            committed=outcome.ok,
-            n_loads=task.n_loads,
-            master_loads=event.loads,
-            squash_reason=outcome.reason.value,
-            origin_pc=outcome.origin_pc,
-            live_ins_checked=outcome.checked,
-            live_ins_mismatched=outcome.mismatched,
-            exact=task.exact,
-            final=task.final,
-            halted=task.halted,
-            checkpoint_words=len(task.checkpoint),
-            static_skips=outcome.static_skips,
-            predictor_hits=hits,
-            predictor_misses=misses,
+            task.tid, task.start_pc, task.end_pc, task.n_instrs,
+            event.instrs, outcome.ok, task.n_loads, event.loads,
+            outcome.reason.value, outcome.origin_pc, outcome.checked,
+            outcome.mismatched, task.exact, task.final, task.halted,
+            len(task.checkpoint), outcome.static_skips, hits, misses,
         )
         if outcome.ok:
             commit_task(task, arch)
@@ -574,6 +584,11 @@ class MsspEngine:
         decoded = self._decoded_original
         steppers = decoded.steppers
         size = decoded.size
+        usable = self._recover_spans
+        chains = decoded.chains
+        chain_halts = decoded.chain_halts
+        chain_loads = decoded.chain_loads
+        regs = arch.regs
         steps = 0
         loads = 0
         accesses = 0
@@ -581,15 +596,28 @@ class MsspEngine:
         total = self._recorder.counters.total_instrs
         budget = self.config.max_total_instrs - total
         jp = self._jit_recover
-        # Superblocks may run only while every bound stays unreachable
-        # within one region body; the per-step loop below handles the
-        # boundaries (anchor stops and budget raises fire at exactly the
-        # per-step instruction counts).
+        # Chains and superblocks may run only while every bound stays
+        # unreachable within one body; the per-step loop below handles
+        # the boundaries (anchor stops and budget raises fire at exactly
+        # the per-step instruction counts).
         cap = min(budget, max(min_instrs, self.config.recovery_max_instrs))
         while True:
             pc = arch.pc
             if not 0 <= pc < size:
                 raise InvalidPcError(pc, size)
+            if usable is not None:
+                n = usable[pc]
+                if n and steps + n < cap:
+                    chains[pc](regs, arch)
+                    loads += chain_loads[pc]
+                    if chain_halts[pc]:
+                        steps += n - 1
+                        halted = True
+                        break
+                    steps += n
+                    if steps >= min_instrs and arch.pc in anchors:
+                        break
+                    continue
             if jp is not None:
                 region = jp.region_for(pc)
                 if region is not None and steps + region.linear_len < cap:
@@ -662,8 +690,12 @@ class MsspEngine:
         )
 
     def _check_budget(self) -> None:
+        """Raise once the instructions that advanced architected state
+        reach ``max_total_instrs``: the sequential machine's boundary
+        (:func:`~repro.machine.interpreter.run_to_halt` raises when its
+        ``max_steps``-th non-halt instruction retires), and recovery's."""
         total = self._recorder.counters.total_instrs
-        if total > self.config.max_total_instrs:
+        if total >= self.config.max_total_instrs:
             raise StepLimitExceeded(self.config.max_total_instrs)
 
 

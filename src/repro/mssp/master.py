@@ -38,9 +38,10 @@ class MasterEventKind(enum.Enum):
     TIMEOUT = "timeout"    # fork budget exhausted
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MasterEvent:
-    """One terminal outcome of ``run_until_fork``."""
+    """One terminal outcome of ``run_until_fork`` (built positionally,
+    once per fork, and never mutated)."""
 
     kind: MasterEventKind
     #: Distilled instructions executed since the previous event.
@@ -64,6 +65,27 @@ class MasterEvent:
     #: chains on the wire instead of shipping the cumulative map per
     #: task.
     mem_delta: Optional[Dict[int, int]] = None
+
+
+class _Supersteps(dict):
+    """pc -> ``(chain, length, anchors, lw count, ends in halt)`` for the
+    master's cut chain at pc, or ``None`` at a fork or jr: one lookup per
+    superstep.  An entry is built, and its chain compiled, at the pc's
+    first entry."""
+
+    __slots__ = ("facts", "chains")
+
+    def __init__(self, facts: tuple, chains: ChainTable):
+        super().__init__()
+        self.facts = facts
+        self.chains = chains
+
+    def __missing__(self, pc: int) -> Optional[tuple]:
+        facts = self.facts[pc]
+        entry = self[pc] = (
+            None if facts is None else (self.chains[pc],) + facts
+        )
+        return entry
 
 
 class _MasterView:
@@ -153,37 +175,37 @@ class Master:
             else None
             for instr in distilled.code
         )
-        self._chains, self._chain_fns = (
-            self._superstep_table() if tier == "decoded" else (None, None)
+        self._supersteps = (
+            self._superstep_table() if tier == "decoded" else None
         )
 
-    def _superstep_table(self) -> tuple:
+    def _superstep_table(self) -> "_Supersteps":
         """Per pc: the decoded chain's span cut before its first ``fork``
         or ``jr`` (which the master intercepts) as ``(length, anchors of
-        its pcs, lw count, ends in halt)``, or ``None`` at a fork or jr;
-        and the :class:`~repro.machine.decoded.ChainTable` over the cut
-        spans.  A cut chain stores the intercepted instruction's pc as
-        its end pc."""
+        its pcs, lw count, ends in halt)``, or ``None`` at a fork or jr,
+        behind the :class:`_Supersteps` table that compiles each cut
+        chain at its first entry.  A cut chain stores the intercepted
+        instruction's pc as its end pc."""
         decoded = self._decoded
         code = decoded.code
         special = self._special
         arrival_pcs = self.arrival_pcs
-        table = []
+        facts = []
         spans = []
         for pc, length in enumerate(decoded.chain_spans):
             n = next((i for i in range(length) if special[pc + i]), length)
             spans.append(n)
             if not n:
-                table.append(None)
+                facts.append(None)
                 continue
             span = range(pc, pc + n)
-            table.append((
+            facts.append((
                 n,
                 tuple(arrival_pcs[p] for p in span if p in arrival_pcs),
                 sum(1 for p in span if code[p].op is Opcode.LW),
                 n == length and decoded.chain_halts[pc],
             ))
-        return tuple(table), ChainTable(decoded, tuple(spans))
+        return _Supersteps(tuple(facts), ChainTable(decoded, tuple(spans)))
 
     def restart(self, arch: ArchState, distilled_pc: int) -> None:
         """Reseed the master from architected state at ``distilled_pc``."""
@@ -193,6 +215,11 @@ class Master:
 
     def run_until_fork(self) -> MasterEvent:
         """Execute distilled code until the next fork or a terminal event."""
+        event = self._run_to_event()
+        self.total_instrs += event.instrs
+        return event
+
+    def _run_to_event(self) -> MasterEvent:
         view = self._view
         if view is None:
             raise RuntimeError("master.restart() must be called first")
@@ -203,31 +230,29 @@ class Master:
         arrival_pcs = self.arrival_pcs
         arrivals = self._arrivals
         jp = self._jit
-        chains = self._chains
-        chain_fns = self._chain_fns
+        supersteps = self._supersteps
+        regs = view.regs
         executed = 0
         loads = 0
         while True:
             pc = view.pc
             if not 0 <= pc < size:
                 return MasterEvent(MasterEventKind.TRAP, executed, loads)
-            if chains is not None and chains[pc] is not None:
-                # A superstep visits each pc of its span once: count
-                # their arrivals, then run it whole.
-                n, anchors, n_loads, halts = chains[pc]
-                if executed + n < budget:
+            if supersteps is not None:
+                step = supersteps[pc]
+                if step is not None and executed + step[1] < budget:
+                    # A superstep visits each pc of its span once: count
+                    # their arrivals, then run it whole.
+                    chain, n, anchors, n_loads, halts = step
                     for anchor in anchors:
                         arrivals[anchor] = arrivals.get(anchor, 0) + 1
-                    chain_fns[pc](view.regs, view)
+                    chain(regs, view)
                     loads += n_loads
                     if halts:
-                        executed += n - 1
-                        self.total_instrs += n - 1
                         return MasterEvent(
-                            MasterEventKind.HALT, executed, loads
+                            MasterEventKind.HALT, executed + n - 1, loads
                         )
                     executed += n
-                    self.total_instrs += n
                     continue
             if jp is not None:
                 # Region dispatch happens *instead of* the per-step
@@ -242,7 +267,6 @@ class Master:
                     executed, loads, status = region.master(
                         view, executed, loads, budget, arrivals
                     )
-                    self.total_instrs += executed - before
                     self.jit_instrs += executed - before
                     if status == EXIT_HALT:
                         return MasterEvent(
@@ -261,22 +285,20 @@ class Master:
                     loads += 1
             elif dispatch[0] is Opcode.FORK:
                 view.pc = pc + 1
-                executed += 1
-                self.total_instrs += 1
-                delta = dict(view.delta)
+                # The store delta is handed over whole: the view starts a
+                # fresh one for the next fork.
+                delta = view.delta
+                view.delta = {}
                 if self.config.checkpoint_mode == "delta":
                     shipped = delta
                 else:
                     shipped = dict(view.dirty)
-                view.delta = {}
-                checkpoint = Checkpoint(regs=tuple(view.regs), mem=shipped)
                 anchor = dispatch[1]
                 count = max(1, arrivals.get(anchor, 0))
                 self._arrivals = {}
                 return MasterEvent(
-                    MasterEventKind.FORK, executed, loads,
-                    anchor=anchor, checkpoint=checkpoint, arrivals=count,
-                    mem_delta=delta,
+                    MasterEventKind.FORK, executed + 1, loads, anchor,
+                    Checkpoint(tuple(regs), shipped), count, delta,
                 )
             else:  # JR: translate the original return pc into our text.
                 target = self.jr_table.get(view.read_reg(dispatch[1]))
@@ -284,7 +306,6 @@ class Master:
                     return MasterEvent(MasterEventKind.TRAP, executed, loads)
                 view.pc = target
             executed += 1
-            self.total_instrs += 1
             if executed >= budget:
                 return MasterEvent(MasterEventKind.TIMEOUT, executed, loads)
 

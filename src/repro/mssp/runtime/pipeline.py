@@ -62,7 +62,7 @@ from repro.mssp.task import (
 __all__ = ["RunAheadWindow", "TaskPipeline", "_Pending"]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
     """One produced-but-not-yet-judged task in episode order."""
 
@@ -210,21 +210,19 @@ class TaskPipeline:
                 while not production_done and len(pending) < window:
                     event = master.run_until_fork()
                     if event.kind is MasterEventKind.FORK:
-                        open_task.end_pc = event.anchor
-                        open_task.end_arrivals = event.arrivals
-                        entry = _Pending(open_task, event,
-                                         open_delta=open_delta)
+                        closed = open_task
+                        closed.end_pc = event.anchor
+                        closed.end_arrivals = event.arrivals
+                        entry = _Pending(closed, event, False, open_delta)
                         pending.append(entry)
                         if pipelined:
                             to_dispatch.append(entry)
-                        events.emit(TaskForked(
-                            tid=open_task.tid, start_pc=open_task.start_pc,
-                            end_pc=open_task.end_pc, exact=open_task.exact,
-                        ))
-                        # Start-image patching: override the master's
-                        # guess for cells the predictor bank is both
-                        # confident about and gate-open on (episode-
-                        # frozen snapshot, so every backend patches
+                        # Open the successor before announcing the fork,
+                        # so opening it is master time.  Start-image
+                        # patching: override the master's guess for
+                        # cells the predictor bank is both confident
+                        # about and gate-open on (episode-frozen
+                        # snapshot, so every backend patches
                         # identically).  Only registers are patched —
                         # checkpoint memory is delta-chained on the
                         # process wire.  Exact tasks are never patched.
@@ -245,13 +243,17 @@ class TaskPipeline:
                             ),
                             predicted_cells=predicted,
                         )
+                        open_delta = event.mem_delta
+                        next_tid += 1
+                        events.emit(TaskForked(
+                            tid=closed.tid, start_pc=closed.start_pc,
+                            end_pc=closed.end_pc, exact=closed.exact,
+                        ))
                         if predicted:
                             events.emit(LiveInPredicted(
                                 tid=open_task.tid, anchor=event.anchor,
                                 cells=tuple(sorted(predicted)),
                             ))
-                        open_delta = event.mem_delta
-                        next_tid += 1
                     elif event.kind is MasterEventKind.HALT:
                         open_task.end_pc = None
                         open_task.final = True
@@ -328,9 +330,11 @@ class TaskPipeline:
                         runahead.wasted()
                 if not committed:
                     return False, task.tid + 1
+                # Every commit, the halting one included, counts against
+                # the step budget.
+                core._check_budget()
                 if slave_halted:
                     return True, next_tid
-                core._check_budget()
         finally:
             # Episode over: every produced-but-unjudged successor is
             # discarded, exactly as the eager engine discards it by

@@ -17,15 +17,25 @@ Execution stops at the first arrival at the task's end pc (checked
 iteration — executes the whole iteration), at ``halt``, or when the
 instruction budget is exhausted (recorded as an overrun, which
 verification treats as a misspeculation).
+
+On the decoded tier the register rules run once per basic-block chain,
+not on every access: a *recording chain*
+(:attr:`~repro.machine.decoded.DecodedProgram.recording_chains`) works on
+the view's own register list, written flags and live-in dict, recording
+the registers its span reads before writing at entry and marking the
+ones it writes at exit — what ``read_reg``/``write_reg`` would record,
+step by step, for a chain that runs to its end.  Memory still records
+through :meth:`SlaveView.load`/:meth:`SlaveView.store`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from itertools import compress
+from typing import Dict, List, Optional
 
 from repro.errors import ProtectedAccessError
 from repro.isa.program import Program
-from repro.machine.decoded import Chain, decode
+from repro.machine.decoded import decode
 from repro.machine.jit import EXIT_ARRIVAL, EXIT_HALT, jit_for
 from repro.machine.state import ArchState, wrap64
 from repro.mssp.regions import ProtectedRegions
@@ -34,6 +44,10 @@ from repro.mssp.task import Checkpoint, Task, TaskStatus
 
 class SlaveView:
     """MachineStateLike view implementing the recording rules above.
+
+    ``regs``, ``_reg_written`` and ``live_in_regs`` are the state the
+    recording chains write directly; ``read_reg``/``write_reg`` apply the
+    same rule one access at a time.
 
     When ``regions`` is set, any access to a protected address raises
     :class:`~repro.errors.ProtectedAccessError` *before* the access is
@@ -80,26 +94,6 @@ class SlaveView:
             self.regs[index] = wrap64(value)
             self._reg_written[index] = True
 
-    def run_chain(
-        self, chain: Chain, reads: Sequence[int], writes: Sequence[int],
-    ) -> None:
-        """Run a superstep chain on :attr:`regs`, recording like ``read_reg``.
-
-        ``reads`` (first-read order, r0 excluded) are recorded before the
-        chain runs and ``writes`` marked written after it.  That is exact
-        only for a chain that cannot stop part-way: no protected regions,
-        and neither budget nor end pc inside it.
-        """
-        regs = self.regs
-        written = self._reg_written
-        live_in = self.live_in_regs
-        for r in reads:
-            if not written[r] and r not in live_in:
-                live_in[r] = regs[r]
-        chain(regs, self)
-        for r in writes:
-            written[r] = True
-
     def load(self, address: int) -> int:
         if self._regions is not None and address in self._regions:
             raise ProtectedAccessError(address, is_store=False)
@@ -122,11 +116,11 @@ class SlaveView:
     # -- results ------------------------------------------------------------------
 
     def live_out_regs(self) -> Dict[int, int]:
-        return {
-            index: value
-            for index, value in enumerate(self.regs)
-            if self._reg_written[index]
-        }
+        written = self._reg_written
+        return dict(zip(
+            compress(range(len(written)), written),
+            compress(self.regs, written),
+        ))
 
     def live_out_mem(self) -> Dict[int, int]:
         return dict(self._own_mem)
@@ -160,22 +154,28 @@ def execute_task(
 
     The decoded tier without protected regions runs whole superstep
     chains wherever neither the budget nor the end pc falls inside one,
-    checking the arrival once after the chain.  :meth:`SlaveView.run_chain`
-    runs it on the view's register list, recording its ``chain_reads``
-    once at entry and marking its ``chain_writes`` after; memory still
-    records through the view.
+    checking the arrival once after the chain.  It runs the *recording*
+    chains (:attr:`~repro.machine.decoded.DecodedProgram.recording_chains`)
+    on the view's register list, written-flags and live-in dict: each
+    records its span's register live-ins at entry and marks its writes
+    at exit, exactly as :meth:`SlaveView.read_reg`/``write_reg`` would
+    for a chain that cannot stop part-way; memory still records through
+    the view.
     """
     view = SlaveView(task.checkpoint, arch, task.start_pc, regions=regions)
     decoded = decode(program, oracle=tier == "oracle")
     steppers = decoded.steppers
     size = decoded.size
-    chains = decoded.chains if tier == "decoded" and regions is None else None
+    chains = (
+        decoded.recording_chains
+        if tier == "decoded" and regions is None else None
+    )
     chain_spans = decoded.chain_spans
     chain_halts = decoded.chain_halts
     chain_loads = decoded.chain_loads
-    chain_reads = decoded.chain_reads
-    chain_writes = decoded.chain_writes
-    run_chain = view.run_chain
+    regs = view.regs
+    written = view._reg_written
+    live_in = view.live_in_regs
     steps = 0
     loads = 0
     halted = False
@@ -183,6 +183,9 @@ def execute_task(
     overrun = False
     protected = False
     end_pc = task.end_pc
+    # A chain may run only if the end pc is not strictly inside it; pc
+    # is never below -1, so -1 stands for "no end pc" there.
+    inside = -1 if end_pc is None else end_pc
     remaining_arrivals = max(1, task.end_arrivals)
     jp = None
     if tier == "jit" and regions is None:
@@ -209,10 +212,8 @@ def execute_task(
                 continue  # EXIT_RUN: pc synced; retry dispatch there.
         if chains is not None:
             n = chain_spans[pc]
-            if steps + n < max_instrs and not (
-                end_pc is not None and pc < end_pc < pc + n
-            ):
-                run_chain(chains[pc], chain_reads[pc], chain_writes[pc])
+            if steps + n < max_instrs and not pc < inside < pc + n:
+                chains[pc](regs, view, written, live_in)
                 loads += chain_loads[pc]
                 if chain_halts[pc]:
                     steps += n - 1

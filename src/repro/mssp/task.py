@@ -22,9 +22,14 @@ from typing import Dict, Optional, Tuple
 from repro.machine.state import ArchState
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Checkpoint:
-    """Live-in prediction shipped from the master to a slave."""
+    """Live-in prediction shipped from the master to a slave.
+
+    Built once per fork and never mutated afterwards; slotted rather
+    than frozen because a frozen dataclass pays an ``object.__setattr__``
+    per field on every construction.
+    """
 
     regs: Tuple[int, ...]
     mem: Dict[int, int] = field(default_factory=dict)
@@ -38,7 +43,7 @@ class Checkpoint:
         architected state" after a squash.  An exact checkpoint with an
         empty memory overlay can never cause a live-in mismatch.
         """
-        return cls(regs=tuple(state.regs), mem={})
+        return cls(tuple(state.regs), {})
 
     def __len__(self) -> int:
         return len(self.regs) + len(self.mem)
@@ -65,7 +70,7 @@ class Checkpoint:
                 regs[reg] = value
         if not replaced:
             return self, {}
-        return Checkpoint(regs=tuple(regs), mem=self.mem), replaced
+        return Checkpoint(tuple(regs), self.mem), replaced
 
 
 class TaskStatus(enum.Enum):

@@ -23,9 +23,14 @@ from typing import Dict, List, Optional, Union
 from repro.mssp.task import SquashReason
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TaskAttemptRecord:
-    """One task attempt (committed or squashed)."""
+    """One task attempt (committed or squashed).
+
+    The judge builds one per task, positionally, and nothing mutates it
+    afterwards; it is not frozen because a frozen dataclass pays an
+    ``object.__setattr__`` per field (19 here) on every construction.
+    """
 
     tid: int
     start_pc: int

@@ -90,9 +90,10 @@ class CellVersions:
         return stamp > base
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VerifyOutcome:
-    """Result of checking one task against architected state."""
+    """Result of checking one task against architected state (built
+    once per judged task, positionally, and never mutated)."""
 
     ok: bool
     reason: SquashReason
@@ -141,25 +142,26 @@ def verify_task(
     if task.faulted:
         return VerifyOutcome(
             False, SquashReason.FAULT, task.live_in_count, 0,
-            detail=f"speculative execution faulted at pc {task.end_state_pc}",
-            origin_pc=task.end_state_pc,
+            f"speculative execution faulted at pc {task.end_state_pc}",
+            task.end_state_pc,
         )
     if task.protected_access:
         return VerifyOutcome(
             False, SquashReason.PROTECTED, task.live_in_count, 0,
-            detail=(
-                f"pc {task.end_state_pc} would access a protected region; "
-                "deferring to non-speculative execution"
-            ),
-            origin_pc=task.end_state_pc,
+            f"pc {task.end_state_pc} would access a protected region; "
+            "deferring to non-speculative execution",
+            task.end_state_pc,
         )
     if task.overrun:
         return VerifyOutcome(
             False, SquashReason.OVERRUN, task.live_in_count, 0,
-            detail=f"no arrival at end pc within {task.n_instrs} instructions",
-            origin_pc=task.end_state_pc,
+            f"no arrival at end pc within {task.n_instrs} instructions",
+            task.end_state_pc,
         )
-    checked = 1  # the start pc
+    live_in_regs = task.live_in_regs
+    live_in_mem = task.live_in_mem
+    # Every live-in counts as checked, skipped or compared (+1: the pc).
+    checked = len(live_in_regs) + len(live_in_mem) + 1
     mismatched = 0
     reason = SquashReason.NONE
     detail = ""
@@ -174,49 +176,55 @@ def verify_task(
         if safety_mode in ("skip", "check") and task.start_pc == arch.pc
         else frozenset()
     )
-    for index, value in task.live_in_regs.items():
-        checked += 1
+    regs = arch.regs
+    for index, value in live_in_regs.items():
         if index in proven:
             static_skips += 1
             if safety_mode == "skip":
                 continue
-        if arch.regs[index] != value:
+        if regs[index] != value:
             if index in proven:
                 proven_mismatch = True
             mismatched += 1
             if reason is SquashReason.NONE:
                 reason = SquashReason.REGISTER_LIVE_IN
                 detail = (
-                    f"r{index}: predicted {value}, "
-                    f"architected {arch.regs[index]}"
+                    f"r{index}: predicted {value}, architected {regs[index]}"
                 )
+    # The version stamps, read inline: a cell is unchanged since ``base``
+    # iff neither its stamp nor the floor is past it.
     base = task.base_version if versions is not None else None
+    if base is not None and versions.floor > base:
+        base = None  # a bulk invalidation since base: compare every cell
+    stamps = versions._stamps if base is not None else None
     ckpt_mem = task.checkpoint.mem
-    for address, value in task.live_in_mem.items():
-        checked += 1
+    mem = arch.mem
+    skipped = 0
+    for address, value in live_in_mem.items():
         if (
             base is not None
             and address not in ckpt_mem
-            and not versions.changed_since(address, base)
+            and stamps.get(address, 0) <= base
         ):
             # The cell was read through to architected state and has
             # not been written since the task's view was current: it
             # still holds ``value``, so the compare cannot fail.
-            versions.skipped += 1
+            skipped += 1
             continue
-        if arch.load(address) != value:
+        if mem.get(address, 0) != value:
             mismatched += 1
             if reason is SquashReason.NONE:
                 reason = SquashReason.MEMORY_LIVE_IN
                 detail = (
                     f"mem[{address}]: predicted {value}, "
-                    f"architected {arch.load(address)}"
+                    f"architected {mem.get(address, 0)}"
                 )
+    if skipped:
+        versions.skipped += skipped
     return VerifyOutcome(
-        ok=mismatched == 0, reason=reason, checked=checked,
-        mismatched=mismatched, detail=detail,
-        origin_pc=None if mismatched == 0 else task.start_pc,
-        static_skips=static_skips, proven_mismatch=proven_mismatch,
+        mismatched == 0, reason, checked, mismatched, detail,
+        None if mismatched == 0 else task.start_pc,
+        static_skips, proven_mismatch,
     )
 
 

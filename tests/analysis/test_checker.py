@@ -587,6 +587,54 @@ class TestCheckDecoded:
         assert error_ids(report) == {"DEC004"}
         assert {f.pc for f in report.errors} == pcs
 
+    @staticmethod
+    def record_after_body(lines):
+        """Move the recording prologue after the body."""
+        prologue = [line for line in lines if "live_in[" in line]
+        rest = [line for line in lines if "live_in[" not in line]
+        return rest + prologue
+
+    @staticmethod
+    def drop_first_read(lines):
+        """Leave the first live-in register unrecorded."""
+        first = next(i for i, line in enumerate(lines) if "live_in[" in line)
+        return lines[:first] + lines[first + 1:]
+
+    @pytest.mark.parametrize("mutate, pcs", [
+        ("record_after_body", {0}), ("drop_first_read", {0, 1, 2}),
+    ])
+    def test_mutated_recording_chain_is_dec004(
+        self, monkeypatch, mutate, pcs
+    ):
+        # Recording chains generated with a broken prologue, into a fresh
+        # chain cache; the plain chains stay correct.
+        from repro.machine import decoded as decoded_module
+
+        chain_source = decoded_module._chain_source
+        change = getattr(self, mutate)
+
+        def mutated(pc, span, recording=None):
+            source = chain_source(pc, span, recording)
+            if recording is None or not recording[0]:
+                return source
+            return "\n".join(change(source.splitlines())) + "\n"
+
+        monkeypatch.setattr(decoded_module, "_chain_source", mutated)
+        monkeypatch.setattr(decoded_module, "_chain_cache", {})
+        # Every span but the halt's reads registers; only pc 0's writes
+        # one it read (r1), so only there does late recording see a
+        # changed value.
+        program = assemble(
+            ".text\nmain: addi r1, r1, 1\n add r3, r2, r1\n"
+            " bne r3, r1, main\n halt\n"
+        )
+        report = check_decoded(program)
+        assert error_ids(report) == {"DEC004"}
+        assert {f.pc for f in report.errors} == pcs
+        assert all(
+            "recording chain" in f.message for f in report.errors
+        )
+
 
 # -- layer 5: the superblock JIT --------------------------------------------
 

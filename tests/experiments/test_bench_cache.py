@@ -153,6 +153,21 @@ class TestRunBench:
         assert any("throughput regressed" in p for p in problems)
         assert any("speedup regressed" in p for p in problems)
 
+    def test_calibration_loop_is_the_e2e_benchmarks(self):
+        """``calibration_cpu_seconds`` times the work the end-to-end
+        benchmark's machine-speed loop does, so the two read speed on
+        one scale."""
+        from benchmarks.e2e import speed
+
+        assert bench.CALIBRATION_STEPS == speed._STEPS
+        ours, theirs = ([0] * 8, {}), ([0] * 8, {})
+        for i in range(bench.CALIBRATION_STEPS):
+            assert bench._calibration_step(*ours, i) == speed._step(
+                *theirs, i
+            )
+        assert ours == theirs
+        assert bench.calibration_seconds() > 0
+
     def test_low_episode_throughput_is_flagged(self, tmp_path):
         summary = {"microbenchmark": {"e2e_instrs_per_sec": 690.0}}
         baseline = tmp_path / "baseline.json"
@@ -183,7 +198,8 @@ MICRO_KEYS = {
 
 #: Every key ``repro bench`` writes, and nothing else.
 SUMMARY_KEYS = {
-    "schema", "commit", "dirty", "scale", "jobs", "runtime", "exec_tier", "cpu_count",
+    "schema", "commit", "dirty", "calibration_cpu_seconds", "scale", "jobs",
+    "runtime", "exec_tier", "cpu_count",
     "serve_bench", "microbenchmark", "suite", "suite_wall_seconds",
     "cache_hits", "adaptive_cache_hits", "cache_dir", "sim_bench",
 }
@@ -255,12 +271,16 @@ class TestCliBench:
         ]
         assert len(history) == 2
         assert set(history[-1]) == {
-            "commit", "dirty", "date", "scale", "runtime", "speedup_vs_cold",
-            "decoded_instrs_per_sec", "jit_instrs_per_sec",
-            "suite_wall_seconds",
+            "commit", "dirty", "calibration_cpu_seconds", "date", "scale",
+            "runtime", "speedup_vs_cold", "decoded_instrs_per_sec",
+            "jit_instrs_per_sec", "suite_wall_seconds",
         }
         assert history[-1]["commit"] == summary["commit"]
         assert history[-1]["dirty"] == summary["dirty"]
+        calibration = summary["calibration_cpu_seconds"]
+        assert set(calibration) == {"start", "end"}
+        assert all(seconds > 0 for seconds in calibration.values())
+        assert history[-1]["calibration_cpu_seconds"] == calibration
         assert summary["dirty"] in (True, False, None)
         assert history[-1]["scale"] == 0.02
 

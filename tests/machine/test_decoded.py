@@ -421,9 +421,9 @@ class TestChainCompilePolicy:
         compiled = []
         compile_chain = decoded_module._compile_chain
 
-        def counting(pc, span):
-            compiled.append(pc)
-            return compile_chain(pc, span)
+        def counting(pc, span, recording=None):
+            compiled.append((pc, recording is not None))
+            return compile_chain(pc, span, recording)
 
         monkeypatch.setattr(decoded_module, "_compile_chain", counting)
         ready = prepare(get_workload("compress"), size=40)
@@ -432,6 +432,52 @@ class TestChainCompilePolicy:
             count = len(compiled)
             assert engine.run().counters == first.counters
         assert count and len(compiled) == count
+        # The slaves entered recording chains, compiled once each too.
+        recorded = [pc for pc, recording in compiled if recording]
+        assert recorded and len(set(recorded)) == len(recorded)
+
+    @staticmethod
+    def run_slave_task(program, tier="decoded"):
+        """One task from the entry to halt on a recording view."""
+        from repro.mssp.slave import execute_task
+        from repro.mssp.task import Checkpoint, Task
+
+        task = Task(
+            tid=0, start_pc=program.entry,
+            checkpoint=Checkpoint(regs=(0,) * 32),
+        )
+        arch = ArchState.initial(program)
+        return execute_task(program, task, arch, 1_000_000, tier=tier)
+
+    def test_recording_chains_compile_only_where_a_slave_enters(
+        self, chain_cache
+    ):
+        program = assemble(LOOP)
+        task = self.run_slave_task(program)
+        assert task.halted and task.live_out_regs == {1: 0}
+        decoded = decode(program)
+        assert set(decoded.recording_chains) == {0, 1, 3}
+        assert not decoded.chains  # the slave runs no plain chain
+        assert sorted(key[0] for key in chain_cache) == [0, 1, 3]
+        assert all(key[-1] for key in chain_cache)
+        # A twin program's slave compiles nothing more.
+        self.run_slave_task(assemble(LOOP))
+        assert len(chain_cache) == 3
+
+    def test_recording_cache_stops_at_its_bound(
+        self, chain_cache, monkeypatch
+    ):
+        monkeypatch.setattr(decoded_module, "CHAIN_CACHE_LIMIT", 2)
+        program = assemble(FIXTURE)
+        decoded_task = self.run_slave_task(program)
+        oracle_task = self.run_slave_task(assemble(FIXTURE), "oracle")
+        assert len(decode(program).recording_chains) > 2
+        assert len(chain_cache) == 2
+        for name in (
+            "live_in_regs", "live_in_mem", "live_out_regs", "live_out_mem",
+            "n_instrs", "n_loads", "end_state_pc", "halted",
+        ):
+            assert getattr(decoded_task, name) == getattr(oracle_task, name)
 
     def test_texts_differing_in_one_immediate_share_none(self, chain_cache):
         three = assemble(".text\nmain: li r1, 5\n addi r2, r1, 3\n halt\n")

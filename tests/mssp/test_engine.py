@@ -5,11 +5,13 @@ import pytest
 from repro.config import DistillConfig, MsspConfig
 from repro.distill import Distiller
 from repro.distill.pc_map import PcMap
-from repro.errors import InvalidPcError
+from repro.errors import InvalidPcError, StepLimitExceeded
+from repro.experiments.harness import prepare
 from repro.isa.asm import assemble
 from repro.machine.interpreter import run_to_halt
-from repro.mssp import MsspEngine, TaskAttemptRecord
+from repro.mssp import MsspEngine, TaskAttemptRecord, create_engine
 from repro.profiling import profile_program
+from repro.workloads import get_workload
 
 AGGRESSIVE = DistillConfig(
     target_task_size=25, branch_bias_threshold=0.99, min_branch_count=8,
@@ -175,3 +177,30 @@ class TestBudgets:
         reference = run_to_halt(program)
         assert result.final_state.diff(reference.state) == []
         assert result.counters.squash_reasons.get("overrun", 0) > 0
+
+    @pytest.mark.parametrize("runtime", ["eager", "thread", "process"])
+    def test_total_budget_stops_where_the_sequential_machine_does(
+        self, runtime
+    ):
+        # compress at size 350 retires 7,477 instructions and ends in a
+        # committed halting task: budgets L - 1 and L must raise there
+        # as run_to_halt does, and L + 1 must complete.
+        ready = prepare(get_workload("compress"), size=350)
+        program = ready.instance.program
+        length = run_to_halt(program).steps
+        for budget in (length - 1, length, length + 1):
+            config = MsspConfig(
+                runtime=runtime, num_slaves=2, max_total_instrs=budget
+            )
+            with create_engine(program, ready.distillation, config) as engine:
+                if budget > length:
+                    result = engine.run()
+                    assert result.counters.total_instrs == length
+                    assert result.task_records[-1].halted
+                    assert result.task_records[-1].committed
+                    assert run_to_halt(program, max_steps=budget).halted
+                    continue
+                with pytest.raises(StepLimitExceeded):
+                    engine.run()
+                with pytest.raises(StepLimitExceeded):
+                    run_to_halt(program, max_steps=budget)

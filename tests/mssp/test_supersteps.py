@@ -1,11 +1,13 @@
-"""Superstep differentials: the decoded slave and master run whole
-basic-block chains, the oracle tier steps every instruction through
-``semantics.execute``.  Every Task field and every MasterEvent must
-match between the two, at the places a chain boundary could leak:
-an end pc inside a block, arrivals, budgets that fall mid-chain, and
-the master's intercepted ``fork``/``jr``.  Chains run on the register
-list, and the slave records a chain's live-ins at entry, so the
-register-file cases — reads after writes, r0, wraps — are pinned too.
+"""Superstep differentials: the decoded slave, master and recovery run
+whole basic-block chains, the oracle tier steps every instruction
+through ``semantics.execute``.  Every Task field, every MasterEvent and
+every recovery must match between the two, at the places a chain
+boundary could leak: an end pc or an anchor inside a block, arrivals,
+budgets and caps that fall mid-chain, and the master's intercepted
+``fork``/``jr``.  Chains run on the register list, and the slave's
+recording chains record a chain's live-ins at entry, so the
+register-file cases — reads after writes, r0, wraps, chains entered
+again — are pinned too.
 """
 
 import dataclasses
@@ -20,9 +22,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from strategies import terminating_programs  # noqa: E402
 
 from repro.config import MsspConfig
+from repro.distill.pc_map import PcMap
+from repro.errors import StepLimitExceeded
 from repro.isa.asm import assemble
 from repro.isa.registers import NUM_REGS
+from repro.machine.decoded import decode
 from repro.machine.state import ArchState
+from repro.mssp.engine import MsspEngine
 from repro.mssp.master import Master, MasterEventKind
 from repro.mssp.slave import execute_task
 from repro.mssp.task import Checkpoint, Task
@@ -260,6 +266,61 @@ class TestRegisterFileChains:
         assert out[23] == 7 and out[25] == -100 and out[27] == 0
         assert out[28] == 7
 
+    #: A loop whose body re-enters the chain at 1 with r1, r2 and r4
+    #: written and r3 and r5 recorded by the previous iteration; the
+    #: chain at 0 writes r2 before the loop reads it.
+    REENTRY_PROGRAM = assemble(
+        """
+        main:   li r2, 7            # 0
+        loop:   add r4, r3, r2      # 1  r3 live-in once; r2 written at 0
+                addi r1, r1, -1     # 2  r1 live-in in iteration one only
+                add r2, r2, r5      # 3  r5 live-in once
+                bne r1, zero, loop  # 4
+                sw r4, 100(zero)    # 5
+                halt                # 6
+        """
+    )
+
+    @pytest.mark.parametrize("start_pc, end_pc, arrivals, live_ins", [
+        pytest.param(0, None, 1, [(3, 13), (1, 3), (5, 17)],
+                     id="whole-loop"),
+        pytest.param(1, 1, 2, [(3, 13), (2, 11), (1, 3), (5, 17)],
+                     id="second-iteration"),
+        pytest.param(1, 5, 1, [(3, 13), (2, 11), (1, 3), (5, 17)],
+                     id="loop-to-exit"),
+    ])
+    def test_reentered_chains_match_oracle(
+        self, start_pc, end_pc, arrivals, live_ins
+    ):
+        regs = {1: 3, 2: 11, 3: 13, 5: 17}
+        decoded, oracle = (
+            run_slave(
+                tier, start_pc, end_pc, regs, 100, end_arrivals=arrivals,
+                program=self.REENTRY_PROGRAM,
+            )
+            for tier in TIERS
+        )
+        assert task_facts(decoded) == task_facts(oracle)
+        assert list(decoded.live_in_regs.items()) == live_ins
+
+    def test_recording_chain_skips_written_and_recorded_registers(self):
+        # The chain at 1 run directly, as a second iteration finds it:
+        # r2 already written, r3 already recorded (with an older value).
+        from repro.mssp.slave import SlaveView
+
+        program = self.REENTRY_PROGRAM
+        view = SlaveView(
+            Checkpoint(regs=tuple(range(NUM_REGS))), ArchState(), 1
+        )
+        view._reg_written[2] = True
+        view.live_in_regs[3] = -3
+        decode(program).recording_chains[1](
+            view.regs, view, view._reg_written, view.live_in_regs
+        )
+        assert list(view.live_in_regs.items()) == [(3, -3), (1, 1), (5, 5)]
+        assert view.live_out_regs() == {1: 0, 2: 7, 4: 5}
+        assert view.pc == 5
+
     @settings(max_examples=40, deadline=None)
     @given(
         terminating_programs(),
@@ -333,3 +394,84 @@ class TestMasterRegisterFile:
             regs = traces[0][0][0].checkpoint.regs
             assert regs[3] == (1 << 63) - 4 and regs[5] == 0
             assert regs[6] == -(1 << 63) and regs[0] == 0
+
+
+#: Recovery runs the original program: the chain from 0 spans 0..5 and
+#: the loop body's from 1 spans 1..5; 17 non-halt instructions retire.
+RECOVERY_SOURCE = """
+main:   li r1, 3            # 0
+loop:   addi r1, r1, -1     # 1
+        lw r3, 100(r1)      # 2
+        add r2, r2, r3      # 3
+        sw r2, 200(r1)      # 4
+        bne r1, zero, loop  # 5
+        sw r2, 300(zero)    # 6
+        halt                # 7
+        .data 100
+        .word 5, 6, 7
+"""
+
+
+def recoveries(tier, anchors, min_instrs=0, **config):
+    """Every recovery from boot to halt (or the budget's raise): each
+    one's record and the architected state it left."""
+    program = assemble(RECOVERY_SOURCE)
+    engine = MsspEngine(
+        program,
+        (assemble("halt"), PcMap(resume=dict.fromkeys(anchors, 0))),
+        MsspConfig(exec_tier=tier, static_safety="off", **config),
+    )
+    arch = ArchState.initial(program)
+    trace = []
+    while True:
+        try:
+            record = engine._recover(arch, [], min_instrs=min_instrs)
+        except StepLimitExceeded:
+            trace.append(("raised", arch.copy()))
+            break
+        trace.append((record, arch.copy()))
+        if record.halted:
+            break
+    return trace, decode(program).chains
+
+
+class TestRecoverySupersteps:
+    @pytest.mark.parametrize("anchors, min_instrs, config, chained", [
+        # 3 lies inside the spans from 0, 1 and 2: those step; the
+        # span from 3 runs whole and stops at no anchor.
+        pytest.param({0, 3}, 0, {}, True, id="anchor-inside-span"),
+        # Arrivals at 1 every five instructions; the throttle minimum
+        # of 9 falls inside the second loop chain.
+        pytest.param({0, 1}, 9, {}, True, id="throttle-mid-chain"),
+        # The per-episode cap of 8 falls inside the second loop chain.
+        pytest.param({0, 6}, 0, {"recovery_max_instrs": 8}, True,
+                     id="cap-mid-chain"),
+        # The step budget of 8 falls there too: the raise must come
+        # after exactly 8 instructions.
+        pytest.param({0, 6}, 0, {"max_total_instrs": 8}, True,
+                     id="budget-mid-chain"),
+        # A cap or budget of 6 is exactly the end of the chain from 0,
+        # which must therefore step; later recoveries under the cap
+        # run the loop chain.
+        pytest.param({0, 6}, 0, {"recovery_max_instrs": 6}, True,
+                     id="cap-at-chain-end"),
+        pytest.param({0, 6}, 0, {"max_total_instrs": 6}, False,
+                     id="budget-at-chain-end"),
+    ])
+    def test_recoveries_match_oracle(
+        self, anchors, min_instrs, config, chained
+    ):
+        (decoded, chains), (oracle, _) = (
+            recoveries(tier, anchors, min_instrs, **config) for tier in TIERS
+        )
+        assert decoded == oracle
+        assert bool(chains) == chained
+
+    def test_budget_raises_at_the_exact_instruction(self):
+        trace, _ = recoveries("decoded", {0, 6}, max_total_instrs=8)
+        assert trace[-1][0] == "raised"
+        reference = ArchState.initial(assemble(RECOVERY_SOURCE))
+        steppers = decode(assemble(RECOVERY_SOURCE)).steppers
+        for _ in range(8):
+            steppers[reference.pc](reference)
+        assert trace[-1][1] == reference
