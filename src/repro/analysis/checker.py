@@ -1094,12 +1094,13 @@ def check_jit(program: Program, subject: Optional[str] = None) -> CheckReport:
     full speed with no per-step oracle watching.  Four checks: cache
     identity discipline (JIT001, mirroring DEC001), region metadata
     re-derivation (JIT002 — the stored trace, followed-branch set, and
-    per-variant sources must equal what :meth:`JitProgram.trace`/
-    :meth:`JitProgram.generate_sources` produce today, which also guards
+    source must equal what :meth:`JitProgram.trace`/
+    :meth:`JitProgram.generate_source` produce today, which also guards
     the persistent code cache against schema drift), a state-level
-    differential (JIT003 — every region, executed on fuzzed register
-    files, must leave exactly the machine state the decoded per-step
-    engine reaches after the same number of steps), and superblock-link
+    differential (JIT003 — every ``arch`` region's function, the one
+    :meth:`JitProgram.run` executes, run on fuzzed register files, must
+    leave exactly the machine state the decoded per-step engine reaches
+    after the same number of steps), and superblock-link
     validation (JIT004 — promotion is forced along every
     compiled-region-to-compiled-region exit edge and the fused traces
     must re-derive, keep their link targets at traced leaders, and pass
@@ -1123,10 +1124,10 @@ def check_jit(program: Program, subject: Optional[str] = None) -> CheckReport:
             "repeated jit_for() calls returned distinct JitPrograms for "
             "the same program object (cache attachment broken)",
         )
-    if jit_for(program, "view") is jp_cached:
+    if jit_for(program, "master") is jp_cached:
         _finding(
             report, "JIT001", Severity.ERROR,
-            "view-mode jit_for() returned the arch-mode JitProgram "
+            "master-mode jit_for() returned the arch-mode JitProgram "
             "(modes must cache separately)",
         )
 
@@ -1138,7 +1139,7 @@ def check_jit(program: Program, subject: Optional[str] = None) -> CheckReport:
         _finding(
             report, "JIT001", Severity.ERROR,
             "JitProgram's leader set differs from block_leaders() "
-            "(arrival/stop checks would be emitted at the wrong pcs)",
+            "(regions would compile at the wrong pcs)",
         )
     regions = []
     for entry in sorted(leaders):
@@ -1170,17 +1171,16 @@ def check_jit(program: Program, subject: Optional[str] = None) -> CheckReport:
                 f"{len(region.pcs)} (budget guards would be wrong)",
                 pc=region.entry,
             )
-        if region.sources != jp.generate_sources(region.entry):
+        if region.source != jp.generate_source(region.entry):
             _finding(
                 report, "JIT002", Severity.ERROR,
-                "stored generated sources differ from regeneration "
+                "stored generated source differs from regeneration "
                 "(codegen is not deterministic, or the region is stale)",
                 pc=region.entry,
             )
 
     # JIT003: region execution == decoded per-step execution, state for
-    # state, on fuzzed register files, for every region's full-protocol
-    # function.
+    # state, on fuzzed register files, for every region's function.
     decoded = decode(program)
     steppers = decoded.steppers
 
@@ -1190,9 +1190,7 @@ def check_jit(program: Program, subject: Optional[str] = None) -> CheckReport:
             fuzzed = _fuzz_states(program, region.entry, variant)
             reference = _fuzz_states(program, region.entry, variant)
             try:
-                steps, _loads, _arrivals, status = region.full(
-                    fuzzed, 0, 0, budget, None, 0, None, 0
-                )
+                steps, status = region.fn(fuzzed, 0, budget)
             except Exception as exc:  # noqa: BLE001 - report, never raise
                 _finding(
                     report, "JIT003", Severity.ERROR,

@@ -149,11 +149,13 @@ class MsspConfig:
     #: to ``REPRO_RUNTIME``; an explicit ``"eager"`` is immune to it.
     runtime: Optional[str] = None
     #: Execution tier for the interpretation loops (master, slaves,
-    #: recovery): ``"oracle"`` steps through ``semantics.execute``,
-    #: ``"decoded"`` through the pre-decoded closures, ``"jit"`` through
-    #: compiled superblocks with deopt to the decoded stepper.  ``None``
-    #: defers to the ``REPRO_EXEC`` environment variable (default:
-    #: decoded).  All tiers are bit-identical; see docs/performance.md.
+    #: recovery): ``"oracle"`` steps all three through
+    #: ``semantics.execute``, ``"decoded"`` runs them on the pre-decoded
+    #: chains, and ``"jit"`` also runs the master's hot distilled
+    #: regions as compiled superblocks (slaves and recovery stay on the
+    #: decoded chains).  ``None`` defers to the ``REPRO_EXEC``
+    #: environment variable (default: decoded).  All tiers are
+    #: bit-identical; see docs/performance.md.
     exec_tier: Optional[str] = None
     #: Workers (threads or processes) backing the pipelined runtimes'
     #: slave pool.

@@ -20,11 +20,12 @@ fields rather than retaining the objects.
 
 The ``REPRO_EXEC`` environment variable selects the execution tier for
 :func:`run`: ``oracle`` (every step through ``semantics.execute``),
-``decoded`` (the default), or ``jit`` (compiled superblocks —
-:mod:`repro.machine.jit` — with deopt back to the decoded stepper; runs
-with an observer attached take the decoded per-step loop directly,
-preserving exact per-step fidelity and leaving the program without an
-empty JIT attachment).  All tiers produce bit-identical results.
+``decoded`` (the default), or ``jit`` (hot regions as compiled
+superblocks, :meth:`repro.machine.jit.JitProgram.run`, cold code on the
+decoded chains).  A run with an observer attached never reaches the
+JIT, which has no per-step hook: it takes the decoded per-step loop and
+leaves the program without a JIT attachment.  All tiers produce
+bit-identical results.
 """
 
 from __future__ import annotations

@@ -14,25 +14,26 @@ table in :mod:`repro.machine.decoded` (``_LOCAL_R3``, ``_I2_OPS_TO_R3``,
 What the generated code looks like
 ----------------------------------
 
-* **Registers become Python locals** (``arch`` and ``master`` modes):
-  every register the region touches is read into a local once at entry
-  and written back at every exit.  The extra reads/writes are
-  unobservable on an :class:`~repro.machine.state.ArchState` (plain list
-  cells) and on the master's private view — which is exactly why these
-  modes are restricted to them.
+* **Registers become Python locals**: every register the region
+  touches is read into a local once at entry and written back at every
+  exit.  The extra reads/writes are unobservable on an
+  :class:`~repro.machine.state.ArchState` (plain list cells) and on the
+  master's private view — which is exactly why the two modes are
+  restricted to them.
 * **Wrap checks are inlined**: instead of calling ``wrap64`` per result,
   arithmetic emits a range check (``> MAXI or < MINI``) with the biased
   mask fix only on the rare overflow path; ops closed over canonical
   64-bit values (``and``/``or``/``xor``/``sra``/``mov``/comparisons)
   skip the check entirely.  This is sound because every localized value
   is canonical by construction (states wrap on write and at init).
-* **ZERO is folded**: instructions writing ``r0`` disappear entirely in
-  the localized modes (their operand reads are unobservable too).
+* **ZERO is folded**: instructions writing ``r0`` disappear entirely
+  (their operand reads are unobservable too).
 * **Fall-through pcs are constant-folded**: inside a region the pc is
   not materialized at all; only exits store ``state.pc``.
 * **Memory ops are inlined**: the ``arch`` mode binds the canonical
   sparse dict's ``get``/``__setitem__``/``pop`` once at region entry,
-  and a zero store pops its cell (zero cells are absent).
+  and a zero store pops its cell (zero cells are absent); the ``master``
+  mode reads and writes the view's overlay dicts.
 * **Asserted branches are guards**: the trace follows each conditional
   branch's fall-through; the taken direction exits the region with the
   step/load deltas flushed and the pc set.  A branch or jump back to the
@@ -60,15 +61,12 @@ in-flight passes finish on the old function, whose guards remain sound.
 Codegen modes
 -------------
 
-* ``arch`` — register localization + inlined memory, sound only for
-  :class:`~repro.machine.state.ArchState`.  Compiled in two variants:
-  ``full`` (the 8-argument protocol below) and ``plain`` (a stripped
-  sequential variant with no arrival/stop machinery for
-  :meth:`JitProgram.run`).
-* ``view`` — exact per-access ``read_reg``/``write_reg``/``load``/
-  ``store`` calls in decoded order, sound for any ``MachineStateLike``
-  including the MSSP recording views; recorded live-ins/live-outs are
-  bit-identical to the per-step engine's.
+Each mode compiles one function per region:
+
+* ``arch`` — the sequential machine (:meth:`JitProgram.run`, which
+  :func:`repro.machine.interpreter.run` calls under the ``jit`` tier):
+  registers localized, the canonical sparse memory dict inlined, sound
+  only for :class:`~repro.machine.state.ArchState`.
 * ``master`` — the distilled program on the master's private view
   (:class:`repro.mssp.master._MasterView`): registers localized (``r0``
   folds to literal zero), the dirty/delta overlay dicts inlined, FORK
@@ -78,36 +76,31 @@ Codegen modes
   counter at its visit position, batch-committed into the master's
   arrivals dict at every exit.
 
-Guarded deopt
--------------
+MSSP slaves and recovery run the decoded engine's chains under every
+tier but ``oracle``: they record live-ins or stop at anchors, and the
+chains already do both at block granularity.
+
+Guards
+------
 
 Regions preserve the decoded engine's exact observable semantics by
 construction plus guards:
 
 * region entry requires ``steps + linear_len < budget`` — one pass can
   never cross the step-limit boundary, so the caller's per-step decoded
-  fallback fires ``StepLimitExceeded``/overrun/timeout at precisely the
-  same instruction as the reference loop;
+  fallback fires ``StepLimitExceeded`` (or the master's timeout) at
+  precisely the same instruction as the reference loop;
 * loop back-edges re-check the budget before continuing;
-* arrival (``end_pc``) and stop (``stops``/``min_steps``) checks are
-  emitted at every **original-CFG block leader** inside the trace.  The
-  per-step engines check these after every instruction, but an arrival
-  or stop pc that is not a block leader can never match mid-block — the
-  callers validate ``end_pc in leaders`` (and ``stops <= leaders``) and
-  deopt to the per-step path otherwise;
-* observers always deopt to the decoded per-step loop (exact per-step
-  fidelity), and callers with protected regions configured never use the
-  JIT at all (device-visible accesses need per-access checks).
+* regions begin only at original-CFG block leaders
+  (:func:`block_leaders`);
+* runs with an observer never reach the JIT:
+  :func:`repro.machine.interpreter.run` sends them to the decoded
+  per-step loop (exact per-step fidelity).
 
 Region function protocols
 -------------------------
 
-``full`` (and ``view`` mode's single function)::
-
-    fn(state, steps, loads, budget, end_pc, arrivals, stops, min_steps)
-        -> (steps, loads, arrivals, status)
-
-``plain`` (sequential run, no arrival/stop machinery)::
+``arch``::
 
     fn(state, steps, budget) -> (steps, status)
 
@@ -115,12 +108,10 @@ Region function protocols
 
     fn(view, steps, loads, budget, arrivals_dict) -> (steps, loads, status)
 
-``status`` is :data:`EXIT_RUN` (normal exit, ``state.pc`` synced),
-:data:`EXIT_HALT` (pc left at the halt, halt not counted),
-:data:`EXIT_ARRIVAL` (the ``arrivals``-th arrival at ``end_pc``), or
-:data:`EXIT_STOP` (reached a pc in ``stops`` with at least ``min_steps``
-executed).  Steps and loads are flushed as compile-time-constant
-increments at every exit.
+``status`` is :data:`EXIT_RUN` (normal exit, ``state.pc`` synced) or
+:data:`EXIT_HALT` (pc left at the halt, halt not counted).  Steps (and
+the master's loads) are flushed as compile-time-constant increments at
+every exit.
 
 The persistent code cache
 -------------------------
@@ -128,14 +119,14 @@ The persistent code cache
 Compiled regions are content-addressed — (program digest, codegen mode,
 schema, Python version, plus the arrival-pc map for ``master`` mode) —
 in the persistent on-disk artifact cache (:mod:`repro.experiments.cache`,
-kind ``jitcode``): the generated *source text* per variant plus trace
-metadata (pcs, followed branches, links) per region.  A new
-:class:`JitProgram` for the same program content loads and ``exec``\\ s
-the stored sources immediately, skipping both the profiling warmup and
-the trace/codegen work — this is how parallel slave workers reuse
-compilations instead of re-JITting per worker.  Like the decode cache,
-the in-memory attachment lives on the :class:`~repro.isa.program.Program`
-instance and is excluded from pickles by ``Program.__getstate__``.
+kind ``jitcode``): the generated *source text* plus trace metadata
+(pcs, followed branches, links) per region.  A new :class:`JitProgram`
+for the same program content loads and ``exec``\\ s the stored sources
+immediately, skipping both the hotness warmup and the trace/codegen
+work — this is how a fresh process reuses another's compilations
+instead of re-JITting.  Like the decode cache, the in-memory attachment
+lives on the :class:`~repro.isa.program.Program` instance and is
+excluded from pickles by ``Program.__getstate__``.
 """
 
 from __future__ import annotations
@@ -159,7 +150,7 @@ from repro.machine.decoded import (
 from repro.machine.state import MachineStateLike, wrap64
 
 __all__ = [
-    "EXIT_RUN", "EXIT_HALT", "EXIT_ARRIVAL", "EXIT_STOP",
+    "EXIT_RUN", "EXIT_HALT",
     "EXEC_TIERS", "JIT_SCHEMA", "DEFAULT_THRESHOLD",
     "DEFAULT_LINK_THRESHOLD", "REGION_LIMIT",
     "Region", "JitProgram", "jit_for", "block_leaders",
@@ -168,8 +159,10 @@ __all__ = [
 
 #: The execution-tier ladder, slowest first.  ``oracle`` dispatches every
 #: step through :func:`repro.machine.semantics.execute` (the semantic
-#: reference), ``decoded`` through the pre-decoded closures, ``jit``
-#: through compiled superblocks with deopt to ``decoded``.
+#: reference), ``decoded`` through the pre-decoded chains, ``jit`` runs
+#: the sequential machine and the MSSP master through compiled
+#: superblocks (falling back to ``decoded``) and everything else as
+#: ``decoded`` does.
 EXEC_TIERS = ("oracle", "decoded", "jit")
 _EXEC_ENV = "REPRO_EXEC"
 
@@ -188,15 +181,14 @@ def resolve_exec_tier(explicit: Optional[str] = None) -> str:
 #: Region exit statuses (see the module docstring).
 EXIT_RUN = 0
 EXIT_HALT = 1
-EXIT_ARRIVAL = 2
-EXIT_STOP = 3
 
 #: Bump when trace construction or codegen changes shape: it is folded
 #: into every persistent-cache key, so stale generated code can never be
 #: executed against a newer runtime.  2: inlined wrap checks, per-backend
 #: memory flavors, plain variants, superblock linking, master mode.
 #: 3: one memory flavor (``arch`` regions compile ``full`` and ``plain``).
-JIT_SCHEMA = 3
+#: 4: one function and one source per region.
+JIT_SCHEMA = 4
 
 #: Arrivals at a block leader before its region is compiled.
 DEFAULT_THRESHOLD = 16
@@ -226,27 +218,14 @@ _MAXI = (1 << 63) - 1
 _MINI = -(1 << 63)
 _BIAS = 1 << 63
 
-#: Codegen variants per mode (see the module docstring).
-_VARIANTS = {
-    "arch": ("full", "plain"),
-    "view": ("full",),
-    "master": ("master",),
-}
-
-# View-mode expressions: no wrap calls at all — ``write_reg`` wraps on
-# the way in, so the unwrapped expression value is unobservable.
-_VIEW_R3 = {op: expr for op, (expr, _kind) in _LOCAL_R3.items()}
-
 
 def block_leaders(program: Program) -> FrozenSet[int]:
     """Original-CFG block leaders: pcs where a basic block can begin.
 
     Entry, every branch/jump target inside the text, and every pc
     following a terminator or a ``fork`` (``fork`` targets name pcs in a
-    *different* program and are ignored).  Arrival/stop checks inside
-    compiled regions are emitted exactly at these pcs; callers must
-    validate that their arrival/stop pcs are leaders before using the
-    JIT (see the module docstring).
+    *different* program and are ignored).  Regions are compiled only at
+    these pcs.
     """
     size = len(program.code)
     leaders: Set[int] = {program.entry, 0}
@@ -279,12 +258,11 @@ def jit_cache_key(
 
 
 class Region:
-    """One compiled superblock: generated function variants + metadata."""
+    """One compiled superblock: its generated function + metadata."""
 
     __slots__ = (
         "entry", "pcs", "taken", "links", "linear_len", "mode",
-        "sources", "exit_targets", "guard_fallthroughs", "backedges",
-        "full", "plain", "master",
+        "source", "fn", "exit_targets", "guard_fallthroughs", "backedges",
     )
 
     def __init__(
@@ -294,8 +272,8 @@ class Region:
         taken: FrozenSet[int],
         links: Tuple[int, ...],
         mode: str,
-        sources: Dict[str, str],
-        fns: Dict[str, object],
+        source: str,
+        fn,
         exit_targets: FrozenSet[int],
         backedges: Optional[List[int]] = None,
     ):
@@ -313,11 +291,10 @@ class Region:
         #: and back-edge budget guards use it.
         self.linear_len = len(pcs)
         self.mode = mode
-        #: variant name -> generated source text.
-        self.sources = sources
-        self.full = fns.get("full")
-        self.plain = fns.get("plain")
-        self.master = fns.get("master")
+        #: The generated source text, and the function it defines (the
+        #: mode's protocol, see the module docstring).
+        self.source = source
+        self.fn = fn
         #: Static exit targets eligible for link promotion: taken targets
         #: of non-followed branches that leave the trace (and are not the
         #: entry, whose edge is already the loop back-edge).
@@ -334,17 +311,6 @@ class Region:
         #: link-health ratio.  Empty-taken regions carry no counter (and
         #: no per-iteration cost).
         self.backedges = backedges if backedges is not None else [0]
-
-    @property
-    def fn(self):
-        """The canonical full-protocol function (legacy accessor)."""
-        return self.master if self.mode == "master" else self.full
-
-    @property
-    def source(self) -> str:
-        """The canonical variant's source (legacy accessor)."""
-        key = "master" if self.mode == "master" else "full"
-        return self.sources[key]
 
 
 class _Emitter:
@@ -385,7 +351,7 @@ class JitProgram:
         arrival_pcs: Optional[Mapping[int, int]] = None,
         link_threshold: int = DEFAULT_LINK_THRESHOLD,
     ):
-        if mode not in _VARIANTS:
+        if mode not in ("arch", "master"):
             raise ValueError(f"unknown jit codegen mode {mode!r}")
         if mode == "master":
             arrival_pcs = dict(arrival_pcs or {})
@@ -439,18 +405,14 @@ class JitProgram:
         stored = cache.load("jitcode", self._cache_key)
         if not isinstance(stored, dict):
             return
-        expected = set(_VARIANTS[self.mode])
         for entry, meta in stored.items():
             try:
-                sources = dict(meta["sources"])
-                if set(sources) != expected:
-                    continue
                 region = self._compile_sources(
                     int(entry),
                     tuple(meta["pcs"]),
                     frozenset(meta["taken"]),
                     tuple(meta["links"]),
-                    sources,
+                    meta["source"],
                 )
             except Exception:
                 continue  # stale/corrupt entry: recompile lazily
@@ -470,7 +432,7 @@ class JitProgram:
                 "pcs": list(region.pcs),
                 "taken": sorted(region.taken),
                 "links": list(region.links),
-                "sources": dict(region.sources),
+                "source": region.source,
             }
             for entry, region in self.compiled.items()
         }
@@ -733,12 +695,9 @@ class JitProgram:
         if len(pcs) < _MIN_REGION:
             return None
         links = tuple(sorted(self.links.get(entry, ())))
-        sources = {
-            variant: self._generate(entry, pcs, taken, variant)
-            for variant in _VARIANTS[self.mode]
-        }
+        source = self._generate(entry, pcs, taken)
         return self._compile_sources(entry, pcs, frozenset(taken), links,
-                                     sources)
+                                     source)
 
     def _compile_sources(
         self,
@@ -746,22 +705,18 @@ class JitProgram:
         pcs: Tuple[int, ...],
         taken: FrozenSet[int],
         links: Tuple[int, ...],
-        sources: Dict[str, str],
+        source: str,
     ) -> Region:
-        fns: Dict[str, object] = {}
-        backedges = [0]  # shared across variants: one health counter
-        for variant, source in sources.items():
-            namespace = dict(_CODEGEN_GLOBALS)
-            namespace["_bk"] = backedges
-            code = compile(
-                source,
-                f"<jit:{self.program.name}@{entry}:{variant}>",
-                "exec",
-            )
-            exec(code, namespace)
-            fns[variant] = namespace[f"_region_{entry}"]
+        backedges = [0]  # the link-health counter (see Region.backedges)
+        namespace = dict(_CODEGEN_GLOBALS)
+        namespace["_bk"] = backedges
+        code = compile(
+            source, f"<jit:{self.program.name}@{entry}:{self.mode}>", "exec"
+        )
+        exec(code, namespace)
         return Region(
-            entry, pcs, taken, links, self.mode, sources, fns,
+            entry, pcs, taken, links, self.mode, source,
+            namespace[f"_region_{entry}"],
             self._exit_targets(entry, pcs, taken), backedges,
         )
 
@@ -787,43 +742,24 @@ class JitProgram:
 
     # -- codegen -------------------------------------------------------------
 
-    def generate_source(
-        self, entry: int, variant: Optional[str] = None
-    ) -> Optional[str]:
+    def generate_source(self, entry: int) -> Optional[str]:
         """The generated source for ``entry``'s region (for the checks)."""
         pcs, taken = self.trace(entry)
         if len(pcs) < _MIN_REGION:
             return None
-        if variant is None:
-            variant = "master" if self.mode == "master" else "full"
-        return self._generate(entry, pcs, taken, variant)
-
-    def generate_sources(self, entry: int) -> Optional[Dict[str, str]]:
-        """All variant sources for ``entry``'s region (for the checks)."""
-        pcs, taken = self.trace(entry)
-        if len(pcs) < _MIN_REGION:
-            return None
-        return {
-            variant: self._generate(entry, pcs, taken, variant)
-            for variant in _VARIANTS[self.mode]
-        }
+        return self._generate(entry, pcs, taken)
 
     def _generate(
         self,
         entry: int,
         pcs: Tuple[int, ...],
         taken: FrozenSet[int],
-        variant: str,
     ) -> str:
-        mode = self.mode
-        localized_regs = mode in ("arch", "master")
-        master = variant == "master"
-        plain = variant == "plain"
-        checks = not plain and not master  # arrival/stop leader checks
+        master = self.mode == "master"
         code = self.program.code
         linear_len = len(pcs)
 
-        # Registers the region touches (localized modes).
+        # Registers the region touches.
         reads: Set[int] = set()
         writes: Set[int] = set()
         has_loads = False
@@ -862,33 +798,15 @@ class JitProgram:
                 arrival_sites[pc] = cid
 
         out = _Emitter()
-        if plain:
-            out.emit(0, f"def _region_{entry}(state, steps, budget):")
-        elif master:
+        if master:
             out.emit(0, f"def _region_{entry}(state, steps, loads, budget, "
                         "arr):")
         else:
-            out.emit(0, f"def _region_{entry}(state, steps, loads, budget, "
-                        "end_pc, arrivals, stops, min_steps):")
-
-        if localized_regs:
-            out.emit(1, "_regs = state.regs")
-            for reg in localized:
-                out.emit(1, f"r{reg} = _regs[{reg}]")
-        if mode == "arch":
-            if has_loads or has_stores:
-                out.emit(1, "_mem = state.mem")
-            if has_loads:
-                out.emit(1, "_mget = _mem.get")
-            if has_stores:
-                out.emit(1, "_mset = _mem.__setitem__")
-                out.emit(1, "_mpop = _mem.pop")
-        elif mode == "view":
-            out.emit(1, "_read = state.read_reg")
-            out.emit(1, "_write = state.write_reg")
-            out.emit(1, "_load = state.load")
-            out.emit(1, "_store = state.store")
-        elif master:
+            out.emit(0, f"def _region_{entry}(state, steps, budget):")
+        out.emit(1, "_regs = state.regs")
+        for reg in localized:
+            out.emit(1, f"r{reg} = _regs[{reg}]")
+        if master:
             if has_loads or has_stores:
                 out.emit(1, "_dirty = state.dirty")
             if has_stores:
@@ -899,43 +817,36 @@ class JitProgram:
                 out.emit(1, "_aget = arr.get")
                 for cid in anchor_of:
                     out.emit(1, f"_c{cid} = 0")
+        else:
+            if has_loads or has_stores:
+                out.emit(1, "_mem = state.mem")
+            if has_loads:
+                out.emit(1, "_mget = _mem.get")
+            if has_stores:
+                out.emit(1, "_mset = _mem.__setitem__")
+                out.emit(1, "_mpop = _mem.pop")
         out.emit(1, "while True:")
 
         def reg_expr(reg: int) -> str:
-            if mode == "view":
-                return f"_read({reg})"
-            if master and reg == ZERO:
-                return "0"
-            return f"r{reg}"
+            return "0" if master and reg == ZERO else f"r{reg}"
 
-        def writeback(indent: int) -> None:
-            if localized_regs:
-                for reg in written:
-                    out.emit(indent, f"_regs[{reg}] = r{reg}")
+        def flush_expr(base: str, delta: int) -> str:
+            return f"{base} + {delta}" if delta else base
 
-        def flush_arrivals(indent: int) -> None:
+        def exit_return(
+            indent: int, pc_expr: str, k: int, ld: int,
+            status: int = EXIT_RUN,
+        ) -> None:
+            for reg in written:
+                out.emit(indent, f"_regs[{reg}] = r{reg}")
             for cid, anchor in anchor_of.items():
                 out.emit(indent, f"if _c{cid}:")
                 out.emit(
                     indent + 1,
                     f"arr[{anchor}] = _aget({anchor}, 0) + _c{cid}",
                 )
-
-        def flush_expr(base: str, delta: int) -> str:
-            return f"{base} + {delta}" if delta else base
-
-        def exit_return(
-            indent: int, pc_expr: str, k: int, ld: int, status: int
-        ) -> None:
-            writeback(indent)
-            if master:
-                flush_arrivals(indent)
             out.emit(indent, f"state.pc = {pc_expr}")
-            if plain:
-                out.emit(
-                    indent, f"return {flush_expr('steps', k)}, {status}"
-                )
-            elif master:
+            if master:
                 out.emit(
                     indent,
                     f"return {flush_expr('steps', k)}, "
@@ -943,51 +854,23 @@ class JitProgram:
                 )
             else:
                 out.emit(
-                    indent,
-                    f"return {flush_expr('steps', k)}, "
-                    f"{flush_expr('loads', ld)}, arrivals, {status}",
+                    indent, f"return {flush_expr('steps', k)}, {status}"
                 )
 
-        def leader_checks(
-            indent: int, pc_expr: str, k: int, ld: int
-        ) -> None:
-            """Arrival/stop checks for reaching ``pc_expr`` after ``k``
-            steps — the per-step engines' post-step checks, emitted only
-            where they can match (block leaders / dynamic targets)."""
-            out.emit(indent, f"if {pc_expr} == end_pc:")
-            out.emit(indent + 1, "arrivals -= 1")
-            out.emit(indent + 1, "if not arrivals:")
-            exit_return(indent + 2, pc_expr, k, ld, EXIT_ARRIVAL)
-            out.emit(
-                indent,
-                f"elif stops is not None and "
-                f"{flush_expr('steps', k)} >= min_steps and "
-                f"{pc_expr} in stops:",
-            )
-            exit_return(indent + 1, pc_expr, k, ld, EXIT_STOP)
-
         def back_edge(indent: int, k: int, ld: int) -> None:
-            """Flush deltas, run the entry's leader checks, re-check the
-            budget, and loop — or exit RUN for the dispatcher."""
+            """Flush deltas, re-check the budget, and loop — or exit RUN
+            for the dispatcher."""
             if k:
                 out.emit(indent, f"steps += {k}")
-            if ld and not plain:
+            if ld and master:
                 out.emit(indent, f"loads += {ld}")
             if taken:
                 # Fused regions count internal loop passes: the link
                 # health denominator (guard misses are the numerator).
                 out.emit(indent, "_bk[0] += 1")
-            if checks:
-                leader_checks(indent, str(entry), 0, 0)
             out.emit(indent, f"if steps + {linear_len} < budget:")
             out.emit(indent + 1, "continue")
-            exit_return(indent, str(entry), 0, 0, EXIT_RUN)
-
-        def run_exit(indent: int, target: int, k: int, ld: int) -> None:
-            """Exit at a statically known pc, checks included."""
-            if checks and target in self.leaders:
-                leader_checks(indent, str(target), k, ld)
-            exit_return(indent, str(target), k, ld, EXIT_RUN)
+            exit_return(indent, str(entry), 0, 0)
 
         def emit_wrap(indent: int, dest: str, kind: str) -> None:
             if kind == "two":
@@ -1004,74 +887,45 @@ class JitProgram:
             """Compute a canonical memory address into ``_a`` (or reuse
             the base register directly when the offset is zero)."""
             base = reg_expr(rs)
-            if imm == 0 and mode != "view":
+            if imm == 0:
                 return base
-            out.emit(indent, f"_a = {base} + {imm}" if imm else f"_a = {base}")
-            if imm:
-                emit_wrap(indent, "_a", "two")
+            out.emit(indent, f"_a = {base} + {imm}")
+            emit_wrap(indent, "_a", "two")
             return "_a"
 
-        def emit_linear(indent: int, pc: int, instr: Instruction) -> int:
+        def emit_linear(indent: int, instr: Instruction) -> int:
             """Emit one non-control instruction; returns its load count."""
             op = instr.op
             rd = instr.rd
             spec = _LOCAL_R3.get(op)
             if spec is not None:
-                if rd == ZERO:
-                    if mode == "view":  # recording views observe the reads
-                        out.emit(indent, f"_read({instr.rs})")
-                        out.emit(indent, f"_read({instr.rt})")
-                    return 0
-                a, b = reg_expr(instr.rs), reg_expr(instr.rt)
-                if mode == "view":
-                    out.emit(
-                        indent,
-                        f"_write({rd}, {_VIEW_R3[op].format(a=a, b=b)})",
-                    )
-                else:
+                if rd != ZERO:
                     expr, kind = spec
+                    a, b = reg_expr(instr.rs), reg_expr(instr.rt)
                     out.emit(indent, f"r{rd} = {expr.format(a=a, b=b)}")
                     emit_wrap(indent, f"r{rd}", kind)
                 return 0
             r3 = _I2_OPS_TO_R3.get(op)
             if r3 is not None:
-                if rd == ZERO:
-                    if mode == "view":
-                        out.emit(indent, f"_read({instr.rs})")
-                    return 0
-                a = reg_expr(instr.rs)
-                imm = instr.imm
-                if mode == "view":
-                    out.emit(
-                        indent,
-                        f"_write({rd}, "
-                        f"{_VIEW_R3[r3].format(a=a, b=repr(imm))})",
-                    )
-                else:
+                if rd != ZERO:
                     expr, kind = _LOCAL_R3[r3]
+                    imm = instr.imm
                     if kind == "none" and not _MINI <= imm <= _MAXI:
                         kind = "two"  # non-canonical immediate: play safe
                     out.emit(
-                        indent, f"r{rd} = {expr.format(a=a, b=repr(imm))}"
+                        indent,
+                        f"r{rd} = "
+                        f"{expr.format(a=reg_expr(instr.rs), b=repr(imm))}",
                     )
                     emit_wrap(indent, f"r{rd}", kind)
                 return 0
             if op is Opcode.LW:
-                if mode == "arch" and rd == ZERO:
-                    # The load is unobservable on an ArchState; it still
-                    # counts toward the loads delta.
-                    return 1
-                if master and rd == ZERO:
-                    # Unobservable on the master view too (no recording).
+                if rd == ZERO:
+                    # Unobservable without recording; it still counts
+                    # toward the loads delta.
                     return 1
                 addr = emit_address(indent, instr.rs, instr.imm)
-                if mode == "view":
-                    load = f"_load({addr})"
-                    if rd == ZERO:
-                        out.emit(indent, load)
-                    else:
-                        out.emit(indent, f"_write({rd}, {load})")
-                elif master:
+                if master:
                     out.emit(
                         indent,
                         f"r{rd} = _dirty[{addr}] if {addr} in _dirty "
@@ -1083,9 +937,7 @@ class JitProgram:
             if op is Opcode.SW:
                 addr = emit_address(indent, instr.rs, instr.imm)
                 value = reg_expr(instr.rt)
-                if mode == "view":
-                    out.emit(indent, f"_store({addr}, {value})")
-                elif master:
+                if master:
                     # The master's dirty overlay keeps explicit zeros.
                     out.emit(indent, f"_dirty[{addr}] = {value}")
                     out.emit(indent, f"_delta[{addr}] = {value}")
@@ -1097,20 +949,10 @@ class JitProgram:
                 return 0
             if op is Opcode.LI:
                 if rd != ZERO:
-                    literal = repr(wrap64(instr.imm))
-                    if mode == "view":
-                        out.emit(indent, f"_write({rd}, {literal})")
-                    else:
-                        out.emit(indent, f"r{rd} = {literal}")
+                    out.emit(indent, f"r{rd} = {wrap64(instr.imm)!r}")
                 return 0
             if op is Opcode.MOV:
-                if rd == ZERO:
-                    if mode == "view":
-                        out.emit(indent, f"_read({instr.rs})")
-                    return 0
-                if mode == "view":
-                    out.emit(indent, f"_write({rd}, _read({instr.rs}))")
-                else:
+                if rd != ZERO:
                     out.emit(indent, f"r{rd} = {reg_expr(instr.rs)}")
                 return 0
             # NOP and FORK (a task marker, not a computation) fall through.
@@ -1122,9 +964,7 @@ class JitProgram:
         for i, pc in enumerate(pcs):
             instr = code[pc]
             op = instr.op
-            if checks and pc != entry and pc in self.leaders:
-                leader_checks(body, str(pc), steps_delta, loads_delta)
-            if master and pc in arrival_sites:
+            if pc in arrival_sites:
                 # The master loop counts an arrival at every *visit* of
                 # an arrival pc, before executing it.
                 out.emit(body, f"_c{arrival_sites[pc]} += 1")
@@ -1136,9 +976,7 @@ class JitProgram:
             if op is Opcode.JR:
                 steps_delta += 1
                 out.emit(body, f"_p = {reg_expr(instr.rs)}")
-                if checks:
-                    leader_checks(body, "_p", steps_delta, loads_delta)
-                exit_return(body, "_p", steps_delta, loads_delta, EXIT_RUN)
+                exit_return(body, "_p", steps_delta, loads_delta)
                 break
 
             if instr.is_branch:
@@ -1154,27 +992,26 @@ class JitProgram:
                     if fall == entry:
                         back_edge(body + 1, exit_k, loads_delta)
                     else:
-                        run_exit(body + 1, fall, exit_k, loads_delta)
+                        exit_return(body + 1, str(fall), exit_k, loads_delta)
                     steps_delta += 1
                     continue  # next traced pc is the branch target
                 out.emit(body, f"if {cond}:")
                 if instr.target == entry:
                     back_edge(body + 1, exit_k, loads_delta)
                 else:
-                    run_exit(body + 1, instr.target, exit_k, loads_delta)
+                    exit_return(
+                        body + 1, str(instr.target), exit_k, loads_delta
+                    )
                 steps_delta += 1
                 fall = pc + 1
                 if i + 1 < len(pcs) and pcs[i + 1] == fall:
                     continue
-                run_exit(body, fall, steps_delta, loads_delta)
+                exit_return(body, str(fall), steps_delta, loads_delta)
                 break
 
             if op is Opcode.J or op is Opcode.JAL:
                 if op is Opcode.JAL:
-                    if mode == "view":
-                        out.emit(body, f"_write({RA}, {pc + 1})")
-                    else:
-                        out.emit(body, f"r{RA} = {pc + 1}")
+                    out.emit(body, f"r{RA} = {pc + 1}")
                 steps_delta += 1
                 target = instr.target
                 if target == entry:
@@ -1182,43 +1019,34 @@ class JitProgram:
                     break
                 if i + 1 < len(pcs) and pcs[i + 1] == target:
                     continue  # constant-folded jump into the trace
-                run_exit(body, target, steps_delta, loads_delta)
+                exit_return(body, str(target), steps_delta, loads_delta)
                 break
 
             # Straight-line instruction.
-            loads_delta += emit_linear(body, pc, instr)
+            loads_delta += emit_linear(body, instr)
             steps_delta += 1
             if i + 1 == len(pcs):  # trace truncated mid-block
-                run_exit(body, pc + 1, steps_delta, loads_delta)
+                exit_return(body, str(pc + 1), steps_delta, loads_delta)
         return out.source()
 
     # -- sequential execution ------------------------------------------------
 
-    def run(
-        self,
-        state: MachineStateLike,
-        max_steps: int,
-        observer=None,
-    ) -> Tuple[int, bool]:
+    def run(self, state: MachineStateLike, max_steps: int) -> Tuple[int, bool]:
         """Advance ``state`` until halt; returns ``(steps, halted)``.
 
-        Drop-in for :meth:`DecodedProgram.run`, with hot regions
-        executing as compiled superblocks — the ``plain`` variants, which
-        carry no arrival/stop machinery at all.  Observers deopt to the
-        decoded per-step loop (exact per-step fidelity); near the budget
-        boundary the decoded engine's exact logic takes over, so
+        Drop-in for :meth:`DecodedProgram.run` without an observer, with
+        hot regions executing as compiled superblocks; cold code runs the
+        decoded chains.  Near the budget boundary the decoded engine's
+        exact logic takes over, so
         :class:`~repro.errors.StepLimitExceeded` fires at the same
-        instruction as the reference loop.  ``arch`` mode must only ever
-        see an :class:`~repro.machine.state.ArchState` here.
+        instruction as the reference loop.  ``arch`` mode only, on an
+        :class:`~repro.machine.state.ArchState`.
         """
         decoded = self.decoded
-        if observer is not None:
-            return decoded._step_loop(state, 0, max_steps, observer)
         chains = decoded.chains
         spans = decoded.chain_spans
         chain_halts = decoded.chain_halts
         size = self.size
-        arch = self.mode == "arch"
         regs = state.regs
         steps = 0
         while True:
@@ -1227,12 +1055,7 @@ class JitProgram:
                 raise InvalidPcError(pc, size)
             region = self.region_for(pc)
             if region is not None and steps + region.linear_len < max_steps:
-                if arch:
-                    steps, status = region.plain(state, steps, max_steps)
-                else:
-                    steps, _loads, _arrivals, status = region.fn(
-                        state, steps, 0, max_steps, None, 0, None, 0
-                    )
+                steps, status = region.fn(state, steps, max_steps)
                 if status == EXIT_HALT:
                     return steps, True
                 continue

@@ -59,7 +59,7 @@ from repro.errors import InvalidPcError, MsspError, StepLimitExceeded
 from repro.isa.program import Program
 from repro.machine.decoded import decode
 from repro.machine.interpreter import run_to_halt
-from repro.machine.jit import EXIT_HALT, EXIT_STOP, jit_for, resolve_exec_tier
+from repro.machine.jit import resolve_exec_tier
 from repro.machine.state import ArchState
 from repro.mssp.master import Master, MasterEvent
 from repro.mssp.regions import DeviceAccess, ProtectedRegions
@@ -155,8 +155,10 @@ class MsspEngine:
         self.predictor = None
         #: Squash-driven re-distiller, armed by :meth:`enable_adaptation`.
         self.redistiller = None
-        #: Execution tier for master, slaves and recovery (config beats
-        #: the ``REPRO_EXEC`` environment variable; default decoded).
+        #: Execution tier (config beats the ``REPRO_EXEC`` environment
+        #: variable; default decoded).  Slaves and recovery run decoded
+        #: chains on every tier but ``oracle``; ``jit`` compiles only the
+        #: master's regions.
         self.exec_tier = resolve_exec_tier(self.config.exec_tier)
         self._decoded_original = decode(
             original, oracle=self.exec_tier == "oracle"
@@ -164,16 +166,6 @@ class MsspEngine:
         self.regions = ProtectedRegions.from_config(
             self.config.protected_regions
         )
-        # Superblocks for the recovery loop.  Only sound when no
-        # protected regions exist (device accesses need per-step
-        # effects) and every anchor is a block leader (superblocks check
-        # stop pcs at leaders only); otherwise recovery deopts to the
-        # per-step decoded path.
-        self._jit_recover = None
-        if self.exec_tier == "jit" and self.regions is None:
-            candidate = jit_for(original)
-            if self.pc_map.anchors <= candidate.leaders:
-                self._jit_recover = candidate
         self._recover_spans = self._recovery_spans()
         #: Write-version stamps over architected memory, driving the
         #: verify fast path (re-created per run; see repro.mssp.verify).
@@ -183,9 +175,9 @@ class MsspEngine:
         #: default eager).
         self.runtime = resolve_runtime(self.config.runtime)
         #: Structured runtime-event seam.  Subscribe any callable to
-        #: observe forks, dispatches, judgements, squashes, recoveries,
-        #: jit deopts and pool degradations as they happen.  Every event
-        #: it emits is stamped with ``self.clock.now()``.
+        #: observe forks, dispatches, judgements, squashes, recoveries
+        #: and pool degradations as they happen.  Every event it emits
+        #: is stamped with ``self.clock.now()``.
         self.events = EventBus(clock=clock)
         #: The engine's one time source: wall time unless a clock is
         #: injected (tests drive time themselves).
@@ -419,8 +411,8 @@ class MsspEngine:
         """Hot-swap the distilled artifact, coherently.
 
         Everything derived from the old distilled program / pc map is
-        rebuilt or invalidated here: the recovery superblock cache and
-        chain table (:meth:`_recovery_spans`, which reads the anchors), the
+        rebuilt or invalidated here: the recovery chain table
+        (:meth:`_recovery_spans`, which reads the anchors), the
         safety report (and with it the verify fast path and the per-task
         proven sets), the statically allowed squash causes, the memory
         version stamps (bulk invalidation — the cheap, always-sound
@@ -431,11 +423,6 @@ class MsspEngine:
         self._distillation = result
         self.distilled = result.distilled
         self.pc_map = result.pc_map
-        self._jit_recover = None
-        if self.exec_tier == "jit" and self.regions is None:
-            candidate = jit_for(self.original)
-            if self.pc_map.anchors <= candidate.leaders:
-                self._jit_recover = candidate
         self._recover_spans = self._recovery_spans()
         if self.config.static_safety == "off":
             self.safety_report = SafetyReport()
@@ -459,9 +446,9 @@ class MsspEngine:
         """Per pc of the original text: the length of the decoded chain
         from that pc when no anchor lies strictly inside its span, else
         0 — recovery may run such a chain whole and test the anchor stop
-        once, after it.  ``None`` off the decoded tier, or with
-        protected regions (device accesses are logged per step)."""
-        if self.exec_tier != "decoded" or self.regions is not None:
+        once, after it.  ``None`` on the oracle tier, or with protected
+        regions (device accesses are logged per step)."""
+        if self.exec_tier == "oracle" or self.regions is not None:
             return None
         anchors = self.pc_map.anchors
         spans = self._decoded_original.chain_spans
@@ -595,11 +582,10 @@ class MsspEngine:
         halted = False
         total = self._recorder.counters.total_instrs
         budget = self.config.max_total_instrs - total
-        jp = self._jit_recover
-        # Chains and superblocks may run only while every bound stays
-        # unreachable within one body; the per-step loop below handles
-        # the boundaries (anchor stops and budget raises fire at exactly
-        # the per-step instruction counts).
+        # Chains may run only while every bound stays unreachable within
+        # one body; the per-step loop below handles the boundaries
+        # (anchor stops and budget raises fire at exactly the per-step
+        # instruction counts).
         cap = min(budget, max(min_instrs, self.config.recovery_max_instrs))
         while True:
             pc = arch.pc
@@ -618,19 +604,6 @@ class MsspEngine:
                     if steps >= min_instrs and arch.pc in anchors:
                         break
                     continue
-            if jp is not None:
-                region = jp.region_for(pc)
-                if region is not None and steps + region.linear_len < cap:
-                    steps, loads, _arrivals, status = region.full(
-                        arch, steps, loads, cap, None, 0,
-                        anchors, min_instrs,
-                    )
-                    if status == EXIT_HALT:
-                        halted = True
-                        break
-                    if status == EXIT_STOP:
-                        break
-                    continue  # EXIT_RUN: pc synced; retry dispatch there.
             effect = steppers[pc](arch)
             if effect.halted:
                 halted = True

@@ -264,7 +264,7 @@ class Master:
                     and executed + region.linear_len < budget
                 ):
                     before = executed
-                    executed, loads, status = region.master(
+                    executed, loads, status = region.fn(
                         view, executed, loads, budget, arrivals
                     )
                     self.jit_instrs += executed - before
@@ -337,7 +337,7 @@ class Master:
                     and executed + region.linear_len < max_steps
                 ):
                     before = executed
-                    executed, _loads, status = region.master(
+                    executed, _loads, status = region.fn(
                         view, executed, 0, max_steps, scratch_arrivals
                     )
                     self.jit_instrs += executed - before

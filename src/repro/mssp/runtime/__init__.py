@@ -16,7 +16,6 @@ from repro.mssp.runtime.events import (
     EpisodeShed,
     EventBus,
     EventLog,
-    JitDeopt,
     MasterFailed,
     PoolDegraded,
     RecoveryRun,
@@ -49,7 +48,6 @@ __all__ = [
     "TaskSquashed",
     "MasterFailed",
     "RecoveryRun",
-    "JitDeopt",
     "PoolDegraded",
     "EpisodeAccepted",
     "EpisodeDispatched",

@@ -35,7 +35,6 @@ __all__ = [
     "Redistilled",
     "MasterFailed",
     "RecoveryRun",
-    "JitDeopt",
     "PoolDegraded",
     "EpisodeAccepted",
     "EpisodeDispatched",
@@ -188,15 +187,6 @@ class RecoveryRun(RuntimeEvent):
 
     kind: ClassVar[str] = "recovery"
     record: object  # RecoveryRecord
-
-
-@dataclass(frozen=True)
-class JitDeopt(RuntimeEvent):
-    """A locally executed task could not use superblocks end to end."""
-
-    kind: ClassVar[str] = "jit_deopt"
-    tid: int
-    why: str
 
 
 @dataclass(frozen=True)

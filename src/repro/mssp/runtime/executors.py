@@ -172,12 +172,6 @@ class ThreadExecutor(SlaveExecutor):
         self._finalizer = None
         self._base: Dict[int, int] = {}
         self._ended = threading.Event()
-        if core.exec_tier == "jit" and core.regions is None:
-            # Compile the JitProgram on the main thread before worker
-            # threads race to attach it to the program object.
-            from repro.machine.jit import jit_for
-
-            jit_for(core.original, "view")
 
     @property
     def workers(self) -> int:
@@ -310,8 +304,7 @@ class ProcessExecutor(SlaveExecutor):
         """
         try:
             pool = _PipePool(
-                self.core.config.num_slaves, self._digest,
-                self.core.original, tier=self.core.exec_tier,
+                self.core.config.num_slaves, self._digest, self.core.original
             )
             threading.Thread(target=pool.start, daemon=True).start()
             self._finalizer = weakref.finalize(self, pool.shutdown)

@@ -44,7 +44,6 @@ from repro.mssp.master import Master, MasterEvent, MasterEventKind
 from repro.mssp.runtime.events import (
     ChunkDispatched,
     EventBus,
-    JitDeopt,
     LiveInPredicted,
     ResultAdopted,
     TaskExecuted,
@@ -143,17 +142,6 @@ class TaskPipeline:
             executor.workers, config.parallel_chunk_tasks,
             config.max_inflight_tasks,
         )
-        # Mirror of the jit tier's whole-task deopt conditions in
-        # execute_task, so local executions announce their deopts.
-        self._jit_deopt_why: Optional[str] = None
-        self._jit_leaders = None
-        if core.exec_tier == "jit":
-            if core.regions is not None:
-                self._jit_deopt_why = "protected-regions"
-            else:
-                from repro.machine.jit import jit_for
-
-                self._jit_leaders = jit_for(core.original, "view").leaders
 
     # -- episode ------------------------------------------------------------------
 
@@ -438,14 +426,6 @@ class TaskPipeline:
         # Nothing commits between this execution and the judge that
         # follows it, so the version stamp taken now never invalidates.
         task.base_version = core._versions.seq
-        if self._jit_deopt_why is not None:
-            self.events.emit(JitDeopt(tid=task.tid, why=self._jit_deopt_why))
-        elif (
-            self._jit_leaders is not None
-            and task.end_pc is not None
-            and task.end_pc not in self._jit_leaders
-        ):
-            self.events.emit(JitDeopt(tid=task.tid, why="non-leader-end-pc"))
         t0 = time.perf_counter()
         execute_task(
             core.original, task, arch, core.config.max_task_instrs,

@@ -75,29 +75,18 @@ _RUN_TOKENS = itertools.count()
 _OPEN_ENDS: Set = set()
 
 
-def _worker_init(
-    digest: bytes, program: Program, tier: str = "decoded"
-) -> None:
+def _worker_init(digest: bytes, program: Program) -> None:
     """Pool initializer: preload + pre-decode the original program.
 
-    Under the jit tier the worker also builds its
-    :class:`~repro.machine.jit.JitProgram` up front, which replays any
-    superblocks already in the persistent code cache — workers reuse
-    compilations (typically the parent's) instead of re-JITting through
-    their own warmup.
-    """
+    Workers run the decoded chains on every tier but ``oracle`` (the
+    jit compiles only the master's regions), so the decoding is all
+    there is to warm."""
     _WORKER_PROGRAMS[digest] = program
     _WORKER_BASES.clear()
     decode(program)
-    if tier == "jit":
-        from repro.machine.jit import jit_for
-
-        jit_for(program, "view")
 
 
-def _pipe_worker(
-    conn, digest: bytes, program: Program, tier: str = "decoded"
-) -> None:
+def _pipe_worker(conn, digest: bytes, program: Program) -> None:
     """Slave process main loop: execute chunks arriving on ``conn``.
 
     Messages are ``(chunk_id, payload)``; replies are
@@ -119,7 +108,7 @@ def _pipe_worker(
         os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
     except (AttributeError, OSError):  # not Linux, or not permitted
         pass
-    _worker_init(digest, program, tier)
+    _worker_init(digest, program)
     try:
         while True:
             message = conn.recv()
@@ -158,13 +147,7 @@ class _PipePool:
     ``get``.
     """
 
-    def __init__(
-        self,
-        num_workers: int,
-        digest: bytes,
-        program: Program,
-        tier: str = "decoded",
-    ):
+    def __init__(self, num_workers: int, digest: bytes, program: Program):
         import multiprocessing
 
         try:
@@ -184,7 +167,7 @@ class _PipePool:
         for _, child_conn in pipes:
             proc = ctx.Process(
                 target=_pipe_worker,
-                args=(child_conn, digest, program, tier),
+                args=(child_conn, digest, program),
                 daemon=True,
             )
             self._procs.append((proc, child_conn))

@@ -18,8 +18,8 @@ iteration — executes the whole iteration), at ``halt``, or when the
 instruction budget is exhausted (recorded as an overrun, which
 verification treats as a misspeculation).
 
-On the decoded tier the register rules run once per basic-block chain,
-not on every access: a *recording chain*
+On every tier but ``oracle`` the register rules run once per
+basic-block chain, not on every access: a *recording chain*
 (:attr:`~repro.machine.decoded.DecodedProgram.recording_chains`) works on
 the view's own register list, written flags and live-in dict, recording
 the registers its span reads before writing at entry and marking the
@@ -36,7 +36,6 @@ from typing import Dict, List, Optional
 from repro.errors import ProtectedAccessError
 from repro.isa.program import Program
 from repro.machine.decoded import decode
-from repro.machine.jit import EXIT_ARRIVAL, EXIT_HALT, jit_for
 from repro.machine.state import ArchState, wrap64
 from repro.mssp.regions import ProtectedRegions
 from repro.mssp.task import Checkpoint, Task, TaskStatus
@@ -142,17 +141,11 @@ def execute_task(
     access happens (``task.protected_access``).
 
     ``tier`` selects the stepper: ``oracle`` defers every step to
-    ``semantics.execute``, ``decoded`` (the default) runs the pre-decoded
-    closures, ``jit`` runs compiled superblocks over the same recording
-    view with deopt back to the per-step path.  The jit tier deopts
-    entirely when protected regions are configured (a mid-region
-    :class:`~repro.errors.ProtectedAccessError` would lose the region's
-    pending step accounting) or when the task's end pc is not a block
-    leader (superblocks only check arrivals at leaders) — in both cases
-    execution is exactly the decoded per-step loop, so results stay
-    bit-identical by construction.
+    ``semantics.execute``; ``decoded`` (the default) and ``jit`` run the
+    pre-decoded engine alike (the jit compiles only the master's
+    regions).
 
-    The decoded tier without protected regions runs whole superstep
+    Without protected regions the decoded engine runs whole superstep
     chains wherever neither the budget nor the end pc falls inside one,
     checking the arrival once after the chain.  It runs the *recording*
     chains (:attr:`~repro.machine.decoded.DecodedProgram.recording_chains`)
@@ -168,7 +161,7 @@ def execute_task(
     size = decoded.size
     chains = (
         decoded.recording_chains
-        if tier == "decoded" and regions is None else None
+        if tier != "oracle" and regions is None else None
     )
     chain_spans = decoded.chain_spans
     chain_halts = decoded.chain_halts
@@ -187,29 +180,11 @@ def execute_task(
     # is never below -1, so -1 stands for "no end pc" there.
     inside = -1 if end_pc is None else end_pc
     remaining_arrivals = max(1, task.end_arrivals)
-    jp = None
-    if tier == "jit" and regions is None:
-        candidate = jit_for(program, "view")
-        if end_pc is None or end_pc in candidate.leaders:
-            jp = candidate
     while True:
         pc = view.pc
         if not 0 <= pc < size:
             faulted = True
             break
-        if jp is not None:
-            region = jp.region_for(pc)
-            if region is not None and steps + region.linear_len < max_instrs:
-                steps, loads, remaining_arrivals, status = region.fn(
-                    view, steps, loads, max_instrs, end_pc,
-                    remaining_arrivals, None, 0,
-                )
-                if status == EXIT_HALT:
-                    halted = True
-                    break
-                if status == EXIT_ARRIVAL:
-                    break
-                continue  # EXIT_RUN: pc synced; retry dispatch there.
         if chains is not None:
             n = chain_spans[pc]
             if steps + n < max_instrs and not pc < inside < pc + n:

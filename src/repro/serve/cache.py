@@ -12,9 +12,10 @@ tenants under content-addressed keys:
   disk cache (``cached_prepare``), so a server restart on a machine
   with a warm ``benchmarks/cache/`` still skips distillation.  The
   crucial sharing property: every request for one program content gets
-  the *same* :class:`~repro.isa.program.Program` object, so the decode
-  cache, the superblock JIT cache, and the persistent ``jitcode``
-  artifacts tenant N compiled all warm tenant N+1.
+  the *same* :class:`~repro.isa.program.Program` objects (original and
+  distilled), so the decode caches, the master's superblock JIT cache,
+  and the persistent ``jitcode`` artifacts tenant N compiled all warm
+  tenant N+1.
 * :class:`EnginePool` holds idle, already-constructed
   :class:`~repro.mssp.engine.MsspEngine` instances keyed by (program
   key, engine-config digest).  Engines carry the warm executor
@@ -58,14 +59,14 @@ class ServedProgram:
 
     @property
     def jit_warm(self) -> bool:
-        """Whether this program's superblock JIT cache is populated.
+        """Whether the master's superblock JIT cache is populated.
 
-        The JIT attaches compiled programs to the ``Program`` object
-        itself (mirroring the decode cache), so a warmed entry means a
-        later ``exec_tier="jit"`` episode starts on the ``jitcode``
-        cache-hit path instead of compiling.
+        Under ``exec_tier="jit"`` only the master compiles: its
+        master-mode JIT is attached to the *distilled* ``Program``
+        object (mirroring the decode cache), so a warmed entry means a
+        later jit episode reuses those regions instead of compiling.
         """
-        return bool(self.program.__dict__.get("_jit_cache"))
+        return bool(self.distillation.distilled.__dict__.get("_jit_cache"))
 
 
 @dataclass
@@ -101,7 +102,7 @@ class WarmCache:
     Thread-safe: resolution runs under one lock, so concurrent workers
     requesting the same content block on a single build and then share
     the one resulting :class:`ServedProgram` (and with it the decoded /
-    JIT-compiled state attached to its program object).
+    JIT-compiled state attached to its program objects).
     """
 
     def __init__(self) -> None:

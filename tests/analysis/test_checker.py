@@ -679,12 +679,9 @@ class TestCheckJit:
 
         original = jit_mod.JitProgram._compile_sources
 
-        def miscompiling(self, entry, pcs, taken, links, sources):
-            sources = {
-                variant: source.replace("+ r", "- r")
-                for variant, source in sources.items()
-            }
-            return original(self, entry, pcs, taken, links, sources)
+        def miscompiling(self, entry, pcs, taken, links, source):
+            source = source.replace("+ r", "- r")
+            return original(self, entry, pcs, taken, links, source)
 
         monkeypatch.setattr(
             jit_mod.JitProgram, "_compile_sources", miscompiling

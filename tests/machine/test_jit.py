@@ -4,8 +4,9 @@
 Python.  Its contract is *bit-identical observable behaviour* with the
 pre-decoded engine (itself held identical to the semantic oracle by
 tests/machine/test_decoded.py): same final states, same step counts,
-same ``StepLimitExceeded`` boundary, with every guard (observer deopt,
-budget entry/back-edge checks, non-leader deopt) exercised explicitly.
+same ``StepLimitExceeded`` boundary, with every guard (observer runs
+kept off the JIT, budget entry/back-edge checks, non-leader pcs)
+exercised explicitly.
 Also covers the persistent code cache (a second process must reuse the
 generated sources, not re-trace) and the ``REPRO_EXEC`` tier plumbing.
 """
@@ -59,9 +60,9 @@ leaf:   addi r2, r2, 7
 """
 
 
-def hot_jit(program, mode="arch"):
+def hot_jit(program):
     """A JitProgram that compiles on first arrival, no disk persistence."""
-    return JitProgram(program, mode=mode, threshold=1, persist=False)
+    return JitProgram(program, threshold=1, persist=False)
 
 
 def assert_jit_equivalent(program, max_steps=1_000_000):
@@ -94,17 +95,6 @@ class TestDifferentialFixtures:
             program = spec.instance(max(4, spec.default_size // 10)).program
             jp = assert_jit_equivalent(program, max_steps=2_000_000)
             assert jp.compiled, f"workload {name} never went hot"
-
-    def test_view_mode_equivalent_on_arch_state(self):
-        """``view`` codegen (method calls) against a plain ArchState."""
-        program = assemble(HOT_FIXTURE)
-        ref_state = ArchState.initial(program)
-        ref = decode(program).run(ref_state, 1_000_000)
-        view_state = ArchState.initial(program)
-        jp = hot_jit(program, mode="view")
-        assert jp.run(view_state, 1_000_000) == ref
-        assert view_state == ref_state
-        assert jp.compiled
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -140,31 +130,26 @@ class TestStepLimitBoundary:
 
 
 class TestDeopt:
-    def test_observer_deopts_to_per_step_and_matches(self):
-        """An observer forces the decoded per-step loop: identical effect
-        stream, and no region is ever compiled on that path."""
+    def test_observer_deopts_to_per_step_and_matches(self, monkeypatch):
+        """Under the jit tier, ``interpreter.run`` with an observer takes
+        the decoded per-step loop: the effect stream is identical, and
+        no JitProgram is ever attached to the program."""
         program = assemble(HOT_FIXTURE)
-        decoded_trace = []
-        decoded_state = ArchState.initial(program)
-        ref = decode(program).run(
-            decoded_state, 1_000_000,
-            observer=lambda pc, instr, effect, state: decoded_trace.append(
-                (pc, effect.halted, effect.taken, effect.mem_addr)
-            ),
-        )
-        jp = hot_jit(program)
-        jit_trace = []
-        jit_state = ArchState.initial(program)
-        got = jp.run(
-            jit_state, 1_000_000,
-            observer=lambda pc, instr, effect, state: jit_trace.append(
-                (pc, effect.halted, effect.taken, effect.mem_addr)
-            ),
-        )
-        assert got == ref
-        assert jit_state == decoded_state
-        assert jit_trace == decoded_trace
-        assert not jp.compiled, "observer runs must never compile regions"
+
+        def traced(tier):
+            monkeypatch.setenv("REPRO_EXEC", tier)
+            trace = []
+            state = ArchState.initial(program)
+            result = run(
+                program, state, max_steps=1_000_000,
+                observer=lambda pc, instr, effect, state: trace.append(
+                    (pc, effect.halted, effect.taken, effect.mem_addr)
+                ),
+            )
+            return (result.steps, result.halted), state, trace
+
+        assert traced("jit") == traced("decoded")
+        assert "_jit_cache" not in program.__dict__
 
     def test_non_leader_pcs_never_compile(self):
         program = assemble(HOT_FIXTURE)
@@ -192,15 +177,6 @@ class TestDifferentialRandom:
     @given(terminating_programs())
     def test_random_programs_equivalent(self, program):
         assert_jit_equivalent(program)
-
-    @settings(max_examples=15, deadline=None)
-    @given(terminating_programs())
-    def test_random_programs_equivalent_in_view_mode(self, program):
-        ref_state = ArchState.initial(program)
-        ref = decode(program).run(ref_state, 1_000_000)
-        state = ArchState.initial(program)
-        assert hot_jit(program, mode="view").run(state, 1_000_000) == ref
-        assert state == ref_state
 
     @settings(max_examples=15, deadline=None)
     @given(terminating_programs())
@@ -240,7 +216,6 @@ class TestRegionMetadata:
             assert region.taken == taken
             assert region.linear_len == len(region.pcs)
             assert region.source == jp.generate_source(entry)
-            assert region.sources == jp.generate_sources(entry)
             assert region.mode == jp.mode
 
     def test_generate_source_is_deterministic(self):
@@ -426,7 +401,7 @@ class TestPersistentCodeCache:
         program = assemble(HOT_FIXTURE)
         other = assemble(HOT_FIXTURE.replace("li r1, 40", "li r1, 41"))
         key = jit_cache_key(program, "arch")
-        assert key != jit_cache_key(program, "view")
+        assert key != jit_cache_key(program, "master")
         assert key != jit_cache_key(other, "arch")
         assert key == jit_cache_key(
             pickle.loads(pickle.dumps(program)), "arch"
@@ -452,8 +427,8 @@ class TestJitForCache:
     def test_cached_per_program_identity_and_mode(self):
         program = assemble(HOT_FIXTURE)
         assert jit_for(program) is jit_for(program)
-        assert jit_for(program, "view") is jit_for(program, "view")
-        assert jit_for(program) is not jit_for(program, "view")
+        assert jit_for(program, "master") is jit_for(program, "master")
+        assert jit_for(program) is not jit_for(program, "master")
         twin = assemble(HOT_FIXTURE)
         assert jit_for(twin) is not jit_for(program)
 

@@ -123,6 +123,29 @@ class TestForcedSquash:
             assert master.restarts > 1    # ... and the squash reseeded it
 
 
+class TestJitCompilesOnlyTheMaster:
+    """Slaves and recovery run the decoded chains on the jit tier, so a
+    jit episode compiles superblocks for the master alone."""
+
+    @pytest.mark.parametrize("runtime", (
+        "eager", pytest.param("process", marks=pytest.mark.parallel),
+    ))
+    def test_jit_episode_compiles_nothing_on_the_original(self, runtime):
+        ready = prepared("mispredict")
+        # Fresh program objects: pickling drops the decode and JIT
+        # attachments that preparing the workload left behind.
+        program = pickle.loads(pickle.dumps(ready.instance.program))
+        distillation = pickle.loads(pickle.dumps(ready.distillation))
+        config = MsspConfig(exec_tier="jit", runtime=runtime, num_slaves=1)
+        with create_engine(program, distillation, config) as engine:
+            assert engine.runtime == runtime
+            result = engine.run()
+        assert result.counters.recovery_episodes > 0
+        assert "_jit_cache" not in program.__dict__
+        attached = distillation.distilled.__dict__["_jit_cache"]
+        assert [jp.mode for jp in attached.values()] == ["master"]
+
+
 class TestStatePickling:
     def test_final_state_round_trips(self):
         state = run_combo(prepared("compress"), "jit", "eager").final_state
