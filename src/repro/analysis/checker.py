@@ -1419,13 +1419,12 @@ def check_runtime_events(events, subject: str = "runtime") -> CheckReport:
 def check_runtime_execution(
     program, distillation, subject: str = "runtime", profile=None
 ) -> CheckReport:
-    """Run MSSP under a pipelined backend and lint its event stream.
+    """Run MSSP under the process backend and lint its event stream.
 
-    Uses the thread backend (real in-flight windows, no worker
-    processes to spawn) with a small chunk size so episodes actually
-    cross chunk boundaries, records every event through an
-    :class:`~repro.mssp.runtime.events.EventLog`, and hands the stream
-    to :func:`check_runtime_events`.
+    Uses two worker processes (real in-flight windows) with a small
+    chunk size so episodes actually cross chunk boundaries, records
+    every event through an :class:`~repro.mssp.runtime.events.EventLog`,
+    and hands the stream to :func:`check_runtime_events`.
 
     With a training ``profile``, the run also enables the adaptive
     prediction loop (live-in value predictors + squash-driven online
@@ -1437,7 +1436,7 @@ def check_runtime_execution(
     from repro.mssp.runtime.events import EventLog
 
     config = MsspConfig(
-        runtime="thread", num_slaves=2, parallel_chunk_tasks=4,
+        runtime="process", num_slaves=2, parallel_chunk_tasks=4,
         max_inflight_tasks=16,
     )
     if profile is not None:
@@ -1561,7 +1560,7 @@ def check_server_execution(
         digest=content, program=program, distillation=distillation,
         profile=profile,
     )
-    config = MsspConfig(runtime="thread", num_slaves=2)
+    config = MsspConfig(runtime="process", num_slaves=2)
     log = EventLog()
     server = EpisodeServer(ServeConfig(
         workers=2, worker_capacity=1, max_queue_depth=2,

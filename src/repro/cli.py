@@ -92,13 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_task_size_arg(run)
     run.add_argument(
         "--runtime", choices=RUNTIME_CHOICES, default="eager",
-        help="slave-execution backend: eager in-process tasks, a thread "
-             "pool, or a process pool of slave workers (all backends are "
+        help="slave-execution backend: eager in-process tasks or a "
+             "process pool of slave workers (both backends are "
              "bit-identical)",
     )
     run.add_argument(
         "--workers", type=_at_least(1), default=None,
-        help="slave workers for the thread/process runtimes "
+        help="slave workers for the process runtime "
              "(default: MsspConfig.num_slaves)",
     )
     run.add_argument(
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--runtime", choices=RUNTIME_CHOICES, default="eager",
-        help="engine backend of the serving stage; a pipelined one also "
+        help="engine backend of the serving stage; process also "
              "measures its wall-clock speedup per suite workload "
              "(-j sets the slave worker count)",
     )

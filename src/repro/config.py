@@ -17,7 +17,7 @@ from repro.errors import DistillError, TimingError
 
 #: Slave-execution backends ``MsspConfig.runtime`` names; see
 #: :class:`MsspConfig`.
-RUNTIME_CHOICES = ("eager", "thread", "process")
+RUNTIME_CHOICES = ("eager", "process")
 
 
 @dataclass(frozen=True)
@@ -98,11 +98,10 @@ class MsspConfig:
 
     ``runtime`` selects the slave-execution backend: ``"eager"``
     executes every task inline in commit order (the functional reference
-    model); ``"thread"`` pipelines the master ahead of ``num_slaves``
-    in-process worker threads; ``"process"`` pipelines it ahead of
-    ``num_slaves`` forked worker processes.  ``None`` defers to the
-    ``REPRO_RUNTIME`` environment variable (default eager), mirroring
-    ``exec_tier``/``REPRO_EXEC``.  All backends produce bit-identical
+    model); ``"process"`` pipelines the master ahead of ``num_slaves``
+    forked worker processes.  ``None`` defers to the ``REPRO_RUNTIME``
+    environment variable (default eager), mirroring
+    ``exec_tier``/``REPRO_EXEC``.  Both backends produce bit-identical
     :class:`~repro.mssp.engine.MsspResult`\\ s; see
     :mod:`repro.mssp.runtime`.
     """
@@ -129,7 +128,7 @@ class MsspConfig:
     #: Hard cap on master instructions between two forks.
     max_master_instrs_per_task: int = 20_000
     #: Hard cap on tasks the master may run ahead (checkpoint buffer
-    #: size).  The pipelined runtimes' run-ahead window grows on commits
+    #: size).  The process runtime's run-ahead window grows on commits
     #: and halves on squashes below it
     #: (:class:`~repro.mssp.runtime.pipeline.RunAheadWindow`).
     max_inflight_tasks: int = 64
@@ -157,11 +156,10 @@ class MsspConfig:
     #: environment variable (default: decoded).  All tiers are
     #: bit-identical; see docs/performance.md.
     exec_tier: Optional[str] = None
-    #: Workers (threads or processes) backing the pipelined runtimes'
-    #: slave pool.
+    #: Worker processes backing the process runtime's slave pool.
     num_slaves: int = 4
-    #: Upper bound on tasks batched per pool dispatch in the pipelined
-    #: runtimes (amortizes per-dispatch cost over several small tasks).
+    #: Upper bound on tasks batched per pool dispatch in the process
+    #: runtime (amortizes per-dispatch cost over several small tasks).
     #: The chunk follows the run-ahead window, two chunks per worker:
     #: ``window // (2 * num_slaves)``, clamped to
     #: ``1..parallel_chunk_tasks``; the window starts at

@@ -387,8 +387,8 @@ def measure_parallel_runtime(
 ) -> Dict[str, object]:
     """Wall-clock eager vs pipelined runtime on one prepared workload.
 
-    ``runtime`` selects which pipelined executor backend is measured
-    ("thread" or "process").  Times ``repeats`` fresh runs of each engine on the same
+    ``runtime`` names the pipelined executor backend measured
+    ("process").  Times ``repeats`` fresh runs of each engine on the same
     program and distillation (best-of, so the pipelined number reflects
     the steady state with a warm worker pool rather than one-time spawn
     cost, which is reported separately as
@@ -611,10 +611,10 @@ def run_bench(
 ) -> Dict[str, object]:
     """The four stages, in order; the whole summary, JSON-ready.
 
-    ``runtime`` is the serving stage's engine backend.  A pipelined
-    ``runtime`` ("thread" or "process") also adds a wall-clock stage
-    per suite workload: eager vs that executor backend with ``jobs``
-    slave workers, bit-identity checked.  In that mode the suite rows
+    ``runtime`` is the serving stage's engine backend.  The pipelined
+    ``runtime`` ("process") also adds a wall-clock stage per suite
+    workload: eager vs that executor backend with ``jobs`` slave
+    workers, bit-identity checked.  In that mode the suite rows
     themselves run serially — ``jobs`` provisions slave workers, and
     fanning workloads out over a second pool would have the two levels
     of parallelism fight over the same cores.  ``workloads`` selects

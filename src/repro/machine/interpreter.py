@@ -6,10 +6,10 @@
 correctness is always judged against these functions.
 
 An optional observer receives every executed instruction together with its
-:class:`~repro.machine.semantics.StepEffect`.  The profiler's reference
-implementation (:class:`repro.profiling.Profiler`) is such an observer;
-:func:`repro.profiling.profile_program` itself runs basic-block
-supersteps and hooks only loads and stores.
+:class:`~repro.machine.semantics.StepEffect`.  The profiler's test
+reference (``Profiler`` in ``tests/profiling/test_profiler.py``) is such
+an observer; :func:`repro.profiling.profile_program` itself runs
+basic-block supersteps and hooks only loads and stores.
 
 Execution dispatches through the pre-decoded engine
 (:mod:`repro.machine.decoded`), which is differentially tested to be

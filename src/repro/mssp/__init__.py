@@ -18,7 +18,6 @@ from repro.mssp.runtime import (
     RuntimeEvent,
     SlaveExecutor,
     TaskPipeline,
-    ThreadExecutor,
     resolve_runtime,
 )
 from repro.mssp.slave import SlaveView, execute_task
@@ -45,7 +44,6 @@ __all__ = [
     "EventLog",
     "SlaveExecutor",
     "InlineExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "TaskPipeline",
     "resolve_runtime",

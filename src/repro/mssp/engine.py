@@ -10,11 +10,10 @@ decisions, and the result assembly — plus the engine's executor backend
 
 * ``"eager"`` executes every task inline in commit order (the
   functional reference model);
-* ``"thread"`` overlaps slave chunks on an in-process thread pool;
-* ``"process"`` overlaps them on forked worker processes.
+* ``"process"`` overlaps slave chunks on forked worker processes.
 
-All three are behaviourally equivalent to the concurrent machine —
-and bit-identical to one another — because (a) commits are in order,
+Both are behaviourally equivalent to the concurrent machine — and
+bit-identical to each other — because (a) commits are in order,
 (b) slaves never write architected state, and (c) verification outcomes
 depend only on architected state at commit time, not on when slaves
 physically ran.  The timing model (:mod:`repro.timing`) replays the
@@ -170,7 +169,7 @@ class MsspEngine:
         #: Write-version stamps over architected memory, driving the
         #: verify fast path (re-created per run; see repro.mssp.verify).
         self._versions = CellVersions()
-        #: Resolved executor backend name: eager, thread or process
+        #: Resolved executor backend name: eager or process
         #: (config beats the ``REPRO_RUNTIME`` environment variable;
         #: default eager).
         self.runtime = resolve_runtime(self.config.runtime)
@@ -353,7 +352,7 @@ class MsspEngine:
         return self.redistiller
 
     def close(self) -> None:
-        """Release the executor backend (worker processes/threads).
+        """Release the executor backend (its worker processes).
 
         Idempotent; a closed engine rebuilds the backend lazily if run
         again.  ``with create_engine(...) as engine:`` closes for you.
@@ -678,10 +677,10 @@ def create_engine(
     config: Optional[MsspConfig] = None,
     clock=None,
 ) -> MsspEngine:
-    """Build an engine for ``config.runtime``: eager, thread or process.
+    """Build an engine for ``config.runtime``: eager or process.
 
     Every runtime is the same :class:`MsspEngine` over a different
-    executor backend.  Pipelined backends hold worker threads/processes:
+    executor backend.  The process backend holds worker processes:
     close the engine when done — ``with create_engine(...) as engine:``
     — or rely on garbage collection's finalizers as a backstop.
     """

@@ -7,7 +7,7 @@ per ``(anchor, register)`` live-in cell the speculation-safety prover
 left UNPROVEN, training it at judge time from architected truth (the
 in-order judge is the one point every executor backend passes through in
 the same order, which keeps training — and therefore behaviour —
-bit-identical across eager/thread/process runtimes).
+bit-identical across the eager and process runtimes).
 
 Three classic predictors run in every cell (training all three costs a
 few integer compares): last-value, stride, and a finite-context (order-2

@@ -2,7 +2,7 @@
 
 One episode state machine (:class:`~repro.mssp.runtime.pipeline.TaskPipeline`),
 pluggable slave-execution backends
-(:mod:`~repro.mssp.runtime.executors`: inline / thread / process), and a
+(:mod:`~repro.mssp.runtime.executors`: inline / process), and a
 structured event seam (:mod:`~repro.mssp.runtime.events`).
 :class:`repro.mssp.engine.MsspEngine` is a thin layer over this
 package.
@@ -28,11 +28,9 @@ from repro.mssp.runtime.events import (
 )
 from repro.mssp.runtime.executors import (
     RUNTIME_CHOICES,
-    ChunkHandle,
     InlineExecutor,
     ProcessExecutor,
     SlaveExecutor,
-    ThreadExecutor,
     create_executor,
     resolve_runtime,
 )
@@ -57,9 +55,7 @@ __all__ = [
     "EventLog",
     "SlaveExecutor",
     "InlineExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
-    "ChunkHandle",
     "create_executor",
     "resolve_runtime",
     "RUNTIME_CHOICES",

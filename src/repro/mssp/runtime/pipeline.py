@@ -18,7 +18,8 @@ and runs it against any :class:`SlaveExecutor` backend:
   identical either way;
 * squash/trap/halt ends the episode, discarding every produced-but-
   unjudged successor, exactly as the eager engine discards them by
-  never producing them.
+  never producing them.  Chunks still in flight are dropped with them:
+  the pool discards their replies by chunk id.
 
 Everything observable is announced on the engine's
 :class:`~repro.mssp.runtime.events.EventBus` as it happens; the
@@ -37,7 +38,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.machine.state import ArchState
 from repro.mssp.master import Master, MasterEvent, MasterEventKind
@@ -49,7 +50,7 @@ from repro.mssp.runtime.events import (
     TaskExecuted,
     TaskForked,
 )
-from repro.mssp.runtime.executors import ChunkHandle, SlaveExecutor
+from repro.mssp.runtime.executors import SlaveExecutor
 from repro.mssp.slave import execute_task
 from repro.mssp.task import (
     Checkpoint,
@@ -78,7 +79,8 @@ class _Chunk:
     """One in-flight executor submission."""
 
     last_tid: int
-    handle: ChunkHandle
+    #: Blocks for the chunk's wire results.
+    result: Callable[[], List[tuple]]
 
 
 class RunAheadWindow:
@@ -189,148 +191,129 @@ class TaskPipeline:
         open_delta: Optional[Dict[int, int]] = None
         next_tid += 1
 
-        try:
-            while True:
-                if pipelined:
-                    window, chunk_size = runahead.tasks, runahead.chunk
-                # 1. Master run-ahead: fork tasks into the window, and
-                # ship each chunk the moment it fills.
-                while not production_done and len(pending) < window:
-                    event = master.run_until_fork()
-                    if event.kind is MasterEventKind.FORK:
-                        closed = open_task
-                        closed.end_pc = event.anchor
-                        closed.end_arrivals = event.arrivals
-                        entry = _Pending(closed, event, False, open_delta)
-                        pending.append(entry)
-                        if pipelined:
-                            to_dispatch.append(entry)
-                        # Open the successor before announcing the fork,
-                        # so opening it is master time.  Start-image
-                        # patching: override the master's guess for
-                        # cells the predictor bank is both confident
-                        # about and gate-open on (episode-frozen
-                        # snapshot, so every backend patches
-                        # identically).  Only registers are patched —
-                        # checkpoint memory is delta-chained on the
-                        # process wire.  Exact tasks are never patched.
-                        checkpoint = event.checkpoint
-                        predicted: Dict[int, int] = {}
-                        bank = getattr(core, "predictor", None)
-                        if bank is not None:
-                            overrides = bank.predictions_for(event.anchor)
-                            if overrides:
-                                checkpoint, predicted = checkpoint.patched(
-                                    overrides
-                                )
-                        open_task = Task(
-                            tid=next_tid, start_pc=event.anchor,
-                            checkpoint=checkpoint,
-                            proven_regs=core.static_proven_regs(
-                                event.anchor
-                            ),
-                            predicted_cells=predicted,
-                        )
-                        open_delta = event.mem_delta
-                        next_tid += 1
-                        events.emit(TaskForked(
-                            tid=closed.tid, start_pc=closed.start_pc,
-                            end_pc=closed.end_pc, exact=closed.exact,
+        while True:
+            if pipelined:
+                window, chunk_size = runahead.tasks, runahead.chunk
+            # 1. Master run-ahead: fork tasks into the window, and ship
+            # each chunk the moment it fills.
+            while not production_done and len(pending) < window:
+                event = master.run_until_fork()
+                if event.kind is MasterEventKind.FORK:
+                    closed = open_task
+                    closed.end_pc = event.anchor
+                    closed.end_arrivals = event.arrivals
+                    entry = _Pending(closed, event, False, open_delta)
+                    pending.append(entry)
+                    if pipelined:
+                        to_dispatch.append(entry)
+                    # Open the successor before announcing the fork, so
+                    # opening it is master time.  Start-image patching:
+                    # override the master's guess for cells the predictor
+                    # bank is both confident about and gate-open on
+                    # (episode-frozen snapshot, so every backend patches
+                    # identically).  Only registers are patched —
+                    # checkpoint memory is delta-chained on the process
+                    # wire.  Exact tasks are never patched.
+                    checkpoint = event.checkpoint
+                    predicted: Dict[int, int] = {}
+                    bank = getattr(core, "predictor", None)
+                    if bank is not None:
+                        overrides = bank.predictions_for(event.anchor)
+                        if overrides:
+                            checkpoint, predicted = checkpoint.patched(
+                                overrides
+                            )
+                    open_task = Task(
+                        tid=next_tid, start_pc=event.anchor,
+                        checkpoint=checkpoint,
+                        proven_regs=core.static_proven_regs(event.anchor),
+                        predicted_cells=predicted,
+                    )
+                    open_delta = event.mem_delta
+                    next_tid += 1
+                    events.emit(TaskForked(
+                        tid=closed.tid, start_pc=closed.start_pc,
+                        end_pc=closed.end_pc, exact=closed.exact,
+                    ))
+                    if predicted:
+                        events.emit(LiveInPredicted(
+                            tid=open_task.tid, anchor=event.anchor,
+                            cells=tuple(sorted(predicted)),
                         ))
-                        if predicted:
-                            events.emit(LiveInPredicted(
-                                tid=open_task.tid, anchor=event.anchor,
-                                cells=tuple(sorted(predicted)),
-                            ))
-                    elif event.kind is MasterEventKind.HALT:
-                        open_task.end_pc = None
-                        open_task.final = True
-                        entry = _Pending(open_task, event,
-                                         open_delta=open_delta)
-                        pending.append(entry)
-                        if pipelined:
-                            to_dispatch.append(entry)
-                        events.emit(TaskForked(
-                            tid=open_task.tid, start_pc=open_task.start_pc,
-                            end_pc=None, exact=open_task.exact, final=True,
-                        ))
-                        production_done = True
-                    else:  # TRAP / TIMEOUT: the open task is undelimited.
-                        pending.append(_Pending(open_task, event,
-                                                failure=True))
-                        production_done = True
-                    if len(to_dispatch) >= chunk_size:
-                        self._dispatch(to_dispatch, chunk_size, inflight)
-
-                # 2. Partial chunks go out only when nothing is in
-                # flight (the workers would starve) or nothing more is
-                # coming.
-                while to_dispatch and (
-                    len(to_dispatch) >= chunk_size
-                    or production_done
-                    or not inflight
-                ):
+                elif event.kind is MasterEventKind.HALT:
+                    open_task.end_pc = None
+                    open_task.final = True
+                    entry = _Pending(open_task, event, open_delta=open_delta)
+                    pending.append(entry)
+                    if pipelined:
+                        to_dispatch.append(entry)
+                    events.emit(TaskForked(
+                        tid=open_task.tid, start_pc=open_task.start_pc,
+                        end_pc=None, exact=open_task.exact, final=True,
+                    ))
+                    production_done = True
+                else:  # TRAP / TIMEOUT: the open task is undelimited.
+                    pending.append(_Pending(open_task, event, failure=True))
+                    production_done = True
+                if len(to_dispatch) >= chunk_size:
                     self._dispatch(to_dispatch, chunk_size, inflight)
 
-                # 3. Verify/commit the next task in episode order.
-                entry = pending.popleft()
-                task = entry.task
-                if entry.failure:
-                    core._record_master_failure(task, entry.event)
-                    recent_outcomes.append(False)
-                    if pipelined:
-                        runahead.wasted()
-                    return False, task.tid + 1
-                result = self._await_result(task.tid, inflight, results)
-                adopted = False
-                reexecuted = ""
-                if result is not None:
-                    task.base_version = episode_version
-                    if self._result_valid(task, result, arch):
-                        adopt_wire_result(task, result)
-                        adopted = True
-                        events.emit(
-                            ResultAdopted(
-                                tid=task.tid, cost=task.exec_seconds
-                            )
-                        )
-                    else:
-                        reexecuted = "stale"
-                        runahead.wasted()
-                elif pipelined:
-                    reexecuted = "missing"
-                if not adopted:
-                    self._execute_locally(task, arch)
-                events.emit(
-                    TaskExecuted(
-                        task=task, adopted=adopted, cost=task.exec_seconds,
-                        reexecuted=reexecuted,
-                    )
-                )
-                committed, slave_halted = core._judge_task(
-                    task, entry.event, arch
-                )
-                recent_outcomes.append(committed)
+            # 2. Partial chunks go out only when nothing is in flight
+            # (the workers would starve) or nothing more is coming.
+            while to_dispatch and (
+                len(to_dispatch) >= chunk_size
+                or production_done
+                or not inflight
+            ):
+                self._dispatch(to_dispatch, chunk_size, inflight)
+
+            # 3. Verify/commit the next task in episode order.
+            entry = pending.popleft()
+            task = entry.task
+            if entry.failure:
+                core._record_master_failure(task, entry.event)
+                recent_outcomes.append(False)
                 if pipelined:
-                    if committed:
-                        runahead.committed()
-                    else:
-                        runahead.wasted()
-                if not committed:
-                    return False, task.tid + 1
-                # Every commit, the halting one included, counts against
-                # the step budget.
-                core._check_budget()
-                if slave_halted:
-                    return True, next_tid
-        finally:
-            # Episode over: every produced-but-unjudged successor is
-            # discarded, exactly as the eager engine discards it by
-            # never producing it.
-            for chunk in inflight:
-                chunk.handle.cancel()
+                    runahead.wasted()
+                return False, task.tid + 1
+            result = self._await_result(task.tid, inflight, results)
+            adopted = False
+            reexecuted = ""
+            if result is not None:
+                task.base_version = episode_version
+                if self._result_valid(task, result, arch):
+                    adopt_wire_result(task, result)
+                    adopted = True
+                    events.emit(
+                        ResultAdopted(tid=task.tid, cost=task.exec_seconds)
+                    )
+                else:
+                    reexecuted = "stale"
+                    runahead.wasted()
+            elif pipelined:
+                reexecuted = "missing"
+            if not adopted:
+                self._execute_locally(task, arch)
+            events.emit(
+                TaskExecuted(
+                    task=task, adopted=adopted, cost=task.exec_seconds,
+                    reexecuted=reexecuted,
+                )
+            )
+            committed, slave_halted = core._judge_task(task, entry.event, arch)
+            recent_outcomes.append(committed)
             if pipelined:
-                executor.end_episode()
+                if committed:
+                    runahead.committed()
+                else:
+                    runahead.wasted()
+            if not committed:
+                return False, task.tid + 1
+            # Every commit, the halting one included, counts against the
+            # step budget.
+            core._check_budget()
+            if slave_halted:
+                return True, next_tid
 
     # -- stages -------------------------------------------------------------------
 
@@ -343,10 +326,10 @@ class TaskPipeline:
         """Ship the first ``chunk_size`` closed tasks as one chunk."""
         batch = to_dispatch[:chunk_size]
         del to_dispatch[:chunk_size]
-        handle = self.executor.submit_chunk(batch)
-        if handle is None:
+        result = self.executor.submit_chunk(batch)
+        if result is None:
             return  # undispatched tasks re-execute locally when judged
-        inflight.append(_Chunk(last_tid=batch[-1].task.tid, handle=handle))
+        inflight.append(_Chunk(last_tid=batch[-1].task.tid, result=result))
         self.events.emit(ChunkDispatched(
             executor=self.executor.name,
             first_tid=batch[0].task.tid,
@@ -363,7 +346,7 @@ class TaskPipeline:
         """The worker result for ``tid``, or None (→ local re-execution).
 
         Chunks are submitted and consumed in episode order, so draining
-        the head handle is enough; a drained chunk that *should* have
+        the head chunk is enough; a drained chunk that *should* have
         contained ``tid`` but stopped early (task fault/overrun) yields
         None immediately instead of draining the whole pipeline.
         """
@@ -372,7 +355,7 @@ class TaskPipeline:
                 return None
             chunk = inflight.popleft()
             try:
-                chunk_results = chunk.handle()
+                chunk_results = chunk.result()
             except Exception:
                 self.executor.mark_broken("a chunk failed to complete")
                 return None

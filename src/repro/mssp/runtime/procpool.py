@@ -10,10 +10,8 @@ Workers keep two process-local caches: programs (and, via the global
 decode cache, their decodings) keyed by content digest — so the program
 ships once per worker, through the pool initializer, not once per task —
 and per-episode base memory images keyed by (run token, episode), so a
-pipe worker receives each episode's base once, with its first chunk of
-the episode.  The token, unique per engine run within the parent
-process, keeps an externally shared executor from resurrecting a
-previous run's episode bases.
+worker receives each episode's base once, with its first chunk of the
+episode.
 """
 
 from __future__ import annotations
@@ -24,6 +22,7 @@ import os
 import pickle
 import select
 import struct
+import threading
 import time
 from typing import Dict, Iterable, Iterator, List, Optional, Set
 
@@ -66,6 +65,10 @@ _WORKER_PROGRAMS: Dict[bytes, Program] = {}
 _WORKER_BASES: Dict[tuple, Dict[int, int]] = {}
 _WORKER_BASE_LIMIT = 4
 
+#: Unique per engine run in this process.  One pool serves every run of
+#: its engine and episode numbers restart each run, so the token keeps a
+#: worker from reading the base an earlier run cached for the same
+#: episode number.
 _RUN_TOKENS = itertools.count()
 
 #: Every pool pipe end this process holds: the parent ends of live
@@ -162,6 +165,10 @@ class _PipePool:
         self._unanswered = [0] * num_workers
         self._replies: Dict[int, List[tuple]] = {}
         self.num_workers = num_workers
+        #: Orders :meth:`start` (run from a background thread) against
+        #: :meth:`shutdown`, so no worker starts once the pool is closed.
+        self._lock = threading.Lock()
+        self._closed = False
         for pipe in pipes:
             _OPEN_ENDS.update(pipe)
         for _, child_conn in pipes:
@@ -175,13 +182,18 @@ class _PipePool:
     def start(self) -> None:
         """Start the worker processes (run from a background thread:
         submissions buffer in the pipes until workers come up, so the
-        ~10ms-per-fork spawn cost overlaps master production)."""
+        ~10ms-per-fork spawn cost overlaps master production).  Starts
+        none once the pool is shut down."""
         for proc, child_conn in self._procs:
-            proc.start()
-            # The child inherited its end; drop the parent's duplicate
-            # so a dead worker surfaces as EOF instead of a hang.
-            _OPEN_ENDS.discard(child_conn)
-            child_conn.close()
+            with self._lock:
+                if self._closed:
+                    return
+                proc.start()
+                # The child inherited its end; drop the parent's
+                # duplicate so a dead worker surfaces as EOF instead of a
+                # hang.
+                _OPEN_ENDS.discard(child_conn)
+                child_conn.close()
 
     def next_worker(self) -> int:
         """The worker the next chunk goes to (round-robin)."""
@@ -239,7 +251,17 @@ class _PipePool:
         self._unanswered[worker] -= 1
         self._replies[got_id] = results
 
-    def shutdown(self, wait: bool = False, cancel_futures: bool = False):
+    def shutdown(self, wait: bool = False) -> None:
+        """Stop the started workers; a later :meth:`start` starts none."""
+        with self._lock:
+            self._closed = True
+            started = []
+            for proc, child_conn in self._procs:
+                if proc.pid is None:  # never started: its end is ours
+                    _OPEN_ENDS.discard(child_conn)
+                    child_conn.close()
+                else:
+                    started.append(proc)
         for conn in self._conns:
             try:
                 conn.send(None)
@@ -250,11 +272,11 @@ class _PipePool:
             except OSError:
                 pass
             _OPEN_ENDS.discard(conn)
-        for proc, _ in self._procs:
+        for proc in started:
             proc.join(timeout=0.5 if wait else 0.05)
             if proc.is_alive():
                 proc.terminate()
-        for proc, _ in self._procs:
+        for proc in started:
             if not proc.is_alive():
                 proc.join(timeout=0.1)
 
@@ -317,7 +339,7 @@ def _execute_tasks(
     regions: Optional[ProtectedRegions],
     tier: str,
 ) -> List[tuple]:
-    """The slave chunk loop, shared by the thread and process backends.
+    """The slave chunk loop a worker runs for each chunk.
 
     Executes ``tasks`` in order against ``chain``, stamps each task's
     measured ``exec_seconds``, and returns one wire result per executed
@@ -367,14 +389,9 @@ def _execute_chunk(payload: tuple) -> List[tuple]:
     Returns one result tuple per executed task (see
     :func:`_execute_tasks`).
     """
-    (digest, shipped_program, regions_ranges, max_task_instrs,
-     base_key, base_delta, wire_tasks, tier) = payload
-    program = _WORKER_PROGRAMS.get(digest)
-    if program is None:
-        if shipped_program is None:  # pragma: no cover - defensive
-            raise RuntimeError("worker received no program for digest")
-        program = shipped_program
-        _WORKER_PROGRAMS[digest] = program
+    (digest, regions_ranges, max_task_instrs, base_key, base_delta,
+     wire_tasks, tier) = payload
+    program = _WORKER_PROGRAMS[digest]
     return _execute_tasks(
         program, _wire_tasks(wire_tasks),
         _ChainMemory(_episode_base(base_key, base_delta, program)),

@@ -130,7 +130,7 @@ class Task:
     #: The task stopped before touching a protected (I/O) address.
     protected_access: bool = False
     #: Measured wall-seconds the executing substrate spent running this
-    #: task (thread/process worker or local fallback).  Crosses the
+    #: task (worker process or local fallback).  Crosses the
     #: executor wire so :meth:`~repro.config.TimingConfig.calibrate` can
     #: fit the timing model to real runs; never judged, so it cannot
     #: perturb bit-identity.
@@ -176,10 +176,10 @@ def wire_result(task: Task) -> Tuple:
     """An executed task's observable outcome as a flat 13-tuple.
 
     This is the slave→verify wire format every executor backend speaks:
-    whichever substrate ran the task (inline, thread pool, worker
-    process), the pipeline adopts exactly these fields — so a backend
-    can only influence the run through them, which is what makes the
-    staleness check in
+    whichever substrate ran the task (inline or a worker process), the
+    pipeline adopts exactly these fields — so a backend can only
+    influence the run through them, which is what makes the staleness
+    check in
     :meth:`~repro.mssp.runtime.pipeline.TaskPipeline` sufficient for
     bit-identical adoption.  The trailing ``exec_seconds`` is
     measurement metadata for cost-model calibration; the verify unit

@@ -6,14 +6,13 @@ from repro.profiling.profile_data import (
     Profile,
     VALUE_HISTOGRAM_CAP,
 )
-from repro.profiling.profiler import Profiler, profile_many, profile_program
+from repro.profiling.profiler import profile_many, profile_program
 
 __all__ = [
     "BranchProfile",
     "LoadProfile",
     "Profile",
     "VALUE_HISTOGRAM_CAP",
-    "Profiler",
     "profile_many",
     "profile_program",
 ]

@@ -9,7 +9,8 @@ chains' spans.  A branch's direction is its chain's successor pc (or
 its condition, re-evaluated, when it targets its own fall-through pc).
 Loads and stores report through :class:`_ProfilingState` hooks.  Near
 the step budget, and on the ``oracle`` tier, it steps exactly, like the
-per-instruction observer :class:`Profiler` it is tested against.
+per-instruction observer profile it is tested against
+(``tests/profiling/test_profiler.py``).
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import InvalidPcError, StepLimitExceeded
-from repro.isa.instructions import Instruction
 from repro.isa.program import Program
 from repro.machine.decoded import DecodedProgram, decode
 from repro.machine.interpreter import DEFAULT_STEP_LIMIT
 from repro.machine.jit import resolve_exec_tier
-from repro.machine.semantics import _BRANCH_OPS, StepEffect
+from repro.machine.semantics import _BRANCH_OPS
 from repro.machine.state import ArchState
 from repro.profiling.profile_data import (
     BranchProfile,
@@ -31,44 +31,6 @@ from repro.profiling.profile_data import (
     Profile,
     StoreProfile,
 )
-
-
-class Profiler:
-    """Observer that accumulates a :class:`Profile` during a run: the
-    per-instruction reference :func:`profile_program` is tested against."""
-
-    def __init__(self, program: Program):
-        self.profile = Profile(
-            program_name=program.name, code_length=len(program.code)
-        )
-
-    def observe(
-        self, pc: int, instr: Instruction, effect: StepEffect, state: ArchState
-    ) -> None:
-        profile = self.profile
-        profile.total_instructions += 1
-        profile.exec_counts[pc] += 1
-        if instr.is_branch:
-            branch = profile.branches.get(pc)
-            if branch is None:
-                branch = profile.branches.setdefault(pc, BranchProfile())
-            if effect.taken:
-                branch.taken += 1
-            else:
-                branch.not_taken += 1
-        elif effect.mem_addr is not None:
-            if effect.is_store:
-                profile.stored_addresses.add(effect.mem_addr)
-                store = profile.stores.get(pc)
-                if store is None:
-                    store = profile.stores.setdefault(pc, StoreProfile())
-                store.observe(effect.mem_addr)
-            else:
-                profile.loaded_addresses.add(effect.mem_addr)
-                load = profile.loads.get(pc)
-                if load is None:
-                    load = profile.loads.setdefault(pc, LoadProfile())
-                load.observe(effect.mem_addr, effect.mem_value)
 
 
 class _ProfilingState(ArchState):
@@ -145,10 +107,10 @@ def profile_program(
 ) -> Profile:
     """Run ``program`` to halt and return its execution profile.
 
-    Equal to the observer :class:`Profiler`'s profile of the same run,
-    including the ``halt`` it counts.  ``state`` (default: the boot
-    state) is advanced in place, exactly as
-    :func:`repro.machine.interpreter.run` would leave it.
+    Equal to a per-instruction observer's profile of the same run
+    (``tests/profiling/test_profiler.py``), including the ``halt`` it
+    counts.  ``state`` (default: the boot state) is advanced in place,
+    exactly as :func:`repro.machine.interpreter.run` would leave it.
     """
     if state is None:
         state = ArchState.initial(program)

@@ -19,7 +19,7 @@ tenants under content-addressed keys:
 * :class:`EnginePool` holds idle, already-constructed
   :class:`~repro.mssp.engine.MsspEngine` instances keyed by (program
   key, engine-config digest).  Engines carry the warm executor
-  substrate (thread/process pools) across episodes; ``MsspEngine.run``
+  substrate (worker processes) across episodes; ``MsspEngine.run``
   resets all per-run state, which is what keeps a pooled engine's
   results bit-identical to a fresh ``run_mssp`` of the same request.
 
@@ -195,7 +195,7 @@ class EnginePool:
 
     An engine is checked out for exactly one episode at a time — two
     workers never run one engine concurrently — and returned afterwards
-    with its executor substrate (thread/process pools, JIT state) still
+    with its executor substrate (worker processes, JIT state) still
     warm.  Checkout order is LIFO: the most recently used engine is the
     warmest.
     """

@@ -30,8 +30,8 @@ Correctness is non-negotiable: every served result is bit-identical to
 a fresh :func:`repro.mssp.engine.run_mssp` of the same request, because
 a pooled engine's :meth:`~repro.mssp.engine.MsspEngine.run` rebuilds all
 per-run state and the server never runs one engine from two workers at
-once.  The differential tests enforce this across the eager, thread and
-process backends.
+once.  The differential tests enforce this across the eager and process
+backends.
 
 Everything observable is announced on the server's
 :class:`~repro.mssp.runtime.events.EventBus` (``episode_accepted`` /

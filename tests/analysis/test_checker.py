@@ -886,7 +886,7 @@ class TestClockStamps:
         log = EventLog()
         with create_engine(
             program, distillation,
-            MsspConfig(runtime="thread", num_slaves=2),
+            MsspConfig(runtime="process", num_slaves=2),
         ) as engine:
             engine.events.subscribe(log)
             engine.run()

@@ -415,6 +415,7 @@ class TestChainCompilePolicy:
         assert compiled == len(set().union(*entered))
 
     def test_engine_rerun_compiles_nothing(self, chain_cache, monkeypatch):
+        from repro.config import MsspConfig
         from repro.experiments import prepare
         from repro.mssp import create_engine
 
@@ -427,7 +428,12 @@ class TestChainCompilePolicy:
 
         monkeypatch.setattr(decoded_module, "_compile_chain", counting)
         ready = prepare(get_workload("compress"), size=40)
-        with create_engine(ready.instance.program, ready.distillation) as engine:
+        # In-process slaves: worker processes compile out of the spy's
+        # sight.
+        config = MsspConfig(runtime="eager")
+        with create_engine(
+            ready.instance.program, ready.distillation, config
+        ) as engine:
             first = engine.run()  # builds a Master per run
             count = len(compiled)
             assert engine.run().counters == first.counters

@@ -15,10 +15,12 @@ These tests hold that fold to three standards:
   them.  Its pinned value is the old one; the row's
   ``forked_minus_judged`` (computed from the old run's own events) is
   what the fold must report.  The whole ``dispatch`` block of
-  ``fib_memo/thread``, ``hashlookup/thread`` and ``mispredict/thread``
-  was re-recorded when a run-ahead window that grows on commits and
-  halves on squashes replaced the fixed one: routing moved, no protocol
-  field did.
+  ``fib_memo/process``, ``hashlookup/process`` and
+  ``mispredict/process`` was re-recorded when a run-ahead window that
+  grows on commits and halves on squashes replaced the fixed one:
+  routing moved, no protocol field did.  The ``*/process`` rows were
+  recorded on an in-process thread backend, since deleted; the process
+  runtime matches every field of them, ``dispatch`` included.
 * **The discard rule.** On the pipelined runtimes ``discarded`` equals
   the ``task_forked`` events minus the judged tasks.
 * **Round trip.** A trace exported to JSONL and imported again folds
@@ -56,11 +58,10 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "pinned_counters.json")
 EAGER = MsspConfig(exec_tier="decoded", runtime="eager")
 #: The pipelined shape of the runtime differentials: 2 workers, small
 #: chunks and a narrow window, so episodes end with tasks in flight.
-THREAD = MsspConfig(
-    exec_tier="decoded", runtime="thread", num_slaves=2,
+PROCESS = MsspConfig(
+    exec_tier="decoded", runtime="process", num_slaves=2,
     parallel_chunk_tasks=4, max_inflight_tasks=16,
 )
-PROCESS = dataclasses.replace(THREAD, runtime="process")
 MODES = {
     "eager-decoded": EAGER,
     "eager-jit": dataclasses.replace(EAGER, exec_tier="jit"),
@@ -69,7 +70,7 @@ MODES = {
         EAGER, throttle_threshold=0.25, throttle_window=4,
         throttle_chunk=500,
     ),
-    "thread": THREAD,
+    "process": PROCESS,
 }
 
 
@@ -148,7 +149,7 @@ def row_runs():
     rows["hostile/throttled"] = _hostile_row(dataclasses.replace(
         EAGER, throttle_threshold=0.5, throttle_window=4, throttle_chunk=200,
     ))
-    rows["hostile/thread"] = _hostile_row(THREAD)
+    rows["hostile/process"] = _hostile_row(PROCESS)
     # At 1/8 size mispredict's few squashes never open a predictor's
     # miss gate; at 1,100 they do.
     rows["mispredict-1100/predictors"] = _workload_row(
@@ -218,10 +219,7 @@ class TestPinnedCounters:
 class TestDiscardRule:
     @pytest.mark.parametrize(
         "config",
-        [
-            pytest.param(THREAD, id="thread"),
-            pytest.param(PROCESS, id="process"),
-        ],
+        [pytest.param(PROCESS, id="process")],
     )
     def test_discarded_is_forked_minus_judged(self, config):
         ready = prepared("mispredict")

@@ -178,7 +178,7 @@ class TestBudgets:
         assert result.final_state.diff(reference.state) == []
         assert result.counters.squash_reasons.get("overrun", 0) > 0
 
-    @pytest.mark.parametrize("runtime", ["eager", "thread", "process"])
+    @pytest.mark.parametrize("runtime", ["eager", "process"])
     def test_total_budget_stops_where_the_sequential_machine_does(
         self, runtime
     ):

@@ -12,7 +12,6 @@ a different one).
 """
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -28,10 +27,12 @@ from repro.mssp.faults import (
     corrupt_live_in,
     random_garbage_master,
 )
+from repro.mssp.runtime.events import EventLog
 from repro.mssp.runtime.executors import ProcessExecutor
 from repro.mssp.runtime.procpool import (
     _WORKER_BASES,
     _ChainMemory,
+    _PipePool,
     _episode_base,
     _wire_tasks,
 )
@@ -78,40 +79,23 @@ def assert_identical(eager, parallel):
     assert parallel.final_state.diff(eager.final_state) == []
 
 
-class _ExternalPoolEngine(MsspEngine):
-    """The process runtime on an externally owned pool: the program
-    ships with every chunk, nothing is preloaded, and the engine never
-    shuts the pool down."""
-
-    def __init__(self, *args, pool, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.pool = pool
-
-    def _make_executor(self):
-        return ProcessExecutor(self, self.events, external=self.pool)
-
-
-def run_differential(program, distillation, config, executor=None,
-                     fault_tid=None):
+def run_differential(program, distillation, config, fault_tid=None,
+                     subscriber=None):
+    """Eager against process on one program; ``subscriber`` watches the
+    process run's events."""
     eager_engine = create_engine(
         program, distillation, dataclasses.replace(config, runtime="eager")
     )
     if fault_tid is not None:
         eager_engine.events.subscribe(corrupt_live_in(fault_tid))
     eager_result = eager_engine.run()
-    if executor is None:
-        engine = create_engine(program, distillation, config)
-    else:
-        engine = _ExternalPoolEngine(
-            program, distillation, config, pool=executor
-        )
-    assert engine.runtime == "process"
-    if fault_tid is not None:
-        engine.events.subscribe(corrupt_live_in(fault_tid))
-    try:
+    with create_engine(program, distillation, config) as engine:
+        assert engine.runtime == "process"
+        if fault_tid is not None:
+            engine.events.subscribe(corrupt_live_in(fault_tid))
+        if subscriber is not None:
+            engine.events.subscribe(subscriber)
         parallel_result = engine.run()
-    finally:
-        engine.close()
     assert_identical(eager_result, parallel_result)
     return eager_result, parallel_result, parallel_result.counters.dispatch
 
@@ -129,34 +113,24 @@ class TestWorkloadDifferential:
         assert stats.adopted + stats.stale + stats.missing > 0
 
 
-@pytest.fixture(scope="module")
-def shared_pool():
-    """One executor shared by many engines (see
-    :class:`_ExternalPoolEngine`)."""
-    pool = ProcessPoolExecutor(max_workers=2)
-    yield pool
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
 class TestPropertyDifferential:
     @given(terminating_programs())
     @settings(max_examples=12, deadline=None)
-    def test_any_program_bit_identical(self, shared_pool, program):
+    def test_any_program_bit_identical(self, program):
         profile = profile_program(program, max_steps=2_000_000)
         result = Distiller(DistillConfig(target_task_size=8)).distill(
             program, profile
         )
         run_differential(
-            program, (result.distilled, result.pc_map),
-            FAST_PARALLEL_CONFIG, executor=shared_pool,
+            program, (result.distilled, result.pc_map), FAST_PARALLEL_CONFIG
         )
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=8, deadline=None)
-    def test_corrupted_distilled_bit_identical(self, shared_pool, seed):
+    def test_corrupted_distilled_bit_identical(self, seed):
         """Fault injection: valid-but-wrong masters squash mid-flight;
-        the squash/cancel path must be as unobservable as the happy
-        path."""
+        the squash path, which abandons chunks in flight, must be as
+        unobservable as the happy path."""
         ready = prepared("fib_memo")
         program = ready.instance.program
         corrupted = corrupt_distilled(
@@ -165,19 +139,16 @@ class TestPropertyDifferential:
         )
         run_differential(
             program, (corrupted, ready.distillation.pc_map),
-            FAST_PARALLEL_CONFIG, executor=shared_pool,
+            FAST_PARALLEL_CONFIG,
         )
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=8, deadline=None)
-    def test_garbage_master_bit_identical(self, shared_pool, seed):
+    def test_garbage_master_bit_identical(self, seed):
         ready = prepared("stringops")
         program = ready.instance.program
         garbage, pc_map = random_garbage_master(program, seed)
-        run_differential(
-            program, (garbage, pc_map), FAST_PARALLEL_CONFIG,
-            executor=shared_pool,
-        )
+        run_differential(program, (garbage, pc_map), FAST_PARALLEL_CONFIG)
 
 
 #: Tid at which the injected event-seam fault forces a live-in mismatch.
@@ -245,22 +216,26 @@ class TestDeviceTraceDifferential:
         assert eager_result.device_trace, "the scenario must exercise I/O"
 
 
-class _RefusingExecutor:
-    """An executor whose submissions always fail (sandbox stand-in)."""
-
-    def submit(self, fn, *args):
-        raise OSError("subprocesses forbidden")
-
-
 class TestPoolFailureFallback:
-    def test_broken_executor_degrades_to_eager_results(self):
+    def test_broken_executor_degrades_to_eager_results(self, monkeypatch):
+        """A pool that breaks mid-run must fall back to local
+        re-execution of every produced chunk: the same results, and one
+        pool_degraded announcement."""
+
+        def refuse(self, worker, payload):
+            raise OSError("subprocesses forbidden")
+
+        monkeypatch.setattr(_PipePool, "submit", refuse)
         ready = prepared("stringops")
+        log = EventLog()
         _, _, stats = run_differential(
             ready.instance.program, ready.distillation, PARALLEL_CONFIG,
-            executor=_RefusingExecutor(),
+            subscriber=log,
         )
         assert stats.dispatched == 0
         assert stats.missing > 0 and stats.reexecuted == stats.missing
+        degraded = [e for e in log.events if e.kind == "pool_degraded"]
+        assert len(degraded) == 1 and degraded[0].executor == "process"
 
     def test_unstartable_pool_degrades_to_eager_results(self, monkeypatch):
         monkeypatch.setattr(
@@ -313,7 +288,7 @@ class TestWireEncoding:
         assert engine.captured
         saw_delta = False
         for payload, checkpoint_mems in engine.captured:
-            wire_tasks = payload[6]
+            wire_tasks = payload[5]
             saw_delta |= any(wire[5] is None for wire in wire_tasks)
             rebuilt = [task.checkpoint.mem for task in _wire_tasks(wire_tasks)]
             assert rebuilt == checkpoint_mems

@@ -9,10 +9,14 @@ to 4 KB; the second also sends chunk messages and replies of about
 120 KB each.  The next two kill the parent, of one pool and of two
 pools, and check that no worker outlives it.  Each of these four runs
 its program in a subprocess under a timeout, so a regression fails
-instead of hanging the suite.  The last checks that workers run as
-batch tasks, which never preempt the parent that wakes them.
+instead of hanging the suite.  The next checks that workers run as
+batch tasks, which never preempt the parent that wakes them.  The last
+two shut a pool down before or while its workers start: the executor
+starts them from a background thread, so an engine closed right after
+it began a run must neither raise nor leave a worker behind.
 """
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -93,7 +97,7 @@ pool = _PipePool(1, digest, program)
 pool.start()
 memory = {4096 + i: i + 1 for i in range(CELLS)}
 task = (0, program.entry, None, 1, (0,) * NUM_REGS, memory, None)
-payload = (digest, None, (), 10 ** 6, (0, 0), {}, [task], "decoded")
+payload = (digest, (), 10 ** 6, (0, 0), {}, [task], "decoded")
 tickets = [pool.submit(pool.next_worker(), payload) for _ in range(4)]
 for ticket in tickets:
     (result,) = pool.get(ticket)
@@ -237,10 +241,41 @@ def test_workers_run_as_batch_tasks():
     pool.start()
     try:
         task = (0, program.entry, None, 1, (0,) * NUM_REGS, {}, None)
-        payload = (digest, None, (), 100, (0, 0), {}, [task], "decoded")
+        payload = (digest, (), 100, (0, 0), {}, [task], "decoded")
         (result,) = pool.get(pool.submit(pool.next_worker(), payload))
         assert result[3] == {1: 7}  # live-out registers
         (proc, _), = pool._procs
         assert os.sched_getscheduler(proc.pid) == os.SCHED_BATCH
     finally:
         pool.shutdown(wait=True)
+
+
+def test_shutdown_before_start_starts_no_worker():
+    from repro.isa.asm import assemble
+    from repro.mssp.runtime.procpool import _PipePool, program_wire_digest
+
+    program = assemble("main: halt\n")
+    pool = _PipePool(2, program_wire_digest(program), program)
+    pool.shutdown()
+    pool.start()
+    assert [proc.pid for proc, _ in pool._procs] == [None, None]
+
+
+def test_close_right_after_begin_run_leaves_no_worker():
+    from repro.mssp import create_engine
+    from tests.mssp.test_runtime_core import PROCESS_CONFIG, prepared
+
+    baseline = set(multiprocessing.active_children())
+    ready = prepared("fib_memo")
+    engine = create_engine(
+        ready.instance.program, ready.distillation, PROCESS_CONFIG
+    )
+    for _ in range(20):
+        executor = engine._make_executor()
+        executor.begin_run()
+        executor.close()
+    deadline = time.monotonic() + 5.0
+    while (set(multiprocessing.active_children()) - baseline
+           and time.monotonic() < deadline):
+        time.sleep(0.05)
+    assert set(multiprocessing.active_children()) <= baseline

@@ -165,11 +165,11 @@ class TestDifferential:
     @pytest.mark.parametrize(
         "name", ("hashlookup", "fib_memo", "compress", "mispredict")
     )
-    def test_bit_identical_thread(self, name):
+    def test_bit_identical_process(self, name):
         off_eager, on_eager = run_pair(name, "eager")
-        off_thread, on_thread = run_pair(name, "thread")
-        assert off_thread == off_eager
-        assert on_thread == on_eager
+        off_process, on_process = run_pair(name, "process")
+        assert off_process == off_eager
+        assert on_process == on_eager
 
     @given(terminating_programs(), st.sampled_from(
         ["last", "stride", "context", "auto"]

@@ -110,7 +110,7 @@ class TestRedistiller:
 
 
 class TestHotSwapUnderInFlightTasks:
-    @pytest.mark.parametrize("runtime", ("eager", "thread"))
+    @pytest.mark.parametrize("runtime", ("eager", "process"))
     def test_identical_across_runtimes(self, runtime):
         prepared = prepare(
             get_workload("mispredict"), size=SMALL_SIZES["mispredict"]

@@ -103,8 +103,8 @@ class _Recording(RunAheadWindow):
         super().wasted()
 
 
-THREAD = MsspConfig(
-    exec_tier="decoded", runtime="thread", num_slaves=2,
+PROCESS = MsspConfig(
+    exec_tier="decoded", runtime="process", num_slaves=2,
     parallel_chunk_tasks=4, max_inflight_tasks=16,
 )
 
@@ -123,7 +123,7 @@ class TestPipelineFeedsTheWindow:
         monkeypatch.setattr(pipeline, "RunAheadWindow", _Recording)
         _Recording.log = []
         ready = prepared(name)
-        config = dataclasses.replace(THREAD, checkpoint_mode=checkpoint_mode)
+        config = dataclasses.replace(PROCESS, checkpoint_mode=checkpoint_mode)
         with create_engine(
             ready.instance.program, ready.distillation, config
         ) as engine:
@@ -141,14 +141,14 @@ class TestPipelineFeedsTheWindow:
         ready = prepared("mispredict")
         create_engine(
             ready.instance.program, ready.distillation,
-            dataclasses.replace(THREAD, runtime="eager"),
+            dataclasses.replace(PROCESS, runtime="eager"),
         ).run()
         assert _Recording.log == []
 
     def test_repeated_runs_dispatch_identically(self):
         ready = prepared("mispredict")
         with create_engine(
-            ready.instance.program, ready.distillation, THREAD
+            ready.instance.program, ready.distillation, PROCESS
         ) as engine:
             first = engine.run().counters.dispatch
             second = engine.run().counters.dispatch
@@ -192,12 +192,12 @@ class TestEpisodeBaseShipsOncePerWorker:
         submit = _PipePool.submit
 
         def recording(self, worker, payload):
-            sent.append((payload[4], worker, payload[5] is not None))
+            sent.append((payload[3], worker, payload[4] is not None))
             return submit(self, worker, payload)
 
         monkeypatch.setattr(_PipePool, "submit", recording)
         ready = prepared("mispredict")
-        config = dataclasses.replace(THREAD, runtime="process")
+        config = PROCESS
         reference = create_engine(
             ready.instance.program, ready.distillation,
             dataclasses.replace(config, runtime="eager"),

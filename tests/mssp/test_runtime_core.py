@@ -1,63 +1,56 @@
-"""Runtime-core tests: one pipeline, three executors, one event seam.
+"""Runtime-core tests: one pipeline, two executors, one event seam.
 
 The tentpole invariant of :mod:`repro.mssp.runtime` is that the
-executor backend (``MsspConfig.runtime`` ∈ eager/thread/process) is
-*unobservable*: every backend drives the same
-:class:`~repro.mssp.runtime.pipeline.TaskPipeline` and produces a
-bit-identical :class:`~repro.mssp.engine.MsspResult`.  These tests hold
-that over every workload, over hypothesis-generated programs, under
-event-seam fault injection (forced squashes with successors in flight),
-and under pool failure — plus the structural guarantees around the
-seam itself: records are rebuilt from events (any subscriber can
-reconstruct the exact stream) and pipelined backends release their
-workers deterministically on close.
+executor backend (``MsspConfig.runtime`` ∈ eager/process) is
+*unobservable*: both backends drive the same
+:class:`~repro.mssp.runtime.pipeline.TaskPipeline` and produce a
+bit-identical :class:`~repro.mssp.engine.MsspResult` (the differentials
+over workloads, generated programs, forced squashes and pool failure
+live in ``test_parallel_runtime.py``).  These tests hold the structural
+guarantees around the seam: records are rebuilt from events (any
+subscriber can reconstruct the exact stream), the runtime resolves from
+config or environment, the slave chunk loop stops where verify would,
+and the process backend releases its workers deterministically on
+close.
 """
 
 import dataclasses
 import multiprocessing
-import threading
 import time
+import types
 
 import pytest
-from hypothesis import given, settings
 
-from repro.config import DistillConfig, MsspConfig
-from repro.distill import Distiller
+from repro.config import MsspConfig
 from repro.experiments.harness import prepare
 from repro.isa.asm import assemble
 from repro.isa.registers import NUM_REGS
-from repro.mssp import MsspEngine
+from repro.mssp import DispatchStats
 from repro.mssp.engine import create_engine, run_mssp
-from repro.mssp.faults import corrupt_live_in
 from repro.mssp.regions import ProtectedRegions
+from repro.mssp.runtime import executors
 from repro.mssp.runtime.events import EventLog
 from repro.mssp.runtime.executors import (
     InlineExecutor,
     ProcessExecutor,
-    ThreadExecutor,
     resolve_runtime,
 )
-from repro.mssp.runtime.procpool import _ChainMemory, _execute_tasks
+from repro.mssp.runtime.procpool import (
+    _OPEN_ENDS,
+    _ChainMemory,
+    _execute_tasks,
+)
 from repro.mssp.task import Checkpoint, Task, TaskStatus
 from repro.mssp.trace import TraceRecorder
-from repro.profiling import profile_program
-from repro.workloads import get_workload, workload_names
-
-from tests.strategies import terminating_programs
+from repro.workloads import get_workload
 
 #: Small chunks + a narrow window keep many chunk boundaries even at
 #: test-sized workloads (mirrors test_parallel_runtime.PARALLEL_CONFIG).
-THREAD_CONFIG = MsspConfig(
-    runtime="thread", num_slaves=2, parallel_chunk_tasks=4,
+PROCESS_CONFIG = MsspConfig(
+    runtime="process", num_slaves=2, parallel_chunk_tasks=4,
     max_inflight_tasks=16,
 )
-PROCESS_CONFIG = dataclasses.replace(THREAD_CONFIG, runtime="process")
-EAGER_CONFIG = dataclasses.replace(THREAD_CONFIG, runtime="eager")
-
-FAST_THREAD_CONFIG = dataclasses.replace(
-    THREAD_CONFIG, max_task_instrs=2_000, max_master_instrs_per_task=2_000,
-    max_total_instrs=5_000_000,
-)
+EAGER_CONFIG = dataclasses.replace(PROCESS_CONFIG, runtime="eager")
 
 _PREPARED = {}
 
@@ -80,130 +73,48 @@ def assert_identical(reference, candidate):
     assert candidate.final_state.diff(reference.final_state) == []
 
 
-def run_backend(program, distillation, config, fault_tid=None):
+def run_backend(program, distillation, config):
     """One run under ``config.runtime``; returns (result, dispatch stats)."""
     with create_engine(program, distillation, config) as engine:
-        if fault_tid is not None:
-            engine.events.subscribe(corrupt_live_in(fault_tid))
         result = engine.run()
         return result, result.counters.dispatch
 
 
-class TestThreadDifferential:
-    @pytest.mark.parametrize("name", workload_names())
-    def test_thread_bit_identical_on_workload(self, name):
-        ready = prepared(name)
-        reference, _ = run_backend(
-            ready.instance.program, ready.distillation, EAGER_CONFIG
-        )
-        candidate, stats = run_backend(
-            ready.instance.program, ready.distillation, THREAD_CONFIG
-        )
-        assert_identical(reference, candidate)
-        # A silently-degraded run (pool never started) would make this
-        # test vacuous; require that chunks really crossed the pool.
-        assert stats.dispatched > 0
-        assert stats.adopted + stats.stale + stats.missing > 0
+class _RefusedThread:
+    """A thread the OS will not start: ``Thread.start`` raises
+    ``RuntimeError`` once the process can have no more threads."""
 
+    def __init__(self, *args, **kwargs):
+        pass
 
-@pytest.mark.parallel
-class TestThreeBackendDifferential:
-    @pytest.mark.parametrize("name", ("fib_memo", "compress", "stringops"))
-    def test_all_backends_identical_on_workload(self, name):
-        """The strongest form of the tentpole invariant: all three
-        executor substrates agree with one another on one run."""
-        ready = prepared(name)
-        program, distillation = ready.instance.program, ready.distillation
-        reference, _ = run_backend(program, distillation, EAGER_CONFIG)
-        for config in (THREAD_CONFIG, PROCESS_CONFIG):
-            candidate, stats = run_backend(program, distillation, config)
-            assert_identical(reference, candidate)
-            assert stats.dispatched > 0
-
-
-class TestThreadPropertyDifferential:
-    @given(terminating_programs())
-    @settings(max_examples=10, deadline=None)
-    def test_any_program_bit_identical(self, program):
-        profile = profile_program(program, max_steps=2_000_000)
-        result = Distiller(DistillConfig(target_task_size=8)).distill(
-            program, profile
-        )
-        distillation = (result.distilled, result.pc_map)
-        reference, _ = run_backend(
-            program, distillation,
-            dataclasses.replace(FAST_THREAD_CONFIG, runtime="eager"),
-        )
-        candidate, _ = run_backend(program, distillation, FAST_THREAD_CONFIG)
-        assert_identical(reference, candidate)
-
-
-#: Tid at which the injected event-seam fault forces a live-in mismatch.
-_CORRUPT_TID = 5
-
-
-class TestForcedSquashPerBackend:
-    @pytest.mark.parametrize(
-        "config",
-        [
-            pytest.param(THREAD_CONFIG, id="thread"),
-            pytest.param(
-                PROCESS_CONFIG, id="process", marks=pytest.mark.parallel
-            ),
-        ],
-    )
-    def test_forced_squash_identical(self, config):
-        """Satellite: a verification failure injected through the event
-        seam while successors are in flight must discard them and leave
-        records/counters identical to the eager engine under the same
-        fault."""
-        ready = prepared("fib_memo")
-        program, distillation = ready.instance.program, ready.distillation
-        reference, _ = run_backend(
-            program, distillation, EAGER_CONFIG, fault_tid=_CORRUPT_TID
-        )
-        candidate, stats = run_backend(
-            program, distillation, config, fault_tid=_CORRUPT_TID
-        )
-        assert_identical(reference, candidate)
-        squashed = [
-            r for r in reference.task_records
-            if r.tid == _CORRUPT_TID and not r.committed
-        ]
-        assert squashed and squashed[0].squash_reason == "register-live-in"
-        # The pipelined engine had produced/forked successors of task k;
-        # the squash must have thrown them away unjudged.
-        assert stats.discarded > 0
-        assert any(r.tid > _CORRUPT_TID for r in reference.task_records)
+    def start(self):
+        raise RuntimeError("can't start new thread")
 
 
 class TestPoolDegradation:
     def test_broken_thread_pool_degrades_to_eager_results(self, monkeypatch):
-        """A thread backend whose pool never comes up must fall back to
-        local re-execution of every produced chunk — same results, one
-        pool_degraded announcement."""
-
-        def refuse(self):
-            self.mark_broken("thread pool forced down (test)")
-            return None
-
-        monkeypatch.setattr(ThreadExecutor, "_ensure_pool", refuse)
+        """A process backend whose pool's start-up thread is refused
+        must run every task locally — same results, nothing dispatched,
+        one pool_degraded announcement — and leave no pool pipe open."""
+        monkeypatch.setattr(
+            executors, "threading", types.SimpleNamespace(Thread=_RefusedThread)
+        )
         ready = prepared("stringops")
         reference, _ = run_backend(
             ready.instance.program, ready.distillation, EAGER_CONFIG
         )
+        open_ends = set(_OPEN_ENDS)
         with create_engine(
-            ready.instance.program, ready.distillation, THREAD_CONFIG
+            ready.instance.program, ready.distillation, PROCESS_CONFIG
         ) as engine:
             log = EventLog()
             engine.events.subscribe(log)
             candidate = engine.run()
-        stats = candidate.counters.dispatch
         assert_identical(reference, candidate)
-        assert stats.dispatched == 0
-        assert stats.missing > 0 and stats.reexecuted == stats.missing
+        assert candidate.counters.dispatch.summary() == DispatchStats().summary()
         degraded = [e for e in log.events if e.kind == "pool_degraded"]
-        assert len(degraded) == 1 and degraded[0].executor == "thread"
+        assert len(degraded) == 1 and degraded[0].executor == "process"
+        assert _OPEN_ENDS <= open_ends
 
 
 class TestEventSeam:
@@ -211,7 +122,9 @@ class TestEventSeam:
         "config",
         [
             pytest.param(EAGER_CONFIG, id="eager"),
-            pytest.param(THREAD_CONFIG, id="thread"),
+            pytest.param(
+                PROCESS_CONFIG, id="process", marks=pytest.mark.parallel
+            ),
         ],
     )
     def test_records_rebuilt_from_subscription(self, config):
@@ -231,7 +144,7 @@ class TestEventSeam:
         assert recorder.counters == result.counters
         assert recorder.counters.dispatch == result.counters.dispatch
         # Every judged task announced task_executed exactly once before
-        # its verdict, on the pipelined backends too.
+        # its verdict, on the pipelined backend too.
         executed = [e for e in log.events if e.kind == "task_executed"]
         assert len(executed) == len(result.task_records)
         assert any(e.kind == "task_forked" for e in log.events)
@@ -253,29 +166,27 @@ class TestRuntimeResolution:
         monkeypatch.delenv("REPRO_RUNTIME", raising=False)
         assert resolve_runtime(None) == "eager"
         assert resolve_runtime("eager") == "eager"
-        assert resolve_runtime("thread") == "thread"
         assert resolve_runtime("process") == "process"
-        for unknown in ("warp", "parallel", "sim"):
+        for unknown in ("warp", "parallel", "sim", "thread"):
             with pytest.raises(ValueError):
                 resolve_runtime(unknown)
 
     def test_env_selects_backend_when_config_defers(self, monkeypatch):
         ready = prepared("fib_memo")
-        monkeypatch.setenv("REPRO_RUNTIME", "thread")
+        monkeypatch.setenv("REPRO_RUNTIME", "process")
         deferred = create_engine(
             ready.instance.program, ready.distillation, MsspConfig()
         )
         explicit = create_engine(
             ready.instance.program, ready.distillation, EAGER_CONFIG
         )
-        assert deferred.runtime == "thread"
+        assert deferred.runtime == "process"
         assert explicit.runtime == "eager"  # explicit beats environment
 
     def test_backend_types_match_runtime(self):
         ready = prepared("fib_memo")
         for config, expected in (
             (EAGER_CONFIG, InlineExecutor),
-            (THREAD_CONFIG, ThreadExecutor),
             (PROCESS_CONFIG, ProcessExecutor),
         ):
             engine = create_engine(
@@ -292,16 +203,16 @@ class TestRuntimeResolution:
         reference, _ = run_backend(
             ready.instance.program, ready.distillation, EAGER_CONFIG
         )
-        monkeypatch.setenv("REPRO_RUNTIME", "thread")
+        monkeypatch.setenv("REPRO_RUNTIME", "process")
         candidate = run_mssp(
             ready.instance.program, ready.distillation,
-            dataclasses.replace(THREAD_CONFIG, runtime=None),
+            dataclasses.replace(PROCESS_CONFIG, runtime=None),
         )
         assert_identical(reference, candidate)
 
 
 class TestChunkLoop:
-    """The one slave chunk loop the thread and process backends share."""
+    """The slave chunk loop a process worker runs for each chunk."""
 
     PROGRAM = assemble("""
     main:   lw r1, 100(zero)
@@ -386,30 +297,13 @@ class TestPoolLifecycle:
             lambda: set(multiprocessing.active_children()) <= baseline
         ), "worker processes outlived engine close"
 
-    def test_no_orphan_worker_threads(self):
-        def slave_threads():
-            return {
-                t for t in threading.enumerate()
-                if t.name.startswith("mssp-slave") and t.is_alive()
-            }
-
-        # Other engines in the test session (e.g. run with
-        # REPRO_RUNTIME=thread as the default backend) may still hold
-        # pools awaiting GC; only *this* run's threads must be gone.
-        baseline = slave_threads()
-        ready = prepared("fib_memo")
-        run_mssp(ready.instance.program, ready.distillation, THREAD_CONFIG)
-        assert _settle(lambda: slave_threads() <= baseline), (
-            "slave threads outlived engine close"
-        )
-
     def test_close_is_idempotent_and_engine_reusable(self):
         ready = prepared("fib_memo")
         reference, _ = run_backend(
             ready.instance.program, ready.distillation, EAGER_CONFIG
         )
         engine = create_engine(
-            ready.instance.program, ready.distillation, THREAD_CONFIG
+            ready.instance.program, ready.distillation, PROCESS_CONFIG
         )
         first = engine.run()
         engine.close()

@@ -3,7 +3,7 @@
 The execution tier selects how master, slaves and recovery step a
 program, and the runtime selects where slave tasks execute — neither
 may change what the machine computes.  Every combination of tier
-{decoded, jit} and runtime {eager, thread, process} must leave the whole
+{decoded, jit} and runtime {eager, process} must leave the whole
 observable :class:`~repro.mssp.engine.MsspResult` bit-identical on every
 workload, squash/recovery traffic included.  Each combination is built
 by :func:`~repro.mssp.engine.create_engine` and first asserts that the
@@ -22,7 +22,7 @@ from repro.mssp.master import Master
 from repro.workloads import get_workload, workload_names
 
 TIERS = ("decoded", "jit")
-RUNTIMES = ("eager", "thread", "process")
+RUNTIMES = ("eager", "process")
 
 _PREPARED = {}
 

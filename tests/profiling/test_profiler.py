@@ -14,10 +14,10 @@ from repro.profiling import (
     BranchProfile,
     LoadProfile,
     Profile,
-    Profiler,
     profile_many,
     profile_program,
 )
+from repro.profiling.profile_data import StoreProfile
 from repro.workloads import WORKLOADS, get_workload
 from tests.strategies import terminating_programs
 
@@ -159,6 +159,38 @@ class TestSummary:
         assert summary["total_instructions"] == profile.total_instructions
         assert 0 < summary["static_coverage"] <= 1.0
         assert summary["branch_sites"] == 2.0
+
+
+class Profiler:
+    """Observer that accumulates a :class:`Profile` during a run: the
+    per-instruction reference :func:`profile_program` is tested against."""
+
+    def __init__(self, program):
+        self.profile = Profile(
+            program_name=program.name, code_length=len(program.code)
+        )
+
+    def observe(self, pc, instr, effect, state):
+        profile = self.profile
+        profile.total_instructions += 1
+        profile.exec_counts[pc] += 1
+        if instr.is_branch:
+            branch = profile.branches.setdefault(pc, BranchProfile())
+            if effect.taken:
+                branch.taken += 1
+            else:
+                branch.not_taken += 1
+        elif effect.mem_addr is not None:
+            if effect.is_store:
+                profile.stored_addresses.add(effect.mem_addr)
+                profile.stores.setdefault(pc, StoreProfile()).observe(
+                    effect.mem_addr
+                )
+            else:
+                profile.loaded_addresses.add(effect.mem_addr)
+                profile.loads.setdefault(pc, LoadProfile()).observe(
+                    effect.mem_addr, effect.mem_value
+                )
 
 
 def observer_profile(program, state=None, max_steps=50_000_000):

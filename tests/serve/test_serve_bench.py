@@ -236,11 +236,11 @@ class TestServeSmoke:
     def test_warm_server_beats_cold_sequential_2x_on_mixed_stream(
         self, cache_root
     ):
-        """Acceptance: ~50 mixed requests on the thread backend — every
+        """Acceptance: ~50 mixed requests on the process backend — every
         result bit-identical to a fresh run, nonzero shared-cache hit
         rate, and warm throughput at least 2x the cold baseline."""
         workloads = ("compress", "crc", "branchy")
-        config = MsspConfig(runtime="thread", num_slaves=2)
+        config = MsspConfig(runtime="process", num_slaves=2)
         cold = cold_baseline(
             workloads, len(workloads),
             sizes={name: SMALL for name in workloads}, config=config,

@@ -10,7 +10,7 @@ from repro.experiments import cache as artifact_cache
 from repro.experiments.bench import cached_prepare
 from repro.mssp.engine import run_mssp
 from repro.mssp.runtime import EventLog
-from repro.mssp.runtime.executors import ThreadExecutor
+from repro.mssp.runtime.procpool import _PipePool
 from repro.serve import (
     EpisodeRequest,
     EpisodeServer,
@@ -62,7 +62,7 @@ def gate_engine_acquire(server):
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("runtime", ["eager", "thread", "process"])
+    @pytest.mark.parametrize("runtime", ["eager", "process"])
     def test_served_result_identical_to_fresh_run(self, cache_root, runtime):
         """Acceptance: every served MsspResult is bit-identical to a
         fresh ``run_mssp`` of the same request, on every backend."""
@@ -359,12 +359,11 @@ class TestFaultPaths:
         episode to local re-execution (``pool_degraded``), still
         bit-identical — and queued tenants are untouched."""
 
-        def refuse(self):
-            self.mark_broken("thread pool forced down (test)")
-            return None
+        def refuse(self, worker, payload):
+            raise OSError("worker pool forced down (test)")
 
-        monkeypatch.setattr(ThreadExecutor, "_ensure_pool", refuse)
-        config = MsspConfig(runtime="thread", num_slaves=2)
+        monkeypatch.setattr(_PipePool, "submit", refuse)
+        config = MsspConfig(runtime="process", num_slaves=2)
         with EpisodeServer(ServeConfig(workers=2)) as server:
             handles = [
                 server.submit(EpisodeRequest(

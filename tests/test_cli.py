@@ -44,11 +44,12 @@ class TestParser:
             (["lint", "compress", "--task-size", "1"], "--task-size"),
             (["run", "compress", "--slaves", "0"], "--slaves"),
             (["timeline", "compress", "--slaves", "0"], "--slaves"),
-            (["run", "compress", "--runtime", "thread", "--workers", "0"],
+            (["run", "compress", "--runtime", "process", "--workers", "0"],
              "--workers"),
             (["run", "compress", "--runtime", "parallel"], "--runtime"),
             (["run", "compress", "--runtime", "sim"], "--runtime"),
             (["trace", "compress", "--runtime", "sim"], "--runtime"),
+            (["run", "compress", "--runtime", "thread"], "--runtime"),
         ],
     )
     def test_out_of_range_values_are_usage_errors(self, argv, flag, capsys):
@@ -136,7 +137,7 @@ class TestCommands:
             return built[-1]
 
         monkeypatch.setattr(harness, "create_engine", recording)
-        monkeypatch.setenv("REPRO_RUNTIME", "thread")
+        monkeypatch.setenv("REPRO_RUNTIME", "process")
         assert main([
             "run", "crc", "--size", "6", "--runtime", "eager",
             "--workers", "3",

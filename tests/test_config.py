@@ -74,6 +74,7 @@ class TestMsspConfig:
             {"runtime": "inline"},
             {"runtime": "parallel"},
             {"runtime": "sim"},
+            {"runtime": "thread"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -84,7 +85,7 @@ class TestMsspConfig:
         assert MsspConfig(checkpoint_mode="delta").checkpoint_mode == "delta"
 
     def test_runtime_choices_accepted(self):
-        for runtime in (None, "eager", "thread", "process"):
+        for runtime in (None, "eager", "process"):
             assert MsspConfig(runtime=runtime).runtime == runtime
 
     def test_protected_regions_stored(self):

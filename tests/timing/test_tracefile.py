@@ -40,7 +40,7 @@ def captured():
     )
     log = EventLog()
     with create_engine(
-        program, distillation, MsspConfig(runtime="thread", num_slaves=2)
+        program, distillation, MsspConfig(runtime="process", num_slaves=2)
     ) as engine:
         engine.events.subscribe(log)
         engine.run()
