@@ -11,7 +11,6 @@ from repro.analysis.checker import (
     check_decoded,
     check_distillation,
     check_ir,
-    check_jit,
     check_program,
     predicted_squash_reasons,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "check_decoded",
     "check_distillation",
     "check_ir",
-    "check_jit",
     "check_program",
     "predicted_squash_reasons",
     "DominatorTree",

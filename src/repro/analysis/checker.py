@@ -90,16 +90,6 @@ CHECKS: Dict[str, str] = {
     "DEC004": "every compiled chain leaves exactly the state that stepping "
               "its span with the semantic oracle leaves, on seeded register "
               "files",
-    # -- superblock JIT checks ------------------------------------------------
-    "JIT001": "jit compilation is cached per program object and per codegen "
-              "mode, and regions start only at block leaders",
-    "JIT002": "every compiled region's trace, source, and length round-trip "
-              "from the program",
-    "JIT003": "compiled regions reproduce per-step decoded execution on "
-              "fuzzed machine states",
-    "JIT004": "every promoted superblock link re-derives: link targets are "
-              "compiled leaders inside the fused trace, and followed "
-              "branches continue at their taken target",
     # -- runtime event-stream checks ------------------------------------------
     "RT001": "tasks are judged strictly in fork order and committed tids "
              "strictly increase",
@@ -1047,21 +1037,15 @@ def _view_difference(want, got) -> str:
     return ""
 
 
-# ---------------------------------------------------------------------------
-# Layer 5: the superblock JIT
-# ---------------------------------------------------------------------------
-
-
 def _fuzz_states(program: Program, entry: int, variant: int):
-    """Deterministic machine states for the JIT003 and DEC004
-    differentials.
+    """Deterministic machine states for the DEC004 differential.
 
     Register-file shapes per entry: boot-like zeros, small in-range
     values (so memory ops hit the seeded data image), a splitmix-style
     pseudo-random 64-bit fill, the int64 bounds, and values outside them
-    (variant 4, which only chains must survive: a checkpoint may seed a
-    slave's registers with any value, while jit regions assume canonical
-    ones).  No global RNG — lint output must be reproducible run to run.
+    (variant 4: a checkpoint may seed a slave's registers with any
+    value).  No global RNG — lint output must be reproducible run to
+    run.
     """
     from repro.machine.state import ArchState, wrap64
 
@@ -1084,198 +1068,6 @@ def _fuzz_states(program: Program, entry: int, variant: int):
                 (1 << 63) + reg if (reg + entry) % 2 else -(1 << 64) - reg
             )
     return state
-
-
-def check_jit(program: Program, subject: Optional[str] = None) -> CheckReport:
-    """Check a program's superblock JIT (:mod:`repro.machine.jit`).
-
-    The JIT *generates Python source* per hot region — the riskiest
-    compilation step in the codebase, since a codegen bug executes at
-    full speed with no per-step oracle watching.  Four checks: cache
-    identity discipline (JIT001, mirroring DEC001), region metadata
-    re-derivation (JIT002 — the stored trace, followed-branch set, and
-    source must equal what :meth:`JitProgram.trace`/
-    :meth:`JitProgram.generate_source` produce today, which also guards
-    the persistent code cache against schema drift), a state-level
-    differential (JIT003 — every ``arch`` region's function, the one
-    :meth:`JitProgram.run` executes, run on fuzzed register files, must
-    leave exactly the machine state the decoded per-step engine reaches
-    after the same number of steps), and superblock-link
-    validation (JIT004 — promotion is forced along every
-    compiled-region-to-compiled-region exit edge and the fused traces
-    must re-derive, keep their link targets at traced leaders, and pass
-    the same differential).
-    """
-    from repro.machine.decoded import decode
-    from repro.machine.jit import (
-        EXIT_HALT,
-        JitProgram,
-        block_leaders,
-        jit_for,
-    )
-
-    report = CheckReport(subject=subject or f"{program.name}: jit")
-
-    # JIT001: one cached JitProgram per (program object, codegen mode).
-    jp_cached = jit_for(program)
-    if jit_for(program) is not jp_cached:
-        _finding(
-            report, "JIT001", Severity.ERROR,
-            "repeated jit_for() calls returned distinct JitPrograms for "
-            "the same program object (cache attachment broken)",
-        )
-    if jit_for(program, "master") is jp_cached:
-        _finding(
-            report, "JIT001", Severity.ERROR,
-            "master-mode jit_for() returned the arch-mode JitProgram "
-            "(modes must cache separately)",
-        )
-
-    # Compile every leader eagerly in a private instance (no disk I/O,
-    # no hotness warmup) so JIT002/JIT003 see the full region set.
-    jp = JitProgram(program, mode="arch", threshold=1, persist=False)
-    leaders = block_leaders(program)
-    if jp.leaders != leaders:
-        _finding(
-            report, "JIT001", Severity.ERROR,
-            "JitProgram's leader set differs from block_leaders() "
-            "(regions would compile at the wrong pcs)",
-        )
-    regions = []
-    for entry in sorted(leaders):
-        region = jp.region_for(entry)
-        if region is not None:
-            regions.append(region)
-
-    # JIT002: stored region metadata re-derives from the program.
-    for region in regions:
-        if region.entry not in leaders:
-            _finding(
-                report, "JIT002", Severity.ERROR,
-                "compiled region starts at a non-leader pc",
-                pc=region.entry,
-            )
-        expected_pcs, expected_taken = jp.trace(region.entry)
-        if region.pcs != expected_pcs or region.taken != expected_taken:
-            _finding(
-                report, "JIT002", Severity.ERROR,
-                f"region trace {region.pcs} (taken {sorted(region.taken)}) "
-                f"does not re-derive ({expected_pcs} / "
-                f"{sorted(expected_taken)} expected)", pc=region.entry,
-            )
-            continue
-        if region.linear_len != len(region.pcs):
-            _finding(
-                report, "JIT002", Severity.ERROR,
-                f"linear_len {region.linear_len} != trace length "
-                f"{len(region.pcs)} (budget guards would be wrong)",
-                pc=region.entry,
-            )
-        if region.source != jp.generate_source(region.entry):
-            _finding(
-                report, "JIT002", Severity.ERROR,
-                "stored generated source differs from regeneration "
-                "(codegen is not deterministic, or the region is stale)",
-                pc=region.entry,
-            )
-
-    # JIT003: region execution == decoded per-step execution, state for
-    # state, on fuzzed register files, for every region's function.
-    decoded = decode(program)
-    steppers = decoded.steppers
-
-    def differential(region, label: str) -> None:
-        budget = 3 * region.linear_len + 2
-        for variant in range(3):
-            fuzzed = _fuzz_states(program, region.entry, variant)
-            reference = _fuzz_states(program, region.entry, variant)
-            try:
-                steps, status = region.fn(fuzzed, 0, budget)
-            except Exception as exc:  # noqa: BLE001 - report, never raise
-                _finding(
-                    report, "JIT003", Severity.ERROR,
-                    f"{label} region raised {type(exc).__name__}: {exc} "
-                    f"(fuzz variant {variant})", pc=region.entry,
-                )
-                continue
-            for _ in range(steps):
-                steppers[reference.pc](reference)
-            if status == EXIT_HALT and (
-                program.code[reference.pc].op is not Opcode.HALT
-            ):
-                _finding(
-                    report, "JIT003", Severity.ERROR,
-                    f"{label} region reported halt but the decoded engine "
-                    f"sits at a {program.code[reference.pc].op.mnemonic} "
-                    f"after {steps} steps (fuzz variant {variant})",
-                    pc=region.entry,
-                )
-            if fuzzed != reference:
-                _finding(
-                    report, "JIT003", Severity.ERROR,
-                    f"{label} state diverges from the decoded engine after "
-                    f"{steps} steps (fuzz variant {variant}): "
-                    f"{reference.diff(fuzzed)[:3]}", pc=region.entry,
-                )
-                break
-
-    for region in regions:
-        differential(region, "compiled")
-
-    # JIT004: promoted superblock links re-derive.  Force promotion on a
-    # private instance (link threshold 1) along every static exit edge
-    # that lands on another compiled region, then validate the fused
-    # traces — and run the JIT003 differential over them, since fused
-    # regions contain inverted branch guards no plain trace exercises.
-    jp_linked = JitProgram(
-        program, mode="arch", threshold=1, persist=False, link_threshold=1
-    )
-    for entry in sorted(leaders):
-        jp_linked.region_for(entry)
-    for entry, region in sorted(jp_linked.compiled.items()):
-        for target in sorted(region.exit_targets):
-            if target in jp_linked.compiled:
-                jp_linked.region_for(entry)
-                jp_linked.region_for(target)  # transit: promotes at 1
-    for entry, region in sorted(jp_linked.compiled.items()):
-        if not region.links:
-            continue
-        expected_pcs, expected_taken = jp_linked.trace(
-            entry, frozenset(region.links)
-        )
-        if region.pcs != expected_pcs or region.taken != expected_taken:
-            _finding(
-                report, "JIT004", Severity.ERROR,
-                f"fused trace {region.pcs} does not re-derive from links "
-                f"{sorted(region.links)} ({expected_pcs} expected)",
-                pc=entry,
-            )
-            continue
-        traced = set(region.pcs)
-        for target in region.links:
-            if target not in leaders or target not in traced:
-                _finding(
-                    report, "JIT004", Severity.ERROR,
-                    f"link target {target} is not a block leader inside "
-                    "the fused trace", pc=entry,
-                )
-        index_of = {pc: i for i, pc in enumerate(region.pcs)}
-        for branch_pc in region.taken:
-            instr = program.code[branch_pc]
-            position = index_of.get(branch_pc)
-            if (
-                not instr.is_branch
-                or position is None
-                or position + 1 >= len(region.pcs)
-                or region.pcs[position + 1] != instr.target
-            ):
-                _finding(
-                    report, "JIT004", Severity.ERROR,
-                    f"followed branch at pc {branch_pc} does not continue "
-                    f"at its taken target {instr.target}", pc=entry,
-                )
-        differential(region, "fused")
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ Subcommands
     Performance measurement in four stages: the serving benchmark
     (warm-vs-cold throughput and open-loop Poisson arrivals against the
     episode server), the interpreter microbenchmark (reference
-    ``execute`` loop vs the pre-decoded engine and the JIT), the
+    ``execute`` loop vs the pre-decoded engine), the
     E-suite through the persistent artifact cache, and the cluster
     sweep; writes the whole ``BENCH_summary.json`` (stamped with its
     commit), appends a line to ``BENCH_history.jsonl`` beside it, and
@@ -39,7 +39,7 @@ Subcommands
 ``serve``
     Run the persistent multi-tenant episode server: JSONL requests on
     stdin (or ``--requests FILE``), JSONL responses on stdout, serving
-    statistics on stderr; ``--warmup`` pre-distills and pre-JITs
+    statistics on stderr; ``--warmup`` pre-distills and pre-runs
     workloads at startup.
 ``trace``
     Capture a workload run's clock-stamped runtime event stream and
@@ -61,7 +61,7 @@ import sys
 from typing import List, Optional
 
 from repro.config import RUNTIME_CHOICES, DistillConfig, TimingConfig
-from repro.machine.jit import EXEC_TIERS
+from repro.machine.decoded import EXEC_TIERS
 from repro.stats import Table, geomean
 from repro.workloads import RESULT_BASE, WORKLOADS, get_workload
 
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--warmup", default=None, metavar="W1[,W2...]",
-        help="workloads to pre-distill and pre-JIT at startup",
+        help="workloads to pre-distill and pre-run at startup",
     )
     serve.add_argument(
         "--runtime", choices=RUNTIME_CHOICES, default="eager",
@@ -513,7 +513,6 @@ def _lint_workload(name, args, config):
         check_dataflow,
         check_decoded,
         check_distillation,
-        check_jit,
         check_program,
         check_runtime_execution,
         check_safety_report,
@@ -535,8 +534,6 @@ def _lint_workload(name, args, config):
     if not gate(check_program(instance.program, subject=name)):
         return reports, None
     if not gate(check_decoded(instance.program, subject=name)):
-        return reports, None
-    if not gate(check_jit(instance.program, subject=f"{name}: jit")):
         return reports, None
     if not gate(check_dataflow(instance.program, subject=name)):
         return reports, None
@@ -1015,15 +1012,9 @@ def cmd_bench(args) -> int:
           f"{micro['legacy_instrs_per_sec']:>12,.0f} instrs/sec")
     print(f"  pre-decoded engine:       "
           f"{micro['decoded_instrs_per_sec']:>12,.0f} instrs/sec")
-    print(f"  superblock jit:           "
-          f"{micro['jit_instrs_per_sec']:>12,.0f} instrs/sec")
     print(f"  decoded MSSP episodes:    "
           f"{micro['e2e_instrs_per_sec']:>12,.0f} instrs/sec")
     print(f"  decoded vs reference:     {micro['speedup']:>12.2f}x")
-    print(f"  jit vs decoded:           {micro['jit_speedup']:>12.2f}x")
-    print(f"  master jit vs decoded:    {micro['master_jit_speedup']:>12.2f}x"
-          f" ({micro['master_jit_coverage']:.0%} coverage, "
-          f"{micro['jit_link_promotions']} link promotion(s))")
     table = Table(
         ["workload", "size", "wall s", "Msim/s", "speedup",
          "squash", "adapt", "redist", "cache"],

@@ -149,11 +149,9 @@ class MsspConfig:
     runtime: Optional[str] = None
     #: Execution tier for the interpretation loops (master, slaves,
     #: recovery): ``"oracle"`` steps all three through
-    #: ``semantics.execute``, ``"decoded"`` runs them on the pre-decoded
-    #: chains, and ``"jit"`` also runs the master's hot distilled
-    #: regions as compiled superblocks (slaves and recovery stay on the
-    #: decoded chains).  ``None`` defers to the ``REPRO_EXEC``
-    #: environment variable (default: decoded).  All tiers are
+    #: ``semantics.execute`` and ``"decoded"`` runs them on the
+    #: pre-decoded chains.  ``None`` defers to the ``REPRO_EXEC``
+    #: environment variable (default: decoded).  Both tiers are
     #: bit-identical; see docs/performance.md.
     exec_tier: Optional[str] = None
     #: Worker processes backing the process runtime's slave pool.
@@ -222,10 +220,8 @@ class MsspConfig:
             raise ValueError(
                 f"runtime must be None or one of {RUNTIME_CHOICES}"
             )
-        if self.exec_tier not in (None, "oracle", "decoded", "jit"):
-            raise ValueError(
-                "exec_tier must be None, 'oracle', 'decoded' or 'jit'"
-            )
+        if self.exec_tier not in (None, "oracle", "decoded"):
+            raise ValueError("exec_tier must be None, 'oracle' or 'decoded'")
         if self.static_safety not in ("off", "skip", "check"):
             raise ValueError(
                 "static_safety must be 'off', 'skip' or 'check'"
@@ -287,7 +283,7 @@ class ServeConfig:
     max_queue_depth: int = 32
     admission: str = "wait"
     max_batch: int = 4
-    #: Workload names pre-distilled/pre-JITted at server start so the
+    #: Workload names pre-distilled and pre-run at server start so the
     #: first tenant request is not a cold-compile outlier.
     warmup: Tuple[str, ...] = ()
 

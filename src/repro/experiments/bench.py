@@ -76,8 +76,7 @@ from repro.experiments.harness import (
 )
 from repro.isa.program import Program
 from repro.machine.interpreter import DEFAULT_STEP_LIMIT
-from repro.machine.decoded import decode
-from repro.machine.jit import jit_for
+from repro.machine.decoded import decode, resolve_exec_tier
 from repro.machine.semantics import execute
 from repro.machine.state import ArchState
 from repro.mssp.engine import MsspResult, create_engine
@@ -231,28 +230,16 @@ def microbenchmark(
     scale: float = 1.0,
     repeats: int = 3,
 ) -> Dict[str, float]:
-    """Instructions/second across every execution tier.
+    """Instructions/second across the execution tiers.
 
-    Five timed stages on one workload: the seed's reference ``execute``
-    loop, the pre-decoded engine, the superblock JIT, the
-    *master-side* JIT — the distilled program standalone under
-    ``tier="jit"`` vs ``tier="decoded"`` (``master_jit_speedup``, with
-    ``master_jit_coverage`` the fraction of distilled instructions
-    retired inside generated code) — and whole MSSP episodes
-    (``e2e_instrs_per_sec``).  Also records the arch JIT's linking
-    counters so the CI bench smoke can assert superblock linking
-    actually engaged.
+    Three timed stages on one workload: the seed's reference ``execute``
+    loop, the pre-decoded engine, and whole MSSP episodes
+    (``e2e_instrs_per_sec``).
     """
     program = get_workload(workload).instance(
         workload_size(workload, scale)
     ).program
     decoded = decode(program)  # decode cost paid up front, like real runs
-    jit = jit_for(program)
-    # One warmup run crosses the hotness thresholds and compiles the
-    # loop regions (including link promotions), so the timed runs
-    # measure the steady state (real runs amortize compilation the same
-    # way — and persist it).
-    jit.run(ArchState.initial(program), DEFAULT_STEP_LIMIT)
 
     def time_once(runner) -> Tuple[int, float]:
         state = ArchState.initial(program)
@@ -262,7 +249,6 @@ def microbenchmark(
 
     legacy_best = float("inf")
     decoded_best = float("inf")
-    jit_best = float("inf")
     steps = 0
     for _ in range(max(1, repeats)):
         steps, elapsed = time_once(
@@ -273,29 +259,16 @@ def microbenchmark(
             lambda s: decoded.run(s, DEFAULT_STEP_LIMIT)[0]
         )
         decoded_best = min(decoded_best, elapsed)
-        steps, elapsed = time_once(
-            lambda s: jit.run(s, DEFAULT_STEP_LIMIT)[0]
-        )
-        jit_best = min(jit_best, elapsed)
     legacy_ips = steps / legacy_best if legacy_best > 0 else float("inf")
     decoded_ips = steps / decoded_best if decoded_best > 0 else float("inf")
-    jit_ips = steps / jit_best if jit_best > 0 else float("inf")
-    result: Dict[str, object] = {
+    return {
         "workload": workload,
         "dynamic_instrs": steps,
         "legacy_instrs_per_sec": legacy_ips,
         "decoded_instrs_per_sec": decoded_ips,
-        "jit_instrs_per_sec": jit_ips,
         "speedup": decoded_ips / legacy_ips if legacy_ips else float("inf"),
-        "jit_speedup": jit_ips / decoded_ips if decoded_ips else float("inf"),
-        "jit_link_transits": jit.stats["link_transits"],
-        "jit_link_promotions": jit.stats["link_promotions"],
-        "jit_link_demotions": jit.stats["link_demotions"],
-        "jit_fused_regions": jit.stats["fused_regions"],
+        "e2e_instrs_per_sec": episode_throughput(workload, scale),
     }
-    result.update(master_microbenchmark(workload, scale, repeats))
-    result["e2e_instrs_per_sec"] = episode_throughput(workload, scale)
-    return result
 
 
 def episode_throughput(
@@ -322,59 +295,6 @@ def episode_throughput(
     return statistics.median(rates)
 
 
-def master_microbenchmark(
-    workload: str = MICRO_WORKLOAD,
-    scale: float = 1.0,
-    repeats: int = 3,
-) -> Dict[str, float]:
-    """Master-side JIT stage: distilled standalone, decoded vs jit tier."""
-    from repro.mssp.master import Master
-
-    ready, _ = cached_prepare(workload, size=workload_size(workload, scale))
-    distilled = ready.distillation.distilled
-    pc_map = ready.distillation.pc_map
-    program = ready.instance.program
-
-    def make_master(tier: str) -> Master:
-        return Master(
-            distilled, MsspConfig(),
-            arrival_pcs=pc_map.arrival_pcs(),
-            jr_table=pc_map.jr_table, tier=tier,
-        )
-
-    # Warm the master-mode code cache (compiles and persists regions).
-    warm = make_master("jit")
-    warm.run_standalone(ArchState.initial(program), DEFAULT_STEP_LIMIT)
-
-    best: Dict[str, float] = {"decoded": float("inf"), "jit": float("inf")}
-    executed = 0
-    for tier in ("decoded", "jit"):
-        master = make_master(tier)
-        for _ in range(max(1, repeats)):
-            arch = ArchState.initial(program)
-            start = time.perf_counter()
-            executed = master.run_standalone(arch, DEFAULT_STEP_LIMIT)
-            best[tier] = min(best[tier], time.perf_counter() - start)
-    probe = make_master("jit")
-    probed = probe.run_standalone(
-        ArchState.initial(program), DEFAULT_STEP_LIMIT
-    )
-    coverage = probe.jit_instrs / probed if probed else 0.0
-    decoded_ips = (
-        executed / best["decoded"] if best["decoded"] > 0 else float("inf")
-    )
-    jit_ips = executed / best["jit"] if best["jit"] > 0 else float("inf")
-    return {
-        "master_dynamic_instrs": executed,
-        "master_decoded_instrs_per_sec": decoded_ips,
-        "master_jit_instrs_per_sec": jit_ips,
-        "master_jit_speedup": (
-            jit_ips / decoded_ips if decoded_ips else float("inf")
-        ),
-        "master_jit_coverage": coverage,
-    }
-
-
 # -- stage 3: E-suite sweep ---------------------------------------------------
 
 
@@ -383,19 +303,17 @@ def measure_parallel_runtime(
     size: Optional[int] = None,
     num_slaves: int = 2,
     repeats: int = 3,
-    runtime: str = "process",
 ) -> Dict[str, object]:
-    """Wall-clock eager vs pipelined runtime on one prepared workload.
+    """Wall-clock eager vs the ``process`` runtime on one prepared
+    workload.
 
-    ``runtime`` names the pipelined executor backend measured
-    ("process").  Times ``repeats`` fresh runs of each engine on the same
-    program and distillation (best-of, so the pipelined number reflects
-    the steady state with a warm worker pool rather than one-time spawn
-    cost, which is reported separately as
-    ``wall_parallel_cold_seconds``) and checks the two results are
-    bit-identical.  Single-core hosts cap the measured speedup at ~1.0x
-    by construction — the workers timeshare the one CPU — so
-    ``cpu_count`` travels with the numbers.
+    Times ``repeats`` fresh runs of each engine on the same program and
+    distillation (best-of, so the pipelined number reflects the steady
+    state with a warm worker pool rather than one-time spawn cost, which
+    is reported separately as ``wall_parallel_cold_seconds``) and checks
+    the two results are bit-identical.  Single-core hosts cap the
+    measured speedup at ~1.0x by construction — the workers timeshare
+    the one CPU — so ``cpu_count`` travels with the numbers.
     """
     from repro.mssp.engine import create_engine
 
@@ -413,7 +331,7 @@ def measure_parallel_runtime(
             result_eager = eager.run()
             walls_eager.append(time.perf_counter() - start)
 
-    config = MsspConfig(runtime=runtime, num_slaves=num_slaves)
+    config = MsspConfig(runtime="process", num_slaves=num_slaves)
     walls_parallel: List[float] = []
     result_parallel = None
     with create_engine(program, distillation, config) as pipelined:
@@ -640,12 +558,11 @@ def run_bench(
             row.update(
                 measure_parallel_runtime(
                     str(row["workload"]), size=int(row["size"]),
-                    num_slaves=max(2, jobs), runtime=runtime,
+                    num_slaves=max(2, jobs),
                 )
             )
     suite_wall = time.perf_counter() - suite_start
     sim = run_sim_bench()
-    from repro.machine.jit import resolve_exec_tier
 
     return {
         "schema": artifact_cache.CACHE_SCHEMA,
@@ -658,8 +575,7 @@ def run_bench(
         "jobs": jobs,
         "runtime": runtime,
         # Environment-resolved execution tier the suite rows ran under
-        # (the microbenchmark stages measure every tier explicitly
-        # regardless).
+        # (the microbenchmark measures both tiers explicitly regardless).
         "exec_tier": resolve_exec_tier(None),
         "cpu_count": os.cpu_count(),
         "serve_bench": serve,
@@ -724,7 +640,6 @@ def append_history(summary: Dict[str, object], path: str) -> Path:
         "runtime": summary["runtime"],
         "speedup_vs_cold": summary["serve_bench"]["speedup_vs_cold"],
         "decoded_instrs_per_sec": micro["decoded_instrs_per_sec"],
-        "jit_instrs_per_sec": micro["jit_instrs_per_sec"],
         "suite_wall_seconds": summary["suite_wall_seconds"],
     }
     history = Path(path).with_name("BENCH_history.jsonl")
@@ -740,12 +655,12 @@ def check_baseline(
 ) -> List[str]:
     """Regression check against a committed baseline; returns problems.
 
-    The baseline file records *floor* throughputs (the decoded and jit
-    sequential loops, and ``e2e_instrs_per_sec`` for whole episodes) and
-    minimum speedups; the current run fails when a throughput regresses
-    more than ``tolerance`` below its floor or a speedup falls under its
-    minimum.  An absent baseline file is an error
-    (the gate must never pass vacuously).
+    The baseline file records *floor* throughputs (the decoded
+    sequential loop, and ``e2e_instrs_per_sec`` for whole episodes) and
+    the decoded engine's minimum speedup; the current run fails when a
+    throughput regresses more than ``tolerance`` below its floor or the
+    speedup falls under its minimum.  An absent baseline file is an
+    error (the gate must never pass vacuously).
     """
     problems: List[str] = []
     path = Path(baseline_path)
@@ -779,31 +694,6 @@ def check_baseline(
                 f"{actual:,.0f} instrs/sec < {allowed:,.0f} "
                 f"(baseline {e2e_floor:,.0f} - {tolerance:.0%})"
             )
-    jit_floor = baseline.get("jit_instrs_per_sec")
-    if jit_floor is not None:
-        allowed = jit_floor * (1.0 - tolerance)
-        actual = micro.get("jit_instrs_per_sec", 0.0)
-        if actual < allowed:
-            problems.append(
-                f"jit throughput regressed: "
-                f"{actual:,.0f} instrs/sec < {allowed:,.0f} "
-                f"(baseline {jit_floor:,.0f} - {tolerance:.0%})"
-            )
-    min_jit = baseline.get("min_jit_speedup")
-    if min_jit is not None and micro.get("jit_speedup", 0.0) < min_jit:
-        problems.append(
-            f"jit-vs-decoded speedup regressed: "
-            f"{micro.get('jit_speedup', 0.0):.2f}x < required {min_jit:.2f}x"
-        )
-    min_master = baseline.get("min_master_jit_speedup")
-    if min_master is not None and (
-        micro.get("master_jit_speedup", 0.0) < min_master
-    ):
-        problems.append(
-            f"master-jit-vs-decoded speedup regressed: "
-            f"{micro.get('master_jit_speedup', 0.0):.2f}x < required "
-            f"{min_master:.2f}x"
-        )
     return problems
 
 
@@ -813,8 +703,8 @@ def write_baseline(summary: Dict[str, object], path: str) -> None:
     Floors are written deliberately conservative — well below what was
     just measured — because CI runners are slower and noisier than dev
     machines; the provenance of the measurement goes into the comment.
-    Speedup minima are engineering targets, not measurements: decoded
-    must stay ≥2x over the reference loop and the JIT ≥2x over decoded.
+    The speedup minimum is an engineering target, not a measurement:
+    decoded must stay ≥2x over the reference loop.
     """
     micro = summary["microbenchmark"]
 
@@ -833,19 +723,12 @@ def write_baseline(summary: Dict[str, object], path: str) -> None:
             f"~{micro['legacy_instrs_per_sec'] / 1e6:.2f}M instrs/sec, "
             f"pre-decoded engine "
             f"~{micro['decoded_instrs_per_sec'] / 1e6:.2f}M instrs/sec, "
-            f"jit ~{micro['jit_instrs_per_sec'] / 1e6:.2f}M instrs/sec "
-            f"({micro['jit_speedup']:.2f}x decoded), "
-            f"master jit {micro['master_jit_speedup']:.2f}x its decoded "
-            f"loop at {micro['master_jit_coverage']:.0%} coverage, "
             f"decoded MSSP episodes "
             f"~{micro['e2e_instrs_per_sec'] / 1e6:.2f}M instrs/sec."
         ),
         "decoded_instrs_per_sec": floor(micro["decoded_instrs_per_sec"]),
         "min_speedup": 2.0,
-        "jit_instrs_per_sec": floor(micro["jit_instrs_per_sec"]),
         "e2e_instrs_per_sec": floor(micro["e2e_instrs_per_sec"]),
-        "min_jit_speedup": 2.0,
-        "min_master_jit_speedup": 1.5,
     }
     Path(path).write_text(
         json.dumps(baseline, indent=2, sort_keys=False) + "\n"

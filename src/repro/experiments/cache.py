@@ -58,7 +58,9 @@ from typing import Any, Callable, Optional, Tuple
 #:    dataclasses, so cached results pickle without instance dicts.
 #: 9: task records are no longer frozen (their pickled state changed
 #:    shape); bench summaries grew ``calibration_cpu_seconds``.
-CACHE_SCHEMA = 9
+#: 10: bench summaries lost the jit microbenchmark stages (the arch and
+#:    master jit throughputs, speedups and link counters).
+CACHE_SCHEMA = 10
 
 _ENV_VAR = "REPRO_BENCH_CACHE"
 

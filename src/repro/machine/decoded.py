@@ -64,8 +64,7 @@ reads see: the variant records exactly what a recording view's
 access, and is exact for any chain that runs to its end.
 
 The arithmetic and branch expressions come from one table
-(``_LOCAL_R3``, ``_I2_OPS_TO_R3``, ``_BRANCH_EXPR``) that the superblock
-jit (:mod:`repro.machine.jit`) generates its regions from too.
+(``_LOCAL_R3``, ``_I2_OPS_TO_R3``, ``_BRANCH_EXPR``).
 
 A chain compiles at its first entry, into a process-wide cache keyed by
 its pc, its span's instructions and the text size, and bounded by
@@ -91,6 +90,7 @@ source instruction and every chain against stepping its span (the
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -134,29 +134,24 @@ EFFECT_HALT = StepEffect(halted=True)
 _CACHE_ATTR = "_decoded_cache"
 
 # Arithmetic expression templates over two operand expressions ``{a}``
-# and ``{b}``, and the wrap each result needs when both operands are
-# canonical 64-bit values: "two" may leave [MIN, MAX] in either
-# direction, "upper" is nonnegative and may only exceed MAX, "none" is
-# closed over canonical inputs (bitwise/shift-right/compare results).
-# The jit, whose localized registers are canonical, honours the kinds;
-# chains range-check every result, since a checkpoint may seed a slave's
-# registers with values outside int64.
-_LOCAL_R3: Dict[Opcode, Tuple[str, str]] = {
-    Opcode.ADD: ("{a} + {b}", "two"),
-    Opcode.SUB: ("{a} - {b}", "two"),
-    Opcode.MUL: ("{a} * {b}", "two"),
-    Opcode.DIV: ("dv({a}, {b})", "two"),  # only MIN // -1 overflows
-    Opcode.MOD: ("md({a}, {b})", "none"),  # |result| < 2**63 always
-    Opcode.AND: ("{a} & {b}", "none"),
-    Opcode.OR: ("{a} | {b}", "none"),
-    Opcode.XOR: ("{a} ^ {b}", "none"),
-    Opcode.SLL: ("{a} << ({b} & 63)", "two"),
-    Opcode.SRL: ("({a} & %d) >> ({b} & 63)" % _MASK64, "upper"),
-    Opcode.SRA: ("{a} >> ({b} & 63)", "none"),
-    Opcode.SLT: ("(1 if {a} < {b} else 0)", "none"),
-    Opcode.SLE: ("(1 if {a} <= {b} else 0)", "none"),
-    Opcode.SEQ: ("(1 if {a} == {b} else 0)", "none"),
-    Opcode.SNE: ("(1 if {a} != {b} else 0)", "none"),
+# and ``{b}``.  Chains range-check every result, since a checkpoint may
+# seed a slave's registers with values outside int64.
+_LOCAL_R3: Dict[Opcode, str] = {
+    Opcode.ADD: "{a} + {b}",
+    Opcode.SUB: "{a} - {b}",
+    Opcode.MUL: "{a} * {b}",
+    Opcode.DIV: "dv({a}, {b})",
+    Opcode.MOD: "md({a}, {b})",
+    Opcode.AND: "{a} & {b}",
+    Opcode.OR: "{a} | {b}",
+    Opcode.XOR: "{a} ^ {b}",
+    Opcode.SLL: "{a} << ({b} & 63)",
+    Opcode.SRL: "({a} & %d) >> ({b} & 63)" % _MASK64,
+    Opcode.SRA: "{a} >> ({b} & 63)",
+    Opcode.SLT: "(1 if {a} < {b} else 0)",
+    Opcode.SLE: "(1 if {a} <= {b} else 0)",
+    Opcode.SEQ: "(1 if {a} == {b} else 0)",
+    Opcode.SNE: "(1 if {a} != {b} else 0)",
 }
 
 #: Immediate forms: the register form whose expression they share.
@@ -179,7 +174,7 @@ _BRANCH_EXPR: Dict[Opcode, str] = {
     Opcode.BGE: "{a} >= {b}",
 }
 
-#: Globals bound into every generated chain's and jit region's namespace.
+#: Globals bound into every generated chain's namespace.
 _CODEGEN_GLOBALS = {"w": wrap64, "dv": _div_trunc, "md": _mod_trunc}
 
 #: Compiled chains kept process-wide, at most (oldest evicted first).
@@ -362,7 +357,7 @@ def _chain_source(
         if r3 in _LOCAL_R3:
             if rd != ZERO:
                 b = repr(imm) if r3 is not op else f"regs[{rt}]"
-                result(rd, _LOCAL_R3[r3][0].format(a=f"regs[{rs}]", b=b))
+                result(rd, _LOCAL_R3[r3].format(a=f"regs[{rs}]", b=b))
         elif op in _BRANCH_EXPR:
             cond = _BRANCH_EXPR[op].format(a=f"regs[{rs}]", b=f"regs[{rt}]")
             emit(f" state.pc = {instr.target} if {cond} else {at + 1}")
@@ -671,6 +666,25 @@ class DecodedProgram:
                 observer(pc, code[pc], effect, state)
             if steps >= max_steps:
                 raise StepLimitExceeded(max_steps)
+
+
+#: The execution tiers.  ``oracle`` dispatches every step through
+#: :func:`repro.machine.semantics.execute` (the semantic reference),
+#: ``decoded`` runs the pre-decoded steppers and compiled chains.
+EXEC_TIERS = ("oracle", "decoded")
+_EXEC_ENV = "REPRO_EXEC"
+
+
+def resolve_exec_tier(explicit: Optional[str] = None) -> str:
+    """The effective execution tier: explicit > ``REPRO_EXEC`` > decoded."""
+    tier = explicit
+    if tier is None:
+        tier = os.environ.get(_EXEC_ENV, "").strip().lower() or "decoded"
+    if tier not in EXEC_TIERS:
+        raise ValueError(
+            f"unknown execution tier {tier!r}: expected one of {EXEC_TIERS}"
+        )
+    return tier
 
 
 def decode(program: Program, oracle: bool = False) -> DecodedProgram:

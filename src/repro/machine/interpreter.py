@@ -19,13 +19,8 @@ engine's interned-effect contract: treat them as immutable, snapshot
 fields rather than retaining the objects.
 
 The ``REPRO_EXEC`` environment variable selects the execution tier for
-:func:`run`: ``oracle`` (every step through ``semantics.execute``),
-``decoded`` (the default), or ``jit`` (hot regions as compiled
-superblocks, :meth:`repro.machine.jit.JitProgram.run`, cold code on the
-decoded chains).  A run with an observer attached never reaches the
-JIT, which has no per-step hook: it takes the decoded per-step loop and
-leaves the program without a JIT attachment.  All tiers produce
-bit-identical results.
+:func:`run`: ``oracle`` (every step through ``semantics.execute``) or
+``decoded`` (the default).  Both tiers produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -36,8 +31,7 @@ from typing import Callable, Optional
 from repro.errors import InvalidPcError
 from repro.isa.instructions import Instruction
 from repro.isa.program import Program
-from repro.machine.decoded import decode
-from repro.machine.jit import jit_for, resolve_exec_tier
+from repro.machine.decoded import decode, resolve_exec_tier
 from repro.machine.semantics import StepEffect
 from repro.machine.state import ArchState
 
@@ -76,13 +70,9 @@ def run(
     """
     if state is None:
         state = ArchState.initial(program)
-    tier = resolve_exec_tier()
-    if tier == "jit" and observer is None:
-        steps, halted = jit_for(program).run(state, max_steps)
-    else:
-        steps, halted = decode(program, oracle=tier == "oracle").run(
-            state, max_steps, observer=observer
-        )
+    steps, halted = decode(
+        program, oracle=resolve_exec_tier() == "oracle"
+    ).run(state, max_steps, observer=observer)
     return RunResult(state=state, steps=steps, halted=halted)
 
 
@@ -135,8 +125,8 @@ def count_instructions_and_loads(
     The load count feeds memory-aware cycle accounting: machines that
     charge ``load_penalty`` extra cycles per load need the baseline's
     load count for fair speedup denominators.  It runs the decoded
-    program's supersteps (never the JIT) on a state that counts its
-    loads, with no per-instruction observer.
+    program's supersteps on a state that counts its loads, with no
+    per-instruction observer.
     """
     state = _LoadCountingState(mem=program.memory, pc=program.entry)
     state.loads = 0

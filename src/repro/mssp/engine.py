@@ -56,9 +56,8 @@ from repro.distill.distiller import DistillationResult
 from repro.distill.pc_map import PcMap
 from repro.errors import InvalidPcError, MsspError, StepLimitExceeded
 from repro.isa.program import Program
-from repro.machine.decoded import decode
+from repro.machine.decoded import decode, resolve_exec_tier
 from repro.machine.interpreter import run_to_halt
-from repro.machine.jit import resolve_exec_tier
 from repro.machine.state import ArchState
 from repro.mssp.master import Master, MasterEvent
 from repro.mssp.regions import DeviceAccess, ProtectedRegions
@@ -155,9 +154,8 @@ class MsspEngine:
         #: Squash-driven re-distiller, armed by :meth:`enable_adaptation`.
         self.redistiller = None
         #: Execution tier (config beats the ``REPRO_EXEC`` environment
-        #: variable; default decoded).  Slaves and recovery run decoded
-        #: chains on every tier but ``oracle``; ``jit`` compiles only the
-        #: master's regions.
+        #: variable; default decoded).  The master, slaves and recovery
+        #: run decoded chains on every tier but ``oracle``.
         self.exec_tier = resolve_exec_tier(self.config.exec_tier)
         self._decoded_original = decode(
             original, oracle=self.exec_tier == "oracle"

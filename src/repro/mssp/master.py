@@ -26,7 +26,6 @@ from repro.config import MsspConfig
 from repro.isa.instructions import Opcode
 from repro.isa.program import Program
 from repro.machine.decoded import ChainTable, decode
-from repro.machine.jit import EXIT_HALT, jit_for
 from repro.machine.state import ArchState, wrap64
 from repro.mssp.task import Checkpoint
 
@@ -147,22 +146,10 @@ class Master:
         self._view: Optional[_MasterView] = None
         self._arrivals: Dict[int, int] = {}
         self.total_instrs = 0
-        #: Distilled instructions executed inside generated JIT code (the
-        #: master-JIT coverage numerator; bench smoke asserts on it).
-        self.jit_instrs = 0
         self.restarts = 0
-        # Execution tier: ``oracle`` swaps the per-step stepper; ``jit``
-        # additionally compiles hot distilled regions in the ``master``
-        # codegen mode — the tracer treats FORK/JR as region boundaries
-        # (the hardware intercepts both before execution) and per-pc
-        # arrival counting is batched inside generated code, so the
-        # superblocks preserve this loop's exact observable event stream.
+        # Execution tier: ``oracle`` swaps the per-step stepper and runs
+        # no supersteps.
         self._decoded = decode(distilled, oracle=tier == "oracle")
-        self._jit = (
-            jit_for(distilled, "master", arrival_pcs=self.arrival_pcs)
-            if tier == "jit"
-            else None
-        )
         # Per-pc dispatch for the two opcodes the master hardware
         # intercepts before execution: None for ordinary instructions,
         # (FORK, anchor) for forks, (JR, rs) for indirect jumps (whose
@@ -229,7 +216,6 @@ class Master:
         budget = self.config.max_master_instrs_per_task
         arrival_pcs = self.arrival_pcs
         arrivals = self._arrivals
-        jp = self._jit
         supersteps = self._supersteps
         regs = view.regs
         executed = 0
@@ -253,25 +239,6 @@ class Master:
                             MasterEventKind.HALT, executed + n - 1, loads
                         )
                     executed += n
-                    continue
-            if jp is not None:
-                # Region dispatch happens *instead of* the per-step
-                # arrival count below: generated code counts the arrival
-                # of every traced pc (this one included) at its visit.
-                region = jp.region_for(pc)
-                if (
-                    region is not None
-                    and executed + region.linear_len < budget
-                ):
-                    before = executed
-                    executed, loads, status = region.fn(
-                        view, executed, loads, budget, arrivals
-                    )
-                    self.jit_instrs += executed - before
-                    if status == EXIT_HALT:
-                        return MasterEvent(
-                            MasterEventKind.HALT, executed, loads
-                        )
                     continue
             if pc in arrival_pcs:
                 anchor = arrival_pcs[pc]
@@ -316,6 +283,9 @@ class Master:
         translation active — the distillation-effectiveness numerator.
         Returns the executed instruction count; raises
         :class:`~repro.errors.StepLimitExceeded` past ``max_steps``.
+        Runs the cut chains of :meth:`_run_to_event` wherever the budget
+        cannot fall inside one, so the limit fires at the same
+        instruction as the per-step loop.
         """
         from repro.errors import StepLimitExceeded
 
@@ -323,26 +293,21 @@ class Master:
         size = self._decoded.size
         steppers = self._decoded.steppers
         special = self._special
-        jp = self._jit
-        scratch_arrivals: Dict[int, int] = {}
+        supersteps = self._supersteps
+        regs = view.regs
         executed = 0
         while True:
             pc = view.pc
             if not 0 <= pc < size:
                 return executed  # ran off the text: treat as terminated
-            if jp is not None:
-                region = jp.region_for(pc)
-                if (
-                    region is not None
-                    and executed + region.linear_len < max_steps
-                ):
-                    before = executed
-                    executed, _loads, status = region.fn(
-                        view, executed, 0, max_steps, scratch_arrivals
-                    )
-                    self.jit_instrs += executed - before
-                    if status == EXIT_HALT:
-                        return executed
+            if supersteps is not None:
+                step = supersteps[pc]
+                if step is not None and executed + step[1] < max_steps:
+                    chain, n, _anchors, _loads, halts = step
+                    chain(regs, view)
+                    if halts:
+                        return executed + n - 1
+                    executed += n
                     continue
             dispatch = special[pc]
             if dispatch is not None and dispatch[0] is Opcode.JR:

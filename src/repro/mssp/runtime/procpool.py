@@ -81,9 +81,8 @@ _OPEN_ENDS: Set = set()
 def _worker_init(digest: bytes, program: Program) -> None:
     """Pool initializer: preload + pre-decode the original program.
 
-    Workers run the decoded chains on every tier but ``oracle`` (the
-    jit compiles only the master's regions), so the decoding is all
-    there is to warm."""
+    Workers run the decoded chains on every tier but ``oracle``, so the
+    decoding is all there is to warm."""
     _WORKER_PROGRAMS[digest] = program
     _WORKER_BASES.clear()
     decode(program)

@@ -141,9 +141,8 @@ def execute_task(
     access happens (``task.protected_access``).
 
     ``tier`` selects the stepper: ``oracle`` defers every step to
-    ``semantics.execute``; ``decoded`` (the default) and ``jit`` run the
-    pre-decoded engine alike (the jit compiles only the master's
-    regions).
+    ``semantics.execute``; ``decoded`` (the default) runs the
+    pre-decoded engine.
 
     Without protected regions the decoded engine runs whole superstep
     chains wherever neither the budget nor the end pc falls inside one,

@@ -20,9 +20,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import InvalidPcError, StepLimitExceeded
 from repro.isa.program import Program
-from repro.machine.decoded import DecodedProgram, decode
+from repro.machine.decoded import DecodedProgram, decode, resolve_exec_tier
 from repro.machine.interpreter import DEFAULT_STEP_LIMIT
-from repro.machine.jit import resolve_exec_tier
 from repro.machine.semantics import _BRANCH_OPS
 from repro.machine.state import ArchState
 from repro.profiling.profile_data import (

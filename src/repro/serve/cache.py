@@ -13,9 +13,7 @@ tenants under content-addressed keys:
   with a warm ``benchmarks/cache/`` still skips distillation.  The
   crucial sharing property: every request for one program content gets
   the *same* :class:`~repro.isa.program.Program` objects (original and
-  distilled), so the decode caches, the master's superblock JIT cache,
-  and the persistent ``jitcode`` artifacts tenant N compiled all warm
-  tenant N+1.
+  distilled), so the decode caches tenant N filled warm tenant N+1.
 * :class:`EnginePool` holds idle, already-constructed
   :class:`~repro.mssp.engine.MsspEngine` instances keyed by (program
   key, engine-config digest).  Engines carry the warm executor
@@ -23,8 +21,8 @@ tenants under content-addressed keys:
   resets all per-run state, which is what keeps a pooled engine's
   results bit-identical to a fresh ``run_mssp`` of the same request.
 
-Hit/miss counters for all three layers (prepared artifact, pooled
-engine, JIT code warmth) are kept per cache and surfaced per response.
+Hit/miss counters for both layers (prepared artifact, pooled engine)
+are kept per cache and surfaced per response.
 """
 
 from __future__ import annotations
@@ -57,17 +55,6 @@ class ServedProgram:
     profile: object = None   # training Profile (adaptation requests)
     distill_config: Optional[DistillConfig] = None
 
-    @property
-    def jit_warm(self) -> bool:
-        """Whether the master's superblock JIT cache is populated.
-
-        Under ``exec_tier="jit"`` only the master compiles: its
-        master-mode JIT is attached to the *distilled* ``Program``
-        object (mirroring the decode cache), so a warmed entry means a
-        later jit episode reuses those regions instead of compiling.
-        """
-        return bool(self.distillation.distilled.__dict__.get("_jit_cache"))
-
 
 @dataclass
 class CacheCounters:
@@ -77,8 +64,6 @@ class CacheCounters:
     prepared_misses: int = 0
     engine_hits: int = 0
     engine_misses: int = 0
-    jit_warm_hits: int = 0
-    jit_warm_misses: int = 0
 
     def summary(self) -> Dict[str, int]:
         return {
@@ -86,8 +71,6 @@ class CacheCounters:
             "prepared_misses": self.prepared_misses,
             "engine_hits": self.engine_hits,
             "engine_misses": self.engine_misses,
-            "jit_warm_hits": self.jit_warm_hits,
-            "jit_warm_misses": self.jit_warm_misses,
         }
 
     def hit_rate(self) -> float:
@@ -101,8 +84,8 @@ class WarmCache:
 
     Thread-safe: resolution runs under one lock, so concurrent workers
     requesting the same content block on a single build and then share
-    the one resulting :class:`ServedProgram` (and with it the decoded /
-    JIT-compiled state attached to its program objects).
+    the one resulting :class:`ServedProgram` (and with it the decoded
+    state attached to its program objects).
     """
 
     def __init__(self) -> None:
@@ -195,8 +178,8 @@ class EnginePool:
 
     An engine is checked out for exactly one episode at a time — two
     workers never run one engine concurrently — and returned afterwards
-    with its executor substrate (worker processes, JIT state) still
-    warm.  Checkout order is LIFO: the most recently used engine is the
+    with its executor substrate (worker processes, decoded chains)
+    still warm.  Checkout order is LIFO: the most recently used engine is the
     warmest.
     """
 
@@ -212,7 +195,7 @@ class EnginePool:
 
         The build itself runs under the pool lock: concurrent workers
         constructing engines over one shared program would otherwise
-        race to populate its attached decode/JIT caches.
+        race to populate its attached decode caches.
         """
         with self._lock:
             idle = self._idle.get(key)

@@ -1,7 +1,7 @@
 """MSSP-as-a-service: the persistent multi-tenant episode server.
 
 Every pre-server entry point pays the full pipeline cost — decode,
-distillation, JIT compilation, worker-pool spinup — for a *single*
+distillation, chain compilation, worker-pool spinup — for a *single*
 episode and then throws the warm state away, the opposite of the
 paper's premise that the distilled master amortizes work across
 long-running execution.  :class:`EpisodeServer` is the serving stack
@@ -16,7 +16,7 @@ Structure (the master-dispatches-to-loaded-nodes idiom):
   ``snodeLoads`` bookkeeping).  With every worker saturated it queues —
   ``admission="wait"``, bounded by ``max_queue_depth`` — or is rejected
   with a typed :class:`ServerBusy` shed response (``onTxnLoss``).
-* **Warm sharing** — programs, distillations, decoded/JIT code and
+* **Warm sharing** — programs, distillations, decoded chains and
   whole engines are cached content-addressed across tenants
   (:mod:`repro.serve.cache`): tenant N's compile warms tenant N+1, with
   per-request hit/miss flags on every response.
@@ -136,9 +136,7 @@ class EpisodeResponse:
     worker: Optional[int] = None
     batched: bool = False
     #: Per-request warm-cache outcome: ``prepared`` (profile/distill
-    #: artifact), ``engine`` (pooled warm engine), ``jit_warm`` (the
-    #: program's JIT code cache was already populated when the episode
-    #: started — the ``jitcode`` cache-hit path).
+    #: artifact) and ``engine`` (pooled warm engine).
     cache: Dict[str, bool] = field(default_factory=dict)
     submitted_at: float = 0.0
     started_at: float = 0.0
@@ -393,11 +391,11 @@ class EpisodeServer:
         size: Optional[int] = None,
         config: Optional[MsspConfig] = None,
     ) -> ServedProgram:
-        """Pre-distill and pre-JIT one workload (the ``--warmup`` path).
+        """Pre-distill and pre-run one workload (the ``--warmup`` path).
 
         Runs one throwaway episode inline on the caller thread through
         the shared caches: profiles + distills the program, compiles
-        its hot regions under the warmed configuration, and leaves a
+        the chains it runs under the warmed configuration, and leaves a
         warm engine in the pool — so the first tenant request finds
         every layer hot instead of being a cold-compile outlier.
         Warmup episodes never touch the scheduler and emit no episode
@@ -561,12 +559,6 @@ class EpisodeServer:
             )
             return
 
-        jit_warm = served.jit_warm
-        counters = self.warm.counters
-        if jit_warm:
-            counters.jit_warm_hits += 1
-        else:
-            counters.jit_warm_misses += 1
         key = self._engine_key(served, config, request.distill_config)
         engine, engine_hit = self.engines.acquire(
             key,
@@ -586,11 +578,7 @@ class EpisodeServer:
                         workload=served.name, digest=served.digest,
                         tenant=entry.handle.request.tenant, result=result,
                         worker=worker, batched=entry.batched,
-                        cache={
-                            "prepared": prepared_hit,
-                            "engine": engine_hit,
-                            "jit_warm": jit_warm,
-                        },
+                        cache={"prepared": prepared_hit, "engine": engine_hit},
                         submitted_at=entry.submitted_at,
                         started_at=started,
                         completed_at=self.clock.now(),
@@ -610,7 +598,6 @@ class EpisodeServer:
                 # Later episodes of this turn start on a fully warm
                 # stack by construction.
                 prepared_hit = engine_hit = True
-                jit_warm = served.jit_warm
                 served_count += 1
                 if not turn:
                     turn.extend(self._claim_batch(

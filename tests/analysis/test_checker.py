@@ -21,7 +21,6 @@ from repro.analysis.checker import (
     check_decoded,
     check_distillation,
     check_ir,
-    check_jit,
     check_program,
     check_runtime_events,
     check_runtime_execution,
@@ -567,7 +566,7 @@ class TestCheckDecoded:
 
 
     @pytest.mark.parametrize("table, op, expr, pcs", [
-        ("_LOCAL_R3", Opcode.SUB, ("{a} + {b}", "two"), {0, 1}),
+        ("_LOCAL_R3", Opcode.SUB, "{a} + {b}", {0, 1}),
         ("_BRANCH_EXPR", Opcode.BLT, "{a} <= {b}", {0, 1, 2}),
     ], ids=["sub-as-add", "blt-as-ble"])
     def test_mutated_chain_expression_is_dec004(
@@ -636,97 +635,7 @@ class TestCheckDecoded:
         )
 
 
-# -- layer 5: the superblock JIT --------------------------------------------
-
-
-class TestCheckJit:
-    def test_clean_program_has_no_errors(self, rich_program):
-        report = check_jit(rich_program)
-        assert report.ok
-        assert not report.findings
-
-    def test_broken_cache_attachment_is_jit001(self, rich_program):
-        class Amnesiac(dict):
-            """A cache that forgets: every lookup misses."""
-
-            def get(self, key, default=None):
-                return None
-
-        rich_program.__dict__["_jit_cache"] = Amnesiac()
-        report = check_jit(rich_program)
-        # Every jit_for() call now builds a fresh JitProgram: the
-        # identity discipline check must notice.
-        assert "JIT001" in error_ids(report)
-
-    def test_tampered_region_trace_is_jit002(self, rich_program, monkeypatch):
-        from repro.machine import jit as jit_mod
-
-        original_for = jit_mod.JitProgram.region_for
-
-        def tampering(self, pc):
-            region = original_for(self, pc)
-            if region is not None and len(region.pcs) > 1:
-                region.pcs = region.pcs[:-1]
-            return region
-
-        monkeypatch.setattr(jit_mod.JitProgram, "region_for", tampering)
-        report = check_jit(rich_program)
-        assert "JIT002" in error_ids(report)
-
-    def test_miscompiled_region_is_jit003(self, rich_program, monkeypatch):
-        """Seeded codegen bug: swap the generated `add` for a `sub`."""
-        from repro.machine import jit as jit_mod
-
-        original = jit_mod.JitProgram._compile_sources
-
-        def miscompiling(self, entry, pcs, taken, links, source):
-            source = source.replace("+ r", "- r")
-            return original(self, entry, pcs, taken, links, source)
-
-        monkeypatch.setattr(
-            jit_mod.JitProgram, "_compile_sources", miscompiling
-        )
-        report = check_jit(rich_program)
-        assert "JIT003" in error_ids(report)
-
-    def test_clean_program_exercises_link_promotion(self, rich_program):
-        """JIT004 must not be vacuous: the forced-promotion pass inside
-        check_jit has to actually fuse regions on the rich fixture."""
-        from repro.machine.jit import JitProgram, block_leaders
-
-        jp = JitProgram(
-            rich_program, threshold=1, persist=False, link_threshold=1
-        )
-        for entry in sorted(block_leaders(rich_program)):
-            jp.region_for(entry)
-        for entry, region in sorted(jp.compiled.items()):
-            for target in sorted(region.exit_targets):
-                if target in jp.compiled:
-                    jp.region_for(entry)
-                    jp.region_for(target)
-        assert jp.stats["link_promotions"] > 0
-        assert any(r.links for r in jp.compiled.values())
-
-    def test_unfused_promotion_is_jit004(self, rich_program, monkeypatch):
-        """Seeded link bug: promotion publishes the link without fusing
-        the target's trace into the region."""
-        from repro.machine import jit as jit_mod
-
-        def bogus_promote(self, entry, target):
-            region = self.compiled.get(entry)
-            if region is None:
-                return
-            region.links = region.links + (target,)
-            self.links[entry] = set(region.links)
-            self._transit.pop(entry, None)
-            self.stats["link_promotions"] += 1
-
-        monkeypatch.setattr(jit_mod.JitProgram, "_promote", bogus_promote)
-        report = check_jit(rich_program)
-        assert "JIT004" in error_ids(report)
-
-
-# -- layer 6: runtime event streams -----------------------------------------
+# -- layer 5: runtime event streams -----------------------------------------
 
 
 def _fork(tid):

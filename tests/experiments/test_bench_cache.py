@@ -189,11 +189,7 @@ class TestRunBench:
 #: Every microbenchmark-stage key, and nothing else.
 MICRO_KEYS = {
     "workload", "dynamic_instrs", "legacy_instrs_per_sec",
-    "decoded_instrs_per_sec", "jit_instrs_per_sec", "speedup",
-    "jit_speedup", "jit_link_transits", "jit_link_promotions",
-    "jit_link_demotions", "jit_fused_regions", "master_dynamic_instrs",
-    "master_decoded_instrs_per_sec", "master_jit_instrs_per_sec",
-    "master_jit_speedup", "master_jit_coverage", "e2e_instrs_per_sec",
+    "decoded_instrs_per_sec", "speedup", "e2e_instrs_per_sec",
 }
 
 #: Every key ``repro bench`` writes, and nothing else.
@@ -273,7 +269,7 @@ class TestCliBench:
         assert set(history[-1]) == {
             "commit", "dirty", "calibration_cpu_seconds", "date", "scale",
             "runtime", "speedup_vs_cold", "decoded_instrs_per_sec",
-            "jit_instrs_per_sec", "suite_wall_seconds",
+            "suite_wall_seconds",
         }
         assert history[-1]["commit"] == summary["commit"]
         assert history[-1]["dirty"] == summary["dirty"]

@@ -26,8 +26,10 @@ from repro.machine.decoded import (
     EFFECT_FALL,
     EFFECT_HALT,
     EFFECT_TAKEN,
+    EXEC_TIERS,
     DecodedProgram,
     decode,
+    resolve_exec_tier,
 )
 from repro.machine.interpreter import run, run_to_halt, seq
 from repro.machine.semantics import execute
@@ -225,6 +227,41 @@ class TestDifferentialRandom:
         oracle = decode(program, oracle=True).run(oracle_state, 1_000_000)
         assert fast == oracle
         assert fast_state == oracle_state
+
+
+class TestExecTierPlumbing:
+    def test_resolve_defaults_to_decoded(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EXEC", raising=False)
+        assert resolve_exec_tier() == "decoded"
+
+    def test_resolve_reads_env_with_normalization(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXEC", "  ORACLE ")
+        assert resolve_exec_tier() == "oracle"
+
+    def test_explicit_beats_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXEC", "oracle")
+        assert resolve_exec_tier("decoded") == "decoded"
+
+    def test_unknown_tier_rejected(self, monkeypatch):
+        for unknown in ("warp", "turbo", "jit"):
+            monkeypatch.setenv("REPRO_EXEC", unknown)
+            with pytest.raises(ValueError):
+                resolve_exec_tier()
+            with pytest.raises(ValueError):
+                resolve_exec_tier(unknown)
+
+    @pytest.mark.parametrize("tier", EXEC_TIERS)
+    def test_interpreter_run_identical_under_every_tier(
+        self, monkeypatch, tier
+    ):
+        program = assemble(FIXTURE)
+        ref_state = ArchState.initial(program)
+        ref = oracle_run(program, ref_state)
+        monkeypatch.setenv("REPRO_EXEC", tier)
+        state = ArchState.initial(program)
+        result = run(program, state, max_steps=1_000_000)
+        assert (result.steps, result.halted) == ref
+        assert state == ref_state
 
 
 class TestInternedEffects:

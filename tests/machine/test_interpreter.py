@@ -193,9 +193,3 @@ class TestCountInstructionsAndLoads:
         assert count_instructions_and_loads(
             assemble("main: lw r1, 5(zero)\nlw r0, 6(zero)\nhalt")
         ) == (2, 2)
-
-    def test_attaches_no_jit_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC", "jit")
-        program = assemble(SUM_LOOP)
-        assert_count_matches_observer(program)
-        assert "_jit_cache" not in program.__dict__

@@ -64,7 +64,6 @@ PROCESS = MsspConfig(
 )
 MODES = {
     "eager-decoded": EAGER,
-    "eager-jit": dataclasses.replace(EAGER, exec_tier="jit"),
     "adaptive": EAGER.with_adaptation(),
     "throttled": dataclasses.replace(
         EAGER, throttle_threshold=0.25, throttle_window=4,

@@ -1,13 +1,13 @@
-"""Execution-tier differential tests: oracle / decoded / jit end to end.
+"""Execution-tier differential tests: oracle / decoded end to end.
 
 The execution tier (``MsspConfig.exec_tier`` / ``REPRO_EXEC``) selects
-how slaves and recovery step the original program — it must never select
-*what* they compute.  These tests hold the whole observable
+how the master, slaves and recovery step their programs — it must never
+select *what* they compute.  These tests hold the whole observable
 :class:`~repro.mssp.engine.MsspResult` bit-identical across tiers, under
-both runtimes, through squashes injected while JIT-executed chunks are
+both runtimes, through squashes injected while oracle-stepped chunks are
 in flight, and down at the :func:`~repro.mssp.slave.execute_task` level
-where the superblock guards (arrival counting at leaders, non-leader
-deopt, budget overrun) are easiest to corner.
+where the chain guards (arrival counting at block leaders, end pcs
+inside a chain, budget overrun) are easiest to corner.
 """
 
 import dataclasses
@@ -16,12 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.cfg import build_cfg
 from repro.config import DistillConfig, MsspConfig
 from repro.distill import Distiller
 from repro.experiments.harness import prepare
 from repro.isa.asm import assemble
 from repro.machine.decoded import decode
-from repro.machine.jit import block_leaders
 from repro.machine.state import ArchState
 from repro.mssp import MsspEngine, create_engine
 from repro.mssp.faults import corrupt_live_in
@@ -60,15 +60,6 @@ def eager_result(program, distillation, tier=None, config=None):
 
 class TestEagerTierDifferential:
     @pytest.mark.parametrize("name", workload_names())
-    def test_jit_bit_identical_on_workload(self, name):
-        ready = prepared(name)
-        reference = eager_result(ready.instance.program, ready.distillation)
-        jit = eager_result(
-            ready.instance.program, ready.distillation, tier="jit"
-        )
-        assert_identical(reference, jit)
-
-    @pytest.mark.parametrize("name", ("fib_memo", "compress"))
     def test_oracle_bit_identical_on_workload(self, name):
         ready = prepared(name)
         reference = eager_result(ready.instance.program, ready.distillation)
@@ -90,16 +81,17 @@ class TestEagerTierDifferential:
     def test_env_tier_matches_config_tier(self, monkeypatch):
         ready = prepared("stringops")
         explicit = eager_result(
-            ready.instance.program, ready.distillation, tier="jit"
+            ready.instance.program, ready.distillation, tier="oracle"
         )
-        monkeypatch.setenv("REPRO_EXEC", "jit")
+        monkeypatch.setenv("REPRO_EXEC", "oracle")
         via_env = eager_result(ready.instance.program, ready.distillation)
         assert_identical(explicit, via_env)
 
     def test_bad_exec_tier_rejected_at_config_time(self):
-        with pytest.raises(ValueError):
-            MsspConfig(exec_tier="warp")
-        for tier in (None, "oracle", "decoded", "jit"):
+        for bad in ("warp", "jit"):
+            with pytest.raises(ValueError):
+                MsspConfig(exec_tier=bad)
+        for tier in (None, "oracle", "decoded"):
             assert MsspConfig(exec_tier=tier).exec_tier == tier
 
 
@@ -119,18 +111,17 @@ class TestEagerTierProperty:
         result = Distiller(FAST_DISTILL).distill(program, profile)
         distillation = (result.distilled, result.pc_map)
         reference = eager_result(program, distillation, config=FAST_CONFIG)
-        for tier in ("oracle", "jit"):
-            assert_identical(
-                reference,
-                eager_result(
-                    program, distillation, tier=tier, config=FAST_CONFIG
-                ),
-            )
+        assert_identical(
+            reference,
+            eager_result(
+                program, distillation, tier="oracle", config=FAST_CONFIG
+            ),
+        )
 
 
-PARALLEL_JIT_CONFIG = MsspConfig(
+PARALLEL_ORACLE_CONFIG = MsspConfig(
     runtime="process", num_slaves=2, parallel_chunk_tasks=4,
-    max_inflight_tasks=16, exec_tier="jit",
+    max_inflight_tasks=16, exec_tier="oracle",
 )
 
 
@@ -161,12 +152,12 @@ def run_parallel_differential(program, distillation, config, fault_tid=None):
 @pytest.mark.parallel
 class TestParallelTierDifferential:
     @pytest.mark.parametrize("name", ("fib_memo", "compress", "stringops"))
-    def test_jit_workers_bit_identical_on_workload(self, name):
+    def test_oracle_workers_bit_identical_on_workload(self, name):
         ready = prepared(name)
         stats = run_parallel_differential(
-            ready.instance.program, ready.distillation, PARALLEL_JIT_CONFIG
+            ready.instance.program, ready.distillation, PARALLEL_ORACLE_CONFIG
         )
-        # JIT-executed slave results must genuinely be adopted — a run
+        # Oracle-stepped slave results must genuinely be adopted — a run
         # that degraded to local re-execution would prove nothing.
         assert stats.dispatched > 0
         assert stats.adopted > 0
@@ -177,15 +168,15 @@ _CORRUPT_TID = 5
 
 
 @pytest.mark.parallel
-class TestSquashDuringJitChunk:
-    def test_forced_squash_bit_identical_under_jit(self):
-        """Satellite: squash during a JIT-executed slave chunk.  The
-        discarded in-flight work, the recovery walk (itself JIT-stepped),
-        and everything after must match the eager decoded reference."""
+class TestSquashDuringOracleChunk:
+    def test_forced_squash_bit_identical_under_oracle(self):
+        """Squash during an oracle-stepped slave chunk.  The discarded
+        in-flight work, the recovery walk (itself oracle-stepped), and
+        everything after must match the eager decoded reference."""
         ready = prepared("fib_memo")
         stats = run_parallel_differential(
-            ready.instance.program, ready.distillation, PARALLEL_JIT_CONFIG,
-            fault_tid=_CORRUPT_TID,
+            ready.instance.program, ready.distillation,
+            PARALLEL_ORACLE_CONFIG, fault_tid=_CORRUPT_TID,
         )
         assert stats.discarded > 0
 
@@ -225,6 +216,11 @@ def run_task(program, tier, end_pc=None, end_arrivals=1, max_instrs=10_000):
     )
 
 
+def block_leaders(program):
+    """The pcs where the program's basic blocks begin."""
+    return {block.start for block in build_cfg(program).blocks}
+
+
 def visited_pcs(program):
     counts = {}
 
@@ -237,8 +233,8 @@ def visited_pcs(program):
 
 class TestExecuteTaskTiers:
     def test_leader_end_pc_with_arrival_counting(self):
-        """JIT tasks ending at a hot leader must stop at exactly the
-        k-th arrival, with identical recorded live-ins/live-outs."""
+        """Tasks ending at a hot leader must stop at exactly the k-th
+        arrival, with identical recorded live-ins/live-outs."""
         program = assemble(HOT_TASK_PROGRAM)
         counts = visited_pcs(program)
         leaders = block_leaders(program)
@@ -249,10 +245,9 @@ class TestExecuteTaskTiers:
                 reference = run_task(
                     program, "decoded", end_pc=end_pc, end_arrivals=arrivals
                 )
-                for tier in ("oracle", "jit"):
-                    assert run_task(
-                        program, tier, end_pc=end_pc, end_arrivals=arrivals
-                    ) == reference
+                assert run_task(
+                    program, "oracle", end_pc=end_pc, end_arrivals=arrivals
+                ) == reference
 
     def test_non_leader_end_pc_deopts_identically(self):
         program = assemble(HOT_TASK_PROGRAM)
@@ -262,7 +257,7 @@ class TestExecuteTaskTiers:
                      if pc not in leaders and n >= 2]
         assert mid_block, "fixture must revisit a non-leader"
         for end_pc in mid_block[:3]:
-            assert run_task(program, "jit", end_pc=end_pc) == run_task(
+            assert run_task(program, "oracle", end_pc=end_pc) == run_task(
                 program, "decoded", end_pc=end_pc
             )
 
@@ -272,11 +267,10 @@ class TestExecuteTaskTiers:
         for cut in (1, 2, 3, total // 3, total - 1):
             reference = run_task(program, "decoded", max_instrs=cut)
             assert reference[8], "cut must overrun"
-            assert run_task(program, "jit", max_instrs=cut) == reference
+            assert run_task(program, "oracle", max_instrs=cut) == reference
 
     @given(terminating_programs(), st.sampled_from((5, 60, 10_000)))
     @settings(max_examples=15, deadline=None)
     def test_random_run_to_halt_tasks_identical(self, program, budget):
         reference = run_task(program, "decoded", max_instrs=budget)
-        for tier in ("oracle", "jit"):
-            assert run_task(program, tier, max_instrs=budget) == reference
+        assert run_task(program, "oracle", max_instrs=budget) == reference

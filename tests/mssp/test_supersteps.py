@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from strategies import terminating_programs  # noqa: E402
 
-from repro.config import MsspConfig
+from repro.config import DistillConfig, MsspConfig
+from repro.distill import Distiller
 from repro.distill.pc_map import PcMap
 from repro.errors import StepLimitExceeded
 from repro.isa.asm import assemble
@@ -32,6 +33,10 @@ from repro.mssp.engine import MsspEngine
 from repro.mssp.master import Master, MasterEventKind
 from repro.mssp.slave import execute_task
 from repro.mssp.task import Checkpoint, Task
+from repro.profiling import profile_program
+from repro.workloads import workload_names
+
+from tests.mssp.test_runtime_matrix import prepared
 
 TIERS = ("decoded", "oracle")
 
@@ -175,6 +180,56 @@ class TestMasterSupersteps:
     def test_budget_falls_mid_chain(self, budget):
         decoded, oracle = (master_trace(tier, budget) for tier in TIERS)
         assert decoded == oracle
+
+    def test_standalone_count_at_every_budget(self):
+        """Forks fall through and jr translates; a budget that falls
+        inside a chain raises exactly where stepping does."""
+        full = standalone(MASTER_PROGRAM, JR_TABLE, "oracle", 10_000)
+        # The halt chain runs whole from a budget of full + 2 on.
+        for budget in range(1, full + 3):
+            assert standalone(
+                MASTER_PROGRAM, JR_TABLE, "decoded", budget
+            ) == standalone(MASTER_PROGRAM, JR_TABLE, "oracle", budget)
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_standalone_count_on_workload(self, name):
+        ready = prepared(name)
+        distilled = ready.distillation.distilled.with_memory(
+            ready.instance.program.memory
+        )
+        jr_table = ready.distillation.pc_map.jr_table
+        n = standalone(distilled, jr_table, "oracle", 50_000_000)
+        assert standalone(distilled, jr_table, "decoded", 50_000_000) == n
+        for budget in sorted({1, 2, 3, 7, 50, 123, n // 3, n // 2, n - 1,
+                              n, n + 1} - {0}):
+            assert standalone(
+                distilled, jr_table, "decoded", budget
+            ) == standalone(distilled, jr_table, "oracle", budget)
+
+    @given(terminating_programs(), st.sampled_from((1, 5, 60, 10_000)))
+    @settings(max_examples=15, deadline=None)
+    def test_standalone_count_on_random_programs(self, program, budget):
+        profile = profile_program(program, max_steps=2_000_000)
+        result = Distiller(DistillConfig(target_task_size=8)).distill(
+            program, profile
+        )
+        distilled = result.distilled.with_memory(program.memory)
+        jr_table = result.pc_map.jr_table
+        assert standalone(
+            distilled, jr_table, "decoded", budget
+        ) == standalone(distilled, jr_table, "oracle", budget)
+
+
+def standalone(distilled, jr_table, tier, max_steps):
+    """``Master.run_standalone``'s count on ``tier``, or the limit of
+    the :class:`StepLimitExceeded` it raised."""
+    master = Master(distilled, MsspConfig(), jr_table=jr_table, tier=tier)
+    try:
+        return master.run_standalone(
+            ArchState(mem=distilled.memory, pc=distilled.entry), max_steps
+        )
+    except StepLimitExceeded as exc:
+        return ("limit", exc.limit)
 
 
 #: Register-file corner cases, one chain boundary at each terminator.

@@ -50,6 +50,8 @@ class TestParser:
             (["run", "compress", "--runtime", "sim"], "--runtime"),
             (["trace", "compress", "--runtime", "sim"], "--runtime"),
             (["run", "compress", "--runtime", "thread"], "--runtime"),
+            (["run", "compress", "--exec-tier", "jit"], "--exec-tier"),
+            (["serve", "--exec-tier", "jit"], "--exec-tier"),
         ],
     )
     def test_out_of_range_values_are_usage_errors(self, argv, flag, capsys):
