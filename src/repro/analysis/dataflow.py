@@ -45,13 +45,13 @@ are contained in the abstract in-state of the block at that pc.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Generic, List, Optional, TypeVar
+from typing import Dict, FrozenSet, Generic, List, Optional, TypeVar
 
 from repro.analysis.cfg import BasicBlock, ControlFlowGraph
 from repro.isa.instructions import Opcode
 from repro.isa.registers import NUM_REGS, RA, ZERO
 from repro.machine.decoded import decode
-from repro.machine.semantics import _BRANCH_OPS, _I2_OPS, _R3_OPS
+from repro.machine.semantics import _I2_OPS, _R3_OPS
 from repro.machine.state import wrap64
 
 State = TypeVar("State")

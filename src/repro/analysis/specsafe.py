@@ -55,9 +55,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
-from repro.analysis.cfg import ControlFlowGraph, build_cfg
-from repro.analysis.liveness import LivenessInfo, compute_liveness
-from repro.isa.instructions import Instruction, Opcode
+from repro.analysis.cfg import build_cfg
+from repro.analysis.liveness import compute_liveness
+from repro.isa.instructions import Opcode
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGS, RA, ZERO, register_name
 

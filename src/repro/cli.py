@@ -394,7 +394,7 @@ def cmd_seq(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    from repro.experiments.harness import distilled_dynamic_length, prepare
+    from repro.experiments.harness import prepare
 
     prepared = prepare(
         get_workload(args.workload), size=args.size,

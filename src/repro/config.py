@@ -10,7 +10,7 @@ plus several slower slaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Tuple
 
 from repro.errors import DistillError, TimingError

@@ -21,7 +21,7 @@ arithmetic (``ra = pc + 1``) stays valid; layout enforces this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import FrozenSet, List, Optional, Set
 
 from repro.analysis.cfg import ControlFlowGraph
 from repro.errors import DistillError

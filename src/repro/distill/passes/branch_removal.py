@@ -27,7 +27,7 @@ master timeout, which no sane distiller emits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.dominators import DominatorTree

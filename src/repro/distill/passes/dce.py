@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set
 
 from repro.config import DistillConfig
-from repro.distill.ir import DBlock, DistillIR
+from repro.distill.ir import DistillIR
 from repro.isa.registers import ZERO
 
 #: Checker invariants this pass must leave intact (docs/static-checks.md).

@@ -35,7 +35,7 @@ register when strided.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.liveness import LivenessInfo

@@ -60,7 +60,9 @@ from typing import Any, Callable, Optional, Tuple
 #:    shape); bench summaries grew ``calibration_cpu_seconds``.
 #: 10: bench summaries lost the jit microbenchmark stages (the arch and
 #:    master jit throughputs, speedups and link counters).
-CACHE_SCHEMA = 10
+#: 11: prepared artifacts hold their sequential counts lazily (old
+#:    pickles hold them as plain fields).
+CACHE_SCHEMA = 11
 
 _ENV_VAR = "REPRO_BENCH_CACHE"
 

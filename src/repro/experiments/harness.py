@@ -12,12 +12,20 @@ The pipeline mirrors the paper's methodology:
 :func:`evaluate` does steps 3-4 for a given machine configuration.
 Benchmarks sweep configurations by calling :func:`evaluate` repeatedly
 on one prepared workload.
+
+The evaluation input's two standalone counts — its sequential length
+and loads, and the distilled program's length — are not part of
+:func:`prepare`: a :class:`PreparedWorkload` runs each pass on the first
+read of a count and keeps the result, so a caller that only builds and
+runs an engine (a serve cold request, a one-shot episode) pays for
+neither.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 from repro.config import (
     BaselineConfig,
@@ -29,6 +37,7 @@ from repro.config import (
 from repro.distill import DistillationResult, Distiller
 from repro.errors import MsspError
 from repro.formal.refinement import assert_jumping_refinement
+from repro.machine.decoded import resolve_exec_tier
 from repro.machine.interpreter import count_instructions_and_loads
 from repro.mssp import MsspResult, create_engine
 from repro.profiling import Profile
@@ -41,20 +50,22 @@ RUN_LIMIT = 20_000_000
 
 @dataclass
 class PreparedWorkload:
-    """A workload after profiling and distillation (steps 1-2)."""
+    """A workload after profiling and distillation (steps 1-2).
+
+    ``seq_instrs``, ``seq_loads`` and ``distilled_instrs`` are computed
+    on first read, each pass at most once per instance, with
+    ``max_steps=RUN_LIMIT``: an evaluation input longer than
+    :data:`RUN_LIMIT` raises
+    :class:`~repro.errors.StepLimitExceeded` at the first read of a
+    count, not in :func:`prepare` (an engine's run is bounded by its own
+    ``max_total_instrs``).  The computed values are not fields, so they
+    stay out of equality and repr, and an instance pickles with whatever
+    it has computed.
+    """
 
     instance: WorkloadInstance
     profile: Profile
     distillation: DistillationResult
-    #: Dynamic length of the evaluation input under the original program.
-    seq_instrs: int
-    #: Memory loads in the sequential evaluation run (for memory-aware
-    #: baseline cycle accounting).
-    seq_loads: int
-    #: Dynamic length of the *distilled* program on the evaluation input
-    #: (fork executes as nop), the paper's distillation-effectiveness
-    #: numerator.
-    distilled_instrs: int
     #: The distiller configuration used for step 2, kept so adaptive
     #: re-distillation (:mod:`repro.mssp.redistill`) re-runs the same
     #: distiller the offline artifact came from.
@@ -63,6 +74,33 @@ class PreparedWorkload:
     @property
     def name(self) -> str:
         return self.instance.name
+
+    @property
+    def seq_instrs(self) -> int:
+        """Dynamic length of the evaluation input under the original
+        program."""
+        return self._sequential_counts[0]
+
+    @property
+    def seq_loads(self) -> int:
+        """Memory loads in the sequential evaluation run (for
+        memory-aware baseline cycle accounting)."""
+        return self._sequential_counts[1]
+
+    @cached_property
+    def distilled_instrs(self) -> int:
+        """Dynamic length of the *distilled* program on the evaluation
+        input (fork executes as nop), the paper's
+        distillation-effectiveness numerator."""
+        return distilled_dynamic_length(
+            self.distillation, self.instance.program, max_steps=RUN_LIMIT
+        )
+
+    @cached_property
+    def _sequential_counts(self) -> Tuple[int, int]:
+        return count_instructions_and_loads(
+            self.instance.program, max_steps=RUN_LIMIT
+        )
 
     @property
     def distillation_ratio(self) -> float:
@@ -125,16 +163,9 @@ def prepare(
     distillation = Distiller(distill_config).distill(
         instance.program, profile
     )
-    seq_instrs, seq_loads = count_instructions_and_loads(
-        instance.program, max_steps=RUN_LIMIT
-    )
-    distilled_instrs = distilled_dynamic_length(
-        distillation, instance.program, max_steps=RUN_LIMIT
-    )
     return PreparedWorkload(
         instance=instance, profile=profile, distillation=distillation,
-        seq_instrs=seq_instrs, seq_loads=seq_loads,
-        distilled_instrs=distilled_instrs, distill_config=distill_config,
+        distill_config=distill_config,
     )
 
 
@@ -147,7 +178,9 @@ def distilled_dynamic_length(
 
     Runs the distilled binary standalone in master mode (forks are
     no-ops, ``jr`` targets translate through the pc map's jr table) —
-    the numerator of the paper's distillation-effectiveness metric.
+    the numerator of the paper's distillation-effectiveness metric —
+    on the execution tier ``REPRO_EXEC`` selects, as the sequential
+    count does.
     """
     from repro.machine.state import ArchState
     from repro.mssp.master import Master
@@ -156,6 +189,7 @@ def distilled_dynamic_length(
         distillation.distilled.with_memory(eval_program.memory),
         MsspConfig(),
         jr_table=distillation.pc_map.jr_table,
+        tier=resolve_exec_tier(),
     )
     boot = ArchState(mem=eval_program.memory, pc=0)
     return master.run_standalone(boot, max_steps=max_steps)
@@ -165,8 +199,7 @@ def training_profile(instance: WorkloadInstance) -> Profile:
     """The merged training-input profile for ``instance``.
 
     The standalone entry point for tools (``repro lint``, tests) that
-    need the same profile :func:`prepare` would use without paying for
-    the sequential/distilled dynamic-length measurements.
+    need the same profile :func:`prepare` would use without distilling.
     """
     return _profile_for(instance, "train")
 

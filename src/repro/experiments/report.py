@@ -9,7 +9,6 @@ Exposed on the CLI as ``python -m repro report``.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterable, List, Optional
 
 from repro.config import (

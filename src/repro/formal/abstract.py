@@ -24,8 +24,8 @@ this abstract model to the concrete Z-ISA machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Hashable, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Hashable, Mapping, Tuple
 
 Cell = Hashable
 #: Abstract machine state: a partial map from cells to values.

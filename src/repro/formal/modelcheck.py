@@ -22,7 +22,7 @@ by brute force on small instances rather than by proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.formal.abstract import (
     AbstractTask,

@@ -17,7 +17,7 @@ Squashed-task records must not advance the reference at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List
 
 from repro.errors import MsspError
 from repro.isa.program import Program

@@ -37,7 +37,7 @@ from repro.isa.instructions import (
     OPCODES_BY_MNEMONIC,
 )
 from repro.isa.program import Program
-from repro.isa.registers import RA, SP, parse_register
+from repro.isa.registers import RA, parse_register
 
 #: Operand accepted for register slots: a name or a register number.
 Reg = Union[str, int]

@@ -21,7 +21,6 @@ from repro.errors import IsaError
 from repro.isa.instructions import (
     Format,
     Instruction,
-    Opcode,
     OPCODES_BY_NUMBER,
 )
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple, Union
+from typing import FrozenSet, Optional, Union
 
 from repro.errors import IsaError
 from repro.isa.registers import check_register, register_name

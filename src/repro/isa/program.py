@@ -21,6 +21,10 @@ from typing import Dict, Iterator, Mapping, Optional, Tuple
 from repro.errors import IsaError
 from repro.isa.instructions import Instruction, Opcode
 
+#: Attribute under which :func:`repro.machine.decoded.decode` attaches a
+#: program's decodings.  Programs derived from one another share it.
+DECODINGS_ATTR = "_decoded_cache"
+
 
 @dataclass(frozen=True)
 class Program:
@@ -64,9 +68,9 @@ class Program:
     def __getstate__(self) -> Dict[str, object]:
         """Pickle/deepcopy state: the dataclass fields only.
 
-        Runtime attachments (the pre-decoded execution cache, which holds
-        closures) are identity-scoped and must never travel with the
-        program's value.
+        Runtime attachments (the decodings shared by a program and its
+        derived variants, which hold closures) are identity-scoped and
+        must never travel with the program's value.
         """
         return {
             name: self.__dict__[name]
@@ -102,17 +106,28 @@ class Program:
     # -- derived variants ----------------------------------------------------
 
     def with_memory(self, memory: Mapping[int, int]) -> "Program":
-        """The same code with a different initial data image."""
-        return Program(
-            code=self.code, memory=dict(memory), entry=self.entry,
-            symbols=self.symbols, name=self.name,
-        )
+        """The same code with a different initial data image.
+
+        Like every derived variant, the result shares this program's
+        decoding attachment: its code is the same tuple, so a workload's
+        evaluation and training programs decode once between them.
+        """
+        return self._derive(memory, self.name)
 
     def with_name(self, name: str) -> "Program":
-        return Program(
-            code=self.code, memory=self.memory, entry=self.entry,
+        return self._derive(self.memory, name)
+
+    def _derive(self, memory: Mapping[int, int], name: str) -> "Program":
+        child = Program(
+            code=self.code, memory=memory, entry=self.entry,
             symbols=self.symbols, name=name,
         )
+        shared = self.__dict__.get(DECODINGS_ATTR)
+        if shared is None:
+            shared = {}
+            object.__setattr__(self, DECODINGS_ATTR, shared)
+        object.__setattr__(child, DECODINGS_ATTR, shared)
+        return child
 
     def updated_memory(self, updates: Mapping[int, int]) -> "Program":
         """The same code with ``updates`` overlaid on the data image."""

@@ -76,10 +76,16 @@ result: decodings keep the functions they already hold, and a
 re-entered span compiles to the same code.  The oracle tier's chains
 step ``semantics.execute`` and run no generated code.
 
-Decoded programs are cached per :class:`~repro.isa.program.Program`
-*instance* (identity, not value): the decoding is attached to the
-program object and dies with it.  ``Program.__getstate__`` excludes the
-attachment so pickling and deep-copying never see the closures.
+Decodings are cached per family of :class:`~repro.isa.program.Program`
+*objects* (identity, not value): the decodings are attached to the
+program object, shared with every variant derived from it by
+``with_memory``, ``updated_memory`` or ``with_name`` (same code tuple,
+different data image or name), and die with the last of them.  A
+workload's evaluation and training programs therefore decode once, and
+so does a distilled program and its ``with_memory`` copy.  Separately
+built programs with equal text decode separately.
+``Program.__getstate__`` excludes the attachment so pickling and
+deep-copying never see the closures.
 
 ``semantics.execute`` remains the semantic oracle; differential tests
 (``tests/machine/test_decoded.py``) hold the two bit-identical, and
@@ -96,7 +102,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidPcError, StepLimitExceeded
 from repro.isa.instructions import Instruction, Opcode
-from repro.isa.program import Program
+from repro.isa.program import DECODINGS_ATTR, Program
 from repro.isa.registers import RA, ZERO
 from repro.machine.semantics import (
     _BRANCH_OPS,
@@ -129,9 +135,6 @@ _MASK64 = (1 << 64) - 1
 EFFECT_FALL = StepEffect()
 EFFECT_TAKEN = StepEffect(taken=True)
 EFFECT_HALT = StepEffect(halted=True)
-
-#: Attribute under which the decoding is cached on the Program instance.
-_CACHE_ATTR = "_decoded_cache"
 
 # Arithmetic expression templates over two operand expressions ``{a}``
 # and ``{b}``.  Chains range-check every result, since a checkpoint may
@@ -468,22 +471,22 @@ class ChainTable(dict):
 class DecodedProgram:
     """A :class:`Program` compiled to per-pc closures and superstep chains.
 
-    Obtain instances through :func:`decode` (which caches one per
-    program object); direct construction is for tests and the lint
-    checks.  With ``oracle=True`` every closure and chain defers to
-    :func:`~repro.machine.semantics.execute` — bitwise the reference
-    semantics, used by differential tests to hold the fast path and the
-    oracle against each other through identical plumbing.
+    It depends only on the program's code, and serves every program
+    with that code.  Obtain instances through :func:`decode` (which
+    caches one per program family); direct construction is for tests
+    and the lint checks.  With ``oracle=True`` every closure and chain
+    defers to :func:`~repro.machine.semantics.execute` — bitwise the
+    reference semantics, used by differential tests to hold the fast
+    path and the oracle against each other through identical plumbing.
     """
 
     __slots__ = (
-        "program", "code", "size", "steppers", "chains", "recording_chains",
+        "code", "size", "steppers", "chains", "recording_chains",
         "chain_spans", "chain_halts", "chain_loads", "chain_reads",
         "chain_writes", "meta", "oracle",
     )
 
     def __init__(self, program: Program, oracle: bool = False):
-        self.program = program
         self.code = program.code
         self.size = len(program.code)
         self.oracle = oracle
@@ -690,17 +693,20 @@ def resolve_exec_tier(explicit: Optional[str] = None) -> str:
 def decode(program: Program, oracle: bool = False) -> DecodedProgram:
     """The (cached) decoding of ``program``.
 
-    One decoding is kept per program *object*; a different Program with
-    equal contents decodes separately (sharing its compiled chains
-    through the chain cache), and re-decoding after mutation is
-    impossible because programs are frozen.  The cache entry lives in the
-    program's ``__dict__`` (excluded from pickling by
-    ``Program.__getstate__``), so invalidation is garbage collection.
+    One decoding per mode is kept per program family: the object and
+    the variants derived from it (``Program.with_memory``,
+    ``updated_memory``, ``with_name``), which share its code tuple and
+    its cache entry.  A separately built Program with equal contents
+    decodes separately (sharing its compiled chains through the chain
+    cache), and re-decoding after mutation is impossible because
+    programs are frozen.  The cache entry lives in the programs'
+    ``__dict__`` (excluded from pickling by ``Program.__getstate__``),
+    so invalidation is garbage collection.
     """
-    cache = program.__dict__.get(_CACHE_ATTR)
+    cache = program.__dict__.get(DECODINGS_ATTR)
     if cache is None:
         cache = {}
-        object.__setattr__(program, _CACHE_ATTR, cache)
+        object.__setattr__(program, DECODINGS_ATTR, cache)
     decoded = cache.get(oracle)
     if decoded is None:
         decoded = DecodedProgram(program, oracle=oracle)

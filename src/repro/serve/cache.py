@@ -28,7 +28,7 @@ are kept per cache and surfaced per response.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import DistillConfig

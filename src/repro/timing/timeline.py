@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import TimingError
-from repro.timing.simulator import ScheduleEntry, TimingBreakdown
+from repro.timing.simulator import TimingBreakdown
 
 
 def render_timeline(

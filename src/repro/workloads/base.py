@@ -23,8 +23,8 @@ Layout conventions every workload follows:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import WorkloadError
 from repro.isa.program import Program

@@ -357,6 +357,67 @@ class TestDecodeCache:
         # And the revived program still decodes and runs.
         assert run_to_halt(revived).steps == run_to_halt(program).steps
 
+    @pytest.mark.parametrize("oracle", [False, True])
+    @pytest.mark.parametrize("derive", [
+        lambda p: p.with_memory({64: 7}),
+        lambda p: p.updated_memory({64: 7}),
+        lambda p: p.with_name("child"),
+        lambda p: p.with_name("child").with_memory({}),
+    ], ids=["with_memory", "updated_memory", "with_name", "grandchild"])
+    def test_derived_programs_share_the_decoding(self, derive, oracle):
+        parent = assemble(".text\nmain: li r1, 1\n halt\n")
+        child = derive(parent)
+        assert child is not parent and child.code is parent.code
+        assert decode(child, oracle=oracle) is decode(parent, oracle=oracle)
+        # Whichever member decodes first, the family holds one decoding.
+        decoded_parent = assemble(".text\nmain: li r1, 1\n halt\n")
+        first = decode(decoded_parent, oracle=oracle)
+        assert decode(derive(decoded_parent), oracle=oracle) is first
+        assert decode(child, oracle=oracle) is not first
+
+    def test_workload_instance_decodes_once(self):
+        instance = get_workload("crc").instance(40)
+        decoded = decode(instance.program)
+        for train in instance.train_programs:
+            assert train is not instance.program
+            assert decode(train) is decoded
+        assert decode(get_workload("crc").instance(40).program) is not decoded
+
+    def test_cold_prepare_and_run_build_two_decodings(self, monkeypatch):
+        from repro.experiments import prepare
+        from repro.mssp import create_engine
+
+        built = []
+        original = DecodedProgram.__init__
+
+        def counting(self, program, oracle=False):
+            built.append(program.code)
+            original(self, program, oracle)
+
+        monkeypatch.setattr(DecodedProgram, "__init__", counting)
+        ready = prepare(get_workload("compress"), size=300)
+        with create_engine(
+            ready.instance.program, ready.distillation
+        ) as engine:
+            engine.run()
+        assert len(built) == 2
+        assert built[0] is ready.instance.program.code
+        assert built[1] is ready.distillation.distilled.code
+        ready.distillation_ratio  # both counts reuse the two decodings
+        assert len(built) == 2
+
+    def test_pickle_and_deepcopy_of_a_child_exclude_shared_decodings(self):
+        parent = assemble(".text\nmain: li r1, 1\n halt\n")
+        child = parent.with_memory({64: 7})
+        decode(child)
+        revived = pickle.loads(pickle.dumps(child))
+        assert "_decoded_cache" not in revived.__dict__
+        assert revived == child
+        cloned = deepcopy(child)
+        assert "_decoded_cache" not in cloned.__dict__
+        assert decode(revived) is not decode(child)
+        assert run_to_halt(revived).steps == run_to_halt(child).steps
+
     def test_chain_structure_covers_whole_text(self):
         program = assemble(FIXTURE)
         decoded = decode(program)

@@ -137,6 +137,30 @@ class TestWarmSharing:
         assert summary["prepared_hits"] >= 1
         assert summary["engine_hits"] >= 1
 
+    def test_cold_request_counts_nothing(self, cache_root, monkeypatch):
+        """A request that misses the warm cache profiles and distills,
+        but runs neither standalone count of the evaluation input."""
+        from repro.experiments import harness
+
+        calls = []
+        for name in ("count_instructions_and_loads",
+                     "distilled_dynamic_length"):
+            original = getattr(harness, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, spy)
+        with EpisodeServer(ServeConfig(workers=1)) as server:
+            cold = server.serve(EpisodeRequest(
+                workload="crc", size=SMALL,
+                config=MsspConfig(runtime="eager"),
+            ))
+        assert cold.ok and not cold.cache["prepared"]
+        assert server.warm.counters.prepared_misses == 1
+        assert calls == []
+
     def test_warm_hit_generates_nothing(self, cache_root, monkeypatch):
         """A repeated (workload, size) request returns the resolved entry
         without rebuilding or re-digesting the program."""
