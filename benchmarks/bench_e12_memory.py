@@ -16,17 +16,23 @@ gain when value specialization is ablated.
 
 import dataclasses
 
-from repro.config import DistillConfig, SEQUENTIAL_BASELINE, TimingConfig
+from repro.config import SEQUENTIAL_BASELINE, TimingConfig
 from repro.stats import Table, geomean
 from repro.timing import speedup
 
-from benchmarks.common import bench_size, functional_run, report, run_once
+from benchmarks.common import (
+    PAPER_DISTILL,
+    bench_size,
+    functional_run,
+    report,
+    run_once,
+)
 
 SUBJECTS = ("crc", "compress", "pointer_chase", "fib_memo")
 LOAD_PENALTIES = (0.0, 1.0, 3.0)
 SWEEP_SCALE = 0.5
 
-NO_VSPEC = DistillConfig().without_pass("value_spec")
+NO_VSPEC = PAPER_DISTILL.without_pass("value_spec")
 
 
 def _speedup(name, size, penalty, distill_config=None) -> float:

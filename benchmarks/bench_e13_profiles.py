@@ -22,7 +22,7 @@ from repro.experiments import evaluate, prepare
 from repro.stats import Table, geomean, mean
 from repro.workloads import get_workload
 
-from benchmarks.common import bench_size, report, run_once
+from benchmarks.common import PAPER_DISTILL, bench_size, report, run_once
 
 SUBJECTS = ("hashlookup", "fib_memo", "compress", "crc", "stringops")
 SOURCES = ("single", "train", "eval")
@@ -44,7 +44,8 @@ def run_e13():
         row_cells = []
         for source in SOURCES:
             prepared = prepare(
-                get_workload(name), size=size, profile_source=source
+                get_workload(name), size=size,
+                distill_config=PAPER_DISTILL, profile_source=source,
             )
             row = evaluate(prepared)
             squash[source].append(row.counters.squash_rate)

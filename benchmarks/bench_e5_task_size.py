@@ -12,10 +12,10 @@ for this machine's overheads (spawn 30 + commit 10 cycles).
 
 import dataclasses
 
-from repro.config import DistillConfig
 from repro.stats import Table, geomean
 
 from benchmarks.common import (
+    PAPER_DISTILL,
     SWEEP_SUITE,
     bench_size,
     report,
@@ -39,7 +39,7 @@ def run_e5():
         speedups = []
         for target in TASK_SIZES:
             config = dataclasses.replace(
-                DistillConfig(), target_task_size=target
+                PAPER_DISTILL, target_task_size=target
             )
             row = timed_row(
                 name,

@@ -10,12 +10,10 @@ or DCE costs the most (they feed each other); value specialization
 matters on the workloads built around stable loads (compress, crc).
 """
 
-import dataclasses
-
-from repro.config import DistillConfig
 from repro.stats import Table, geomean, mean
 
 from benchmarks.common import (
+    PAPER_DISTILL,
     SWEEP_SUITE,
     bench_size,
     prepared,
@@ -31,12 +29,12 @@ SWEEP_SCALE = 0.5
 ABLATION_SUITE = SWEEP_SUITE + ("crc", "stringops")
 
 VARIANTS = (
-    ("full", DistillConfig()),
-    ("no branch_removal", DistillConfig().without_pass("branch_removal")),
-    ("no cold_code", DistillConfig().without_pass("cold_code")),
-    ("no value_spec", DistillConfig().without_pass("value_spec")),
-    ("no store_elim", DistillConfig().without_pass("store_elim")),
-    ("no dce", DistillConfig().without_pass("dce")),
+    ("full", PAPER_DISTILL),
+    ("no branch_removal", PAPER_DISTILL.without_pass("branch_removal")),
+    ("no cold_code", PAPER_DISTILL.without_pass("cold_code")),
+    ("no value_spec", PAPER_DISTILL.without_pass("value_spec")),
+    ("no store_elim", PAPER_DISTILL.without_pass("store_elim")),
+    ("no dce", PAPER_DISTILL.without_pass("dce")),
 )
 
 

@@ -51,6 +51,10 @@ Subcommands
     stream and print its timing at several slave counts (``--slaves
     2,8,16,64``) and under contention / heterogeneity / failure
     scenarios — the sweep ``repro bench`` records for ``compress``.
+    Like the E1–E13 tables it reproduces the paper's experiment (E20),
+    so it distills at ``PAPER_TASK_SIZE`` (150); every other command
+    distills at the default task size (300) unless given
+    ``--task-size``.
 """
 
 from __future__ import annotations
@@ -342,7 +346,10 @@ def _add_workload_args(sub: argparse.ArgumentParser) -> None:
 def _add_task_size_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--task-size", type=_at_least(2), default=None,
-        help="target dynamic instructions per task (at least 2)",
+        help="target dynamic instructions per task (at least 2; "
+             "default 300, sized to this implementation's per-task "
+             "cost; the paper's experiment tables use 150, "
+             "PAPER_TASK_SIZE)",
     )
 
 

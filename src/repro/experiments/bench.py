@@ -32,7 +32,10 @@ whole into a machine-readable ``BENCH_summary.json``
    ``compress`` at its default size, captured off the event bus
    (:func:`capture_trace`), timed by the timing model at several slave
    counts and under three cluster scenarios.  ``repro sim`` prints the
-   same sweep for any workload.
+   same sweep for any workload.  It reproduces EXPERIMENTS.md E20, so
+   it alone distills at the paper's task size
+   (:data:`~repro.config.PAPER_TASK_SIZE`); stages 1–3 take the
+   distiller's default.
 
 The summary is stamped with its commit and whether the tracked files
 differed from it (``dirty``), and with the machine's speed at the start
@@ -59,6 +62,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import (
+    PAPER_TASK_SIZE,
     SEQUENTIAL_BASELINE,
     DistillConfig,
     MsspConfig,
@@ -73,6 +77,7 @@ from repro.experiments.harness import (
     evaluate,
     parallel_map,
     prepare,
+    prepare_instance,
 )
 from repro.isa.program import Program
 from repro.machine.interpreter import DEFAULT_STEP_LIMIT
@@ -90,6 +95,7 @@ from repro.timing import (
     simulate_mssp,
 )
 from repro.workloads import WORKLOADS, get_workload
+from repro.workloads.base import WorkloadInstance
 
 #: Workload driving the interpreter microbenchmark (branchy, load/store
 #: heavy, representative dynamic mix).
@@ -146,21 +152,44 @@ def workload_size(name: str, scale: float = 1.0) -> int:
 # -- cached pipeline ----------------------------------------------------------
 
 
+def prepared_key(
+    name: str, size: int, content: str,
+    distill_config: Optional[DistillConfig] = None,
+) -> str:
+    """The artifact key of one workload's profile+distill.
+
+    It digests the distiller configuration ``None`` resolves to, not
+    ``None`` itself, so an entry written under an older default never
+    answers for the current one.
+    """
+    return artifact_cache.digest(
+        name, size, content, distill_config or DistillConfig()
+    )
+
+
 def cached_prepare(
     name: str,
     size: Optional[int] = None,
     distill_config: Optional[DistillConfig] = None,
+    instance: Optional[WorkloadInstance] = None,
+    content: Optional[str] = None,
 ) -> Tuple[PreparedWorkload, bool]:
-    """Profile+distill through the persistent cache; ``(ready, hit)``."""
+    """Profile+distill through the persistent cache; ``(ready, hit)``.
+
+    A caller that has already built the workload's ``instance`` (and
+    taken its :func:`~repro.experiments.cache.program_digest`,
+    ``content``) hands them in, so a miss builds and digests the
+    program once.
+    """
     resolved = size if size is not None else workload_size(name)
-    instance = get_workload(name).instance(resolved)
-    content = artifact_cache.program_digest(instance.program)
-    key = artifact_cache.digest(name, resolved, content, distill_config)
+    if instance is None:
+        instance = get_workload(name).instance(resolved)
+    if content is None:
+        content = artifact_cache.program_digest(instance.program)
+    key = prepared_key(name, resolved, content, distill_config)
     return artifact_cache.fetch(
         "prepared", key,
-        lambda: prepare(
-            get_workload(name), size=resolved, distill_config=distill_config
-        ),
+        lambda: prepare_instance(instance, distill_config),
     )
 
 
@@ -180,11 +209,15 @@ def cached_functional_run(
     instance = get_workload(name).instance(resolved)
     content = artifact_cache.program_digest(instance.program)
     key = artifact_cache.digest(
-        name, resolved, content, distill_config, mssp_config
+        name, resolved, content, distill_config or DistillConfig(),
+        mssp_config or MsspConfig(),
     )
 
     def compute() -> Tuple[PreparedWorkload, MsspResult]:
-        ready, _ = cached_prepare(name, resolved, distill_config)
+        ready, _ = cached_prepare(
+            name, resolved, distill_config, instance=instance,
+            content=content,
+        )
         row = evaluate(ready, mssp_config=mssp_config)
         return ready, row.mssp
 
@@ -412,6 +445,7 @@ def capture_trace(
     name: str,
     size: Optional[int] = None,
     config: Optional[MsspConfig] = None,
+    distill_config: Optional[DistillConfig] = None,
 ) -> Tuple[PreparedWorkload, MsspResult, List[RuntimeEvent]]:
     """Prepare ``name`` and run it once with an ``EventLog`` subscribed.
 
@@ -419,7 +453,9 @@ def capture_trace(
     clock-stamped event stream: what ``repro trace --export`` writes
     and the cluster sweep times.
     """
-    prepared = prepare(get_workload(name), size=size)
+    prepared = prepare(
+        get_workload(name), size=size, distill_config=distill_config
+    )
     log = EventLog()
     with create_engine(
         prepared.instance.program, prepared.distillation,
@@ -440,10 +476,12 @@ def run_sim_bench(
     The trace is timed by the timing model at each slave count, then at
     the middle count under three cluster scenarios: transfer contention
     on a bounded link, heterogeneous slave speeds, and a mid-episode
-    slave failure/restart.
+    slave failure/restart.  It reproduces EXPERIMENTS.md E20, so the
+    workload distills at :data:`~repro.config.PAPER_TASK_SIZE`.
     """
     prepared, result, events = capture_trace(
-        workload, size, MsspConfig(runtime="eager")
+        workload, size, MsspConfig(runtime="eager"),
+        distill_config=DistillConfig(target_task_size=PAPER_TASK_SIZE),
     )
     records = records_from_events(events)
     total_instrs = result.counters.total_instrs

@@ -158,7 +158,17 @@ def prepare(
     * ``"eval"`` — the evaluation input itself (the self-profiling
       oracle: the best any profile can do).
     """
-    instance = spec.instance(size)
+    return prepare_instance(
+        spec.instance(size), distill_config, profile_source
+    )
+
+
+def prepare_instance(
+    instance: WorkloadInstance,
+    distill_config: Optional[DistillConfig] = None,
+    profile_source: str = "train",
+) -> PreparedWorkload:
+    """:func:`prepare` for an instance the caller already built."""
     profile = _profile_for(instance, profile_source)
     distillation = Distiller(distill_config).distill(
         instance.program, profile

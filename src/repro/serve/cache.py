@@ -82,19 +82,24 @@ class CacheCounters:
 class WarmCache:
     """Content-addressed, in-memory program/artifact cache.
 
-    Thread-safe: resolution runs under one lock, so concurrent workers
-    requesting the same content block on a single build and then share
-    the one resulting :class:`ServedProgram` (and with it the decoded
-    state attached to its program objects).
+    Thread-safe.  The lock guards only the maps; a miss builds outside
+    it, so a hit never waits for another request's profiling and
+    distillation.  Concurrent misses of one request wait for its single
+    in-flight build and then share the one resulting
+    :class:`ServedProgram` (and with it the decoded state attached to
+    its program objects).
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._by_key: Dict[str, ServedProgram] = {}
         self._by_digest: Dict[str, ServedProgram] = {}
-        #: (name, resolved size, distill config) -> entry: a repeat
-        #: request skips regenerating and re-digesting the program.
+        #: (name, resolved size, resolved distill config) -> entry: a
+        #: repeat request skips regenerating and re-digesting the
+        #: program.
         self._by_request: Dict[tuple, ServedProgram] = {}
+        #: request -> event set when its in-flight build ends.
+        self._building: Dict[tuple, threading.Event] = {}
         self.counters = CacheCounters()
 
     def resolve(
@@ -109,40 +114,66 @@ class WarmCache:
         anything.  A miss builds through the *persistent* artifact cache
         (:func:`repro.experiments.bench.cached_prepare`), so the
         expensive profile/distill stage is shared across server
-        processes as well as across tenants.
+        processes as well as across tenants.  A request whose build
+        raises wakes its waiters, and the next of them builds again.
         """
-        from repro.experiments.bench import cached_prepare, workload_size
-        from repro.workloads import get_workload
+        from repro.experiments.bench import workload_size
 
         resolved = size if size is not None else workload_size(name)
-        request = (name, resolved, distill_config)
-        with self._lock:
-            entry = self._by_request.get(request)
-            if entry is None:
-                instance = get_workload(name).instance(resolved)
-                digest = artifact_cache.program_digest(instance.program)
-                key = artifact_cache.digest(
-                    name, resolved, digest, distill_config
-                )
-                entry = self._by_key.get(key)
-            if entry is not None:
-                self.counters.prepared_hits += 1
+        config = distill_config or DistillConfig()
+        request = (name, resolved, config)
+        while True:
+            with self._lock:
+                entry = self._by_request.get(request)
+                if entry is not None:
+                    self.counters.prepared_hits += 1
+                    return entry, True
+                building = self._building.get(request)
+                if building is None:
+                    building = self._building[request] = threading.Event()
+                    break
+            building.wait()
+        try:
+            entry, hit = self._build(name, resolved, config)
+            with self._lock:
+                if hit:
+                    self.counters.prepared_hits += 1
+                else:
+                    self.counters.prepared_misses += 1
+                    self._install(entry)
                 self._by_request[request] = entry
-                return entry, True
-            prepared, _ = cached_prepare(
-                name, size=resolved, distill_config=distill_config
-            )
-            entry = ServedProgram(
-                name=name, size=resolved, key=key, digest=digest,
-                program=prepared.instance.program,
-                distillation=prepared.distillation,
-                profile=prepared.profile,
-                distill_config=distill_config,
-            )
-            self.counters.prepared_misses += 1
-            self._install(entry)
-            self._by_request[request] = entry
-            return entry, False
+            return entry, hit
+        finally:
+            with self._lock:
+                del self._building[request]
+            building.set()
+
+    def _build(
+        self, name: str, size: int, config: DistillConfig
+    ) -> Tuple[ServedProgram, bool]:
+        """Build and digest the workload once; ``(entry, hit)``, a hit
+        when an entry for the same content is already installed."""
+        from repro.experiments.bench import cached_prepare, prepared_key
+        from repro.workloads import get_workload
+
+        instance = get_workload(name).instance(size)
+        digest = artifact_cache.program_digest(instance.program)
+        key = prepared_key(name, size, digest, config)
+        with self._lock:
+            entry = self._by_key.get(key)
+        if entry is not None:
+            return entry, True
+        prepared, _ = cached_prepare(
+            name, size=size, distill_config=config, instance=instance,
+            content=digest,
+        )
+        return ServedProgram(
+            name=name, size=size, key=key, digest=digest,
+            program=prepared.instance.program,
+            distillation=prepared.distillation,
+            profile=prepared.profile,
+            distill_config=config,
+        ), False
 
     def lookup_digest(self, digest: str) -> Optional[ServedProgram]:
         """The warm entry for a bare program content digest, if any.

@@ -1,13 +1,15 @@
 """The persistent benchmark cache and the ``repro bench`` machinery."""
 
+import dataclasses
 import json
 import pickle
 
 import pytest
 
-from repro.config import DistillConfig
-from repro.experiments import bench, cache
+from repro.config import DistillConfig, MsspConfig
+from repro.experiments import bench, cache, prepare
 from repro.isa.asm import assemble
+from repro.workloads import get_workload
 
 SMALL = 6  # tiny workload size so the pipeline stays fast in tests
 
@@ -113,6 +115,54 @@ class TestCachedPipeline:
             distill_config=DistillConfig(target_task_size=9),
         )
         assert not hit
+
+
+def set_default_task_size(monkeypatch, size):
+    """Make ``DistillConfig()`` target ``size``, as a changed default
+    would."""
+    names = [field.name for field in dataclasses.fields(DistillConfig)]
+    defaults = list(DistillConfig.__init__.__defaults__)
+    defaults[names.index("target_task_size")] = size
+    monkeypatch.setattr(
+        DistillConfig.__init__, "__defaults__", tuple(defaults)
+    )
+
+
+class TestResolvedKeys:
+    """Keys digest the configuration ``None`` resolves to."""
+
+    def test_a_changed_default_misses_and_rebuilds(
+        self, cache_root, monkeypatch
+    ):
+        with monkeypatch.context() as patch:
+            set_default_task_size(patch, 150)
+            old, hit = bench.cached_prepare("compress")
+            assert not hit
+            _, _, hit = bench.cached_functional_run("compress", size=SMALL)
+            assert not hit
+        new, hit = bench.cached_prepare("compress")
+        assert not hit
+        fresh = prepare(get_workload("compress"))
+        assert new.distillation.report == fresh.distillation.report
+        assert new.distillation.report != old.distillation.report
+        _, _, hit = bench.cached_functional_run("compress", size=SMALL)
+        assert not hit
+
+    def test_default_and_explicit_default_share_one_entry(self, cache_root):
+        _, hit = bench.cached_prepare("compress", size=SMALL)
+        assert not hit
+        _, hit = bench.cached_prepare(
+            "compress", size=SMALL, distill_config=DistillConfig()
+        )
+        assert hit
+        _, _, hit = bench.cached_functional_run("compress", size=SMALL)
+        assert not hit
+        _, _, hit = bench.cached_functional_run(
+            "compress", size=SMALL, distill_config=DistillConfig(),
+            mssp_config=MsspConfig(),
+        )
+        assert hit
+        assert len(list(cache_root.glob("prepared-*.pkl"))) == 1
 
 
 class TestRunBench:

@@ -20,7 +20,9 @@ These tests hold that fold to three standards:
   grows on commits and halves on squashes replaced the fixed one:
   routing moved, no protocol field did.  The ``*/process`` rows were
   recorded on an in-process thread backend, since deleted; the process
-  runtime matches every field of them, ``dispatch`` included.
+  runtime matches every field of them, ``dispatch`` included.  The
+  workload rows distill at ``PAPER_TASK_SIZE``, the distiller's default
+  when they were recorded.
 * **The discard rule.** On the pipelined runtimes ``discarded`` equals
   the ``task_forked`` events minus the judged tasks.
 * **Round trip.** A trace exported to JSONL and imported again folds
@@ -37,7 +39,7 @@ import sys
 
 import pytest
 
-from repro.config import DistillConfig, MsspConfig
+from repro.config import PAPER_TASK_SIZE, DistillConfig, MsspConfig
 from repro.distill import Distiller
 from repro.distill.pc_map import PcMap
 from repro.experiments.harness import prepare
@@ -83,17 +85,21 @@ def run_logged(program, distillation, config, profile=None, distill=None):
         return engine.run(), log
 
 
-_SMALL = {}
+#: The rows were recorded at the paper's task size, the default then.
+PAPER_DISTILL = DistillConfig(target_task_size=PAPER_TASK_SIZE)
+
+_PAPER = {}
 
 
 def _workload_row(name, config, size=None):
     def run():
-        if size is None:
-            ready = prepared(name)
-        else:
-            if (name, size) not in _SMALL:
-                _SMALL[name, size] = prepare(get_workload(name), size=size)
-            ready = _SMALL[name, size]
+        spec = get_workload(name)
+        resolved = max(4, spec.default_size // 8) if size is None else size
+        if (name, resolved) not in _PAPER:
+            _PAPER[name, resolved] = prepare(
+                spec, size=resolved, distill_config=PAPER_DISTILL
+            )
+        ready = _PAPER[name, resolved]
         return run_logged(
             ready.instance.program, ready.distillation, config,
             profile=ready.profile, distill=ready.distill_config,

@@ -1,10 +1,11 @@
 """The persistent multi-tenant episode server (`repro.serve`)."""
 
+import sys
 import threading
 
 import pytest
 
-from repro.config import MsspConfig, ServeConfig
+from repro.config import DistillConfig, MsspConfig, ServeConfig
 from repro.errors import MsspError
 from repro.experiments import cache as artifact_cache
 from repro.experiments.bench import cached_prepare
@@ -226,6 +227,172 @@ class TestWarmSharing:
             ))
         assert response.ok and response.cache["prepared"]
         assert server.warm.counters.prepared_misses == 0
+
+    def test_default_and_explicit_default_share_one_entry(self, cache_root):
+        from repro.serve import WarmCache
+
+        warm = WarmCache()
+        first, hit = warm.resolve("crc", size=SMALL)
+        assert not hit
+        second, hit = warm.resolve(
+            "crc", size=SMALL, distill_config=DistillConfig()
+        )
+        assert hit and second is first
+        assert len(warm) == 1
+
+    def test_miss_builds_and_digests_the_program_once(
+        self, cache_root, monkeypatch
+    ):
+        from repro.serve import WarmCache
+        from repro.workloads.base import WorkloadSpec
+
+        builds, digests = [], []
+        instance, digest = WorkloadSpec.instance, artifact_cache.program_digest
+
+        def counting_instance(self, size=None):
+            builds.append(size)
+            return instance(self, size)
+
+        def counting_digest(program):
+            digests.append(program)
+            return digest(program)
+
+        monkeypatch.setattr(WorkloadSpec, "instance", counting_instance)
+        monkeypatch.setattr(artifact_cache, "program_digest", counting_digest)
+        _, hit = WarmCache().resolve("crc", size=SMALL)
+        assert not hit
+        assert builds == [SMALL]
+        assert len(digests) == 1
+
+
+#: Upper bound on every wait in the concurrency tests below.
+TIMEOUT = 30.0
+
+
+@pytest.fixture()
+def gated_build(monkeypatch):
+    """``cached_prepare`` behind a gate: each build records its workload,
+    sets ``entered`` and waits for ``gate`` before building."""
+    from types import SimpleNamespace
+
+    from repro.experiments import bench
+
+    state = SimpleNamespace(
+        entered=threading.Event(), gate=threading.Event(), builds=[],
+    )
+    real = bench.cached_prepare
+
+    def build(name, *args, **kwargs):
+        state.builds.append(name)
+        state.entered.set()
+        assert state.gate.wait(TIMEOUT)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "cached_prepare", build)
+    yield state
+    state.gate.set()
+
+
+def start(target, *args):
+    thread = threading.Thread(target=target, args=args, daemon=True)
+    thread.start()
+    return thread
+
+
+class TestConcurrentResolve:
+    """A miss builds outside the cache lock, once per request."""
+
+    def test_warm_hit_returns_while_a_miss_builds(
+        self, cache_root, gated_build
+    ):
+        from repro.serve import WarmCache
+
+        warm = WarmCache()
+        gated_build.gate.set()
+        warm.resolve("crc", size=SMALL)
+        gated_build.gate.clear()
+        gated_build.entered.clear()
+        miss = start(warm.resolve, "compress", SMALL)
+        assert gated_build.entered.wait(TIMEOUT)
+        hits = []
+        hit = start(lambda: hits.append(warm.resolve("crc", size=SMALL)))
+        hit.join(TIMEOUT)
+        assert not hit.is_alive()
+        assert miss.is_alive()  # the compress build is still gated
+        assert hits[0][1] is True
+        gated_build.gate.set()
+        miss.join(TIMEOUT)
+        assert not miss.is_alive()
+        assert gated_build.builds == ["crc", "compress"]
+
+    def test_concurrent_misses_of_one_request_build_once(
+        self, cache_root, gated_build
+    ):
+        from repro.serve import WarmCache
+
+        warm = WarmCache()
+        barrier = threading.Barrier(8, timeout=TIMEOUT)
+        entries = []
+
+        def resolve():
+            barrier.wait()
+            entries.append(warm.resolve("compress", size=SMALL))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [start(resolve) for _ in range(8)]
+            assert gated_build.entered.wait(TIMEOUT)
+            gated_build.gate.set()
+            for thread in threads:
+                thread.join(TIMEOUT)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert gated_build.builds == ["compress"]
+        assert len(entries) == 8
+        assert all(entry is entries[0][0] for entry, _ in entries)
+        assert sorted(hit for _, hit in entries) == [False] + [True] * 7
+        assert warm.counters.prepared_misses == 1
+        assert warm.counters.prepared_hits == 7
+
+    def test_a_failed_build_wakes_its_waiters(self, cache_root, monkeypatch):
+        """A raising build ends its request with the error; a waiter
+        that wakes up builds again instead of hanging."""
+        from repro.experiments import bench
+        from repro.serve import WarmCache
+
+        real = bench.cached_prepare
+        entered, gate, calls = threading.Event(), threading.Event(), []
+
+        def failing_once(name, *args, **kwargs):
+            calls.append(name)
+            if len(calls) == 1:
+                entered.set()
+                assert gate.wait(TIMEOUT)
+                raise RuntimeError("build failed")
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "cached_prepare", failing_once)
+        warm = WarmCache()
+        errors, entries = [], []
+
+        def first():
+            try:
+                warm.resolve("crc", size=SMALL)
+            except RuntimeError as error:
+                errors.append(error)
+
+        failing = start(first)
+        assert entered.wait(TIMEOUT)
+        waiter = start(lambda: entries.append(warm.resolve("crc", size=SMALL)))
+        gate.set()
+        for thread in (failing, waiter):
+            thread.join(TIMEOUT)
+            assert not thread.is_alive()
+        assert len(errors) == 1
+        assert entries[0][1] is False
+        assert calls == ["crc", "crc"]
 
 
 class TestWarmup:

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.config import (
+    PAPER_TASK_SIZE,
     BaselineConfig,
     DistillConfig,
     MsspConfig,
@@ -19,6 +20,12 @@ from repro.mssp.runtime.events import ResultAdopted, TaskExecuted, TaskForked
 class TestDistillConfig:
     def test_defaults_valid(self):
         DistillConfig()
+
+    def test_task_size_default_and_paper_figure(self):
+        """The engine distills 300-instruction tasks; the tables that
+        reproduce the paper keep its 150."""
+        assert DistillConfig().target_task_size == 300
+        assert PAPER_TASK_SIZE == 150
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -11,7 +11,13 @@ break a slot tie differently (see :class:`TestTieRule`).
 
 import pytest
 
-from repro.config import DistillConfig, MsspConfig, SlaveFailure, TimingConfig
+from repro.config import (
+    PAPER_TASK_SIZE,
+    DistillConfig,
+    MsspConfig,
+    SlaveFailure,
+    TimingConfig,
+)
 from repro.distill import Distiller
 from repro.isa.asm import assemble
 from repro.mssp import MsspEngine
@@ -197,11 +203,13 @@ class TestRecordedParity:
 @pytest.fixture(scope="module")
 def compress_records():
     """The trace ``repro sim compress`` times: an eager run at the
-    default size, captured off the event bus."""
+    default size, distilled at the paper's task size, captured off the
+    event bus."""
     from repro.experiments.bench import capture_trace
 
     _, _, events = capture_trace(
-        "compress", config=MsspConfig(runtime="eager")
+        "compress", config=MsspConfig(runtime="eager"),
+        distill_config=DistillConfig(target_task_size=PAPER_TASK_SIZE),
     )
     return records_from_events(events)
 
