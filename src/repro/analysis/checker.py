@@ -22,8 +22,8 @@ Four check layers, mirroring the artifacts:
   return-pc (``jr``) table's layout round-trip, fork/anchor coverage;
 * :func:`check_decoded` — a program's pre-decoded execution engine
   (:mod:`repro.machine.decoded`): cache identity discipline, decode
-  metadata round-trip against the source instructions, superstep chain
-  structure.
+  metadata round-trip against the source instructions, fall-through
+  trace structure.
 
 Checks *report*; they never raise.  The distiller's
 ``verify_after_each_pass`` debug mode and the ``repro lint`` CLI
@@ -85,11 +85,12 @@ CHECKS: Dict[str, str] = {
     "DEC001": "decoding is cached per program object and per mode",
     "DEC002": "every decoded closure's bound facts round-trip to its source "
               "instruction",
-    "DEC003": "superstep chains stop exactly at block terminators, with "
-              "correct halt flags and load counts",
-    "DEC004": "every compiled chain leaves exactly the state that stepping "
-              "its span with the semantic oracle leaves, on seeded register "
-              "files",
+    "DEC003": "fall-through traces stop exactly where the text ends them, "
+              "with correct halt flags, load prefixes, register tables and "
+              "master cuts",
+    "DEC004": "every compiled trace leaves exactly the state and retired "
+              "count that stepping its span with the semantic oracle to the "
+              "first taken branch leaves, on seeded and reached states",
     # -- runtime event-stream checks ------------------------------------------
     "RT001": "tasks are judged strictly in fork order and committed tids "
              "strictly increase",
@@ -829,7 +830,6 @@ def check_decoded(
     statically, before the differential tests have to.
     """
     from repro.machine.decoded import _decode_meta, decode
-    from repro.machine.semantics import execute
 
     report = CheckReport(subject=subject or f"{program.name}: decoded")
     decoded = decode(program)
@@ -869,50 +869,62 @@ def check_decoded(
                 f"source instruction's {expected!r}", pc=pc,
             )
 
-    # DEC003: superstep chains mirror the text's terminator structure.
+    # DEC003: the trace tables mirror the text's control structure.
     if not len(decoded.chain_spans) == len(decoded.chain_halts) == len(
-        decoded.chain_loads
-    ) == len(decoded.chain_reads) == len(decoded.chain_writes) == size:
+        decoded.chain_reads
+    ) == len(decoded.chain_writes) == len(decoded.chain_loads) - 1 == size:
         _finding(
             report, "DEC003", Severity.ERROR,
-            f"chain tables cover {len(decoded.chain_spans)} pcs but the "
-            f"text has {size}",
+            f"trace tables cover {len(decoded.chain_spans)} pcs and "
+            f"{len(decoded.chain_loads)} load prefixes but the text has "
+            f"{size} pcs",
         )
         return report
+    loads = 0
+    for pc, instr in enumerate(program.code):
+        if decoded.chain_loads[pc] != loads:
+            _finding(
+                report, "DEC003", Severity.ERROR,
+                f"load prefix is {decoded.chain_loads[pc]} but the text "
+                f"holds {loads} lw before this pc", pc=pc,
+            )
+        loads += instr.is_load
+    if decoded.chain_loads[size] != loads:
+        _finding(
+            report, "DEC003", Severity.ERROR,
+            f"load prefix over the whole text is {decoded.chain_loads[size]}"
+            f" but the text holds {loads} lw",
+        )
+    # A trace runs through every conditional branch except one whose
+    # target is its own fall-through pc, and stops after any other
+    # transfer or halt.
     end = size
     halts = False
     expected_spans = [0] * size
     expected_halts = [False] * size
     for pc in range(size - 1, -1, -1):
         instr = program.code[pc]
-        if instr.is_terminator:
+        if instr.op in (Opcode.J, Opcode.JAL, Opcode.JR, Opcode.HALT) or (
+            instr.is_branch and instr.target == pc + 1
+        ):
             end = pc + 1
             halts = instr.op is Opcode.HALT
         expected_spans[pc] = end - pc
         expected_halts[pc] = halts
-        expected_loads = sum(
-            1 for other in program.code[pc:end] if other.is_load
-        )
-        if decoded.chain_loads[pc] != expected_loads:
-            _finding(
-                report, "DEC003", Severity.ERROR,
-                f"chain load count is {decoded.chain_loads[pc]} but the "
-                f"chain's span holds {expected_loads} lw", pc=pc,
-            )
     for pc in range(size):
         if decoded.chain_spans[pc] != expected_spans[pc]:
             _finding(
                 report, "DEC003", Severity.ERROR,
-                f"chain spans {decoded.chain_spans[pc]} instruction(s) "
-                f"but the block suffix from here holds "
+                f"trace spans {decoded.chain_spans[pc]} instruction(s) "
+                f"but the fall-through trace from here holds "
                 f"{expected_spans[pc]}", pc=pc,
             )
         if decoded.chain_halts[pc] != expected_halts[pc]:
             _finding(
                 report, "DEC003", Severity.ERROR,
-                f"chain halt flag is {decoded.chain_halts[pc]} but the "
-                f"terminator {'is' if expected_halts[pc] else 'is not'} "
-                "a halt", pc=pc,
+                f"trace halt flag is {decoded.chain_halts[pc]} but the "
+                f"trace {'ends' if expected_halts[pc] else 'does not end'} "
+                "in a halt", pc=pc,
             )
         # The slave records chain_reads as live-ins and marks
         # chain_writes written: recompute both from the ISA's use/def
@@ -931,82 +943,158 @@ def check_decoded(
             if list(table[pc]) != expected:
                 _finding(
                     report, "DEC003", Severity.ERROR,
-                    f"chain_{name} is {list(table[pc])} but the chain's "
+                    f"chain_{name} is {list(table[pc])} but the trace's "
                     f"span {name} {expected}", pc=pc,
                 )
+    # The master's table: each trace cut before its first fork or jr.
+    table = _master_table(program)
+    master = [_built(table, pc) for pc in range(size)]
+    for pc, entry in enumerate(master):
+        span = program.code[pc:pc + expected_spans[pc]]
+        cut = next(
+            (i for i, instr in enumerate(span)
+             if instr.op in (Opcode.FORK, Opcode.JR)),
+            len(span),
+        )
+        if isinstance(entry, Exception):
+            continue  # DEC004 reports the trace that failed to build
+        got = (0, False) if entry is None else (entry[1], entry[3])
+        want = (cut, cut == len(span) and expected_halts[pc])
+        if got != want:
+            _finding(
+                report, "DEC003", Severity.ERROR,
+                f"master trace (length, halts) is {got} but the trace cut "
+                f"before its first fork or jr is {want}", pc=pc,
+            )
 
-    # DEC004: the generated chain entered at each pc equals stepping the
-    # text's span from there through the oracle, on register files that
-    # include the int64 bounds and values outside them; so does its
-    # recording variant, on a slave's recording view.
+    # DEC004: each trace entered at each pc, its recording variant and
+    # the master's cut trace equal stepping the same instructions
+    # through the oracle up to the first taken branch — state and
+    # retired count — on register files that include the int64 bounds
+    # and values outside them, and on the states a bounded run of the
+    # program reaches at the trace's entry.
+    reached = _entry_states(program)
     for pc in range(size):
         span = program.code[pc:pc + expected_spans[pc]]
-        for variant in range(5):
-            got = _fuzz_states(program, pc, variant)
-            want = _fuzz_states(program, pc, variant)
-            try:
-                decoded.chains[pc](got.regs, got)
-            except Exception as exc:  # noqa: BLE001 - report, never raise
-                _finding(
-                    report, "DEC004", Severity.ERROR,
-                    f"chain raised {type(exc).__name__}: {exc} (seed "
-                    f"{variant})", pc=pc,
-                )
-                break
-            for instr in span:
-                execute(instr, want)
-            if got != want:
-                _finding(
-                    report, "DEC004", Severity.ERROR,
-                    f"chain diverges from stepping its span with execute "
-                    f"(seed {variant}): {want.diff(got)[:3]}", pc=pc,
-                )
-                break
-        problem = _recording_chain_problem(program, decoded, pc, span)
-        if problem:
-            _finding(
-                report, "DEC004", Severity.ERROR,
-                f"recording chain {problem}", pc=pc,
+        states = [_fuzz_states(program, pc, variant) for variant in range(5)]
+        states += reached.get(pc, [])
+        checks = [
+            ("chain", _built(decoded.chains, pc), span, _trace_problem),
+            ("recording chain", _built(decoded.recording_chains, pc), span,
+             _recording_problem),
+        ]
+        entry = master[pc]
+        if isinstance(entry, Exception):
+            checks.append(("master-cut chain", entry, span, _trace_problem))
+        elif entry is not None and entry[1] < len(span):
+            checks.append((
+                "master-cut chain", entry[0], span[:entry[1]], _trace_problem
+            ))
+        for kind, chain, instrs, check in checks:
+            problem = (
+                f"failed to build: {type(chain).__name__}: {chain}"
+                if isinstance(chain, Exception)
+                else check(chain, instrs, pc, states)
             )
+            if problem:
+                _finding(
+                    report, "DEC004", Severity.ERROR, f"{kind} {problem}",
+                    pc=pc,
+                )
     return report
 
 
-def _recording_chain_problem(program: Program, decoded, pc: int, span) -> str:
-    """How the recording chain the slave enters at ``pc`` differs from
-    stepping its span with ``semantics.execute`` on a recording view, or
-    ``""``.  Each of :func:`_fuzz_states`' register files is tried on a
-    fresh view and on one whose registers were partly written or
-    recorded already (a loop's second iteration)."""
+def _built(table, key):
+    """``table[key]``, building it on a miss, or the exception building
+    it raised (checks report; they never raise)."""
+    try:
+        return table[key]
+    except Exception as exc:  # noqa: BLE001 - report, never raise
+        return exc
+
+
+def _master_table(program: Program):
+    """The master's per-pc cut-trace table for ``program`` (no arrival
+    pcs), as a :class:`~repro.mssp.master.Master` builds it."""
+    from repro.config import MsspConfig
+    from repro.mssp.master import Master
+
+    return Master(program, MsspConfig())._supersteps
+
+
+def _oracle_trace(instrs, state) -> int:
+    """Step ``instrs`` with ``semantics.execute`` until the first taken
+    branch; returns how many retired."""
     from repro.machine.semantics import execute
 
-    for variant in range(5):
-        for reentered in (False, True):
-            got = _fuzz_view(program, pc, variant, reentered)
-            want = _fuzz_view(program, pc, variant, reentered)
-            seed = f"(seed {variant}{', re-entered' if reentered else ''})"
-            try:
-                decoded.recording_chains[pc](
-                    got.regs, got, got._reg_written, got.live_in_regs
-                )
-            except Exception as exc:  # noqa: BLE001 - report, never raise
-                return f"raised {type(exc).__name__}: {exc} {seed}"
-            for instr in span:
-                execute(instr, want)
-            problem = _view_difference(want, got)
-            if problem:
-                return f"{problem} {seed}"
+    for retired, instr in enumerate(instrs, 1):
+        if execute(instr, state).taken:
+            return retired
+    return len(instrs)
+
+
+def _trace_problem(chain, instrs, pc: int, states) -> str:
+    """How ``chain`` differs from stepping ``instrs`` (from ``pc``) with
+    the oracle on a copy of each of ``states``, or ``""``."""
+    for index, state in enumerate(states):
+        got, want = state.copy(), state.copy()
+        where = f"(state {index})"
+        try:
+            retired = chain(got.regs, got)
+        except Exception as exc:  # noqa: BLE001 - report, never raise
+            return f"raised {type(exc).__name__}: {exc} {where}"
+        expected = _oracle_trace(instrs, want)
+        if retired != expected:
+            return (
+                f"returned {retired} but stepping its span retires "
+                f"{expected} {where}"
+            )
+        if got != want:
+            return (
+                f"diverges from stepping its span with execute {where}: "
+                f"{want.diff(got)[:3]}"
+            )
     return ""
 
 
-def _fuzz_view(program: Program, entry: int, variant: int, reentered: bool):
-    """A slave recording view over :func:`_fuzz_states`' registers for
-    the recording-chain differential.  ``reentered`` marks every third
-    register written and records a stale value for the next of each
-    three, as a chain entered again in a task would find them."""
+def _recording_problem(chain, instrs, pc: int, states) -> str:
+    """How the recording ``chain`` the slave enters at ``pc`` differs
+    from stepping ``instrs`` with ``semantics.execute`` on a recording
+    view, or ``""``.  Each state is tried on a fresh view and on one
+    whose registers were partly written or recorded already (a loop's
+    second iteration)."""
+    for index, state in enumerate(states):
+        for reentered in (False, True):
+            got = _recording_view(state.copy(), pc, reentered)
+            want = _recording_view(state.copy(), pc, reentered)
+            where = f"(state {index}{', re-entered' if reentered else ''})"
+            try:
+                retired = chain(
+                    got.regs, got, got._reg_written, got.live_in_regs
+                )
+            except Exception as exc:  # noqa: BLE001 - report, never raise
+                return f"raised {type(exc).__name__}: {exc} {where}"
+            expected = _oracle_trace(instrs, want)
+            if retired != expected:
+                return (
+                    f"returned {retired} but stepping its span on a "
+                    f"recording view retires {expected} {where}"
+                )
+            problem = _view_difference(want, got)
+            if problem:
+                return f"{problem} {where}"
+    return ""
+
+
+def _recording_view(state, entry: int, reentered: bool):
+    """A slave recording view whose checkpoint holds ``state``'s
+    registers, over ``state`` as architected memory.  ``reentered``
+    marks every third register written and records a stale value for
+    the next of each three, as a chain entered again in a task would
+    find them."""
     from repro.mssp.slave import SlaveView
     from repro.mssp.task import Checkpoint
 
-    state = _fuzz_states(program, entry, variant)
     view = SlaveView(Checkpoint(tuple(state.regs), {}), state, entry)
     if reentered:
         for reg in range(1, NUM_REGS):
@@ -1035,6 +1123,36 @@ def _view_difference(want, got) -> str:
                 f"{name} {mine!r:.120} != {theirs!r:.120}"
             )
     return ""
+
+
+#: The bounded run behind DEC004's reached states: at most this many
+#: steps, keeping the state at each pc's first ``_REACHED_PER_PC``
+#: arrivals.
+_REACHED_STEPS = 20_000
+_REACHED_PER_PC = 2
+
+
+def _entry_states(program: Program) -> Dict[int, list]:
+    """pc -> copies of the states a bounded oracle run of ``program``
+    from its boot state reaches at that pc (its first arrivals), so
+    DEC004 also takes the side exits the program really takes.  The run
+    stops at ``halt``, off the text, or after :data:`_REACHED_STEPS`."""
+    from repro.machine.semantics import execute
+    from repro.machine.state import ArchState
+
+    state = ArchState.initial(program)
+    size = len(program.code)
+    reached: Dict[int, list] = {}
+    for _ in range(_REACHED_STEPS):
+        pc = state.pc
+        if not 0 <= pc < size:
+            break
+        seen = reached.setdefault(pc, [])
+        if len(seen) < _REACHED_PER_PC:
+            seen.append(state.copy())
+        if execute(program.code[pc], state).halted:
+            break
+    return reached
 
 
 def _fuzz_states(program: Program, entry: int, variant: int):

@@ -25,6 +25,10 @@ from repro.isa.instructions import Instruction, Opcode
 #: program's decodings.  Programs derived from one another share it.
 DECODINGS_ATTR = "_decoded_cache"
 
+#: Attribute under which :meth:`repro.machine.state.ArchState.initial`
+#: caches a program's data image without its zero cells.
+BOOT_IMAGE_ATTR = "_boot_image"
+
 
 @dataclass(frozen=True)
 class Program:
@@ -69,8 +73,9 @@ class Program:
         """Pickle/deepcopy state: the dataclass fields only.
 
         Runtime attachments (the decodings shared by a program and its
-        derived variants, which hold closures) are identity-scoped and
-        must never travel with the program's value.
+        derived variants, which hold closures, and the cached boot
+        image) are identity-scoped and must never travel with the
+        program's value.
         """
         return {
             name: self.__dict__[name]

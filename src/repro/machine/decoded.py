@@ -30,51 +30,67 @@ them across steps (snapshot the fields instead).  Effects describing
 memory accesses are freshly allocated (they carry per-step data), but
 code must not rely on that.
 
-Superstep chains
-----------------
+Fall-through traces
+-------------------
 
-On top of the steppers, :class:`DecodedProgram` runs **basic-block
-supersteps**: for every pc, the straight-line span from that pc to its
-block terminator, with its length (``chain_spans``), halt flag, load
-count, and the registers it reads before writing (``chain_reads``) and
-writes (``chain_writes``).  ``chains[pc]`` is one generated Python
-function, ``chain(regs, state)``, for the whole span.  It indexes the
-state's own register list, range-checks every result and address inline
+On top of the steppers, :class:`DecodedProgram` runs **fall-through
+traces**: for every pc, the contiguous span from that pc through every
+conditional branch up to the first ``j``/``jal``/``jr``/``halt``, the
+first branch whose target is its own fall-through pc (no exit pc tells
+its direction), or the end of the text.  Per-pc tables give the span's
+length (``chain_spans``), whether it ends in ``halt`` (``chain_halts``),
+the registers it reads before writing (``chain_reads``) and those it
+writes (``chain_writes``); ``chain_loads`` is a per-text prefix count
+of ``lw``.  ``chains[pc]`` is one generated Python function for the
+whole span, ``chain(regs, state)``.  Each conditional branch that is
+not the span's last instruction is a *side exit*, ``if cond:
+state.pc = target; return k``; the function returns how many
+instructions it retired, ``k`` at a side exit and the span's length
+otherwise, so a chain from pc that returned ``k`` loaded
+``chain_loads[pc + k] - chain_loads[pc]`` words and reached its
+``halt`` only if ``k`` is the whole span.  It indexes the state's own
+register list, range-checks every result and address inline
 (``wrap64`` only on overflow), drops writes to ``r0``, and sends only
 memory through ``state.load``/``state.store``.  Each memory op stores
 its own pc first (the profiler attributes sites to ``state.pc``),
 control transfers and ``halt`` store theirs, and a span that does not
-end in a terminator stores its end pc.  The sequential
+end in a terminator stores its end pc.  ``chains[pc, n]`` is the same
+trace cut to its first ``n`` instructions, for a consumer that must
+stop inside one (the master before a ``fork`` or ``jr``, a slave
+before its end pc, recovery before an anchor).  The sequential
 :meth:`DecodedProgram.run`, the profiler, MSSP recovery and the MSSP
 master run whole chains, falling back to exact per-step execution
-wherever a step boundary could fall inside one — near the step budget,
-so ``StepLimitExceeded`` (or an overrun or timeout) fires at precisely
-the same instruction as the reference loop.
+near the step budget, so ``StepLimitExceeded`` (or an overrun or
+timeout) fires at precisely the same instruction as the reference
+loop.
 
 The MSSP slave runs the *recording* variant,
 ``recording_chains[pc]``: ``chain(regs, state, written, live_in)``, the
-same body between a generated prologue and epilogue.  The prologue
-records each register of ``chain_reads`` that is neither marked in
+same body with a generated prologue at the entry of each *segment*
+(the span from the entry or from after a side exit to the next) and
+marks before each segment's exit.  A segment's prologue records each
+register of ``chain_reads`` first read in it that is neither marked in
 ``written`` nor already in ``live_in`` (``live_in[r] = regs[r]``, in
-first-read order); the epilogue marks every register of
-``chain_writes`` in ``written``.  A span reads its ``chain_reads``
-before writing them, so their values at entry are the values its first
-reads see: the variant records exactly what a recording view's
-``read_reg``/``write_reg`` would, once per chain instead of on every
-access, and is exact for any chain that runs to its end.
+first-read order); its marks set ``written`` for each register of
+``chain_writes`` first written in it.  A register the trace reads
+before writing keeps its entry value until that first read, so the
+variant records exactly what a recording view's
+``read_reg``/``write_reg`` would, once per segment instead of on every
+access, for whichever exit the trace takes.
 
 The arithmetic and branch expressions come from one table
 (``_LOCAL_R3``, ``_I2_OPS_TO_R3``, ``_BRANCH_EXPR``).
 
 A chain compiles at its first entry, into a process-wide cache keyed by
-its pc, its span's instructions and the text size, and bounded by
-:data:`CHAIN_CACHE_LIMIT` entries (the oldest is evicted first).  Texts
-that agree on a span share its function: a workload's training and
-evaluation instances, and every rebuild of an engine over the same
-program, compile nothing twice.  Evicting an entry never changes a
-result: decodings keep the functions they already hold, and a
-re-entered span compiles to the same code.  The oracle tier's chains
-step ``semantics.execute`` and run no generated code.
+its pc, its span's instructions, the text size and the variant, and
+bounded by :data:`CHAIN_CACHE_LIMIT` entries (the oldest is evicted
+first).  Texts that agree on a span share its function: a workload's
+training and evaluation instances, and every rebuild of an engine over
+the same program, compile nothing twice.  Evicting an entry never
+changes a result: decodings keep the functions they already hold, and
+a re-entered span compiles to the same code.  The oracle tier's chains
+step ``semantics.execute`` over the span, leaving after its first taken
+branch, and run no generated code.
 
 Decodings are cached per family of :class:`~repro.isa.program.Program`
 *objects* (identity, not value): the decodings are attached to the
@@ -90,8 +106,8 @@ deep-copying never see the closures.
 ``semantics.execute`` remains the semantic oracle; differential tests
 (``tests/machine/test_decoded.py``) hold the two bit-identical, and
 ``repro lint`` re-checks every closure's decode metadata against its
-source instruction and every chain against stepping its span (the
-``DEC`` checks).
+source instruction and every trace against stepping its span to its
+first taken branch (the ``DEC`` checks).
 """
 
 from __future__ import annotations
@@ -118,13 +134,15 @@ from repro.machine.state import MachineStateLike, wrap64
 #: A decoded instruction: mutates ``state`` and returns its effect.
 Stepper = Callable[[MachineStateLike], StepEffect]
 
-#: A superstep chain: ``chain(regs, state)`` executes a whole span on
-#: ``regs``, the state's own register list.  The recording variant takes
-#: ``(regs, state, written, live_in)`` (see the module docstring).
-Chain = Callable[..., None]
+#: A trace: ``chain(regs, state)`` executes a span on ``regs``, the
+#: state's own register list, up to its first taken side exit, and
+#: returns how many instructions it retired.  The recording variant
+#: takes ``(regs, state, written, live_in)`` (see the module docstring).
+Chain = Callable[..., int]
 
-#: A span's ``(chain_reads, chain_writes)``: what a recording chain
-#: records at entry and marks at exit.
+#: A trace's ``(chain_reads, chain_writes)``: what a recording chain
+#: records and marks, each register in the segment that first reads or
+#: writes it.
 SpanRegisters = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 _MIN64 = -(1 << 63)
@@ -323,47 +341,115 @@ def _decode_instruction(pc: int, instr: Instruction) -> Stepper:
     return step
 
 
+def _ends_trace(pc: int, instr: Instruction) -> bool:
+    """Whether a trace through ``instr`` at ``pc`` stops after it: an
+    unconditional transfer, ``halt``, or a conditional branch whose
+    target is its own fall-through pc."""
+    return instr.is_terminator and not (
+        instr.is_branch and instr.target != pc + 1
+    )
+
+
+def _segment_registers(
+    span: Sequence[Instruction], registers: SpanRegisters
+) -> Tuple[List[List[int]], List[List[int]]]:
+    """Per segment of ``span`` (split after each side exit): the
+    registers of ``registers``' reads first read in it, and of its
+    writes first written in it, each in table order.  A register the
+    span never reads (or writes) is left out, so a trace cut short
+    records only what its own instructions access."""
+    reads, writes = registers
+    first_read: Dict[int, int] = {}
+    first_write: Dict[int, int] = {}
+    segment = 0
+    last = len(span) - 1
+    for i, instr in enumerate(span):
+        for reg in (instr.rs, instr.rt):
+            if reg is not None:
+                first_read.setdefault(reg, segment)
+        for reg in instr.defs():
+            first_write.setdefault(reg, segment)
+        if i < last and instr.is_branch:
+            segment += 1
+    records: List[List[int]] = [[] for _ in range(segment + 1)]
+    marks: List[List[int]] = [[] for _ in range(segment + 1)]
+    for reg in reads:
+        if reg in first_read:
+            records[first_read[reg]].append(reg)
+    for reg in writes:
+        if reg in first_write:
+            marks[first_write[reg]].append(reg)
+    return records, marks
+
+
 def _chain_source(
     pc: int,
     span: Sequence[Instruction],
     recording: Optional[SpanRegisters] = None,
 ) -> str:
-    """The source of ``chain(regs, state)`` for ``span``, the
-    instructions at ``pc`` onward, or with ``recording`` — the span's
+    """The source of the trace ``chain(regs, state)`` over ``span``, the
+    instructions at ``pc`` onward, or with ``recording`` — the trace's
     ``(chain_reads, chain_writes)`` — of the recording variant
     ``chain(regs, state, written, live_in)`` (see the module
-    docstring)."""
+    docstring).  Both return the number of instructions retired."""
+    last = len(span) - 1
     if recording is None:
         lines = ["def chain(regs, state):"]
+        records = marks = None
     else:
         lines = ["def chain(regs, state, written, live_in):"]
-        lines += [
-            f" if not written[{r}] and {r} not in live_in:"
-            f" live_in[{r}] = regs[{r}]"
-            for r in recording[0]
-        ]
+        records, marks = _segment_registers(span, recording)
     emit = lines.append
     checked = f" if {_MIN64} <= {{0}} <= {_MAX64} else w({{0}})"
+
+    def prologue(segment: int) -> None:
+        if records is not None:
+            lines.extend(
+                f" if not written[{r}] and {r} not in live_in:"
+                f" live_in[{r}] = regs[{r}]"
+                for r in records[segment]
+            )
+
+    def mark(segment: int) -> None:
+        if marks is not None and marks[segment]:
+            emit(" " + " = ".join(f"written[{r}]" for r in marks[segment])
+                 + " = True")
+
+    def reg(r: int) -> str:
+        # Every state keeps regs[0] == 0: read r0 as the constant.
+        return "0" if r == ZERO else f"regs[{r}]"
 
     def result(rd: int, expr: str) -> None:
         emit(f" v = {expr}")
         emit(f" regs[{rd}] = v" + checked.format("v"))
 
     def address(rs: int, imm: int) -> str:
+        if rs == ZERO:
+            return str(wrap64(imm))
         emit(f" a = regs[{rs}] + {imm}" if imm else f" a = regs[{rs}]")
         return "a" + checked.format("a")
 
-    for at, instr in enumerate(span, pc):
+    segment = 0
+    prologue(segment)
+    for i, instr in enumerate(span):
+        at = pc + i
         op = instr.op
         rd, rs, rt, imm = instr.rd, instr.rs, instr.rt, instr.imm
         r3 = _I2_OPS_TO_R3.get(op, op)
         if r3 in _LOCAL_R3:
             if rd != ZERO:
-                b = repr(imm) if r3 is not op else f"regs[{rt}]"
-                result(rd, _LOCAL_R3[r3].format(a=f"regs[{rs}]", b=b))
+                b = repr(imm) if r3 is not op else reg(rt)
+                result(rd, _LOCAL_R3[r3].format(a=reg(rs), b=b))
         elif op in _BRANCH_EXPR:
-            cond = _BRANCH_EXPR[op].format(a=f"regs[{rs}]", b=f"regs[{rt}]")
-            emit(f" state.pc = {instr.target} if {cond} else {at + 1}")
+            cond = _BRANCH_EXPR[op].format(a=reg(rs), b=reg(rt))
+            if i < last:
+                # A side exit: the segment's marks, then leave if taken.
+                mark(segment)
+                emit(f" if {cond}: state.pc = {instr.target}; return {i + 1}")
+                segment += 1
+                prologue(segment)
+            else:
+                emit(f" state.pc = {instr.target} if {cond} else {at + 1}")
         elif op is Opcode.LW:
             addr = address(rs, imm)
             emit(f" state.pc = {at}")
@@ -374,13 +460,13 @@ def _chain_source(
         elif op is Opcode.SW:
             addr = address(rs, imm)
             emit(f" state.pc = {at}")
-            emit(f" state.store({addr}, regs[{rt}])")
+            emit(f" state.store({addr}, {reg(rt)})")
         elif op is Opcode.LI:
             if rd != ZERO:
                 emit(f" regs[{rd}] = {wrap64(imm)}")
         elif op is Opcode.MOV:
             if rd != ZERO:
-                result(rd, f"regs[{rs}]")
+                result(rd, reg(rs))
         elif op is Opcode.J:
             emit(f" state.pc = {instr.target}")
         elif op is Opcode.JAL:
@@ -393,9 +479,8 @@ def _chain_source(
         # NOP and FORK (a task marker, not a computation) do nothing.
     if not span[-1].is_terminator:
         emit(f" state.pc = {pc + len(span)}")
-    if recording is not None and recording[1]:
-        marks = " = ".join(f"written[{r}]" for r in recording[1])
-        emit(f" {marks} = True")
+    mark(segment)
+    emit(f" return {len(span)}")
     return "\n".join(lines) + "\n"
 
 
@@ -411,12 +496,15 @@ def _compile_chain(
 
 
 def _oracle_chain(span: Sequence[Instruction]) -> Chain:
-    """A chain that steps ``span`` through ``semantics.execute``.  It
-    takes the recording variant's arguments too and ignores them: on a
-    recording view, ``execute``'s own register accesses record."""
+    """A trace that steps ``span`` through ``semantics.execute``,
+    leaving after its first taken branch.  It takes the recording
+    variant's arguments too and ignores them: on a recording view,
+    ``execute``'s own register accesses record."""
     def chain(regs, state, *recording):
-        for instr in span:
-            execute(instr, state)
+        for retired, instr in enumerate(span, 1):
+            if execute(instr, state).taken:
+                return retired
+        return len(span)
     return chain
 
 
@@ -440,36 +528,34 @@ def _decode_meta(pc: int, instr: Instruction) -> Tuple:
 
 
 class ChainTable(dict):
-    """pc -> the chain over ``spans[pc]`` instructions from pc (the
-    recording variant with ``recording``), compiled through the
-    process-wide cache at the pc's first entry.
+    """pc -> the trace from pc, and ``(pc, n)`` -> the trace cut to its
+    first ``n`` instructions (the recording variant with
+    ``recording``), compiled through the process-wide cache at the
+    key's first entry.
 
-    Callers index only pcs whose span they are about to run, so a pc
-    that is never entered is never compiled.
+    Callers index only spans they are about to run, so a pc that is
+    never entered is never compiled.
     """
 
-    __slots__ = ("decoded", "spans", "recording")
+    __slots__ = ("decoded", "recording")
 
-    def __init__(
-        self,
-        decoded: "DecodedProgram",
-        spans: Tuple[int, ...],
-        recording: bool = False,
-    ):
+    def __init__(self, decoded: "DecodedProgram", recording: bool = False):
         super().__init__()
         self.decoded = decoded
-        self.spans = spans
         self.recording = recording
 
-    def __missing__(self, pc: int) -> Chain:
-        chain = self[pc] = self.decoded.compile_span(
-            pc, self.spans[pc], self.recording
+    def __missing__(self, key) -> Chain:
+        decoded = self.decoded
+        pc, n = (
+            (key, decoded.chain_spans[key]) if key.__class__ is int else key
         )
+        chain = self[key] = decoded.compile_span(pc, n, self.recording)
         return chain
 
 
 class DecodedProgram:
-    """A :class:`Program` compiled to per-pc closures and superstep chains.
+    """A :class:`Program` compiled to per-pc closures and fall-through
+    traces.
 
     It depends only on the program's code, and serves every program
     with that code.  Obtain instances through :func:`decode` (which
@@ -504,49 +590,48 @@ class DecodedProgram:
             _decode_meta(pc, instr) for pc, instr in enumerate(self.code)
         )
         self._build_chains()
-        self.chains = ChainTable(self, self.chain_spans)
-        self.recording_chains = ChainTable(
-            self, self.chain_spans, recording=True
-        )
+        self.chains = ChainTable(self)
+        self.recording_chains = ChainTable(self, recording=True)
 
     def _build_chains(self) -> None:
-        """Per-pc facts of the straight-line spans ending at terminators.
+        """Per-pc facts of the fall-through traces.
 
         ``chain_spans[pc]`` counts the instructions from pc through the
-        first terminator at or after it (or the end of the text);
-        ``chain_halts[pc]`` marks spans whose terminator is ``halt``, and
-        ``chain_loads[pc]`` counts their ``lw`` instructions.
-        ``chain_reads[pc]`` lists the registers the span reads before
+        first instruction at or after it that ends a trace (or the end
+        of the text); ``chain_halts[pc]`` marks traces that end in
+        ``halt``.  ``chain_loads[p]`` counts the ``lw`` in the first
+        ``p`` instructions of the text (``size + 1`` entries), so the
+        loads of any run of instructions are one difference.
+        ``chain_reads[pc]`` lists the registers the trace reads before
         writing them (r0 excluded) in first-read order, operands in
         evaluation order (``rs`` before ``rt``); ``chain_writes[pc]``
-        the registers it writes: the recording chains take a chain's
-        live-ins once at entry instead of on every access.  Entry at any
-        pc is legal — spans are suffixes, so branch targets into block
-        middles get their own (shorter) chain.
+        the registers it writes, in first-write order: the recording
+        chains take a segment's live-ins once at its entry instead of
+        on every access.  Entry at any pc is legal — spans are
+        suffixes, so branch targets into a trace's middle get their
+        own (shorter) chain.
         """
         code = self.code
         size = self.size
         spans: List[int] = [0] * size
         halts: List[bool] = [False] * size
-        loads: List[int] = [0] * size
+        loads: List[int] = [0] * (size + 1)
         reads: List[Tuple[int, ...]] = [()] * size
         writes: List[Tuple[int, ...]] = [()] * size
+        for pc, instr in enumerate(code):
+            loads[pc + 1] = loads[pc] + (instr.op is Opcode.LW)
         end = size
         halt = False
-        count = 0
         span_reads: Tuple[int, ...] = ()
         span_writes: Tuple[int, ...] = ()
         for pc in range(size - 1, -1, -1):
             instr = code[pc]
-            if instr.is_terminator:
+            if _ends_trace(pc, instr):
                 end = pc + 1
                 halt = instr.op is Opcode.HALT
-                count = 0
                 span_reads = span_writes = ()
-            count += instr.op is Opcode.LW
             spans[pc] = end - pc
             halts[pc] = halt
-            loads[pc] = count
             written = instr.defs() - {ZERO}
             own = tuple(dict.fromkeys(
                 r for r in (instr.rs, instr.rt) if r is not None and r != ZERO
@@ -566,9 +651,8 @@ class DecodedProgram:
         self.chain_writes: Tuple[Tuple[int, ...], ...] = tuple(writes)
 
     def compile_span(self, pc: int, n: int, recording: bool = False) -> Chain:
-        """The chain over the ``n`` instructions from ``pc``; with
-        ``recording``, the recording variant over ``pc``'s whole chain
-        (``n`` must be ``chain_spans[pc]``).
+        """The trace over the ``n`` instructions from ``pc`` (at most
+        ``chain_spans[pc]``); with ``recording``, its recording variant.
 
         Generated chains come from the process-wide cache, keyed by the
         pc, the text size, the span's decode records
@@ -617,8 +701,8 @@ class DecodedProgram:
         is executed (and observed) but not counted, and
         :class:`~repro.errors.StepLimitExceeded` raises exactly when the
         ``max_steps``-th non-halt instruction retires.  With no observer
-        attached, whole basic blocks execute as supersteps without
-        per-step pc checks or effect allocation.
+        attached, whole traces execute without per-step pc checks or
+        effect allocation.
         """
         if observer is not None:
             return self._step_loop(state, 0, max_steps, observer)
@@ -634,10 +718,10 @@ class DecodedProgram:
                 raise InvalidPcError(pc, size)
             n = spans[pc]
             if steps + n < max_steps:
-                chains[pc](regs, state)
-                if chain_halts[pc]:
-                    return steps + n - 1, True
-                steps += n
+                k = chains[pc](regs, state)
+                if k == n and chain_halts[pc]:
+                    return steps + k - 1, True
+                steps += k
             else:
                 # Near the budget boundary: step exactly, so the limit
                 # fires at the same instruction as the reference loop.

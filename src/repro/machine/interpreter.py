@@ -9,7 +9,7 @@ An optional observer receives every executed instruction together with its
 :class:`~repro.machine.semantics.StepEffect`.  The profiler's test
 reference (``Profiler`` in ``tests/profiling/test_profiler.py``) is such
 an observer; :func:`repro.profiling.profile_program` itself runs
-basic-block supersteps and hooks only loads and stores.
+fall-through traces and hooks only loads and stores.
 
 Execution dispatches through the pre-decoded engine
 (:mod:`repro.machine.decoded`), which is differentially tested to be
@@ -125,7 +125,7 @@ def count_instructions_and_loads(
     The load count feeds memory-aware cycle accounting: machines that
     charge ``load_penalty`` extra cycles per load need the baseline's
     load count for fair speedup denominators.  It runs the decoded
-    program's supersteps on a state that counts its loads, with no
+    program's traces on a state that counts its loads, with no
     per-instruction observer.
     """
     state = _LoadCountingState(mem=program.memory, pc=program.entry)

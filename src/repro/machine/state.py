@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Tuple
 
-from repro.isa.program import Program
+from repro.isa.program import BOOT_IMAGE_ATTR, Program
 from repro.isa.registers import NUM_REGS, ZERO
 
 _MASK64 = (1 << 64) - 1
@@ -41,7 +41,7 @@ class MachineStateLike(Protocol):
 
     Implementations: :class:`ArchState` (direct), the MSSP master's
     write-cache view, and the MSSP slave's recording view.  ``regs`` is
-    the state's own register list, which decoded superstep chains index
+    the state's own register list, which decoded traces index
     directly; every implementation keeps ``regs[0] == 0``.
     """
 
@@ -83,8 +83,20 @@ class ArchState:
 
     @classmethod
     def initial(cls, program: Program) -> "ArchState":
-        """The boot state for ``program``: zero registers, its data image."""
-        return cls(mem=program.memory, pc=program.entry)
+        """The boot state for ``program``: zero registers, its data image.
+
+        The image's canonical (zero-free) form is built once per program
+        object and cached on it; every boot state gets its own copy.
+        """
+        image = program.__dict__.get(BOOT_IMAGE_ATTR)
+        if image is None:
+            image = {a: v for a, v in program.memory.items() if v}
+            object.__setattr__(program, BOOT_IMAGE_ATTR, image)
+        state = cls.__new__(cls)
+        state.regs = [0] * NUM_REGS
+        state.mem = image.copy()
+        state.pc = program.entry
+        return state
 
     # -- MachineStateLike ------------------------------------------------------
 

@@ -163,7 +163,7 @@ class MsspEngine:
         self.regions = ProtectedRegions.from_config(
             self.config.protected_regions
         )
-        self._recover_spans = self._recovery_spans()
+        self._recover_chains = self._recovery_chains()
         #: Write-version stamps over architected memory, driving the
         #: verify fast path (re-created per run; see repro.mssp.verify).
         self._versions = CellVersions()
@@ -207,6 +207,10 @@ class MsspEngine:
             self._allowed_squash_reasons = predicted_squash_reasons(
                 distillation
             )
+        #: The master over the current distilled artifact, rebuilt by
+        #: :meth:`_install_distillation`: its per-pc trace table fills
+        #: at each pc's first entry and serves every later run.
+        self._master = self._build_master()
 
     # -- public API ---------------------------------------------------------------
 
@@ -226,7 +230,7 @@ class MsspEngine:
                 and self._distillation is not self._initial_distillation
             ):
                 self._install_distillation(self._initial_distillation)
-        master = self._build_master()
+        master = self._master
         device_trace: List[DeviceAccess] = []
         recent_outcomes: deque = deque(maxlen=self.config.throttle_window)
         next_tid = 0
@@ -250,7 +254,7 @@ class MsspEngine:
                     if swap is not None:
                         region, misses, result, delta = swap
                         self._install_distillation(result)
-                        master = self._build_master()
+                        master = self._master
                         self.events.emit(Redistilled(
                             region=region,
                             misses=misses,
@@ -396,7 +400,8 @@ class MsspEngine:
         return bank
 
     def _build_master(self) -> Master:
-        """A master over the *current* distilled artifact."""
+        """A master over the *current* distilled artifact (see
+        :attr:`_master`)."""
         return Master(
             self.distilled, self.config,
             arrival_pcs=self.pc_map.arrival_pcs(),
@@ -408,19 +413,20 @@ class MsspEngine:
         """Hot-swap the distilled artifact, coherently.
 
         Everything derived from the old distilled program / pc map is
-        rebuilt or invalidated here: the recovery chain table
-        (:meth:`_recovery_spans`, which reads the anchors), the
+        rebuilt or invalidated here: the master, the recovery chain
+        table (:meth:`_recovery_chains`, which reads the anchors), the
         safety report (and with it the verify fast path and the per-task
         proven sets), the statically allowed squash causes, the memory
         version stamps (bulk invalidation — the cheap, always-sound
         option), and the predictor bank's targets (whose master-miss
         streaks reset: the old master's miss history says nothing about
-        the new master).  The caller rebuilds the Master itself.
+        the new master).
         """
         self._distillation = result
         self.distilled = result.distilled
         self.pc_map = result.pc_map
-        self._recover_spans = self._recovery_spans()
+        self._master = self._build_master()
+        self._recover_chains = self._recovery_chains()
         if self.config.static_safety == "off":
             self.safety_report = SafetyReport()
         else:
@@ -439,24 +445,32 @@ class MsspEngine:
                 else None,
             )
 
-    def _recovery_spans(self) -> Optional[Tuple[int, ...]]:
-        """Per pc of the original text: the length of the decoded chain
-        from that pc when no anchor lies strictly inside its span, else
-        0 — recovery may run such a chain whole and test the anchor stop
-        once, after it.  ``None`` on the oracle tier, or with protected
-        regions (device accesses are logged per step)."""
+    def _recovery_chains(self) -> Optional[Tuple[tuple, ...]]:
+        """Per pc of the original text: ``(key, n, halts)`` for the
+        chain recovery runs from that pc: the trace (key ``pc``), or,
+        when an anchor lies strictly inside it, the trace cut before the
+        first such anchor (key ``(pc, n)``), so that recovery tests the
+        anchor stop once, at the chain's exit; ``n`` is the chain's
+        length and ``halts`` whether it ends in ``halt``.  ``None`` on
+        the oracle tier, or with protected regions (device accesses are
+        logged per step)."""
         if self.exec_tier == "oracle" or self.regions is not None:
             return None
         anchors = self.pc_map.anchors
-        spans = self._decoded_original.chain_spans
-        usable = [0] * len(spans)
-        blocked = False
+        decoded = self._decoded_original
+        spans = decoded.chain_spans
+        table: List[tuple] = [()] * len(spans)
+        # The nearest anchor above pc (none: past every span's end).
+        above = len(spans)
         for pc in range(len(spans) - 1, -1, -1):
             n = spans[pc]
-            # The span from pc is pc plus the span from pc + 1.
-            blocked = n > 1 and (blocked or pc + 1 in anchors)
-            usable[pc] = 0 if blocked else n
-        return tuple(usable)
+            table[pc] = (
+                (pc, n, decoded.chain_halts[pc]) if above >= pc + n
+                else ((pc, above - pc), above - pc, False)
+            )
+            if pc in anchors:
+                above = pc
+        return tuple(table)
 
     def _make_executor(self):
         """Build the executor backend ``self.runtime`` names.
@@ -568,9 +582,8 @@ class MsspEngine:
         decoded = self._decoded_original
         steppers = decoded.steppers
         size = decoded.size
-        usable = self._recover_spans
+        table = self._recover_chains
         chains = decoded.chains
-        chain_halts = decoded.chain_halts
         chain_loads = decoded.chain_loads
         regs = arch.regs
         steps = 0
@@ -579,25 +592,25 @@ class MsspEngine:
         halted = False
         total = self._recorder.counters.total_instrs
         budget = self.config.max_total_instrs - total
-        # Chains may run only while every bound stays unreachable within
-        # one body; the per-step loop below handles the boundaries
-        # (anchor stops and budget raises fire at exactly the per-step
-        # instruction counts).
+        # Chains are cut before anchors, and run only while the cap and
+        # the budget stay unreachable within one body; the per-step loop
+        # below handles those boundaries (stops and budget raises fire
+        # at exactly the per-step instruction counts).
         cap = min(budget, max(min_instrs, self.config.recovery_max_instrs))
         while True:
             pc = arch.pc
             if not 0 <= pc < size:
                 raise InvalidPcError(pc, size)
-            if usable is not None:
-                n = usable[pc]
-                if n and steps + n < cap:
-                    chains[pc](regs, arch)
-                    loads += chain_loads[pc]
-                    if chain_halts[pc]:
-                        steps += n - 1
+            if table is not None:
+                key, n, halts = table[pc]
+                if steps + n < cap:
+                    k = chains[key](regs, arch)
+                    loads += chain_loads[pc + k] - chain_loads[pc]
+                    if k == n and halts:
+                        steps += k - 1
                         halted = True
                         break
-                    steps += n
+                    steps += k
                     if steps >= min_instrs and arch.pc in anchors:
                         break
                     continue

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 from repro.config import MsspConfig
 from repro.isa.instructions import Opcode
 from repro.isa.program import Program
-from repro.machine.decoded import ChainTable, decode
+from repro.machine.decoded import decode
 from repro.machine.state import ArchState, wrap64
 from repro.mssp.task import Checkpoint
 
@@ -67,22 +67,35 @@ class MasterEvent:
 
 
 class _Supersteps(dict):
-    """pc -> ``(chain, length, anchors, lw count, ends in halt)`` for the
-    master's cut chain at pc, or ``None`` at a fork or jr: one lookup per
-    superstep.  An entry is built, and its chain compiled, at the pc's
-    first entry."""
+    """pc -> ``(chain, length, arrivals, ends in halt)`` for the master's
+    trace at pc cut before its first ``fork`` or ``jr`` (which the
+    master intercepts), or ``None`` at a fork or jr: one lookup per
+    trace.  ``arrivals`` pairs each arrival pc the cut trace spans with
+    its anchor, in pc order.  An entry is built, and its chain
+    compiled, at the pc's first entry, and serves every later run of
+    the master."""
 
-    __slots__ = ("facts", "chains")
+    __slots__ = ("decoded", "special", "arrival_pcs")
 
-    def __init__(self, facts: tuple, chains: ChainTable):
+    def __init__(self, decoded, special: tuple, arrival_pcs: Dict[int, int]):
         super().__init__()
-        self.facts = facts
-        self.chains = chains
+        self.decoded = decoded
+        self.special = special
+        self.arrival_pcs = arrival_pcs
 
     def __missing__(self, pc: int) -> Optional[tuple]:
-        facts = self.facts[pc]
-        entry = self[pc] = (
-            None if facts is None else (self.chains[pc],) + facts
+        decoded = self.decoded
+        special = self.special
+        length = decoded.chain_spans[pc]
+        n = next((i for i in range(length) if special[pc + i]), length)
+        entry = self[pc] = None if not n else (
+            decoded.chains[pc] if n == length else decoded.chains[pc, n],
+            n,
+            tuple(
+                (p, self.arrival_pcs[p]) for p in range(pc, pc + n)
+                if p in self.arrival_pcs
+            ),
+            n == length and decoded.chain_halts[pc],
         )
         return entry
 
@@ -148,7 +161,7 @@ class Master:
         self.total_instrs = 0
         self.restarts = 0
         # Execution tier: ``oracle`` swaps the per-step stepper and runs
-        # no supersteps.
+        # no traces.
         self._decoded = decode(distilled, oracle=tier == "oracle")
         # Per-pc dispatch for the two opcodes the master hardware
         # intercepts before execution: None for ordinary instructions,
@@ -163,36 +176,9 @@ class Master:
             for instr in distilled.code
         )
         self._supersteps = (
-            self._superstep_table() if tier == "decoded" else None
+            _Supersteps(self._decoded, self._special, self.arrival_pcs)
+            if tier == "decoded" else None
         )
-
-    def _superstep_table(self) -> "_Supersteps":
-        """Per pc: the decoded chain's span cut before its first ``fork``
-        or ``jr`` (which the master intercepts) as ``(length, anchors of
-        its pcs, lw count, ends in halt)``, or ``None`` at a fork or jr,
-        behind the :class:`_Supersteps` table that compiles each cut
-        chain at its first entry.  A cut chain stores the intercepted
-        instruction's pc as its end pc."""
-        decoded = self._decoded
-        code = decoded.code
-        special = self._special
-        arrival_pcs = self.arrival_pcs
-        facts = []
-        spans = []
-        for pc, length in enumerate(decoded.chain_spans):
-            n = next((i for i in range(length) if special[pc + i]), length)
-            spans.append(n)
-            if not n:
-                facts.append(None)
-                continue
-            span = range(pc, pc + n)
-            facts.append((
-                n,
-                tuple(arrival_pcs[p] for p in span if p in arrival_pcs),
-                sum(1 for p in span if code[p].op is Opcode.LW),
-                n == length and decoded.chain_halts[pc],
-            ))
-        return _Supersteps(tuple(facts), ChainTable(decoded, tuple(spans)))
 
     def restart(self, arch: ArchState, distilled_pc: int) -> None:
         """Reseed the master from architected state at ``distilled_pc``."""
@@ -217,6 +203,7 @@ class Master:
         arrival_pcs = self.arrival_pcs
         arrivals = self._arrivals
         supersteps = self._supersteps
+        chain_loads = self._decoded.chain_loads
         regs = view.regs
         executed = 0
         loads = 0
@@ -227,18 +214,21 @@ class Master:
             if supersteps is not None:
                 step = supersteps[pc]
                 if step is not None and executed + step[1] < budget:
-                    # A superstep visits each pc of its span once: count
-                    # their arrivals, then run it whole.
-                    chain, n, anchors, n_loads, halts = step
-                    for anchor in anchors:
-                        arrivals[anchor] = arrivals.get(anchor, 0) + 1
-                    chain(regs, view)
-                    loads += n_loads
-                    if halts:
+                    # A trace visits each pc it retires once: count the
+                    # arrivals at those pcs.
+                    chain, n, spanned, halts = step
+                    k = chain(regs, view)
+                    if spanned:
+                        for arrival, anchor in spanned:
+                            if arrival >= pc + k:
+                                break
+                            arrivals[anchor] = arrivals.get(anchor, 0) + 1
+                    loads += chain_loads[pc + k] - chain_loads[pc]
+                    if k == n and halts:
                         return MasterEvent(
-                            MasterEventKind.HALT, executed + n - 1, loads
+                            MasterEventKind.HALT, executed + k - 1, loads
                         )
-                    executed += n
+                    executed += k
                     continue
             if pc in arrival_pcs:
                 anchor = arrival_pcs[pc]
@@ -283,7 +273,7 @@ class Master:
         translation active — the distillation-effectiveness numerator.
         Returns the executed instruction count; raises
         :class:`~repro.errors.StepLimitExceeded` past ``max_steps``.
-        Runs the cut chains of :meth:`_run_to_event` wherever the budget
+        Runs the cut traces of :meth:`_run_to_event` wherever the budget
         cannot fall inside one, so the limit fires at the same
         instruction as the per-step loop.
         """
@@ -303,11 +293,11 @@ class Master:
             if supersteps is not None:
                 step = supersteps[pc]
                 if step is not None and executed + step[1] < max_steps:
-                    chain, n, _anchors, _loads, halts = step
-                    chain(regs, view)
-                    if halts:
-                        return executed + n - 1
-                    executed += n
+                    chain, n, _arrivals, halts = step
+                    k = chain(regs, view)
+                    if k == n and halts:
+                        return executed + k - 1
+                    executed += k
                     continue
             dispatch = special[pc]
             if dispatch is not None and dispatch[0] is Opcode.JR:

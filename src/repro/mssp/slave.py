@@ -18,14 +18,15 @@ iteration — executes the whole iteration), at ``halt``, or when the
 instruction budget is exhausted (recorded as an overrun, which
 verification treats as a misspeculation).
 
-On every tier but ``oracle`` the register rules run once per
-basic-block chain, not on every access: a *recording chain*
+On every tier but ``oracle`` the register rules run once per trace
+segment, not on every access: a *recording chain*
 (:attr:`~repro.machine.decoded.DecodedProgram.recording_chains`) works on
 the view's own register list, written flags and live-in dict, recording
-the registers its span reads before writing at entry and marking the
-ones it writes at exit — what ``read_reg``/``write_reg`` would record,
-step by step, for a chain that runs to its end.  Memory still records
-through :meth:`SlaveView.load`/:meth:`SlaveView.store`.
+the registers each segment reads before the trace writes them at the
+segment's entry and marking the ones it writes before its exit — what
+``read_reg``/``write_reg`` would record, step by step, for whichever
+exit the trace takes.  Memory still records through
+:meth:`SlaveView.load`/:meth:`SlaveView.store`.
 """
 
 from __future__ import annotations
@@ -144,15 +145,15 @@ def execute_task(
     ``semantics.execute``; ``decoded`` (the default) runs the
     pre-decoded engine.
 
-    Without protected regions the decoded engine runs whole superstep
-    chains wherever neither the budget nor the end pc falls inside one,
-    checking the arrival once after the chain.  It runs the *recording*
-    chains (:attr:`~repro.machine.decoded.DecodedProgram.recording_chains`)
-    on the view's register list, written-flags and live-in dict: each
-    records its span's register live-ins at entry and marks its writes
-    at exit, exactly as :meth:`SlaveView.read_reg`/``write_reg`` would
-    for a chain that cannot stop part-way; memory still records through
-    the view.
+    Without protected regions the decoded engine runs whole traces
+    wherever the budget cannot fall inside one, checking the arrival
+    once after the trace; a trace with the end pc strictly inside runs
+    cut before it.  It runs the *recording* chains
+    (:attr:`~repro.machine.decoded.DecodedProgram.recording_chains`) on
+    the view's register list, written-flags and live-in dict: each
+    segment records its register live-ins at entry and marks its writes
+    before its exit, exactly as :meth:`SlaveView.read_reg`/``write_reg``
+    would; memory still records through the view.
     """
     view = SlaveView(task.checkpoint, arch, task.start_pc, regions=regions)
     decoded = decode(program, oracle=tier == "oracle")
@@ -175,8 +176,8 @@ def execute_task(
     overrun = False
     protected = False
     end_pc = task.end_pc
-    # A chain may run only if the end pc is not strictly inside it; pc
-    # is never below -1, so -1 stands for "no end pc" there.
+    # A trace with the end pc strictly inside it runs cut before the
+    # end pc; pc is never below -1, so -1 stands for "no end pc" there.
     inside = -1 if end_pc is None else end_pc
     remaining_arrivals = max(1, task.end_arrivals)
     while True:
@@ -186,14 +187,18 @@ def execute_task(
             break
         if chains is not None:
             n = chain_spans[pc]
-            if steps + n < max_instrs and not pc < inside < pc + n:
-                chains[pc](regs, view, written, live_in)
-                loads += chain_loads[pc]
-                if chain_halts[pc]:
-                    steps += n - 1
+            if steps + n < max_instrs:
+                # A cut trace retires fewer than n, so never its halt.
+                k = (
+                    chains[pc, inside - pc] if pc < inside < pc + n
+                    else chains[pc]
+                )(regs, view, written, live_in)
+                loads += chain_loads[pc + k] - chain_loads[pc]
+                if k == n and chain_halts[pc]:
+                    steps += k - 1
                     halted = True
                     break
-                steps += n
+                steps += k
                 if view.pc == end_pc:
                     remaining_arrivals -= 1
                     if remaining_arrivals == 0:

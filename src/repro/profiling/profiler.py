@@ -3,10 +3,11 @@
 branches to assert, which code is cold, which loads are specializable,
 and where to place fork points.
 
-:func:`profile_program` runs whole basic-block supersteps and counts
-chain entries; per-pc counts follow from a difference array over the
-chains' spans.  A branch's direction is its chain's successor pc (or
-its condition, re-evaluated, when it targets its own fall-through pc).
+:func:`profile_program` runs whole fall-through traces; per-pc counts
+follow from a difference array over the instructions each trace
+retired.  Every branch a trace ran through fell through; the branch it
+left at (or ended with) went the way its successor pc tells (or its
+condition, re-evaluated, when it targets its own fall-through pc).
 Loads and stores report through :class:`_ProfilingState` hooks.  Near
 the step budget, and on the ``oracle`` tier, it steps exactly, like the
 per-instruction observer profile it is tested against
@@ -67,24 +68,28 @@ class _ProfilingState(ArchState):
         super().store(address, value)
 
 
-def _branch_exits(decoded: DecodedProgram) -> List[Optional[Tuple]]:
-    """Per chain-entry pc: ``(branch pc, target, condition)`` if the chain
-    ends at a conditional branch, else ``None``; ``condition`` is set only
-    when the target is the fall-through pc, which no successor tells."""
-    exits: List[Optional[Tuple]] = []
-    for pc, n in enumerate(decoded.chain_spans):
-        last = pc + n - 1
-        instr = decoded.code[last]
-        if not instr.is_branch:
-            exits.append(None)
-            continue
-        condition = None
-        if instr.target == last + 1:
-            def condition(state, fn=_BRANCH_OPS[instr.op], rs=instr.rs,
-                          rt=instr.rt):
-                return fn(state.read_reg(rs), state.read_reg(rt))
-        exits.append((last, instr.target, condition))
-    return exits
+def _trace_branches(decoded: DecodedProgram) -> List[Tuple]:
+    """Per trace-entry pc: ``(branch pc, target, condition)`` for each
+    conditional branch of the trace, in pc order; ``condition`` is set
+    only when the target is the fall-through pc, which no successor
+    tells."""
+    code = decoded.code
+    spans = decoded.chain_spans
+    branches: List[Tuple] = [()] * (decoded.size + 1)
+    for pc in range(decoded.size - 1, -1, -1):
+        # A trace is pc followed by the trace from pc + 1, unless it
+        # ends at pc.
+        rest = branches[pc + 1] if spans[pc] > 1 else ()
+        instr = code[pc]
+        if instr.is_branch:
+            condition = None
+            if instr.target == pc + 1:
+                def condition(state, fn=_BRANCH_OPS[instr.op], rs=instr.rs,
+                              rt=instr.rt):
+                    return fn(state.read_reg(rs), state.read_reg(rt))
+            rest = ((pc, instr.target, condition),) + rest
+        branches[pc] = rest
+    return branches
 
 
 def _record_branch(
@@ -125,12 +130,11 @@ def profile_program(
     chain_halts = decoded.chain_halts
     steppers = decoded.steppers
     code = decoded.code
-    exits = _branch_exits(decoded)
+    trace_branches = _trace_branches(decoded)
     branches = profile.branches
     # The oracle tier is the reference the decoded tier is compared
     # against: it steps every instruction.
     superstep_limit = 0 if decoded.oracle else max_steps
-    entries = [0] * size
     delta = [0] * (size + 1)
     steps = 0
     try:
@@ -140,19 +144,24 @@ def profile_program(
                 raise InvalidPcError(pc, size)
             n = spans[pc]
             if steps + n < superstep_limit:
-                chains[pc](regs, view)
-                entries[pc] += 1
-                if chain_halts[pc]:
+                k = chains[pc](regs, view)
+                delta[pc] += 1
+                delta[pc + k] -= 1
+                last = pc + k - 1
+                for branch, target, condition in trace_branches[pc]:
+                    if branch == last:
+                        _record_branch(
+                            branches, branch,
+                            view.pc == target if condition is None
+                            else condition(view),
+                        )
+                        break
+                    if branch > last:
+                        break
+                    _record_branch(branches, branch, False)
+                if k == n and chain_halts[pc]:
                     break
-                steps += n
-                branch = exits[pc]
-                if branch is not None:
-                    last, target, condition = branch
-                    _record_branch(
-                        branches, last,
-                        view.pc == target if condition is None
-                        else condition(view),
-                    )
+                steps += k
                 continue
             # One exact step: near the budget, or on the oracle tier.
             effect = steppers[pc](view)
@@ -167,9 +176,6 @@ def profile_program(
                 raise StepLimitExceeded(max_steps)
     finally:
         state.pc = view.pc
-    for pc, count in enumerate(entries):
-        delta[pc] += count
-        delta[pc + spans[pc]] -= count
     profile.exec_counts = list(accumulate(delta[:size]))
     profile.total_instructions = sum(profile.exec_counts)
     return profile

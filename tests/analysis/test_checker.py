@@ -7,6 +7,7 @@ live-in set, a pc-map entry) and asserts the checker flags it with the
 """
 
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -586,12 +587,105 @@ class TestCheckDecoded:
         assert error_ids(report) == {"DEC004"}
         assert {f.pc for f in report.errors} == pcs
 
+    #: A loop whose traces hold two side exits: the bne (2), taken while
+    #: r1 counts down, and the beq (4), taken when the loaded word
+    #: equals r1.
+    SIDE_EXITS = (
+        ".text\nmain: li r1, 3\nloop: addi r1, r1, -1\n"
+        " bne r1, r0, loop\n lw r2, 0(r1)\n beq r2, r1, main\n"
+        " lw r3, 1(r1)\n halt\n"
+    )
+
+    @staticmethod
+    def mutate_source(monkeypatch, change):
+        """Generate chains through ``change(source)``, into a fresh
+        chain cache so no correct chain is served from earlier runs."""
+        from repro.machine import decoded as decoded_module
+
+        chain_source = decoded_module._chain_source
+
+        def mutated(pc, span, recording=None):
+            return change(chain_source(pc, span, recording))
+
+        monkeypatch.setattr(decoded_module, "_chain_source", mutated)
+        monkeypatch.setattr(decoded_module, "_chain_cache", {})
+
+    def test_wrong_exit_length_is_dec004(self, monkeypatch):
+        # Every side exit reports one instruction more than it retired.
+        def change(source):
+            return re.sub(
+                r"; return (\d+)",
+                lambda m: f"; return {int(m.group(1)) + 1}", source,
+            )
+
+        self.mutate_source(monkeypatch, change)
+        report = check_decoded(assemble(self.SIDE_EXITS))
+        assert error_ids(report) == {"DEC004"}
+        # The traces holding a side exit some seed takes: from 0, 1 and
+        # 2 (the bne), and from 2, 3 and 4 (the beq, taken on zeros).
+        assert {f.pc for f in report.errors} == {0, 1, 2, 3, 4}
+        assert any("returned" in f.message for f in report.errors)
+
+    def test_wrong_side_exit_target_is_dec004(self, monkeypatch):
+        # The bne's side exit jumps to its own pc instead of the loop.
+        self.mutate_source(monkeypatch, self.bne_exits_to_itself)
+        report = check_decoded(assemble(self.SIDE_EXITS))
+        assert error_ids(report) == {"DEC004"}
+        assert {f.pc for f in report.errors} == {0, 1, 2}
+
+    @staticmethod
+    def bne_exits_to_itself(source):
+        """The bne's side exit jumps to the bne instead of the loop."""
+        return source.replace("state.pc = 1; return", "state.pc = 2; return")
+
+    def test_reached_states_take_the_exits_seeds_miss(self, monkeypatch):
+        # With r1 = 1 in every seeded register file, the trace from 1
+        # counts r1 down to 0 and never takes the bne's side exit; the
+        # bounded run reaches pc 1 with r1 at 3 and 2, where it does.
+        from repro.analysis import checker
+        from repro.machine.state import ArchState
+
+        monkeypatch.setattr(
+            checker, "_fuzz_states",
+            lambda program, entry, variant: ArchState(
+                pc=entry, mem=program.memory, regs=[0, 1] + [0] * 30,
+            ),
+        )
+        self.mutate_source(monkeypatch, self.bne_exits_to_itself)
+        program = assemble(self.SIDE_EXITS)
+        assert 1 in {f.pc for f in check_decoded(program).errors}
+        monkeypatch.setattr(checker, "_entry_states", lambda program: {})
+        assert 1 not in {f.pc for f in check_decoded(program).errors}
+
+    def test_wrong_load_prefix_inside_a_trace_is_dec003(self, rich_program):
+        # The loads an exit past this pc reports would be off by one.
+        from repro.machine.decoded import decode
+
+        decoded = decode(rich_program)
+        code = rich_program.code
+        pc = next(
+            pc for pc in range(1, len(code))
+            if code[pc - 1].is_load and decoded.chain_spans[pc - 1] > 1
+        )
+        loads = list(decoded.chain_loads)
+        loads[pc] -= 1
+        decoded.chain_loads = tuple(loads)
+        report = check_decoded(rich_program)
+        assert error_ids(report) == {"DEC003"}
+        assert {f.pc for f in report.errors} == {pc}
+
     @staticmethod
     def record_after_body(lines):
-        """Move the recording prologue after the body."""
+        """Move the recording prologue after the body, to just before
+        the trace's first exit (its written marks or a side exit's
+        return)."""
         prologue = [line for line in lines if "live_in[" in line]
         rest = [line for line in lines if "live_in[" not in line]
-        return rest + prologue
+        exit_at = next(
+            i for i, line in enumerate(rest)
+            if "written[" in line or "return" in line
+        )
+        return rest[:exit_at] + prologue + rest[exit_at:]
 
     @staticmethod
     def drop_first_read(lines):

@@ -148,6 +148,26 @@ class TestInitialAndDelta:
         assert state.load(4) == 9
         assert all(r == 0 for r in state.regs)
 
+    def test_initial_drops_zero_cells_of_the_boot_image(self):
+        program = assemble("main: halt").with_memory({4: 9, 5: 0, 6: 7, 7: 0})
+        assert program.memory == {4: 9, 5: 0, 6: 7, 7: 0}
+        for _ in range(2):  # built once, then copied
+            state = ArchState.initial(program)
+            assert state.mem == {4: 9, 6: 7}
+            assert state == ArchState(mem={4: 9, 6: 7}, pc=program.entry)
+
+    def test_mutating_the_initial_state_leaves_the_program_alone(self):
+        program = assemble("main: halt").with_memory({4: 9, 5: 0, 6: 7})
+        image = dict(program.memory)
+        state = ArchState.initial(program)
+        state.store(4, 0)
+        state.store(8, 3)
+        state.write_reg(1, 5)
+        assert program.memory == image
+        assert ArchState.initial(program) == ArchState(
+            mem={4: 9, 6: 7}, pc=program.entry
+        )
+
     def test_apply_delta(self):
         state = ArchState()
         state.apply_delta({1: 5, ZERO: 9}, {100: 6}, pc=7)

@@ -1,13 +1,13 @@
-"""Superstep differentials: the decoded slave, master and recovery run
-whole basic-block chains, the oracle tier steps every instruction
+"""Trace differentials: the decoded slave, master and recovery run
+whole fall-through traces, the oracle tier steps every instruction
 through ``semantics.execute``.  Every Task field, every MasterEvent and
-every recovery must match between the two, at the places a chain
-boundary could leak: an end pc or an anchor inside a block, arrivals,
-budgets and caps that fall mid-chain, and the master's intercepted
-``fork``/``jr``.  Chains run on the register list, and the slave's
-recording chains record a chain's live-ins at entry, so the
-register-file cases — reads after writes, r0, wraps, chains entered
-again — are pinned too.
+every recovery must match between the two, at the places a trace
+boundary could leak: side exits, an end pc or an anchor inside a trace,
+arrivals, budgets and caps that fall mid-trace, and the master's
+intercepted ``fork``/``jr``.  Traces run on the register list, and the
+slave's recording traces record each segment's live-ins at its entry,
+so the register-file cases — reads after writes, r0, wraps, traces
+entered again — are pinned too.
 """
 
 import dataclasses
@@ -361,6 +361,7 @@ class TestRegisterFileChains:
     def test_recording_chain_skips_written_and_recorded_registers(self):
         # The chain at 1 run directly, as a second iteration finds it:
         # r2 already written, r3 already recorded (with an older value).
+        # r1 reaches 0, so the trace runs through the bne to the halt.
         from repro.mssp.slave import SlaveView
 
         program = self.REENTRY_PROGRAM
@@ -369,12 +370,13 @@ class TestRegisterFileChains:
         )
         view._reg_written[2] = True
         view.live_in_regs[3] = -3
-        decode(program).recording_chains[1](
+        retired = decode(program).recording_chains[1](
             view.regs, view, view._reg_written, view.live_in_regs
         )
         assert list(view.live_in_regs.items()) == [(3, -3), (1, 1), (5, 5)]
         assert view.live_out_regs() == {1: 0, 2: 7, 4: 5}
-        assert view.pc == 5
+        assert view.live_out_mem() == {100: 5}
+        assert retired == 6 and view.pc == 6
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -451,8 +453,55 @@ class TestMasterRegisterFile:
             assert regs[6] == -(1 << 63) and regs[0] == 0
 
 
-#: Recovery runs the original program: the chain from 0 spans 0..5 and
-#: the loop body's from 1 spans 1..5; 17 non-halt instructions retire.
+#: One loop whose body is a long trace (2..12) with three side exits,
+#: chosen per iteration by a mode table: mode 0 leaves at the first
+#: branch (4), mode 1 at the middle one (7), mode 2 at the last (10),
+#: and mode 3 runs the whole trace.  The trace from 17 ends in ``halt``;
+#: ``j next`` enters it mid-span at 18, and its bne (19) leaves before
+#: the halt on every iteration but the last.  The beq at 1 targets its
+#: own fall-through pc, so it ends the trace from 0.
+TRACE_SOURCE = """
+main:   li r1, 8             # 0
+        beq r1, r10, loop    # 1  target is its own fall-through
+loop:   addi r1, r1, -1      # 2
+        lw r2, 100(r1)       # 3  the mode
+        beq r2, zero, m0     # 4  first side exit
+        addi r3, r3, 1       # 5
+        slti r4, r2, 2       # 6
+        bne r4, zero, m1     # 7  middle side exit
+        lw r5, 101(zero)     # 8  a load past the middle exit
+        slti r4, r2, 3       # 9
+        bne r4, zero, m2     # 10 last side exit
+        addi r6, r6, 3       # 11
+        j next               # 12
+m0:     addi r7, r7, 1       # 13
+        j next               # 14
+m1:     addi r8, r8, 1       # 15
+        j next               # 16
+m2:     addi r9, r9, 1       # 17
+next:   sw r2, 200(r1)       # 18
+        bne r1, zero, loop   # 19 side exit before the halt
+        sw r3, 300(zero)     # 20
+        halt                 # 21
+        .data 100
+        .word 0, 1, 2, 3, 3, 2, 1, 0
+"""
+TRACE_PROGRAM = assemble(TRACE_SOURCE)
+
+
+def forbid_stepping(monkeypatch, program):
+    """Make every per-step stepper of ``program``'s decoding raise, so a
+    run that passes took chains only."""
+    def step(state):
+        raise AssertionError(f"stepped at pc {state.pc}")
+
+    decoded = decode(program)
+    monkeypatch.setattr(decoded, "steppers", (step,) * decoded.size)
+
+
+#: Recovery runs the original program: the trace from 0 spans 0..7 and
+#: the loop body's from 1 spans 1..7, each leaving at the bne while the
+#: loop runs; 17 non-halt instructions retire.
 RECOVERY_SOURCE = """
 main:   li r1, 3            # 0
 loop:   addi r1, r1, -1     # 1
@@ -467,10 +516,11 @@ loop:   addi r1, r1, -1     # 1
 """
 
 
-def recoveries(tier, anchors, min_instrs=0, **config):
+def recoveries(tier, anchors, min_instrs=0, source=RECOVERY_SOURCE,
+               **config):
     """Every recovery from boot to halt (or the budget's raise): each
     one's record and the architected state it left."""
-    program = assemble(RECOVERY_SOURCE)
+    program = assemble(source)
     engine = MsspEngine(
         program,
         (assemble("halt"), PcMap(resume=dict.fromkeys(anchors, 0))),
@@ -491,33 +541,50 @@ def recoveries(tier, anchors, min_instrs=0, **config):
 
 
 class TestRecoverySupersteps:
-    @pytest.mark.parametrize("anchors, min_instrs, config, chained", [
-        # 3 lies inside the spans from 0, 1 and 2: those step; the
-        # span from 3 runs whole and stops at no anchor.
-        pytest.param({0, 3}, 0, {}, True, id="anchor-inside-span"),
+    @pytest.mark.parametrize("anchors, min_instrs, config, chained, source", [
+        # 3 lies inside the traces from 0, 1 and 2: those run cut before
+        # it; the trace from 3 leaves at the bne and stops at no anchor.
+        pytest.param({0, 3}, 0, {}, True, RECOVERY_SOURCE,
+                     id="anchor-inside-span"),
         # Arrivals at 1 every five instructions; the throttle minimum
-        # of 9 falls inside the second loop chain.
-        pytest.param({0, 1}, 9, {}, True, id="throttle-mid-chain"),
-        # The per-episode cap of 8 falls inside the second loop chain.
+        # of 9 falls inside the second loop trace.
+        pytest.param({0, 1}, 9, {}, True, RECOVERY_SOURCE,
+                     id="throttle-mid-chain"),
+        # The per-episode cap of 8 falls inside the second loop trace.
         pytest.param({0, 6}, 0, {"recovery_max_instrs": 8}, True,
-                     id="cap-mid-chain"),
+                     RECOVERY_SOURCE, id="cap-mid-chain"),
         # The step budget of 8 falls there too: the raise must come
         # after exactly 8 instructions.
         pytest.param({0, 6}, 0, {"max_total_instrs": 8}, True,
-                     id="budget-mid-chain"),
-        # A cap or budget of 6 is exactly the end of the chain from 0,
-        # which must therefore step; later recoveries under the cap
-        # run the loop chain.
+                     RECOVERY_SOURCE, id="budget-mid-chain"),
+        # A cap or budget of 6 is exactly the length of the trace from
+        # 0 cut before the anchor at 6, which must therefore step;
+        # later recoveries under the cap run the loop trace.
         pytest.param({0, 6}, 0, {"recovery_max_instrs": 6}, True,
-                     id="cap-at-chain-end"),
+                     RECOVERY_SOURCE, id="cap-at-chain-end"),
         pytest.param({0, 6}, 0, {"max_total_instrs": 6}, False,
-                     id="budget-at-chain-end"),
+                     RECOVERY_SOURCE, id="budget-at-chain-end"),
+        # The trace from the loop head (2..12) holds three side exits;
+        # anchors inside it cut it, caps and budgets fall inside it.
+        pytest.param({0, 8}, 0, {}, True, TRACE_SOURCE,
+                     id="anchor-after-middle-exit"),
+        pytest.param({0, 5, 11}, 0, {}, True, TRACE_SOURCE,
+                     id="anchors-between-exits"),
+        pytest.param({0, 20}, 0, {}, True, TRACE_SOURCE,
+                     id="anchor-in-halt-trace"),
+        pytest.param({0, 8}, 12, {}, True, TRACE_SOURCE,
+                     id="throttle-inside-trace"),
+        pytest.param({0, 8}, 0, {"recovery_max_instrs": 7}, True,
+                     TRACE_SOURCE, id="cap-inside-trace"),
+        pytest.param({0, 8}, 0, {"max_total_instrs": 9}, True,
+                     TRACE_SOURCE, id="budget-inside-trace"),
     ])
     def test_recoveries_match_oracle(
-        self, anchors, min_instrs, config, chained
+        self, anchors, min_instrs, config, chained, source
     ):
         (decoded, chains), (oracle, _) = (
-            recoveries(tier, anchors, min_instrs, **config) for tier in TIERS
+            recoveries(tier, anchors, min_instrs, source, **config)
+            for tier in TIERS
         )
         assert decoded == oracle
         assert bool(chains) == chained
@@ -530,3 +597,129 @@ class TestRecoverySupersteps:
         for _ in range(8):
             steppers[reference.pc](reference)
         assert trace[-1][1] == reference
+
+
+class TestTraceBoundaries:
+    def test_trace_shape(self):
+        decoded = decode(TRACE_PROGRAM)
+        assert decoded.chain_spans[0] == 2  # the self-fall-through beq
+        assert decoded.chain_spans[2] == 11  # through three branches
+        assert decoded.chain_spans[17] == 5 and decoded.chain_halts[17]
+        assert decoded.chain_spans[18] == 4 and decoded.chain_halts[18]
+
+    @pytest.mark.parametrize("regs", [{}, {10: 8}],
+                             ids=["fall-through", "self-target"])
+    def test_whole_task_takes_every_exit(self, regs):
+        decoded, oracle = (
+            run_slave(tier, 0, None, regs, 1_000, program=TRACE_PROGRAM)
+            for tier in TIERS
+        )
+        assert task_facts(decoded) == task_facts(oracle)
+        assert decoded.halted
+
+    @pytest.mark.parametrize("mode, exit_pc", [
+        (0, 13), (1, 15), (2, 17), (3, 18),
+    ], ids=["first-branch", "middle-branch", "last-branch", "no-exit"])
+    def test_side_exit_from_the_loop_trace(self, mode, exit_pc):
+        # One iteration from the loop head, with r1 picking the table
+        # cell that holds ``mode``; the task ends at the exit's target.
+        r1 = [7, 6, 5, 4][mode] + 1
+        decoded, oracle = (
+            run_slave(tier, 2, exit_pc, {1: r1}, 1_000,
+                      program=TRACE_PROGRAM)
+            for tier in TIERS
+        )
+        assert task_facts(decoded) == task_facts(oracle)
+        assert decoded.end_state_pc == exit_pc
+
+    @pytest.mark.parametrize("end_pc, arrivals", [
+        (5, 1), (8, 1), (8, 2), (11, 2), (20, 1),
+    ])
+    def test_end_pc_inside_a_trace_runs_the_cut_trace(
+        self, monkeypatch, end_pc, arrivals
+    ):
+        oracle = run_slave("oracle", 0, end_pc, {}, 1_000,
+                           end_arrivals=arrivals, program=TRACE_PROGRAM)
+        forbid_stepping(monkeypatch, TRACE_PROGRAM)
+        decoded = run_slave("decoded", 0, end_pc, {}, 1_000,
+                            end_arrivals=arrivals, program=TRACE_PROGRAM)
+        assert task_facts(decoded) == task_facts(oracle)
+        assert decoded.end_state_pc == end_pc
+        chains = decode(TRACE_PROGRAM).recording_chains
+        assert any(
+            isinstance(key, tuple) and key[0] + key[1] == end_pc
+            for key in chains
+        )
+
+    @pytest.mark.parametrize("max_instrs", range(1, 40))
+    def test_budget_inside_a_trace(self, max_instrs):
+        decoded, oracle = (
+            run_slave(tier, 0, None, {}, max_instrs, program=TRACE_PROGRAM)
+            for tier in TIERS
+        )
+        assert task_facts(decoded) == task_facts(oracle)
+
+    #: Arrival pcs at the loop head, at the middle exit's fall-through,
+    #: past the last exit, and at the halt trace's side exit.  A fork
+    #: after the loop, anchored at one of them, cuts the trace from 17
+    #: and reports how many times the loop passed it.
+    MASTER_ARRIVALS = {2: 50, 8: 60, 11: 70, 19: 80}
+
+    def master_events(self, tier, budget, anchor=60):
+        program = assemble(TRACE_SOURCE.replace(
+            "        sw r3, 300(zero)",
+            f"        fork {anchor}\n sw r3, 300(zero)",
+        ))
+        master = Master(
+            program, MsspConfig(max_master_instrs_per_task=budget),
+            arrival_pcs=self.MASTER_ARRIVALS, tier=tier,
+        )
+        master.restart(ArchState(mem=program.memory), 0)
+        trace = []
+        while True:
+            event = master.run_until_fork()
+            trace.append((event, dict(master._arrivals), master.total_instrs))
+            if event.kind is not MasterEventKind.FORK:
+                return trace
+
+    @pytest.mark.parametrize("anchor, arrivals", [
+        (50, 8), (60, 4), (70, 2), (80, 8),
+    ])
+    def test_master_arrivals_past_side_exits(self, anchor, arrivals):
+        decoded, oracle = (
+            self.master_events(tier, 1_000, anchor) for tier in TIERS
+        )
+        assert decoded == oracle
+        kinds = [event.kind for event, _, _ in decoded]
+        assert kinds == [MasterEventKind.FORK, MasterEventKind.HALT]
+        fork = decoded[0][0]
+        # Every iteration loads the mode; those past the middle exit
+        # (modes 2 and 3) load once more.
+        assert fork.arrivals == arrivals and fork.loads == 8 + 4
+
+    @pytest.mark.parametrize("budget", range(1, 30))
+    def test_master_timeout_inside_a_trace(self, budget):
+        decoded, oracle = (
+            self.master_events(tier, budget) for tier in TIERS
+        )
+        assert decoded == oracle
+
+    def test_anchor_inside_a_trace_runs_the_cut_trace(self, monkeypatch):
+        (oracle, _) = recoveries("oracle", {0, 8}, source=TRACE_SOURCE)
+        program = assemble(TRACE_SOURCE)
+        engine = MsspEngine(
+            program,
+            (assemble("halt"), PcMap(resume=dict.fromkeys({0, 8}, 0))),
+            MsspConfig(static_safety="off"),
+        )
+        forbid_stepping(monkeypatch, program)
+        arch = ArchState.initial(program)
+        trace = []
+        while True:
+            record = engine._recover(arch, [])
+            trace.append((record, arch.copy()))
+            if record.halted:
+                break
+        assert trace == oracle
+        # The trace from 2 runs cut before the anchor at 8.
+        assert (2, 6) in decode(program).chains

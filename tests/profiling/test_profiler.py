@@ -277,3 +277,48 @@ class TestSuperstepProfileMatchesObserver:
         assert_same_profile(profile, observer_profile(program, state=theirs))
         assert mine == theirs
         assert mine.pc == 6 and mine.mem[600] == 1
+
+
+class TestTraceProfileMatchesObserver:
+    """Trace boundaries: side exits at a trace's first, middle and last
+    branch, a halt trace entered mid-span and left before its halt, a
+    branch that targets its own fall-through, and budgets inside
+    traces.  The program is the slave/master/recovery differentials'
+    (``tests/mssp/test_supersteps.py``)."""
+
+    @pytest.fixture
+    def program(self):
+        from tests.mssp.test_supersteps import TRACE_SOURCE
+
+        return assemble(TRACE_SOURCE)
+
+    @pytest.mark.parametrize("regs", [{}, {10: 8}],
+                             ids=["boot", "self-target-taken"])
+    def test_every_exit(self, program, regs):
+        states = []
+        for _ in range(2):
+            state = ArchState.initial(program)
+            for index, value in regs.items():
+                state.regs[index] = value
+            states.append(state)
+        mine, theirs = states
+        profile = profile_program(program, state=mine)
+        assert_same_profile(profile, observer_profile(program, state=theirs))
+        assert mine == theirs
+        # Each side exit of the loop trace was taken twice; the last
+        # iteration's bne at 19 falls through to the halt.
+        assert [profile.branches[pc].taken for pc in (4, 7, 10, 19)] == [
+            2, 2, 2, 7,
+        ]
+
+    def test_budget_inside_a_trace(self, program):
+        length = run(program).steps
+        for max_steps in range(1, length + 3):
+            mine = ArchState.initial(program)
+            theirs = ArchState.initial(program)
+            got = profile_outcome(profile_program, program, mine, max_steps)
+            want = profile_outcome(
+                observer_profile, program, theirs, max_steps
+            )
+            assert got == want, max_steps
+            assert mine == theirs, max_steps
